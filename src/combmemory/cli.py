@@ -357,6 +357,8 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+    if not all(d > 0 for d in cfg.sweep_d):
+        raise PhysicsError("optical depth must be positive")
     zetas_db = _state_zetas_db(cfg)
     blocks = [
         CovarianceMatrix(np.diag([10.0 ** (-db / 10.0), 10.0 ** (db / 10.0)]))

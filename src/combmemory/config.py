@@ -32,17 +32,17 @@ _UNITS = {
     "rad/s": 1.0,
 }
 
-_QUANTITY_RE = re.compile(r"^\s*(2pi\*)?\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z/]*)\s*$")
+_QUANTITY_RE = re.compile(r"^\s*(?:([-+]?)(2pi\*))?\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z/]*)\s*$")
 
 
 def parse_quantity(text: str) -> float:
-    """SI value from '2pi*10e3', '80 MHz', '1 ms', '0.5', ..."""
+    """SI value from '2pi*10e3', '-2pi*1.8 kHz', '80 MHz', '1 ms', '0.5', ..."""
     m = _QUANTITY_RE.match(str(text))
     if m is None:
         raise ConfigError(f"cannot parse quantity {text!r}")
-    prefix, number, unit = m.groups()
+    sign, prefix, number, unit = m.groups()
     try:
-        value = float(number)
+        value = float((sign or "") + number)  # a sign before and after 2pi* fails here
     except ValueError:
         raise ConfigError(f"cannot parse number in {text!r}") from None
     scale = _UNITS.get(unit.lower())

@@ -3,8 +3,8 @@
 Two independent routes compute the same physics:
 
 * analytic route — the closed-form Bessel-kernel integrals for the stored
-  coherence profile and the retrieved envelope, evaluated by composite
-  Simpson quadrature with a grid-refinement error estimate;
+  coherence profile and the retrieved envelope, both evaluated by one Simpson
+  quadrature of a J0 table whose column slices give the error estimate;
 * PDE route — a marching integrator for the coupled envelope equations
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
@@ -244,12 +244,37 @@ def _uniform_spacing(x: np.ndarray, name: str) -> float:
 # ----------------------------------------------------------------------------
 # analytic route
 
-def _stored_quadrature(z, samples, taus, d):
-    """b(z) = sqrt(d) int e^{-(Gamma-tau)} J0(2 sqrt(d z (Gamma-tau))) a dtau."""
-    wts = simpson_weights(taus.size, taus[1] - taus[0])
-    back = taus[-1] - taus
-    Jm = bessel_j0(2.0 * np.sqrt(np.maximum(np.outer(z, back) * d, 0.0)))
-    return np.sqrt(d) * (Jm * (wts * np.exp(-back) * samples)[None, :]).sum(axis=1)
+def _bessel_quadrature(rows, cols, d, samples, h, write):
+    """(integral, relative error) of a memory kernel against sample columns.
+
+    The write kernel sqrt(d) e^{-u} J0(2 sqrt(d z u)) takes rows z and lags
+    u = Gamma - tau as columns; the read kernel -sqrt(d) e^{-tau}
+    J0(2 sqrt(d tau (1 - z))) takes rows tau and columns 1 - z.  ``samples``
+    is (n,) or (n, k) on a uniform grid of spacing h along the columns.  The
+    error is Richardson's |S_h - S_2h| / 15 over the leading odd run of
+    samples, whose sums read column slices of the same table: the write
+    kernel depends only on the lag behind the last sample, so the leading
+    samples meet its trailing columns.
+    """
+    table = bessel_j0(2.0 * np.sqrt(np.maximum(np.outer(rows, cols) * d, 0.0)))
+    decay = np.exp(-cols) if write else -np.exp(-rows)[:, None]  # read: the field's sign
+    table *= np.sqrt(d) * decay
+    n = samples.shape[0]
+    x = samples.reshape(n, -1)
+
+    def simpson(m, stride):
+        start = n - m if write else 0
+        xs = x[:m:stride]
+        part = table[:, start:start + m:stride]
+        wx = simpson_weights(len(xs), stride * h)[:, None] * xs
+        return part @ wx.real + 1j * (part @ wx.imag)
+
+    fine = simpson(n, 1)
+    m = n if n % 2 == 1 else n - 1
+    sub_fine = fine if m == n else simpson(m, 1)
+    peak = max(float(np.abs(fine).max()), 1e-300)
+    est = float(np.abs(sub_fine - simpson(m, 2)).max()) / 15.0 / peak
+    return fine.reshape(rows.size, *samples.shape[1:]), est
 
 
 def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
@@ -264,8 +289,8 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
         Number of output positions on [0, 1].
 
     The kernel integral is evaluated by composite Simpson quadrature over the
-    sample grid.  A stride-2 refinement estimate guards the result; estimated
-    relative error above 1e-6 raises ResolutionError.
+    sample grid, checked against its stride-2 sub-grid over the leading odd
+    run of samples; estimated relative error above 1e-6 raises ResolutionError.
 
     The profile matches the PDE route: b = sqrt(d gamma_s) * int e^{-gamma_s u}
     J0(2 sqrt(d gamma_s z u)) a(T-u) du, evaluated in scaled time with the
@@ -284,20 +309,13 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
     if params.d == 0.0:
         return StoredProfile(z, np.zeros(int(n_z), dtype=complex))
 
-    fine = _stored_quadrature(z, a, tau, params.d)
-
-    # Richardson check on a common subdomain (full grid when n_t is odd)
-    m = n_t if n_t % 2 == 1 else n_t - 1
-    sub_fine = _stored_quadrature(z, a[:m], tau[:m], params.d) if m != n_t else fine
-    sub_coarse = _stored_quadrature(z, a[:m:2], tau[:m:2], params.d)
-    scale = max(float(np.abs(fine).max()), 1e-300)
-    est = float(np.abs(sub_fine - sub_coarse).max()) / 15.0 / scale
+    b, est = _bessel_quadrature(z, Gamma - tau, params.d, a, tau[1] - tau[0], write=True)
     if est > QUAD_ERROR_LIMIT:
         raise ResolutionError(
             f"write quadrature error estimate {est:.2e} exceeds {QUAD_ERROR_LIMIT:g}; "
             f"try at least {2 * n_t - 1} input samples"
         )
-    return StoredProfile(z, fine)
+    return StoredProfile(z, b)
 
 
 def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.ndarray:
@@ -305,7 +323,8 @@ def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.nd
 
     Evaluates -exp(-gamma_s t) sqrt(alpha/T) * integral over the stored
     profile, including the overall minus sign of the retrieved field.  Read
-    times are SI seconds counted from the start of the read stage.
+    times are SI seconds counted from the start of the read stage.  The z
+    integral is checked as in ``write_analytic``, over the profile samples.
     """
     t = np.asarray(t_read, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -315,29 +334,17 @@ def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.nd
     z = profile.z_points
     if z.size < 4:
         raise DimensionError("profile needs at least 4 z samples")
-    _uniform_spacing(z, "z")  # quadrature below assumes a uniform grid
+    hz = _uniform_spacing(z, "z")  # quadrature below assumes a uniform grid
     if params.d == 0.0:
         return np.zeros(t.size, dtype=complex)
-    d = params.d
     tau = params.gamma_s * t
-
-    def out_env(zs, bs):
-        wts = simpson_weights(zs.size, zs[1] - zs[0])
-        Jr = bessel_j0(2.0 * np.sqrt(np.maximum(np.outer(tau, 1.0 - zs) * d, 0.0)))
-        return -np.sqrt(d) * np.exp(-tau) * (Jr * (wts * bs)[None, :]).sum(axis=1)
-
-    fine = out_env(z, profile.b_T)
-    m = z.size if z.size % 2 == 1 else z.size - 1
-    sub_fine = out_env(z[:m], profile.b_T[:m]) if m != z.size else fine
-    sub_coarse = out_env(z[:m:2], profile.b_T[:m:2])
-    scale = max(float(np.abs(fine).max()), 1e-300)
-    est = float(np.abs(sub_fine - sub_coarse).max()) / 15.0 / scale
+    env, est = _bessel_quadrature(tau, 1.0 - z, params.d, profile.b_T, hz, write=False)
     if est > QUAD_ERROR_LIMIT:
         raise ResolutionError(
             f"read quadrature error estimate {est:.2e} exceeds {QUAD_ERROR_LIMIT:g}; "
             f"try at least {2 * z.size - 1} profile samples"
         )
-    return np.sqrt(params.gamma_s) * fine  # scaled envelope back to SI amplitude
+    return np.sqrt(params.gamma_s) * env  # scaled envelope back to SI amplitude
 
 
 def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 1e-4) -> float:
@@ -524,36 +531,25 @@ def expected_gain(params: MemoryParams, omega):
     return complex(g) if np.isscalar(omega) or w.ndim == 0 else g
 
 
-def _probe_gain_analytic(d, Gamma, omega_hat, tau_p, probe, n_z, tau_r):
-    wts_p = simpson_weights(tau_p.size, tau_p[1] - tau_p[0])
+def _probe_read_analytic(d, tau_p, probes, n_z, tau_r):
+    """Read records of all probes (rows) from one write and one read J0 table."""
     z = np.linspace(0.0, 1.0, n_z)
-    back = Gamma - tau_p
-    Jw = bessel_j0(2.0 * np.sqrt(np.maximum(np.outer(z, back) * d, 0.0)))
-    b = np.sqrt(d) * (Jw * (wts_p * np.exp(-back) * probe)[None, :]).sum(axis=1)
-
-    wts_z = simpson_weights(n_z, z[1] - z[0])
-    Jr = bessel_j0(2.0 * np.sqrt(np.maximum(np.outer(tau_r, 1.0 - z) * d, 0.0)))
-    a_out = -np.sqrt(d) * np.exp(-tau_r) * (Jr * (wts_z * b)[None, :]).sum(axis=1)
-
-    wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
-    A_in = np.sum(wts_p * probe * np.exp(-1j * omega_hat * tau_p))
-    A_out = np.sum(wts_r * a_out * np.exp(-1j * omega_hat * tau_r))
-    return A_out / A_in
+    h = tau_p[1] - tau_p[0]
+    b, _ = _bessel_quadrature(z, tau_p[-1] - tau_p, d, probes.T, h, write=True)
+    out, _ = _bessel_quadrature(tau_r, 1.0 - z, d, b, z[1] - z[0], write=False)
+    return out.T
 
 
-def _probe_gain_pde(d, Gamma, omega_hat, tau_p, probe, n_z, tau_r):
-    h_w = tau_p[1] - tau_p[0]
-    # fields vanish before the probe support; start marching at its left edge
-    _, _, _, b_end = _march(np.zeros(n_z), probe, h_w, d, n_z)
-    out, _, _, _ = _march(
-        b_end, np.zeros(tau_r.size, dtype=complex), tau_r[1] - tau_r[0], d, n_z,
-        record_output=True,
-    )
-    wts_p = simpson_weights(tau_p.size, h_w)
-    wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
-    A_in = np.sum(wts_p * probe * np.exp(-1j * omega_hat * tau_p))
-    A_out = np.sum(wts_r * out * np.exp(-1j * omega_hat * tau_r))
-    return A_out / A_in
+def _probe_read_pde(d, tau_p, probes, n_z, tau_r):
+    """Read records of all probes (rows), marching write then read per probe."""
+    h_w, h_r = tau_p[1] - tau_p[0], tau_r[1] - tau_r[0]
+    dark = np.zeros(tau_r.size, dtype=complex)
+    out = np.empty((len(probes), tau_r.size), dtype=complex)
+    for i, probe in enumerate(probes):
+        # fields vanish before the probe support; start marching at its left edge
+        b_end = _march(np.zeros(n_z), probe, h_w, d, n_z, record_output=True)[3]
+        out[i] = _march(b_end, dark, h_r, d, n_z, record_output=True)[0]
+    return out
 
 
 def transfer_function_estimate(
@@ -616,11 +612,11 @@ def transfer_function_estimate(
 
     horizon = 5.0 * params.T if T_read is None else float(T_read)
     tau_r = np.linspace(0.0, params.gamma_s * horizon, int(n_read))
-    measure = _probe_gain_analytic if path == "analytic" else _probe_gain_pde
-    gains = np.empty(omegas.size, dtype=complex)
-    for i, om in enumerate(omegas):
-        om_hat = om / params.gamma_s
-        probe = env * np.exp(1j * om_hat * tau_p)
-        g_read = measure(params.d, Gamma, om_hat, tau_p, probe, int(n_z), tau_r)
-        gains[i] = g_read
-    return gains
+    om_hat = omegas[:, None] / params.gamma_s
+    probes = env * np.exp(1j * om_hat * tau_p)
+    read = _probe_read_analytic if path == "analytic" else _probe_read_pde
+    out = read(params.d, tau_p, probes, int(n_z), tau_r)
+    wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
+    A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
+    A_out = np.sum(wts_r * out * np.exp(-1j * om_hat * tau_r), axis=1)
+    return A_out / A_in

@@ -140,6 +140,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(b), "--workers", "3"]) == 0
         assert (a / "sweep_curves.csv").read_bytes() == (b / "sweep_curves.csv").read_bytes()
 
+    def test_non_positive_depth_rejected(self, tmp_path):
+        # same contract as metrics: the closed forms need d > 0
+        text = BASE + "\n[sweep]\nd_values = 0, 1\n"
+        rc, _ = run(tmp_path, "sweep", text)
+        assert rc == 3
+
 
 class TestDynamicsCommand:
     def test_checks_pass(self, tmp_path, capsys):

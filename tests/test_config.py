@@ -44,6 +44,14 @@ class TestParseQuantity:
     def test_angular_with_unit(self):
         assert parse_quantity("2pi*18 kHz") == pytest.approx(TWO_PI * 18e3, rel=1e-15)
 
+    def test_signed_angular_prefix(self):
+        assert parse_quantity("-2pi*1.8 kHz") == parse_quantity("2pi*-1.8 kHz")
+        assert parse_quantity("-2pi*1.8 kHz") == pytest.approx(-TWO_PI * 1.8e3, rel=1e-15)
+        assert parse_quantity("+2pi*1.8 kHz") == parse_quantity("2pi*1.8 kHz")
+        for doubled in ("-2pi*-1.8 kHz", "+2pi*-1.8 kHz", "--1.8 kHz"):
+            with pytest.raises(ConfigError):
+                parse_quantity(doubled)
+
     def test_unknown_unit(self):
         with pytest.raises(ConfigError, match="unknown unit"):
             parse_quantity("3 parsec")

@@ -4,6 +4,7 @@ import scipy.integrate
 import scipy.signal
 import scipy.special
 
+from combmemory import dynamics
 from combmemory import (
     DimensionError,
     FieldGrid,
@@ -150,6 +151,14 @@ class TestWriteAnalytic:
         with pytest.raises(ResolutionError, match="quadrature error"):
             write_analytic(spike, p, 16)
 
+    def test_under_resolved_even_length_input_rejected(self):
+        # an even sample count takes the estimate from a sliced sub-grid
+        p = params10()
+        t = np.linspace(0.0, p.T, 10)
+        spike = np.exp(-(((t - 0.5 * p.T) / (0.02 * p.T)) ** 2)).astype(complex)
+        with pytest.raises(ResolutionError, match="write quadrature error"):
+            write_analytic(spike, p, 16)
+
     def test_input_length_floor(self):
         with pytest.raises(DimensionError, match="9 samples"):
             write_analytic(np.ones(5, dtype=complex), params10(), 16)
@@ -170,6 +179,14 @@ class TestReadAnalytic:
         prof = write_analytic(np.ones(801, dtype=complex), p, 201)
         with pytest.raises(PhysicsError, match=">= 0"):
             read_analytic(prof, p, [-1e-6])
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_under_resolved_profile_rejected(self, n):
+        p = params10()
+        z = np.linspace(0.0, 1.0, n)
+        prof = StoredProfile(z, np.cos(9.0 * np.pi * z).astype(complex))
+        with pytest.raises(ResolutionError, match="read quadrature error"):
+            read_analytic(prof, p, np.linspace(0.0, p.T, 7))
 
     def test_horizon_converges_within_window(self):
         # at Gamma = 10 the retrieved energy saturates inside one window
@@ -275,3 +292,41 @@ class TestTransferFunction:
 
     def test_empty_probe_list(self):
         assert transfer_function_estimate(params10(), []).size == 0
+
+
+class TestBesselTables:
+    """Each analytic run builds one J0 table per kernel, whatever the probe count."""
+
+    SMALL = dict(n_probe=201, n_z=100, n_read=601)
+
+    @pytest.fixture
+    def j0_calls(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return bessel_j0(x)
+
+        monkeypatch.setattr(dynamics, "bessel_j0", counted)
+        return calls
+
+    def test_write_builds_one_table(self, j0_calls):
+        write_analytic(np.ones(800, dtype=complex), params10(), 50)
+        assert j0_calls == [50 * 800]
+
+    @pytest.mark.parametrize("n_probes", [1, 3])
+    def test_transfer_builds_two_tables(self, j0_calls, n_probes):
+        omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
+        transfer_function_estimate(params10(), omegas, **self.SMALL)
+        assert len(j0_calls) == 2
+
+    @pytest.mark.parametrize("path", ["analytic", "pde"])
+    def test_stacked_probes_match_single_runs(self, path):
+        p = params10()
+        omegas = [0.0, 0.05 * GAMMA_S, -0.1 * GAMMA_S]
+        together = transfer_function_estimate(p, omegas, path=path, **self.SMALL)
+        alone = np.array([
+            transfer_function_estimate(p, [w], path=path, **self.SMALL)[0]
+            for w in omegas
+        ])
+        assert np.abs(together - alone).max() <= 1e-12 * np.abs(alone).max()
