@@ -126,7 +126,11 @@ def _input_state(cfg: ExperimentConfig) -> CovarianceMatrix:
         return squeezed_vacuum(SqueezingSpectrum(zetas), angles=cfg.angles)
     if cfg.state_source == "file":
         with open(cfg.state_file) as fh:
-            return CovarianceMatrix.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary input
+                raise ConfigError(f"state file {cfg.state_file} is not JSON: {exc}") from exc
+        return CovarianceMatrix.from_json(obj)
     return get_preset(cfg.preset)
 
 
@@ -294,6 +298,7 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     all_ok = record("pde_vs_analytic_l2", l2, L2_TOL, l2 <= L2_TOL)
 
     budget = energy_budget(grid, p)
+    del grid  # the full PDE history is not read again; free it before the probes
     all_ok &= record("energy_budget_residual", budget["residual"], BUDGET_TOL,
                      budget["residual"] <= BUDGET_TOL)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PhysicsError
+from .errors import ConfigError, DimensionError, PhysicsError
 from .modes import ModeBasis, ModeVector
 
 __all__ = [
@@ -102,9 +102,16 @@ class CovarianceMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CovarianceMatrix":
-        C = np.asarray(obj["rows"], dtype=float)
+        try:
+            C = np.asarray(obj["rows"], dtype=float)
+            declared = int(obj["mode_count"]) if "mode_count" in obj else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                "covariance JSON needs 'rows' as a numeric matrix and an integer "
+                f"'mode_count' if given ({type(exc).__name__}: {exc})"
+            ) from exc
         got = cls(C)
-        if "mode_count" in obj and int(obj["mode_count"]) != got.mode_count:
+        if declared is not None and declared != got.mode_count:
             raise DimensionError("mode_count inconsistent with matrix size")
         return got
 

@@ -161,6 +161,31 @@ class TestDynamicsCommand:
         assert all("pass" in ln for ln in lines if ln.startswith("dynamics:"))
 
 
+class TestStateFile:
+    @pytest.mark.parametrize("body", [
+        '{"rows": [[1, 0], [0, 1]',          # invalid JSON
+        '{"mode_count": 1}',                 # no rows
+        '{"rows": [["a", 0], [0, 1]]}',      # non-numeric rows
+        '{"rows": [[1, 0], [0]]}',           # ragged rows
+        '{"mode_count": "one", "rows": [[1, 0], [0, 1]]}',
+    ], ids=["invalid-json", "no-rows", "non-numeric", "ragged", "mode-count"])
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, body):
+        state = tmp_path / "state.json"
+        state.write_text(body)
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        rc, _ = run(tmp_path, "metrics", text)
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_valid_file_runs(self, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"mode_count": 1, "rows": [[0.5, 0.0], [0.0, 2.0]]}))
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        rc, out = run(tmp_path, "metrics", text)
+        assert rc == 0
+        assert (out / "metrics_table.csv").exists()
+
+
 class TestCliPlumbing:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["kernel", "--config", str(tmp_path / "nope.ini")]) == 2

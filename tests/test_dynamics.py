@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -53,6 +55,40 @@ class TestBesselJ0:
 
     def test_at_origin(self):
         assert bessel_j0(0.0) == 1.0
+
+    def test_dense_across_branch_cut(self):
+        x = np.linspace(11.9, 12.1, 20001)
+        assert np.abs(bessel_j0(x) - scipy.special.j0(x)).max() < 2e-12
+
+    def test_block_seams_match_scalar_calls(self):
+        # two full blocks and a partial one, each straddling the series/Hankel cut
+        B = dynamics._J0_BLOCK
+        n = 2 * B + 777
+        x = np.random.default_rng(5).uniform(11.0, 13.0, n)
+        x[::3] *= -1.0
+        got = bessel_j0(x)
+        idx = np.r_[0:5, B - 3:B + 3, 2 * B - 3:2 * B + 3, n - 5:n]
+        ref = np.array([bessel_j0(float(v)) for v in x[idx]])
+        assert np.abs(got[idx] - ref).max() <= 1e-15
+        assert np.abs(got - scipy.special.j0(x)).max() < 2e-12
+
+    def test_non_contiguous_2d_input(self):
+        base = np.linspace(0.0, 40.0, 60 * 80).reshape(60, 80)
+        view = base[:, ::2]
+        got = bessel_j0(view)
+        assert got.shape == view.shape
+        assert np.array_equal(got, bessel_j0(np.ascontiguousarray(view)))
+        assert np.abs(got - scipy.special.j0(view)).max() < 2e-12
+
+    def test_temporaries_stay_bounded(self):
+        x = np.linspace(0.0, 40.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            bessel_j0(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
 
 
 class TestSimpsonWeights:
