@@ -11,7 +11,6 @@ signal subspace, to the full state at once.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -155,14 +154,6 @@ class KernelResponse:
     @property
     def narrowband(self) -> bool:
         return self.flatness <= NARROWBAND_FLATNESS
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["omega_rad_s", "re_K", "im_K", "absK2"])
-            for om, K in zip(self.frequencies, self.values):
-                w.writerow([f"{om:.15g}", f"{K.real:.15g}", f"{K.imag:.15g}",
-                            f"{abs(K) ** 2:.15g}"])
 
 
 def frequency_response(params: MemoryParams, omega_max: float, n_points: int) -> KernelResponse:

@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -44,7 +44,8 @@ from .gaussian import (
     squeezed_vacuum,
     supermode_extraction,
 )
-from .metrics import overall_fidelity, report_from_block, retrieval_table, zeta_to_db
+from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieval_table, zeta_to_db
+from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
 from .modes import ModeBasis, ModeVector, unitary_mix
 from .presets import get_preset
 
@@ -166,7 +167,9 @@ def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     files = []
     if "csv" in args.formats:
         path = os.path.join(outdir, "kernel_response.csv")
-        resp.to_csv(path)
+        _write_csv(path, ["omega_rad_s", "re_K", "im_K", "absK2"],
+                   [[w, K.real, K.imag, abs(K) ** 2]
+                    for w, K in zip(resp.frequencies, resp.values)])
         files.append(path)
     summary = {
         "d": cfg.memory.d,
@@ -365,30 +368,20 @@ def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     if not all(d > 0 for d in cfg.sweep_d):
         raise PhysicsError("optical depth must be positive")
     zetas_db = _state_zetas_db(cfg)
-    blocks = [
-        CovarianceMatrix(np.diag([10.0 ** (-db / 10.0), 10.0 ** (db / 10.0)]))
-        for db in zetas_db
-    ]
+    zeta_in = _squeezed_zeta(zetas_db)
+    etas = [efficiency(d) for d in cfg.sweep_d]
+    zeta_out, purities, fidelities = _pure_retrieval(zeta_in, np.array(etas)[:, None])
 
-    def rows_for(d):
-        eta = efficiency(d)
-        reports = [report_from_block(b, eta, index=m) for m, b in enumerate(blocks)]
-        F, _ = overall_fidelity(reports)
-        return d, eta, reports, F
-
-    workers = max(args.workers or cfg.workers, 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(rows_for, cfg.sweep_d))
-    else:
-        results = [rows_for(d) for d in cfg.sweep_d]
-
+    overall = np.prod(fidelities, axis=1).tolist()
+    db_in = (10.0 * np.log10(zeta_in)).tolist()
+    db_out = (10.0 * np.log10(zeta_out)).tolist()
+    purities, fidelities = purities.tolist(), fidelities.tolist()
     curve_rows, overall_rows = [], []
-    for d, eta, reports, F in results:
-        overall_rows.append([d, eta, F])
-        for r in reports:
-            curve_rows.append([d, eta, r.index, r.zeta_in_db, r.zeta_out_db,
-                               r.purity_out, r.fidelity])
+    for k, (d, eta) in enumerate(zip(cfg.sweep_d, etas)):
+        overall_rows.append([d, eta, overall[k]])
+        for m in range(len(db_in)):
+            curve_rows.append([d, eta, m, db_in[m], db_out[k][m],
+                               purities[k][m], fidelities[k][m]])
 
     files = []
     if "csv" in args.formats:
@@ -442,7 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--workers", type=int, default=None, help="sweep worker count")
+        sp.add_argument("--workers", type=int, default=None,
+                        help="deprecated and ignored; sweep runs in one vectorized call")
         sp.add_argument("--format", choices=["csv", "json", "both"], default=None)
     return parser
 
@@ -456,6 +450,9 @@ def main(argv=None) -> int:
         else:
             args.formats = ("csv", "json") if args.format == "both" else (args.format,)
         seed = cfg.seed if args.seed is None else args.seed
+        if (cfg.workers if args.workers is None else args.workers) != 1:
+            warnings.warn("workers is deprecated and ignored: sweep evaluates every "
+                          "depth in one vectorized call", DeprecationWarning, stacklevel=2)
         outdir = _resolve_outdir(cfg, args)
         return _COMMANDS[args.command](cfg, args, outdir, seed)
     except ConfigError as exc:

@@ -119,9 +119,9 @@ class CovarianceMatrix:
 def symplectic_form(M: int) -> np.ndarray:
     """Interleaved symplectic form: direct sum of [[0,1],[-1,0]] blocks."""
     Om = np.zeros((2 * M, 2 * M))
-    for m in range(M):
-        Om[2 * m, 2 * m + 1] = 1.0
-        Om[2 * m + 1, 2 * m] = -1.0
+    flat = Om.reshape(-1)  # a view: entry (2m, 2m+1) sits at m (4M+2) + 1
+    flat[1::4 * M + 2] = 1.0
+    flat[2 * M::4 * M + 2] = -1.0
     return Om
 
 

@@ -7,11 +7,15 @@ beamsplitter-like channel C -> (1-k2) I + k2 C gives closed forms:
     det C_out           = 1 + eta (1-eta) (Tr C_in - 2)
     F(in, out)          = 2 / sqrt(4 + (1 - eta^2) (Tr C_in - 2))
 
-Tr C_in - 2 equals 4 sinh^2 r for squeezing parameter r and is rotation
-invariant, so squeezing angles drop out of purity and fidelity.  Every closed
-form here is cross-checked in the tests against the general Gaussian-state
-oracles (covariance_map + gaussian_fidelity / purity); impure inputs are
-routed through that oracle path directly and flagged.
+Tr C_in - 2 = zeta + 1/zeta - 2 equals 4 sinh^2 r for squeezing parameter r
+and is rotation invariant, so squeezing angles drop out of purity and
+fidelity.  The closed forms are written once, in ``_pure_retrieval``, which
+broadcasts over arrays of zeta_in and eta; ``output_squeezing``,
+``output_purity``, ``fidelity_supermode``, ``retrieval_table``,
+``report_from_block`` and the CLI's depth sweep all evaluate it.  The tests
+cross-check it against the general Gaussian-state oracles (covariance_map +
+gaussian_fidelity / purity); impure inputs are routed through that oracle
+path directly and flagged.
 """
 
 from __future__ import annotations
@@ -78,55 +82,70 @@ class SupermodeReport:
         return zeta_to_db(self.zeta_out)
 
 
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not (0.0 <= eta <= 1.0):
-        raise PhysicsError(f"efficiency must lie in [0, 1], got {eta}")
-    return eta
-
-
-def _block_entries(block) -> np.ndarray:
-    """Validated 2x2 covariance block from a CovarianceMatrix or raw array."""
+def _single_mode(block) -> CovarianceMatrix:
+    """Validated single-mode CovarianceMatrix from a CovarianceMatrix or raw array."""
     if not isinstance(block, CovarianceMatrix):
         block = CovarianceMatrix(np.asarray(block, dtype=float))
     if block.mode_count != 1:
         raise DimensionError("per-supermode metrics take a single-mode 2x2 block")
-    return block.entries
+    return block
 
 
-def _require_pure(C: np.ndarray):
+def _pure_zeta(block) -> float:
+    """Squeezed-quadrature variance of a pure single-mode block."""
+    C = _single_mode(block).entries
     det = float(np.linalg.det(C))
     if abs(det - 1.0) > PURE_DET_TOL:
         raise PhysicsError(
             f"input block is impure (det = {det:.12g}); "
             "use report_from_block for the general oracle path"
         )
+    return float(np.linalg.eigvalsh(C)[0])
+
+
+def _squeezed_zeta(zeta_in_db) -> np.ndarray:
+    """Squeezed-quadrature variances 10^(-|dB|/10) for levels in dB.
+
+    Converted one level at a time: numpy's vectorized power rounds some
+    results differently from its scalar power, which would change the tables.
+    """
+    return np.array([db_to_zeta(-abs(float(db))) for db in zeta_in_db], dtype=float)
+
+
+def _pure_retrieval(zeta_in, eta):
+    """Closed forms for pure squeezed inputs: ``(zeta_out, purity_out, fidelity)``.
+
+    ``zeta_in`` (squeezed-quadrature variance) and ``eta`` broadcast against
+    each other, so a (M,) spectrum against (K, 1) efficiencies gives (K, M)
+    arrays.
+    """
+    zeta_in = np.asarray(zeta_in, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    bad = ~((0.0 <= eta) & (eta <= 1.0))
+    if bad.any():
+        raise PhysicsError(f"efficiency must lie in [0, 1], got {float(eta[bad].flat[0])}")
+    if not np.all(zeta_in > 0):
+        raise PhysicsError("input variance must be positive")
+    tr_less = zeta_in + 1.0 / zeta_in - 2.0  # Tr C_in - 2 for a pure block
+    zeta_out = 1.0 - eta * (1.0 - zeta_in)
+    purity_out = 1.0 / np.sqrt(1.0 + eta * (1.0 - eta) * tr_less)
+    fidelity = 2.0 / np.sqrt(4.0 + (1.0 - eta * eta) * tr_less)
+    return zeta_out, purity_out, fidelity
 
 
 def output_squeezing(zeta_in: float, eta: float) -> float:
     """Squeezed-quadrature variance after retrieval: 1 - eta (1 - zeta_in)."""
-    eta = _check_eta(eta)
-    zeta_in = float(zeta_in)
-    if zeta_in <= 0:
-        raise PhysicsError("input variance must be positive")
-    return 1.0 - eta * (1.0 - zeta_in)
+    return float(_pure_retrieval(zeta_in, eta)[0])
 
 
 def output_purity(C_in_block, eta: float) -> float:
     """Purity of the retrieved mode for a pure squeezed input block."""
-    eta = _check_eta(eta)
-    C = _block_entries(C_in_block)
-    _require_pure(C)
-    det_out = 1.0 + eta * (1.0 - eta) * (np.trace(C) - 2.0)
-    return float(1.0 / np.sqrt(det_out))
+    return float(_pure_retrieval(_pure_zeta(C_in_block), eta)[1])
 
 
 def fidelity_supermode(C_in_block, eta: float) -> float:
     """Input-output fidelity for a pure squeezed input block."""
-    eta = _check_eta(eta)
-    C = _block_entries(C_in_block)
-    _require_pure(C)
-    return float(2.0 / np.sqrt(4.0 + (1.0 - eta * eta) * (np.trace(C) - 2.0)))
+    return float(_pure_retrieval(_pure_zeta(C_in_block), eta)[2])
 
 
 def overall_fidelity(reports):
@@ -149,57 +168,39 @@ def report_from_block(C_in_block, eta: float, index: int = 0) -> SupermodeReport
     ``oracle_fallback``.  The affine law zeta_out = 1 - eta (1 - zeta_in)
     holds either way because the channel maps eigenvalues affinely.
     """
-    eta = _check_eta(eta)
-    if not isinstance(C_in_block, CovarianceMatrix):
-        C_in_block = CovarianceMatrix(np.asarray(C_in_block, dtype=float))
-    if C_in_block.mode_count != 1:
-        raise DimensionError("per-supermode metrics take a single-mode 2x2 block")
+    C_in_block = _single_mode(C_in_block)
     C = C_in_block.entries
     zeta_in = float(np.linalg.eigvalsh(C)[0])
-    zeta_out = 1.0 - eta * (1.0 - zeta_in)
-    if abs(float(np.linalg.det(C)) - 1.0) <= PURE_DET_TOL:
-        return SupermodeReport(
-            index=index,
-            zeta_in=zeta_in,
-            zeta_out=zeta_out,
-            purity_out=output_purity(C_in_block, eta),
-            fidelity=fidelity_supermode(C_in_block, eta),
-        )
-    C_out = covariance_map(C_in_block, eta)
+    zeta_out, purity_out, fidelity = _pure_retrieval(zeta_in, eta)
+    impure = abs(float(np.linalg.det(C)) - 1.0) > PURE_DET_TOL
+    if impure:
+        C_out = covariance_map(C_in_block, eta)
+        purity_out, fidelity = purity(C_out), gaussian_fidelity(C_in_block, C_out)
     return SupermodeReport(
         index=index,
         zeta_in=zeta_in,
-        zeta_out=zeta_out,
-        purity_out=purity(C_out),
-        fidelity=gaussian_fidelity(C_in_block, C_out),
-        oracle_fallback=True,
+        zeta_out=float(zeta_out),
+        purity_out=float(purity_out),
+        fidelity=float(fidelity),
+        oracle_fallback=impure,
     )
 
 
 def retrieval_table(zeta_in_db, d: float):
     """Per-supermode reports for squeezing levels given in dB, at depth d.
 
-    Each mode is taken as pure squeezed vacuum; all modes see the same
-    efficiency eta = (1 - e^{-d})^2 because the cascade pumps each supermode
-    identically.  Returns the reports ordered as given.
+    Each mode is taken as pure squeezed vacuum whose squeezed quadrature has
+    variance 10^(-|dB|/10), the quadrature ``channel`` reports; all modes see
+    the same efficiency eta = (1 - e^{-d})^2 because the cascade pumps each
+    supermode identically.  Returns the reports ordered as given.
     """
-    levels = list(zeta_in_db)
-    if len(levels) == 0:
+    zetas = _squeezed_zeta(zeta_in_db)
+    if zetas.size == 0:
         raise DimensionError("need at least one input squeezing level")
     if not d > 0:
         raise PhysicsError("optical depth must be positive")
-    eta = efficiency(d)
-    reports = []
-    for m, db in enumerate(levels):
-        zeta = db_to_zeta(db)
-        tr_less = zeta + 1.0 / zeta - 2.0  # Tr C_in - 2 for a pure block
-        reports.append(
-            SupermodeReport(
-                index=m,
-                zeta_in=zeta,
-                zeta_out=1.0 - eta * (1.0 - zeta),
-                purity_out=float(1.0 / np.sqrt(1.0 + eta * (1.0 - eta) * tr_less)),
-                fidelity=float(2.0 / np.sqrt(4.0 + (1.0 - eta * eta) * tr_less)),
-            )
-        )
-    return reports
+    columns = _pure_retrieval(zetas, efficiency(d))
+    return [
+        SupermodeReport(m, float(z), float(z_out), float(p), float(f))
+        for m, (z, z_out, p, f) in enumerate(zip(zetas, *columns))
+    ]

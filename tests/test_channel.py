@@ -134,13 +134,6 @@ class TestFrequencyResponse:
         r = frequency_response(params_for(4.0), 0.1 * GAMMA_S, 11)
         assert np.allclose(r.frequencies, -r.frequencies[::-1])
 
-    def test_csv_columns(self, tmp_path):
-        r = frequency_response(params_for(4.0), 0.1 * GAMMA_S, 5)
-        path = tmp_path / "resp.csv"
-        r.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "omega_rad_s,re_K,im_K,absK2"
-
     def test_bad_grid_rejected(self):
         with pytest.raises(PhysicsError):
             frequency_response(params_for(4.0), 0.1 * GAMMA_S, 1)

@@ -1,10 +1,14 @@
+import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from combmemory.cli import main
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
 
 BASE = """\
 [memory]
@@ -48,6 +52,16 @@ def run(tmp_path, command, text=BASE, extra=()):
     out = tmp_path / "out"
     rc = main([command, "--config", cfg, "--out", str(out), *extra])
     return rc, out
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def sweep_rows_at(out, d):
+    """The sweep's per-mode rows at depth ``d``, without the d and eta columns."""
+    return [row[2:] for row in csv_rows(out / "sweep_curves.csv") if float(row[0]) == d]
 
 
 class TestKernelCommand:
@@ -137,8 +151,55 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, text)
         a, b = tmp_path / "serial", tmp_path / "parallel"
         assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(b), "--workers", "3"]) == 0
-        assert (a / "sweep_curves.csv").read_bytes() == (b / "sweep_curves.csv").read_bytes()
+        with pytest.warns(DeprecationWarning, match="workers"):
+            assert main(["sweep", "--config", cfg, "--out", str(b), "--workers", "3"]) == 0
+        for name in ("sweep_curves.csv", "sweep_overall.csv", "sweep_curves.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("key, flag, warns", [
+        ("", (), False),
+        ("workers = 1\n", (), False),
+        ("", ("--workers", "1"), False),
+        ("workers = 2\n", ("--workers", "1"), False),  # the flag overrides the key
+        ("workers = 2\n", (), True),
+    ])
+    def test_workers_is_a_deprecated_no_op(self, tmp_path, key, flag, warns):
+        text = BASE + key + "\n[sweep]\nd_values = 1, 2\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _ = run(tmp_path, "sweep", text, extra=flag)
+        assert rc == 0
+        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+        assert len(deprecations) == (1 if warns else 0)
+
+    def test_demo_row_at_metrics_depth_is_the_metrics_table(self, tmp_path):
+        # configs/demo.ini sets d = 4 and sweeps d = 1..20
+        outs = {}
+        for command in ("metrics", "sweep"):
+            outs[command] = tmp_path / command
+            assert main([command, "--config", DEMO, "--out", str(outs[command])]) == 0
+        table = csv_rows(outs["metrics"] / "metrics_table.csv")
+        assert sweep_rows_at(outs["sweep"], 4.0) == table
+        assert len(table) == 6
+
+    @pytest.mark.parametrize("spectrum", ["3, -3", "-6, 2.5, -1", "4"])
+    def test_positive_db_agrees_across_commands(self, tmp_path, spectrum):
+        # +x dB and -x dB name one mode; every command reports its squeezed quadrature
+        text = BASE.replace("-6, -3, -1", spectrum) + "\n[sweep]\nd_values = 1, 4\n"
+        cfg = write_config(tmp_path, text)
+        outs = {}
+        for command in ("metrics", "sweep", "channel"):
+            outs[command] = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(outs[command])]) == 0
+        table = csv_rows(outs["metrics"] / "metrics_table.csv")
+        assert sweep_rows_at(outs["sweep"], 4.0) == table
+        levels = [-abs(float(db)) for db in spectrum.split(",")]
+        assert [float(row[1]) for row in table] == pytest.approx(levels, abs=1e-12)
+        spectra = np.array(csv_rows(outs["channel"] / "channel_spectra.csv"), dtype=float)
+        table_db = np.array([[float(row[1]), float(row[2])] for row in table])
+        # channel lists the spectrum in ascending order of zeta_in
+        np.testing.assert_allclose(np.sort(10.0 * np.log10(spectra[:, 1:]), axis=0),
+                                   np.sort(table_db, axis=0), rtol=0, atol=1e-12)
 
     def test_non_positive_depth_rejected(self, tmp_path):
         # same contract as metrics: the closed forms need d > 0

@@ -63,6 +63,10 @@ class TestSymplectic:
         Om = symplectic_form(4)
         assert np.array_equal(Om @ Om, -np.eye(8))
 
+    @pytest.mark.parametrize("M", [1, 8, 128])
+    def test_form_is_direct_sum_of_blocks(self, M):
+        assert np.array_equal(symplectic_form(M), np.kron(np.eye(M), [[0.0, 1.0], [-1.0, 0.0]]))
+
     def test_embedding_is_symplectic(self):
         rng = np.random.default_rng(2)
         for M in (1, 2, 5):

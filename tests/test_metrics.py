@@ -18,6 +18,7 @@ from combmemory import (
     retrieval_table,
     zeta_to_db,
 )
+from combmemory.metrics import _pure_retrieval
 
 ETA4 = efficiency(4.0)
 
@@ -97,6 +98,38 @@ class TestClosedForms:
             output_purity(np.diag([4.0, 0.25]), 1.2)
 
 
+class TestPureRetrieval:
+    def test_broadcasts_modes_against_depths(self):
+        zetas = np.array([0.1, 0.25, 0.5, 1.0])
+        etas = np.array([0.0, 0.3, ETA4, 1.0])[:, None]
+        got = _pure_retrieval(zetas, etas)
+        assert [a.shape for a in got] == [(4, 4)] * 3
+        for k, eta in enumerate(etas[:, 0]):
+            for m, zeta in enumerate(zetas):
+                scalar = _pure_retrieval(zeta, eta)
+                assert [a[k, m] for a in got] == [float(s) for s in scalar]
+
+    def test_matches_general_oracle_on_grid(self):
+        for zeta in np.geomspace(0.01, 1.0, 9):
+            C = pure_block(zeta)
+            for eta in np.linspace(0.0, 1.0, 11):
+                zeta_out, pur, fid = _pure_retrieval(zeta, eta)
+                C_out = covariance_map(C, eta)
+                assert abs(zeta_out - np.linalg.eigvalsh(C_out.entries)[0]) < 1e-10
+                assert abs(pur - purity(C_out)) < 1e-10
+                assert abs(fid - gaussian_fidelity(C, C_out)) < 1e-10
+
+    @pytest.mark.parametrize("zeta, eta, message", [
+        ([0.5, 0.5], [0.2, 1.5], r"efficiency must lie in \[0, 1\], got 1.5"),
+        (0.5, np.nan, "efficiency must lie in"),
+        ([0.5, 0.0], 0.5, "input variance must be positive"),
+        (-1.0, 0.5, "input variance must be positive"),
+    ])
+    def test_invalid_inputs_rejected(self, zeta, eta, message):
+        with pytest.raises(PhysicsError, match=message):
+            _pure_retrieval(zeta, eta)
+
+
 class TestReportFromBlock:
     def test_pure_block_uses_closed_forms(self):
         r = report_from_block(np.diag([10.0 ** 0.6, 10.0 ** -0.6]), ETA4)
@@ -167,7 +200,9 @@ class TestRetrievalTable:
         assert all(r.purity_out >= 1.0 - 1e-3 for r in reports)
 
     def test_matches_block_route(self):
-        for db in (-6.0, -4.5, -1.0):
+        # a positive level names the same mode as its negative: the squeezed
+        # quadrature of diag(1/z, z) is min(z, 1/z)
+        for db in (-6.0, -4.5, -1.0, 2.5):
             (r,) = retrieval_table([db], 4.0)
             z = db_to_zeta(db)
             ref = report_from_block(np.diag([1.0 / z, z]), ETA4)
