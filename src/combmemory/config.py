@@ -202,6 +202,10 @@ def load_config(path: str) -> ExperimentConfig:
     has_dyn = cp.has_section("dynamics")
     n_z = _int(get("dynamics", "n_z", 2000), "n_z") if has_dyn else 2000
     n_t = _int(get("dynamics", "n_t", 2000), "n_t") if has_dyn else 2000
+    if n_z < 4:
+        raise ConfigError(f"[dynamics] n_z must be at least 4, got {n_z}")
+    if n_t < 9:  # the write quadrature's floor on input samples
+        raise ConfigError(f"[dynamics] n_t must be at least 9, got {n_t}")
     dynamics_path = get("dynamics", "path", "analytic") if has_dyn else "analytic"
     if dynamics_path not in ("analytic", "pde"):
         raise ConfigError(f"unknown dynamics path {dynamics_path!r}")

@@ -8,7 +8,9 @@ Two independent routes compute the same physics:
 * PDE route — a marching integrator for the coupled envelope equations
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
-  corrector pass for second-order accuracy.
+  corrector pass for second-order accuracy.  Independent runs march together
+  as the columns of (n_z, k) arrays, so all probes of a transfer measurement
+  share one write march and one read march.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -25,7 +27,6 @@ measured gain equals -K_omega * exp(i omega T).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -220,16 +221,15 @@ class FieldGrid:
 
     def to_csv(self, path):
         """Flat (z, t, re_a, im_a, re_b, im_b) table; size is n_z * n_t rows."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["z", "t", "re_a", "im_a", "re_b", "im_b"])
-            for i, z in enumerate(self.z_points):
-                for j, t in enumerate(self.t_points):
-                    w.writerow([
-                        f"{z:.15g}", f"{t:.15g}",
-                        f"{self.a[i, j].real:.15g}", f"{self.a[i, j].imag:.15g}",
-                        f"{self.b[i, j].real:.15g}", f"{self.b[i, j].imag:.15g}",
-                    ])
+        n_z, n_t = self.a.shape
+        table = np.column_stack([
+            np.repeat(self.z_points, n_t), np.tile(self.t_points, n_z),
+            self.a.real.ravel(), self.a.imag.ravel(),
+            self.b.real.ravel(), self.b.imag.ravel(),
+        ])
+        with open(path, "w", newline="") as fh:  # CSV line ends are \r\n
+            np.savetxt(fh, table, fmt="%.15g", delimiter=",", newline="\r\n",
+                       header="z,t,re_a,im_a,re_b,im_b", comments="")
 
 
 @dataclass(frozen=True)
@@ -404,11 +404,17 @@ def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 
 # ----------------------------------------------------------------------------
 # PDE route
 
-def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * h * (y[1:] + y[:-1]), out=out[1:])
-    return out
+def _field(boundary, b, c, out):
+    """a = boundary - sqrt(d) * cumulative trapezoid of b along z, into ``out``.
+
+    ``c`` is sqrt(d) h_z / 2.  The scaled pair sums of b fill rows 1.. and
+    the boundary row 0, so one in-place cumulative sum down the rows gives a
+    with no broadcast over z.
+    """
+    np.add(b[1:], b[:-1], out=out[1:])
+    out[1:] *= -c
+    out[0] = boundary
+    return np.cumsum(out, axis=0, out=out)
 
 
 def _march(b0, boundary, h, d, n_z, record_output=False):
@@ -417,17 +423,23 @@ def _march(b0, boundary, h, d, n_z, record_output=False):
     Exponential integrator in tau (exact decay factor, predictor-corrector
     source weights I0 = 1-e^{-h}, I1 = (h-1+e^{-h})/h) with the field slaved
     to the coherence through a cumulative trapezoid in z at every stage.
+    Independent runs march together as columns: ``b0`` is (n_z,) or (n_z, k)
+    and ``boundary`` (n_t,) or (n_t, k), and every step works in place on
+    preallocated arrays of that shape.  The output record is (n_t,) or
+    (n_t, k); the full history (``record_output`` False) takes one run.
     """
     sq = np.sqrt(d)
-    hz = 1.0 / (n_z - 1)
+    c = 0.5 * sq / (n_z - 1)
     e = np.exp(-h)
     I0 = 1.0 - e
     I1 = (h - 1.0 + e) / h
-    b = b0.astype(complex).copy()
-    a = boundary[0] - sq * _cumtrapz(b, hz)
-    n_t = boundary.size
+    w0, w01, w1 = sq * I0, sq * (I0 - I1), sq * I1
+    b = np.array(b0, dtype=complex)
+    a, a_star, b_star, tmp = (np.empty_like(b) for _ in range(4))
+    _field(boundary[0], b, c, a)
+    n_t = len(boundary)
     if record_output:
-        out = np.empty(n_t, dtype=complex)
+        out = np.empty((n_t,) + b.shape[1:], dtype=complex)
         out[0] = a[-1]
         hist_a = hist_b = None
     else:
@@ -437,10 +449,13 @@ def _march(b0, boundary, h, d, n_z, record_output=False):
         hist_b[:, 0] = b
         out = None
     for j in range(1, n_t):
-        b_star = b * e + sq * I0 * a
-        a_star = boundary[j] - sq * _cumtrapz(b_star, hz)
-        b = b * e + sq * ((I0 - I1) * a + I1 * a_star)
-        a = boundary[j] - sq * _cumtrapz(b, hz)
+        b *= e
+        np.multiply(a, w0, out=b_star)
+        b_star += b
+        _field(boundary[j], b_star, c, a_star)
+        b += np.multiply(a, w01, out=tmp)
+        b += np.multiply(a_star, w1, out=tmp)
+        _field(boundary[j], b, c, a)
         if record_output:
             out[j] = a[-1]
         else:
@@ -575,15 +590,13 @@ def _probe_read_analytic(d, tau_p, probes, n_z, tau_r):
 
 
 def _probe_read_pde(d, tau_p, probes, n_z, tau_r):
-    """Read records of all probes (rows), marching write then read per probe."""
+    """Read records of all probes (rows): one write and one read march, probes as columns."""
     h_w, h_r = tau_p[1] - tau_p[0], tau_r[1] - tau_r[0]
-    dark = np.zeros(tau_r.size, dtype=complex)
-    out = np.empty((len(probes), tau_r.size), dtype=complex)
-    for i, probe in enumerate(probes):
-        # fields vanish before the probe support; start marching at its left edge
-        b_end = _march(np.zeros(n_z), probe, h_w, d, n_z, record_output=True)[3]
-        out[i] = _march(b_end, dark, h_r, d, n_z, record_output=True)[0]
-    return out
+    k = len(probes)
+    # fields vanish before the probe support; start marching at its left edge
+    b_end = _march(np.zeros((n_z, k)), probes.T, h_w, d, n_z, record_output=True)[3]
+    dark = np.zeros((tau_r.size, k), dtype=complex)
+    return _march(b_end, dark, h_r, d, n_z, record_output=True)[0].T
 
 
 def transfer_function_estimate(

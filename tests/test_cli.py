@@ -221,6 +221,18 @@ class TestDynamicsCommand:
         lines = capsys.readouterr().out.splitlines()
         assert all("pass" in ln for ln in lines if ln.startswith("dynamics:"))
 
+    @pytest.mark.parametrize("key, value, codes", [
+        ("n_z", 3, (2,)),
+        ("n_t", 5, (2,)),
+        ("n_t", 8, (2,)),
+        ("n_t", 9, (0, 4)),   # valid; a coarse grid may fail a resolution check
+    ])
+    def test_grid_size_floor(self, tmp_path, capsys, key, value, codes):
+        rc, _ = run(tmp_path, "dynamics", DYNAMICS.replace(f"{key} = 600", f"{key} = {value}"))
+        assert rc in codes
+        if rc == 2:
+            assert key in capsys.readouterr().err
+
 
 class TestStateFile:
     @pytest.mark.parametrize("body", [

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -160,6 +162,27 @@ class TestContainers:
         path = tmp_path / "grid.csv"
         FieldGrid(z, t, a, a).to_csv(path)
         assert path.read_text().splitlines()[0] == "z,t,re_a,im_a,re_b,im_b"
+
+    def test_field_grid_csv_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(2)
+        z = np.linspace(0, 1, 3)
+        t = np.linspace(0, 1e-3, 4)
+        a = rng.standard_normal((3, 4)) - 1j * rng.random((3, 4))
+        b = 1e-7 * (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+        a[0, 0] = complex(-0.0, -0.0)
+        a[2, 1] = 123456789012345.6 - 1e-300j
+        b[1, 2] = complex(0.0, -0.0)
+        path = tmp_path / "grid.csv"
+        FieldGrid(z, t, a, b).to_csv(path)
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(["z", "t", "re_a", "im_a", "re_b", "im_b"])
+        for i, zi in enumerate(z):
+            for j, tj in enumerate(t):
+                cells = (zi, tj, a[i, j].real, a[i, j].imag, b[i, j].real, b[i, j].imag)
+                w.writerow([f"{v:.15g}" for v in cells])
+        assert path.read_bytes() == ref.getvalue().encode()
+        assert b",-0,-0," in path.read_bytes()
 
     def test_stored_profile_mismatch(self):
         with pytest.raises(DimensionError, match="matching"):
@@ -366,3 +389,45 @@ class TestBesselTables:
             for w in omegas
         ])
         assert np.abs(together - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
+class TestBatchedMarch:
+    """Independent runs march together as the columns of one marcher."""
+
+    @pytest.mark.parametrize("driven", [True, False], ids=["write", "read"])
+    def test_columns_match_single_runs(self, driven):
+        rng = np.random.default_rng(5)
+        n_z, n_t, k = 40, 120, 3
+        if driven:
+            b0 = np.zeros((n_z, k))
+            bound = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
+        else:
+            b0 = rng.standard_normal((n_z, k)) + 1j * rng.standard_normal((n_z, k))
+            bound = np.zeros((n_t, k), dtype=complex)
+        out, _, _, b_end = dynamics._march(b0, bound, 0.01, 4.0, n_z, record_output=True)
+        assert out.shape == (n_t, k) and b_end.shape == (n_z, k)
+        for i in range(k):
+            out_i, _, _, b_i = dynamics._march(
+                b0[:, i], bound[:, i], 0.01, 4.0, n_z, record_output=True
+            )
+            assert np.abs(out[:, i] - out_i).max() <= 1e-13 * np.abs(out_i).max()
+            assert np.abs(b_end[:, i] - b_i).max() <= 1e-13 * np.abs(b_i).max()
+
+    @pytest.fixture
+    def march_calls(self, monkeypatch):
+        calls = []
+        march = dynamics._march
+
+        def counted(b0, *args, **kwargs):
+            calls.append(np.shape(b0))
+            return march(b0, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_march", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_probes", [1, 3])
+    def test_transfer_marches_twice(self, march_calls, n_probes):
+        omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
+        transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
+        n_z = TestBesselTables.SMALL["n_z"]
+        assert march_calls == [(n_z, n_probes)] * 2
