@@ -240,10 +240,10 @@ def apply_cascade(
         raise DimensionError(
             f"state has {M} modes but supermode basis has {len(supermodes)}"
         )
-    Psi = supermodes.matrix()
-    A = pumps.matrix()
-    if A.shape[1] != Psi.shape[1]:
+    if (pumps.tooth_offset, pumps.tooth_count) != (supermodes.tooth_offset, supermodes.tooth_count):
         raise DimensionError("pump and supermode bases live on different tooth ranges")
+    Psi = supermodes.matrix
+    A = pumps.matrix
     P_pump = A.conj().T @ A
     P_super = Psi.conj().T @ Psi
     gap = np.abs(P_pump - P_super).max()

@@ -46,7 +46,7 @@ from .gaussian import (
 )
 from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieval_table, zeta_to_db
 from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
-from .modes import ModeBasis, ModeVector, unitary_mix
+from .modes import ModeBasis, unitary_mix
 from .presets import get_preset
 
 OUTDIR_ENV = "COMBMEMORY_OUTDIR"
@@ -147,8 +147,7 @@ def _state_zetas_db(cfg: ExperimentConfig):
 def _canonical_basis(M: int, teeth: int) -> ModeBasis:
     if teeth < M:
         raise ConfigError(f"state has {M} modes but only {teeth} teeth configured")
-    eye = np.eye(teeth, dtype=complex)
-    return ModeBasis(tuple(ModeVector(eye[m]) for m in range(M)))
+    return ModeBasis(np.eye(M, teeth, dtype=complex))
 
 
 def _random_unitary(M: int, rng: np.random.Generator) -> np.ndarray:

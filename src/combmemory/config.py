@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import MemoryParams, PhysicalParams, derive_gamma_s
 from .errors import CombMemoryError, ConfigError
-from .modes import DEFAULT_TOOTH_COUNT
+from .modes import DEFAULT_TOOTH_COUNT, MAX_TOOTH_COUNT
 
 __all__ = ["ExperimentConfig", "parse_quantity", "load_config"]
 
@@ -183,6 +183,8 @@ def load_config(path: str) -> ExperimentConfig:
     teeth = _int(get("state", "teeth", DEFAULT_TOOTH_COUNT), "teeth")
     if teeth < 1:
         raise ConfigError("teeth must be positive")
+    if teeth > MAX_TOOTH_COUNT:
+        raise ConfigError(f"[state] teeth must be at most {MAX_TOOTH_COUNT}, got {teeth}")
 
     # --- pumps --------------------------------------------------------------
     pump_basis = get("pumps", "basis", "supermodes") if cp.has_section("pumps") else "supermodes"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, PhysicsError
-from .modes import ModeBasis, ModeVector
+from .modes import ModeBasis
 
 __all__ = [
     "CovarianceMatrix",
@@ -110,9 +110,12 @@ class CovarianceMatrix:
                 "covariance JSON needs 'rows' as a numeric matrix and an integer "
                 f"'mode_count' if given ({type(exc).__name__}: {exc})"
             ) from exc
-        got = cls(C)
+        try:
+            got = cls(C)
+        except DimensionError as exc:  # a file's shape is configuration, not physics
+            raise ConfigError(f"covariance JSON 'rows': {exc}") from None
         if declared is not None and declared != got.mode_count:
-            raise DimensionError("mode_count inconsistent with matrix size")
+            raise ConfigError("covariance JSON 'mode_count' inconsistent with matrix size")
         return got
 
 
@@ -233,41 +236,29 @@ def squeezing_spectrum(C: CovarianceMatrix) -> SqueezingSpectrum:
     return SqueezingSpectrum(np.sort(lam[lam < 1.0 - SQUEEZED_EIG_TOL]))
 
 
-def _vacuum_pairs(E: np.ndarray, Om: np.ndarray):
-    """Pair an orthonormal vacuum-subspace frame into (Omega v, v) rows.
+def _vacuum_pairs(E: np.ndarray, Om: np.ndarray) -> np.ndarray:
+    """Split a symplectically closed vacuum subspace into (Omega v, v) pairs.
 
-    Canonical S- axes are projected into the subspace first so that extraction
-    of the vacuum state returns the identity transform.
+    ``E`` is an orthonormal frame of the subspace, one column per direction.
+    Returns the p-rows v, one per vacuum mode.  Each v is the projection of
+    the first canonical axis (S- axes before S+ axes) that keeps a norm of at
+    least 0.5 in what is left of the subspace, so extraction of the vacuum
+    state returns the identity transform; when no axis does, v is the first
+    frame column.  The frame then keeps the directions orthogonal to both v
+    and Omega v: exactly two fewer columns per pair, whatever the rounding.
     """
     M2 = Om.shape[0]
-    rows = []
-    remaining = E
-    for axis in list(range(1, M2, 2)) + list(range(0, M2, 2)):
-        if remaining.shape[1] == 0:
-            break
-        e = np.zeros(M2)
-        e[axis] = 1.0
-        v = remaining @ (remaining.T @ e)
-        nv = np.linalg.norm(v)
-        if nv < 0.5:  # axis has little weight in what is left of the subspace
-            continue
-        v /= nv
-        w = Om @ v
-        rows.append((w, v))
-        # deflate span{v, w} and re-orthonormalize the frame
-        P = remaining - np.outer(v, v @ remaining) - np.outer(w, w @ remaining)
-        Q, R = np.linalg.qr(P)
-        remaining = Q[:, np.abs(np.diag(R)) > 1e-8]
-    # anything left (cannot happen for a symplectically closed subspace, kept
-    # as a safety net): pair arbitrarily
-    while remaining.shape[1] > 0:
-        v = remaining[:, 0] / np.linalg.norm(remaining[:, 0])
-        w = Om @ v
-        rows.append((w, v))
-        P = remaining - np.outer(v, v @ remaining) - np.outer(w, w @ remaining)
-        Q, R = np.linalg.qr(P)
-        remaining = Q[:, np.abs(np.diag(R)) > 1e-8]
-    return rows
+    axes = np.r_[1:M2:2, 0:M2:2]
+    vs = []
+    F = E
+    while F.shape[1] > 0:
+        hit = np.flatnonzero(np.linalg.norm(F[axes], axis=1) >= 0.5)
+        v = F @ F[axes[hit[0]]] if hit.size else F[:, 0]
+        v = v / np.linalg.norm(v)
+        vs.append(v)
+        Q = np.linalg.qr(np.column_stack([v @ F, (Om @ v) @ F]), mode="complete")[0]
+        F = F @ Q[:, 2:]
+    return np.array(vs)
 
 
 def supermode_extraction(C: CovarianceMatrix, purity_tol: float = 1e-6):
@@ -282,9 +273,10 @@ def supermode_extraction(C: CovarianceMatrix, purity_tol: float = 1e-6):
 
     For pure C every eigenvector v with eigenvalue zeta < 1 has the symplectic
     partner Omega v with eigenvalue 1/zeta, so the rows (Omega v, v) assemble
-    the orthosymplectic transform directly.  Ties in zeta are broken by the
-    smallest index of the largest-magnitude eigenvector component; signs are
-    fixed by making that component positive.
+    the orthosymplectic transform directly; as (Omega v)[2j] = v[2j+1], row m
+    of V is v_m[1::2] + i v_m[0::2].  Ties in zeta are broken by the smallest
+    index of the largest-magnitude eigenvector component; signs are fixed by
+    making that component positive.
     """
     p = purity(C)
     if p < 1.0 - purity_tol:
@@ -292,7 +284,6 @@ def supermode_extraction(C: CovarianceMatrix, purity_tol: float = 1e-6):
             f"state is not pure within tolerance (purity {p:.9f}, tol {purity_tol:g})"
         )
     M = C.mode_count
-    Om = symplectic_form(M)
     lam, vec = np.linalg.eigh(C.entries)
 
     sq = lam < 1.0 - SQUEEZED_EIG_TOL
@@ -314,27 +305,20 @@ def supermode_extraction(C: CovarianceMatrix, purity_tol: float = 1e-6):
         cols.extend(block)
     vs = vs[:, cols]
     ls = ls[cols]
-
-    rows, zetas = [], []
-    for k in range(ls.size):
-        v = vs[:, k]
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        rows.append((Om @ v, v))
-        zetas.append(ls[k])
+    lead = vs[np.argmax(np.abs(vs), axis=0), np.arange(ls.size)]
+    P = (vs * np.where(lead < 0, -1.0, 1.0)).T
 
     vac = np.abs(lam - 1.0) <= SQUEEZED_EIG_TOL
     if vac.any():
-        rows += _vacuum_pairs(vec[:, vac], Om)
-        zetas += [1.0] * (M - len(zetas))
-
-    O = np.zeros((2 * M, 2 * M))
-    for m, (x_row, p_row) in enumerate(rows):
-        O[2 * m] = x_row
-        O[2 * m + 1] = p_row
-    V = O[0::2, 0::2] + 1j * O[1::2, 0::2]
-    basis = ModeBasis(tuple(ModeVector(row) for row in V))
-    return basis, SqueezingSpectrum(np.array(zetas)), np.zeros(M)
+        P = np.vstack([P, _vacuum_pairs(vec[:, vac], symplectic_form(M))])
+    if P.shape[0] != M:
+        raise PhysicsError(
+            f"state is not pure within tolerance: {P.shape[0]} of {M} modes "
+            "are squeezed or vacuum"
+        )
+    basis = ModeBasis(P[:, 1::2] + 1j * P[:, 0::2])
+    zetas = np.concatenate([ls, np.ones(M - ls.size)])
+    return basis, SqueezingSpectrum(zetas), np.zeros(M)
 
 
 def gaussian_fidelity(C1: CovarianceMatrix, C2: CovarianceMatrix) -> float:

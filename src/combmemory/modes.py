@@ -4,12 +4,13 @@ A comb field is a superposition of discrete spectral teeth.  Pump shapes and
 supermodes are both vectors of complex amplitudes over a common tooth range;
 everything downstream (channels, covariance transforms) only ever sees the
 finite-dimensional subspace these vectors span, so the tooth count is a desk
-scale knob, not a physical limit.
+scale knob, not a physical limit.  A basis of M such vectors over N teeth is
+stored as one M x N array, one row per mode vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 DEFAULT_TOOTH_COUNT = 128
+MAX_TOOTH_COUNT = 2**16  # largest `[state] teeth` a config may ask for
 
 ORTHO_TOL = 1e-10        # pairwise |<vi,vj> - delta_ij| for a valid basis
 DEPENDENCE_TOL = 1e-8    # residual norm below this is linear dependence
@@ -109,45 +111,48 @@ def inner_product(u: ModeVector, v: ModeVector) -> complex:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Ordered orthonormal set of ModeVectors over one tooth range."""
+    """Ordered orthonormal mode vectors over one tooth range, as one array.
 
-    vectors: tuple = field(default_factory=tuple)
+    ``matrix`` (stored as a read-only M x N copy) has mode vector k in row k
+    and tooth ``tooth_offset + m`` in column m.
+    """
+
+    matrix: np.ndarray
+    tooth_offset: int = 0
 
     def __post_init__(self):
-        vs = tuple(self.vectors)
+        A = np.array(self.matrix, dtype=complex)
+        if A.ndim != 2 or A.size == 0:
+            raise DimensionError("basis must be a nonempty M x N array of mode vectors")
+        if not np.all(np.isfinite(A)):
+            raise PhysicsError("amplitudes must be finite")
+        dev = np.abs(A @ A.conj().T - np.eye(A.shape[0])).max()
+        if dev > ORTHO_TOL:
+            raise PhysicsError(
+                f"basis is not orthonormal within {ORTHO_TOL:g} (max Gram deviation {dev:.3e})"
+            )
+        A.flags.writeable = False
+        object.__setattr__(self, "matrix", A)
+        object.__setattr__(self, "tooth_offset", int(self.tooth_offset))
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def tooth_count(self) -> int:
+        return self.matrix.shape[1]
+
+    def to_json(self) -> dict:
+        return {"vectors": [ModeVector(row, self.tooth_offset).to_json() for row in self.matrix]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ModeBasis":
+        vs = [ModeVector.from_json(v) for v in obj["vectors"]]
         if not vs:
             raise DimensionError("basis must contain at least one vector")
         for v in vs[1:]:
             _check_common_range(vs[0], v)
-        G = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in vs] for a in vs])
-        if np.abs(G - np.eye(len(vs))).max() > ORTHO_TOL:
-            raise PhysicsError(
-                "basis is not orthonormal within "
-                f"{ORTHO_TOL:g} (max Gram deviation {np.abs(G - np.eye(len(vs))).max():.3e})"
-            )
-        object.__setattr__(self, "vectors", vs)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def tooth_count(self) -> int:
-        return len(self.vectors[0])
-
-    @property
-    def tooth_offset(self) -> int:
-        return self.vectors[0].tooth_offset
-
-    def matrix(self) -> np.ndarray:
-        """Rows are the basis vectors: an M x N matrix with orthonormal rows."""
-        return np.array([v.amplitudes for v in self.vectors])
-
-    def to_json(self) -> dict:
-        return {"vectors": [v.to_json() for v in self.vectors]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModeBasis":
-        return cls(tuple(ModeVector.from_json(v) for v in obj["vectors"]))
+        return cls(np.array([v.amplitudes for v in vs]), vs[0].tooth_offset)
 
 
 @dataclass(frozen=True)
@@ -199,13 +204,12 @@ def gram_schmidt(vs) -> ModeBasis:
                 f"(residual {r / scale:.3e})"
             )
         out.append(w / r)
-    off = vs[0].tooth_offset
-    return ModeBasis(tuple(ModeVector(w, off) for w in out))
+    return ModeBasis(np.array(out), vs[0].tooth_offset)
 
 
 def projector_of(basis: ModeBasis) -> Projector:
     """P = sum_k p_k p_k^H; rank equals the number of basis vectors."""
-    A = basis.matrix()
+    A = basis.matrix
     return Projector(A.conj().T @ A, rank=len(basis))
 
 
@@ -217,6 +221,4 @@ def unitary_mix(basis: ModeBasis, U) -> ModeBasis:
         raise DimensionError(f"expected a {M}x{M} matrix, got {U.shape}")
     if np.abs(U @ U.conj().T - np.eye(M)).max() > ORTHO_TOL:
         raise PhysicsError("mixing matrix is not unitary within 1e-10")
-    Q = U @ basis.matrix()
-    off = basis.tooth_offset
-    return ModeBasis(tuple(ModeVector(q, off) for q in Q))
+    return ModeBasis(U @ basis.matrix, basis.tooth_offset)

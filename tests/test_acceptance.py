@@ -165,7 +165,7 @@ class TestAcceptance:
             M = int(rng.integers(1, 7))
             C = random_pure_state(M, rng)
             basis, spectrum, _ = supermode_extraction(C)
-            V = basis.matrix()
+            V = basis.matrix
             target = np.zeros((2 * M, 2 * M))
             for m, z in enumerate(spectrum.values):
                 target[2 * m: 2 * m + 2, 2 * m: 2 * m + 2] = np.diag([1.0 / z, z])

@@ -235,6 +235,13 @@ class TestApplyCascade:
         with pytest.raises(DimensionError, match="tooth ranges"):
             apply_cascade(random_pure_state(2, rng), supermodes, pumps, 0.9)
 
+    def test_tooth_offset_mismatch_rejected(self):
+        # signal on teeth [0, 3), pumps on [1, 4): same length, different teeth
+        supermodes = gram_schmidt([ModeVector([1.0, 0.0, 0.0], 0)])
+        pumps = gram_schmidt([ModeVector([1.0, 0.0, 0.0], 1)])
+        with pytest.raises(DimensionError, match="tooth ranges"):
+            apply_cascade(squeezed_vacuum([0.5]), supermodes, pumps, 0.9)
+
 
 class TestPulseCapacity:
     def test_comb_count(self):

@@ -241,7 +241,10 @@ class TestStateFile:
         '{"rows": [["a", 0], [0, 1]]}',      # non-numeric rows
         '{"rows": [[1, 0], [0]]}',           # ragged rows
         '{"mode_count": "one", "rows": [[1, 0], [0, 1]]}',
-    ], ids=["invalid-json", "no-rows", "non-numeric", "ragged", "mode-count"])
+        '{"rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+        '{"mode_count": 2, "rows": [[1, 0], [0, 1]]}',
+    ], ids=["invalid-json", "no-rows", "non-numeric", "ragged", "mode-count",
+            "odd-size", "mode-count-mismatch"])
     def test_malformed_file_is_config_error(self, tmp_path, capsys, body):
         state = tmp_path / "state.json"
         state.write_text(body)
@@ -257,6 +260,20 @@ class TestStateFile:
         rc, out = run(tmp_path, "metrics", text)
         assert rc == 0
         assert (out / "metrics_table.csv").exists()
+
+    def test_dft_rotated_vacuum_file_runs(self, tmp_path):
+        # the DFT spreads every vacuum supermode over all five modes
+        M = 5
+        F = np.exp(-2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M) / np.sqrt(M)
+        S = np.empty((2 * M, 2 * M))
+        S[0::2, 0::2], S[0::2, 1::2] = F.real, -F.imag
+        S[1::2, 0::2], S[1::2, 1::2] = F.imag, F.real
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"mode_count": M, "rows": (S @ S.T).tolist()}))
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        rc, out = run(tmp_path, "metrics", text)
+        assert rc == 0
+        assert len(csv_rows(out / "metrics_table.csv")) == M
 
 
 class TestCliPlumbing:

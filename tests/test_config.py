@@ -145,6 +145,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="integer"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("teeth, message", [
+        ("0", "positive"),
+        ("65537", "teeth"),
+        ("1000000000000", "teeth"),
+    ])
+    def test_teeth_bounds(self, tmp_path, teeth, message):
+        # rejected at load, before anything is allocated for the teeth
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, BASE + f"teeth = {teeth}\n"))
+
+    def test_largest_teeth_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, BASE + "teeth = 65536\n"))
+        assert cfg.teeth == 65536
+
     def test_inline_comments_stripped(self, tmp_path):
         text = BASE.replace("d = 4", "d = 4  # depth")
         cfg = load_config(write_config(tmp_path, text))

@@ -144,7 +144,7 @@ class TestSupermodeExtraction:
             M = int(rng.integers(1, 7))
             C = random_pure_state(M, rng)
             basis, spectrum, angles = supermode_extraction(C)
-            V = basis.matrix()
+            V = basis.matrix
             D = apply_mode_unitary(C, V)
             target = np.zeros((2 * M, 2 * M))
             for m, z in enumerate(spectrum.values):
@@ -154,9 +154,26 @@ class TestSupermodeExtraction:
             assert np.abs(back.entries - C.entries).max() < 1e-8
             assert np.all(angles == 0.0)
 
+    def test_basis_matches_row_pair_reference(self):
+        # V read off the (Omega v, v) row pairs, written out, equals the
+        # extracted basis exactly
+        rng = np.random.default_rng(62)
+        for M in range(1, 7):
+            C = random_pure_state(M, rng)
+            basis, spectrum, _ = supermode_extraction(C)
+            lam, vec = np.linalg.eigh(C.entries)
+            Om = symplectic_form(M)
+            O = np.zeros((2 * M, 2 * M))
+            for m, z in enumerate(spectrum.values):
+                v = vec[:, np.flatnonzero(lam == z)[0]]
+                if v[np.argmax(np.abs(v))] < 0:
+                    v = -v
+                O[2 * m], O[2 * m + 1] = Om @ v, v
+            assert np.array_equal(basis.matrix, O[0::2, 0::2] + 1j * O[1::2, 0::2])
+
     def test_vacuum_extraction_is_identity(self):
         basis, spectrum, _ = supermode_extraction(vacuum(3))
-        assert np.abs(basis.matrix() - np.eye(3)).max() < 1e-12
+        assert np.abs(basis.matrix - np.eye(3)).max() < 1e-12
         assert np.allclose(spectrum.values, 1.0)
 
     def test_degenerate_squeezing_pair(self):
@@ -166,12 +183,65 @@ class TestSupermodeExtraction:
         )
         basis, spectrum, _ = supermode_extraction(C)
         assert np.allclose(spectrum.values, [0.3, 0.3], atol=1e-10)
-        D = apply_mode_unitary(C, basis.matrix())
+        D = apply_mode_unitary(C, basis.matrix)
         assert np.abs(D.entries - np.kron(np.eye(2), np.diag([1 / 0.3, 0.3]))).max() < 1e-8
+
+    @staticmethod
+    def _assert_round_trip(C, expected_zetas):
+        basis, spectrum, _ = supermode_extraction(C)
+        M = C.mode_count
+        V = basis.matrix
+        assert V.shape == (M, M)
+        assert np.allclose(spectrum.values, expected_zetas, atol=1e-10)
+        D = apply_mode_unitary(C, V)
+        target = np.zeros((2 * M, 2 * M))
+        for m, z in enumerate(spectrum.values):
+            target[2 * m: 2 * m + 2, 2 * m: 2 * m + 2] = np.diag([1.0 / z, z])
+        assert np.abs(D.entries - target).max() < 1e-8
+        back = apply_mode_unitary(D, V.conj().T)
+        assert np.abs(back.entries - C.entries).max() < 1e-8
+
+    @staticmethod
+    def _dft(M):
+        k = np.arange(M)
+        return np.exp(-2j * np.pi * np.outer(k, k) / M) / np.sqrt(M)
+
+    def test_mixed_vacuum_extraction(self):
+        # vacuum under 20 Haar unitaries per M, and under the DFT, which
+        # spreads every vacuum supermode evenly over all modes
+        rng = np.random.default_rng(60)
+        for M in range(1, 9):
+            unitaries = [random_unitary(M, rng) for _ in range(20)]
+            if M >= 5:
+                unitaries.append(self._dft(M))
+            for U in unitaries:
+                self._assert_round_trip(apply_mode_unitary(vacuum(M), U), np.ones(M))
+
+    def test_partially_vacuum_extraction(self):
+        # squeezed supermodes next to a vacuum block spread by the DFT or mixed in by Haar
+        rng = np.random.default_rng(61)
+        for M in range(2, 9):
+            for spread in ("dft", "haar"):
+                n_sq = int(rng.integers(1, M))
+                zetas = np.ones(M)
+                zetas[:n_sq] = np.exp(-2.0 * rng.uniform(0.1, 1.5, n_sq))
+                C = squeezed_vacuum(zetas, angles=rng.uniform(0.0, np.pi, M))
+                if spread == "dft":
+                    U = np.eye(M, dtype=complex)
+                    U[n_sq:, n_sq:] = self._dft(M - n_sq)
+                else:
+                    U = random_unitary(M, rng)
+                self._assert_round_trip(apply_mode_unitary(C, U), np.sort(zetas))
 
     def test_mixed_state_rejected(self):
         with pytest.raises(PhysicsError, match="pure"):
             supermode_extraction(CovarianceMatrix(np.diag([2.0, 2.0])))
+
+    def test_near_pure_thermal_mode_rejected(self):
+        # purity within tolerance, but one mode is neither squeezed nor vacuum
+        C = CovarianceMatrix(np.diag([2.0, 0.5, 1.0 + 1e-7, 1.0 + 1e-7]))
+        with pytest.raises(PhysicsError, match="pure"):
+            supermode_extraction(C)
 
     def test_spectrum_ascending(self):
         rng = np.random.default_rng(77)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,13 +69,13 @@ class TestGramSchmidt:
         rng = np.random.default_rng(7)
         vs = [ModeVector(rng.normal(size=6) + 1j * rng.normal(size=6)) for _ in range(4)]
         basis = gram_schmidt(vs)
-        G = basis.matrix() @ basis.matrix().conj().T
+        G = basis.matrix @ basis.matrix.conj().T
         assert np.abs(G - np.eye(4)).max() < 1e-10
 
     def test_first_vector_direction_kept(self):
         v0 = ModeVector([2.0, 2.0j, 0.0])
         basis = gram_schmidt([v0, ModeVector([1.0, 0.0, 1.0])])
-        got = basis.vectors[0].amplitudes
+        got = basis.matrix[0]
         want = v0.amplitudes / v0.norm
         assert np.abs(got - want).max() < 1e-12
 
@@ -111,7 +113,7 @@ class TestProjector:
         assert np.trace(proj.matrix).real == pytest.approx(3.0)
 
     def test_full_basis_gives_identity(self):
-        basis = ModeBasis((ModeVector([1.0, 0.0]), ModeVector([0.0, 1.0])))
+        basis = ModeBasis(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert np.abs(projector_of(basis).matrix - np.eye(2)).max() < 1e-14
 
 
@@ -127,19 +129,19 @@ class TestUnitaryMix:
         assert np.abs(P0 - P1).max() < 1e-10
 
     def test_mixed_basis_stays_orthonormal(self):
-        basis = ModeBasis((ModeVector([1.0, 0.0, 0.0]), ModeVector([0.0, 0.0, 1.0])))
+        basis = ModeBasis(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
         U = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         mixed = unitary_mix(basis, U)
-        G = mixed.matrix() @ mixed.matrix().conj().T
+        G = mixed.matrix @ mixed.matrix.conj().T
         assert np.abs(G - np.eye(2)).max() < 1e-12
 
     def test_non_unitary_rejected(self):
-        basis = ModeBasis((ModeVector([1.0, 0.0]),))
+        basis = ModeBasis(np.array([[1.0, 0.0]]))
         with pytest.raises(PhysicsError, match="unitary"):
             unitary_mix(basis, np.array([[2.0]]))
 
     def test_wrong_size_rejected(self):
-        basis = ModeBasis((ModeVector([1.0, 0.0]),))
+        basis = ModeBasis(np.array([[1.0, 0.0]]))
         with pytest.raises(DimensionError):
             unitary_mix(basis, np.eye(2))
 
@@ -147,9 +149,47 @@ class TestUnitaryMix:
 class TestModeBasis:
     def test_non_orthonormal_tuple_rejected(self):
         with pytest.raises(PhysicsError):
-            ModeBasis((ModeVector([1.0, 0.0]), ModeVector([1.0, 1e-3])))
+            ModeBasis(np.array([[1.0, 0.0], [1.0, 1e-3]]))
 
     def test_json_round_trip(self):
-        basis = ModeBasis((ModeVector([1.0, 0.0]), ModeVector([0.0, 1.0j])))
+        basis = ModeBasis(np.array([[1.0, 0.0], [0.0, 1.0j]]))
         again = ModeBasis.from_json(basis.to_json())
-        assert np.abs(again.matrix() - basis.matrix()).max() == 0.0
+        assert np.abs(again.matrix - basis.matrix).max() == 0.0
+
+    @pytest.mark.parametrize("matrix, error", [
+        (np.array([1.0, 0.0]), DimensionError),
+        (np.zeros((0, 3)), DimensionError),
+        (np.zeros((2, 0)), DimensionError),
+        (np.array([[np.nan, 0.0]]), PhysicsError),
+        (np.array([[1.0, 0.0], [0.0, np.inf * 1j]]), PhysicsError),
+    ], ids=["1-d", "no-rows", "no-teeth", "nan", "inf"])
+    def test_malformed_array_rejected(self, matrix, error):
+        with pytest.raises(error):
+            ModeBasis(matrix)
+
+    def test_matrix_read_only_copy(self):
+        A = np.eye(2, 3, dtype=complex)
+        basis = ModeBasis(A, tooth_offset=4)
+        A[0, 0] = 2.0
+        assert basis.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            basis.matrix[0, 0] = 2.0
+        assert (len(basis), basis.tooth_count, basis.tooth_offset) == (2, 3, 4)
+
+    def test_json_bytes_match_vector_format(self):
+        rng = np.random.default_rng(23)
+        vs = [ModeVector(rng.normal(size=5) + 1j * rng.normal(size=5), tooth_offset=-2)
+              for _ in range(3)]
+        basis = gram_schmidt(vs)
+        rows = [ModeVector(a, -2).to_json() for a in basis.matrix]
+        assert json.dumps(basis.to_json()) == json.dumps({"vectors": rows})
+
+    def test_json_mixed_tooth_ranges_rejected(self):
+        obj = {"vectors": [ModeVector([1.0, 0.0], 0).to_json(),
+                           ModeVector([0.0, 1.0], 1).to_json()]}
+        with pytest.raises(DimensionError, match="tooth ranges"):
+            ModeBasis.from_json(obj)
+
+    def test_json_empty_rejected(self):
+        with pytest.raises(DimensionError):
+            ModeBasis.from_json({"vectors": []})
