@@ -128,7 +128,7 @@ def efficiency(d: float) -> float:
     return float((1.0 - np.exp(-d)) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelResponse:
     """K_omega sampled on a frequency grid, with a flatness diagnostic.
 
@@ -141,8 +141,8 @@ class KernelResponse:
     flatness: float
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
+        f = np.array(self.frequencies, dtype=float)
+        v = np.array(self.values, dtype=complex)
         if f.shape != v.shape or f.ndim != 1:
             raise DimensionError("frequency and value grids must be equal 1-d arrays")
         f.flags.writeable = False

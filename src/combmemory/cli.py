@@ -17,7 +17,6 @@ byte-identical CSV files.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -48,6 +47,7 @@ from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieva
 from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
 from .modes import ModeBasis, unitary_mix
 from .presets import get_preset
+from .tables import write_csv
 
 OUTDIR_ENV = "COMBMEMORY_OUTDIR"
 
@@ -61,28 +61,16 @@ BUDGET_TOL = 1e-4      # write-stage energy bookkeeping residual
 # ----------------------------------------------------------------------------
 # output helpers
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.15g}"
-    return str(v)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
-def _matrix_rows(C: CovarianceMatrix):
-    return [list(row) for row in C.entries]
+def _records(header, columns):
+    """JSON rows ``{name: value}`` of a column table, as plain Python values."""
+    return [dict(zip(header, row)) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _resolve_outdir(cfg: ExperimentConfig, args) -> str:
@@ -91,11 +79,19 @@ def _resolve_outdir(cfg: ExperimentConfig, args) -> str:
     return outdir
 
 
-def _write_manifest(outdir, command, cfg, seed, files, derived):
+def _write_outputs(command, cfg, args, outdir, seed, derived, tables=(), documents=()):
+    """Write the ``(name, header, columns)`` CSV tables and ``(name, body)`` JSON
+    documents that ``args.formats`` selects, then ``manifest.json`` naming them."""
+    files = []
+    if "csv" in args.formats:
+        files += [write_csv(os.path.join(outdir, name), header, columns)
+                  for name, header, columns in tables]
+    if "json" in args.formats:
+        files += [_write_json(os.path.join(outdir, name), body) for name, body in documents]
     digest = hashlib.sha256(
         cfg.raw_text.encode() + f"\nseed={seed}".encode()
     ).hexdigest()
-    payload = {
+    _write_json(os.path.join(outdir, "manifest.json"), {
         "command": command,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -104,10 +100,7 @@ def _write_manifest(outdir, command, cfg, seed, files, derived):
         "config": cfg.raw_text,
         "derived": derived,
         "files": sorted(os.path.basename(f) for f in files),
-    }
-    path = os.path.join(outdir, "manifest.json")
-    _write_json(path, payload)
-    return path
+    })
 
 
 def _derived_base(cfg: ExperimentConfig) -> dict:
@@ -163,13 +156,7 @@ def _random_unitary(M: int, rng: np.random.Generator) -> np.ndarray:
 
 def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     resp = frequency_response(cfg.memory, cfg.omega_max, cfg.n_points)
-    files = []
-    if "csv" in args.formats:
-        path = os.path.join(outdir, "kernel_response.csv")
-        _write_csv(path, ["omega_rad_s", "re_K", "im_K", "absK2"],
-                   [[w, K.real, K.imag, abs(K) ** 2]
-                    for w, K in zip(resp.frequencies, resp.values)])
-        files.append(path)
+    w, K = resp.frequencies, resp.values
     summary = {
         "d": cfg.memory.d,
         "gamma_s": cfg.memory.gamma_s,
@@ -178,51 +165,40 @@ def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         "efficiency": efficiency(cfg.memory.d),
         "flatness": resp.flatness,
         "narrowband": resp.narrowband,
+        "response": _records(["omega", "re", "im"], [w, K.real, K.imag]),
     }
-    if "json" in args.formats:
-        path = os.path.join(outdir, "kernel_summary.json")
-        body = dict(summary)
-        body["response"] = [
-            {"omega": float(w), "re": float(v.real), "im": float(v.imag)}
-            for w, v in zip(resp.frequencies, resp.values)
-        ]
-        _write_json(path, body)
-        files.append(path)
     derived = _derived_base(cfg)
     derived["flatness"] = resp.flatness
-    files.append(_write_manifest(outdir, "kernel", cfg, seed, files, derived))
+    _write_outputs(
+        "kernel", cfg, args, outdir, seed, derived,
+        # |K| by hypot, as complex scalars compute it; the array np.abs can
+        # differ in the last bit
+        tables=[("kernel_response.csv", ["omega_rad_s", "re_K", "im_K", "absK2"],
+                 [w, K.real, K.imag, np.hypot(K.real, K.imag) ** 2])],
+        documents=[("kernel_summary.json", summary)],
+    )
     print(f"kernel: flatness {resp.flatness:.6g} over |omega| <= {cfg.omega_max:.6g} rad/s")
     return 0
-
-
-def _table_rows(reports):
-    return [
-        [r.index, r.zeta_in_db, r.zeta_out_db, r.purity_out, r.fidelity]
-        for r in reports
-    ]
 
 
 def cmd_metrics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     zetas_db = _state_zetas_db(cfg)
     reports = retrieval_table(zetas_db, cfg.memory.d)
     F, vec = overall_fidelity(reports)
-    files = []
     header = ["mode_index", "zeta_in_dB", "zeta_out_dB", "purity", "fidelity"]
-    if "csv" in args.formats:
-        path = os.path.join(outdir, "metrics_table.csv")
-        _write_csv(path, header, _table_rows(reports))
-        files.append(path)
-    if "json" in args.formats:
-        path = os.path.join(outdir, "metrics_table.json")
-        _write_json(path, {
-            "rows": [dict(zip(header, row)) for row in _table_rows(reports)],
-            "overall_fidelity": F,
-            "fidelity_vector": list(vec),
-        })
-        files.append(path)
+    columns = [[getattr(r, name) for r in reports]
+               for name in ("index", "zeta_in_db", "zeta_out_db", "purity_out", "fidelity")]
     derived = _derived_base(cfg)
     derived["overall_fidelity"] = F
-    files.append(_write_manifest(outdir, "metrics", cfg, seed, files, derived))
+    _write_outputs(
+        "metrics", cfg, args, outdir, seed, derived,
+        tables=[("metrics_table.csv", header, columns)],
+        documents=[("metrics_table.json", {
+            "rows": _records(header, columns),
+            "overall_fidelity": F,
+            "fidelity_vector": vec.tolist(),
+        })],
+    )
     print(f"metrics: {len(reports)} supermodes at d = {cfg.memory.d:g}, overall fidelity {F:.6f}")
     return 0
 
@@ -244,19 +220,6 @@ def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
     lam_in = np.linalg.eigvalsh(C_in.entries)[:M]
     lam_out = 1.0 - k2 * (1.0 - lam_in)  # channel maps quadrature spectra affinely
-    files = []
-    if "csv" in args.formats:
-        p_in = os.path.join(outdir, "channel_c_in.csv")
-        p_out = os.path.join(outdir, "channel_c_out.csv")
-        p_sp = os.path.join(outdir, "channel_spectra.csv")
-        _write_csv(p_in, [f"c{k}" for k in range(2 * M)], _matrix_rows(C_in))
-        _write_csv(p_out, [f"c{k}" for k in range(2 * M)], _matrix_rows(C_out))
-        _write_csv(
-            p_sp,
-            ["index", "zeta_in", "zeta_out"],
-            [[m, lam_in[m], lam_out[m]] for m in range(M)],
-        )
-        files += [p_in, p_out, p_sp]
     summary = {
         "modes": M,
         "k2": k2,
@@ -264,16 +227,20 @@ def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         "basis_independence_max_abs": basis_check,
         "c_in": C_in.to_json(),
         "c_out": C_out.to_json(),
-        "zeta_in": list(map(float, lam_in)),
-        "zeta_out": list(map(float, lam_out)),
+        "zeta_in": lam_in.tolist(),
+        "zeta_out": lam_out.tolist(),
     }
-    if "json" in args.formats:
-        path = os.path.join(outdir, "channel_summary.json")
-        _write_json(path, summary)
-        files.append(path)
+    matrix_header = [f"c{k}" for k in range(2 * M)]
     derived = _derived_base(cfg)
     derived["basis_independence_max_abs"] = basis_check
-    files.append(_write_manifest(outdir, "channel", cfg, seed, files, derived))
+    _write_outputs(
+        "channel", cfg, args, outdir, seed, derived,
+        tables=[("channel_c_in.csv", matrix_header, C_in.entries.T),
+                ("channel_c_out.csv", matrix_header, C_out.entries.T),
+                ("channel_spectra.csv", ["index", "zeta_in", "zeta_out"],
+                 [np.arange(M), lam_in, lam_out])],
+        documents=[("channel_summary.json", summary)],
+    )
     msg = f"channel: {M} modes through k2 = {k2:.6f}"
     if basis_check is not None:
         msg += f", basis-independence deviation {basis_check:.3e}"
@@ -335,26 +302,21 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         for w, g in zip(omegas, gains)
     ]
 
-    files = []
-    if "csv" in args.formats:
-        path = os.path.join(outdir, "dynamics_report.csv")
-        _write_csv(path, ["check", "value", "tolerance", "status"],
-                   [[c["check"], c["value"], c["tolerance"], c["status"]] for c in checks])
-        files.append(path)
-    if "json" in args.formats:
-        path = os.path.join(outdir, "dynamics_report.json")
-        _write_json(path, {
+    header = ["check", "value", "tolerance", "status"]
+    derived = _derived_base(cfg)
+    derived["eta_measured"] = eta_meas
+    _write_outputs(
+        "dynamics", cfg, args, outdir, seed, derived,
+        tables=[("dynamics_report.csv", header, [[c[h] for c in checks] for h in header])],
+        documents=[("dynamics_report.json", {
             "checks": checks,
             "gains": gain_rows,
             "energy_budget": budget,
             "eta_measured": eta_meas,
             "eta_formula": eta,
             "all_pass": bool(all_ok),
-        })
-        files.append(path)
-    derived = _derived_base(cfg)
-    derived["eta_measured"] = eta_meas
-    files.append(_write_manifest(outdir, "dynamics", cfg, seed, files, derived))
+        })],
+    )
     for c in checks:
         print(f"dynamics: {c['check']} = {c['value']:.3e} (tol {c['tolerance']:g}) {c['status']}")
     if not all_ok:
@@ -371,42 +333,24 @@ def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     etas = [efficiency(d) for d in cfg.sweep_d]
     zeta_out, purities, fidelities = _pure_retrieval(zeta_in, np.array(etas)[:, None])
 
-    overall = np.prod(fidelities, axis=1).tolist()
-    db_in = (10.0 * np.log10(zeta_in)).tolist()
-    db_out = (10.0 * np.log10(zeta_out)).tolist()
-    purities, fidelities = purities.tolist(), fidelities.tolist()
-    curve_rows, overall_rows = [], []
-    for k, (d, eta) in enumerate(zip(cfg.sweep_d, etas)):
-        overall_rows.append([d, eta, overall[k]])
-        for m in range(len(db_in)):
-            curve_rows.append([d, eta, m, db_in[m], db_out[k][m],
-                               purities[k][m], fidelities[k][m]])
-
-    files = []
-    if "csv" in args.formats:
-        p_c = os.path.join(outdir, "sweep_curves.csv")
-        p_o = os.path.join(outdir, "sweep_overall.csv")
-        _write_csv(p_c, ["d", "eta", "mode_index", "zeta_in_dB", "zeta_out_dB",
-                         "purity", "fidelity"], curve_rows)
-        _write_csv(p_o, ["d", "eta", "overall_fidelity"], overall_rows)
-        files += [p_c, p_o]
-    if "json" in args.formats:
-        path = os.path.join(outdir, "sweep_curves.json")
-        _write_json(path, {
-            "curves": [
-                dict(zip(["d", "eta", "mode_index", "zeta_in_dB", "zeta_out_dB",
-                          "purity", "fidelity"], row))
-                for row in curve_rows
-            ],
-            "overall": [
-                dict(zip(["d", "eta", "overall_fidelity"], row))
-                for row in overall_rows
-            ],
-        })
-        files.append(path)
+    K, M = zeta_out.shape
+    curve_header = ["d", "eta", "mode_index", "zeta_in_dB", "zeta_out_dB", "purity", "fidelity"]
+    curves = [np.repeat(cfg.sweep_d, M), np.repeat(etas, M), np.tile(np.arange(M), K),
+              np.tile(10.0 * np.log10(zeta_in), K), (10.0 * np.log10(zeta_out)).ravel(),
+              purities.ravel(), fidelities.ravel()]
+    overall_header = ["d", "eta", "overall_fidelity"]
+    overall = [cfg.sweep_d, etas, np.prod(fidelities, axis=1)]
     derived = _derived_base(cfg)
     derived["sweep_points"] = len(cfg.sweep_d)
-    files.append(_write_manifest(outdir, "sweep", cfg, seed, files, derived))
+    _write_outputs(
+        "sweep", cfg, args, outdir, seed, derived,
+        tables=[("sweep_curves.csv", curve_header, curves),
+                ("sweep_overall.csv", overall_header, overall)],
+        documents=[("sweep_curves.json", {
+            "curves": _records(curve_header, curves),
+            "overall": _records(overall_header, overall),
+        })],
+    )
     print(f"sweep: {len(cfg.sweep_d)} depths x {len(zetas_db)} modes")
     return 0
 

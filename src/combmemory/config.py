@@ -21,6 +21,7 @@ import numpy as np
 
 from .channel import MemoryParams, PhysicalParams, derive_gamma_s
 from .errors import CombMemoryError, ConfigError
+from .dynamics import MAX_GRID_CELLS
 from .modes import DEFAULT_TOOTH_COUNT, MAX_TOOTH_COUNT
 
 __all__ = ["ExperimentConfig", "parse_quantity", "load_config"]
@@ -208,6 +209,9 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[dynamics] n_z must be at least 4, got {n_z}")
     if n_t < 9:  # the write quadrature's floor on input samples
         raise ConfigError(f"[dynamics] n_t must be at least 9, got {n_t}")
+    if n_z * n_t > MAX_GRID_CELLS:  # the march history alone takes 32 bytes a cell
+        raise ConfigError(f"[dynamics] n_z * n_t must be at most {MAX_GRID_CELLS}, "
+                          f"got {n_z} * {n_t} = {n_z * n_t}")
     dynamics_path = get("dynamics", "path", "analytic") if has_dyn else "analytic"
     if dynamics_path not in ("analytic", "pde"):
         raise ConfigError(f"unknown dynamics path {dynamics_path!r}")

@@ -41,6 +41,7 @@ from .errors import (
     ResolutionError,
     ResolutionWarning,
 )
+from .tables import write_csv
 
 __all__ = [
     "FieldGrid",
@@ -62,6 +63,7 @@ QUAD_ERROR_LIMIT = 1e-6      # estimated relative quadrature error above this er
 LEAKAGE_LIMIT = 1e-2         # capture-bias estimate above this is a probe-design error
 PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
+MAX_GRID_CELLS = 2**25       # largest [dynamics] n_z * n_t: a 1 GiB a, b march history
 
 
 # ----------------------------------------------------------------------------
@@ -191,9 +193,15 @@ def tukey_window(n: int, taper: float = 0.1) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # grids
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldGrid:
-    """Discretized fields a(z, t) and b(z, t) from a PDE run (SI time)."""
+    """Discretized fields a(z, t) and b(z, t) from a PDE run (SI time).
+
+    Unlike the smaller value types, the grid does not copy its arrays: inputs
+    already of the right dtype are stored, and made read-only, in place.  Its
+    arrays are usually the marcher's fresh history (128 MB at 2000 x 2000),
+    which no one else holds.
+    """
 
     z_points: np.ndarray
     t_points: np.ndarray
@@ -222,17 +230,14 @@ class FieldGrid:
     def to_csv(self, path):
         """Flat (z, t, re_a, im_a, re_b, im_b) table; size is n_z * n_t rows."""
         n_z, n_t = self.a.shape
-        table = np.column_stack([
+        write_csv(path, ["z", "t", "re_a", "im_a", "re_b", "im_b"], [
             np.repeat(self.z_points, n_t), np.tile(self.t_points, n_z),
-            self.a.real.ravel(), self.a.imag.ravel(),
-            self.b.real.ravel(), self.b.imag.ravel(),
+            self.a.real.reshape(-1), self.a.imag.reshape(-1),
+            self.b.real.reshape(-1), self.b.imag.reshape(-1),
         ])
-        with open(path, "w", newline="") as fh:  # CSV line ends are \r\n
-            np.savetxt(fh, table, fmt="%.15g", delimiter=",", newline="\r\n",
-                       header="z,t,re_a,im_a,re_b,im_b", comments="")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StoredProfile:
     """Coherence profile b(z, T) left in the ensemble after the write window."""
 
@@ -240,8 +245,8 @@ class StoredProfile:
     b_T: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z_points, dtype=float)
-        b = np.asarray(self.b_T, dtype=complex)
+        z = np.array(self.z_points, dtype=float)
+        b = np.array(self.b_T, dtype=complex)
         if z.ndim != 1 or b.shape != z.shape:
             raise DimensionError("profile needs matching 1-d z and b arrays")
         if np.any(np.diff(z) <= 0):

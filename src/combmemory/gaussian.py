@@ -40,14 +40,14 @@ UNITARY_TOL = 1e-10
 SQUEEZED_EIG_TOL = 1e-10  # eigenvalues below 1 - this count as squeezed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqueezingSpectrum:
     """Squeezed-quadrature variances relative to vacuum (zeta < 1 = squeezed)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
+        v = np.atleast_1d(np.array(self.values, dtype=float))
         if v.size and v.min() <= 0.0:
             raise PhysicsError("squeezing values must be positive variances")
         v.flags.writeable = False
@@ -66,7 +66,7 @@ class SqueezingSpectrum:
         return cls(10.0 ** (np.atleast_1d(np.asarray(db_values, float)) / 10.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Real symmetric 2M x 2M quadrature covariance, vacuum = identity."""
 

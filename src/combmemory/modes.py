@@ -36,7 +36,7 @@ PROJECTOR_IDEM_TOL = 1e-10
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
-    v = np.asarray(amplitudes, dtype=complex)
+    v = np.array(amplitudes, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise DimensionError("amplitudes must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(v.view(float))):
@@ -44,7 +44,7 @@ def _as_complex_vector(amplitudes) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeVector:
     """Complex amplitude per comb tooth.
 
@@ -109,7 +109,7 @@ def inner_product(u: ModeVector, v: ModeVector) -> complex:
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Ordered orthonormal mode vectors over one tooth range, as one array.
 
@@ -155,7 +155,7 @@ class ModeBasis:
         return cls(np.array([v.amplitudes for v in vs]), vs[0].tooth_offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Hermitian idempotent N x N matrix onto a spanned tooth subspace."""
 
@@ -163,7 +163,7 @@ class Projector:
     rank: int
 
     def __post_init__(self):
-        P = np.asarray(self.matrix, dtype=complex)
+        P = np.array(self.matrix, dtype=complex)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionError("projector matrix must be square")
         if np.abs(P - P.conj().T).max() > PROJECTOR_HERM_TOL:

@@ -226,6 +226,7 @@ class TestDynamicsCommand:
         ("n_t", 5, (2,)),
         ("n_t", 8, (2,)),
         ("n_t", 9, (0, 4)),   # valid; a coarse grid may fail a resolution check
+        ("n_z", 10**5, (2,)),  # 6e7 cells, over dynamics.MAX_GRID_CELLS; nothing allocated
     ])
     def test_grid_size_floor(self, tmp_path, capsys, key, value, codes):
         rc, _ = run(tmp_path, "dynamics", DYNAMICS.replace(f"{key} = 600", f"{key} = {value}"))
@@ -297,6 +298,13 @@ class TestCliPlumbing:
         assert (out / "metrics_table.csv").exists()
         assert not (out / "metrics_table.json").exists()
         assert (out / "manifest.json").exists()  # manifest always written
+
+    def test_json_only_format(self, tmp_path):
+        rc, out = run(tmp_path, "metrics", extra=("--format", "json"))
+        assert rc == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "metrics_table.json"]
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["files"] == ["metrics_table.json"]
 
     def test_env_outdir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE)

@@ -3,6 +3,7 @@ import pytest
 
 from combmemory import ConfigError
 from combmemory.config import load_config, parse_quantity
+from combmemory.dynamics import MAX_GRID_CELLS
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,6 +159,21 @@ class TestLoadConfig:
     def test_largest_teeth_accepted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE + "teeth = 65536\n"))
         assert cfg.teeth == 65536
+
+    @pytest.mark.parametrize("n_z, n_t", [
+        (10**6, 10**6),
+        (33, 1016801),  # 2**25 + 1 cells, one over the cap
+    ])
+    def test_grid_cap(self, tmp_path, n_z, n_t):
+        # rejected at load, before anything is allocated for the grid
+        text = BASE + f"\n[dynamics]\nn_z = {n_z}\nn_t = {n_t}\n"
+        with pytest.raises(ConfigError, match=r"n_z \* n_t must be at most"):
+            load_config(write_config(tmp_path, text))
+
+    def test_largest_grid_accepted(self, tmp_path):
+        text = BASE + "\n[dynamics]\nn_z = 4096\nn_t = 8192\n"
+        cfg = load_config(write_config(tmp_path, text))
+        assert cfg.n_z * cfg.n_t == MAX_GRID_CELLS
 
     def test_inline_comments_stripped(self, tmp_path):
         text = BASE.replace("d = 4", "d = 4  # depth")

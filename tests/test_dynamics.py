@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.signal
 import scipy.special
 
-from combmemory import dynamics
+from combmemory import dynamics, tables
 from combmemory import (
     DimensionError,
     FieldGrid,
@@ -183,6 +183,21 @@ class TestContainers:
                 w.writerow([f"{v:.15g}" for v in cells])
         assert path.read_bytes() == ref.getvalue().encode()
         assert b",-0,-0," in path.read_bytes()
+
+    def test_field_grid_csv_holds_no_table_copy(self, tmp_path, monkeypatch):
+        # small blocks, so the per-block Python objects stay far below the table
+        monkeypatch.setattr(tables, "BLOCK_ROWS", 256)
+        z = np.linspace(0, 1, 100)
+        t = np.linspace(0, 1e-3, 200)
+        a = np.zeros((100, 200), dtype=complex)
+        grid = FieldGrid(z, t, a, a.copy())
+        tracemalloc.start()
+        try:
+            grid.to_csv(tmp_path / "grid.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * a.size  # the (n_z * n_t, 6) float table
 
     def test_stored_profile_mismatch(self):
         with pytest.raises(DimensionError, match="matching"):
