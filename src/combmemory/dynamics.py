@@ -4,7 +4,10 @@ Two independent routes compute the same physics:
 
 * analytic route — the closed-form Bessel-kernel integrals for the stored
   coherence profile and the retrieved envelope, both evaluated by one Simpson
-  quadrature of a J0 table whose column slices give the error estimate;
+  quadrature.  Each kernel is J0 on a small Chebyshev core (p x p nodes, p
+  grown until the core's trailing coefficients vanish) times barycentric
+  interpolation matrices for its rows and columns, so no grid-sized J0 table
+  is built; row slices of the column matrix give the error estimate;
 * PDE route — a marching integrator for the coupled envelope equations
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
@@ -276,36 +279,103 @@ def _uniform_spacing(x: np.ndarray, name: str) -> float:
 # ----------------------------------------------------------------------------
 # analytic route
 
+_CORE_START = 17             # first Chebyshev core size p; then 2p - 1 = 33, 65, ...
+_CORE_TOL = 1e-13            # trailing core coefficients below this, relative, resolve it;
+                             # J0's own error keeps the tail at 1e-14 .. 4e-14
+
+
+def _core_nodes(x, p):
+    """p Chebyshev-Lobatto points on [min x, max x], largest first; x itself if x.size <= p."""
+    if x.size <= p:
+        return x
+    lo, hi = x.min(), x.max()
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi / (p - 1) * np.arange(p))
+
+
+def _interpolation(x, p):
+    """(n, p) barycentric matrix from values at ``_core_nodes(x, p)`` to the samples x.
+
+    Berrut & Trefethen, SIAM Rev. 46, 501 (2004), second form with the
+    Chebyshev-Lobatto weights (-1)^k, halved at both ends.  A sample on a node
+    takes that node's value exactly (all coincident nodes equally, when
+    min x = max x); an axis of at most p samples is its own node set, and
+    its matrix is the identity.
+    """
+    if x.size <= p:
+        return np.eye(x.size)
+    w = np.ones(p)
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
+    diff = np.subtract.outer(x, _core_nodes(x, p))
+    hit = diff == 0.0
+    on_node = hit.any(axis=1)
+    diff[hit] = 1.0
+    A = w / diff
+    A[on_node] = hit[on_node]
+    A /= A.sum(axis=1, keepdims=True)
+    return A
+
+
+def _core_resolved(core, row_cheb, col_cheb):
+    """Whether the core's last two Chebyshev coefficients per axis are negligible.
+
+    The 2-D coefficients are a DCT-I of the core values (p x p cosine
+    matrix); an axis on its own samples is exact and is not transformed.
+    """
+    p = max(core.shape)
+    k = np.arange(p)
+    dct = np.cos(np.pi / (p - 1) * (np.multiply.outer(k, k) % (2 * (p - 1))))
+    dct[:, [0, -1]] *= 0.5
+    dct[[0, -1]] *= 0.5
+    coef = dct @ core if row_cheb else core
+    coef = np.abs(coef @ dct.T if col_cheb else coef)
+    tail = max(coef[-2:].max() if row_cheb else 0.0, coef[:, -2:].max() if col_cheb else 0.0)
+    return tail <= _CORE_TOL * coef.max()
+
+
 def _bessel_quadrature(rows, cols, d, samples, h, write):
     """(integral, relative error) of a memory kernel against sample columns.
 
     The write kernel sqrt(d) e^{-u} J0(2 sqrt(d z u)) takes rows z and lags
     u = Gamma - tau as columns; the read kernel -sqrt(d) e^{-tau}
     J0(2 sqrt(d tau (1 - z))) takes rows tau and columns 1 - z.  ``samples``
-    is (n,) or (n, k) on a uniform grid of spacing h along the columns.  The
-    error is Richardson's |S_h - S_2h| / 15 over the leading odd run of
-    samples, whose sums read column slices of the same table: the write
-    kernel depends only on the lag behind the last sample, so the leading
-    samples meet its trailing columns.
+    is (n,) or (n, k) on a uniform grid of spacing h along the columns.
+
+    J0(2 sqrt(d x)) is entire in x = rows * cols, so the kernel is
+    A_rows F A_cols^T: F is J0 on a p x p core of Chebyshev-Lobatto nodes
+    spanning the rows and the columns (Townsend & Trefethen, SISC 35, C495
+    (2013)), and each A interpolates one axis with the decay factor folded
+    in.  p grows as 17, 33, 65, ... until F's trailing Chebyshev
+    coefficients are negligible; an axis reached by p keeps its own samples.
+    The error is Richardson's |S_h - S_2h| / 15 over the leading odd run of
+    samples, whose sums read row slices of A_cols: the write kernel depends
+    only on the lag behind the last sample, so the leading samples meet its
+    trailing columns.
     """
-    arg = np.multiply.outer(rows, cols)  # 2 sqrt(d rows cols), built in place
-    arg *= d
-    np.maximum(arg, 0.0, out=arg)
-    np.sqrt(arg, out=arg)
-    arg *= 2.0
-    table = bessel_j0(arg)
-    del arg
-    decay = np.exp(-cols) if write else -np.exp(-rows)[:, None]  # read: the field's sign
-    table *= np.sqrt(d) * decay
+    p = _CORE_START
+    while True:
+        arg = np.multiply.outer(_core_nodes(rows, p), _core_nodes(cols, p)) * d
+        core = bessel_j0(2.0 * np.sqrt(np.maximum(arg, 0.0)))
+        row_cheb, col_cheb = rows.size > p, cols.size > p
+        if not (row_cheb or col_cheb) or _core_resolved(core, row_cheb, col_cheb):
+            break
+        p = 2 * p - 1
+    a_rows, a_cols = _interpolation(rows, p), _interpolation(cols, p)
+    if write:
+        a_cols *= (np.sqrt(d) * np.exp(-cols))[:, None]
+    else:
+        a_rows *= (-np.sqrt(d) * np.exp(-rows))[:, None]  # the read field's sign
     n = samples.shape[0]
     x = samples.reshape(n, -1)
+    k = x.shape[1]
 
     def simpson(m, stride):
         start = n - m if write else 0
         xs = x[:m:stride]
-        part = table[:, start:start + m:stride]
         wx = simpson_weights(len(xs), stride * h)[:, None] * xs
-        return part @ wx.real + 1j * (part @ wx.imag)
+        y = a_cols[start:start + m:stride].T @ np.hstack([wx.real, wx.imag])
+        y = a_rows @ (core @ y)
+        return y[:, :k] + 1j * y[:, k:]
 
     fine = simpson(n, 1)
     m = n if n % 2 == 1 else n - 1
@@ -388,22 +458,21 @@ def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.nd
 def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 1e-4) -> float:
     """Read window length: 5T capped, stopping early once retrieval has converged.
 
-    Marches the retrieved energy in chunks of T/10 and stops when a chunk adds
-    less than ``rel_tol`` of the running total.
+    Evaluates the retrieved envelope once on [0, 5T], sums its energy in
+    chunks of T/10 and stops when a chunk adds less than ``rel_tol`` of the
+    running total.
     """
     chunk = params.T / 10.0
+    t = np.linspace(0.0, 50 * chunk, 50 * 128 + 1)  # cap at 5T: 50 chunks of 129 samples
+    energy = np.abs(read_analytic(profile, params, t)) ** 2
+    wts = simpson_weights(129, t[1] - t[0])
     total = 0.0
-    t_end = chunk
-    for k in range(50):  # cap at 5T
-        t = np.linspace(k * chunk, (k + 1) * chunk, 129)
-        env = read_analytic(profile, params, t)
-        wts = simpson_weights(t.size, t[1] - t[0])
-        inc = float(np.sum(wts * np.abs(env) ** 2))
+    for k in range(50):
+        inc = float(np.sum(wts * energy[128 * k:128 * k + 129]))
         total += inc
-        t_end = (k + 1) * chunk
         if total > 0.0 and inc < rel_tol * total and k >= 9:  # at least one T
             break
-    return t_end
+    return (k + 1) * chunk
 
 
 # ----------------------------------------------------------------------------
@@ -552,6 +621,9 @@ def pde_read(
     return t, env
 
 
+_BUDGET_ROWS = 64
+
+
 def energy_budget(grid: FieldGrid, params: MemoryParams) -> dict:
     """Write-stage energy bookkeeping: input = transmitted + stored + decayed.
 
@@ -564,7 +636,10 @@ def energy_budget(grid: FieldGrid, params: MemoryParams) -> dict:
     e_in = float(np.sum(wt * np.abs(grid.a[0]) ** 2))
     e_out = float(np.sum(wt * np.abs(grid.a[-1]) ** 2))
     e_stored = float(np.sum(wz * np.abs(grid.b[:, -1]) ** 2))
-    e_decay = float(2.0 * params.gamma_s * wz @ (np.abs(grid.b) ** 2 @ wt))
+    per_z = np.empty(z.size)  # integral |b|^2 dt, in row blocks: no (n_z, n_t) temporary
+    for s in range(0, z.size, _BUDGET_ROWS):
+        per_z[s:s + _BUDGET_ROWS] = np.abs(grid.b[s:s + _BUDGET_ROWS]) ** 2 @ wt
+    e_decay = float(2.0 * params.gamma_s * wz @ per_z)
     resid = abs(e_in - e_out - e_stored - e_decay) / max(e_in, 1e-300)
     return {
         "input": e_in,

@@ -7,6 +7,8 @@ import pytest
 import scipy.integrate
 import scipy.signal
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combmemory import dynamics, tables
 from combmemory import (
@@ -38,6 +40,47 @@ T10 = 10.0 / GAMMA_S  # write window spanning ten decay times
 
 def params10(d=4.0):
     return MemoryParams(d=d, gamma_s=GAMMA_S, T=T10)
+
+
+def kernel_table(rows, cols, d, write):
+    """The write or read kernel on every (row, column) pair."""
+    table = bessel_j0(2.0 * np.sqrt(np.maximum(d * np.multiply.outer(rows, cols), 0.0)))
+    return table * np.sqrt(d) * (np.exp(-cols) if write else -np.exp(-rows)[:, None])
+
+
+def table_quadrature(rows, cols, d, samples, h, write):
+    """Reference for ``dynamics._bessel_quadrature``: Simpson sums of the full kernel table."""
+    table = kernel_table(rows, cols, d, write)
+    n = samples.shape[0]
+    x = samples.reshape(n, -1)
+
+    def simpson(m, stride):
+        start = n - m if write else 0
+        xs = x[:m:stride]
+        part = table[:, start:start + m:stride]
+        wx = simpson_weights(len(xs), stride * h)[:, None] * xs
+        return part @ wx.real + 1j * (part @ wx.imag)
+
+    fine = simpson(n, 1)
+    m = n if n % 2 == 1 else n - 1
+    sub_fine = fine if m == n else simpson(m, 1)
+    peak = max(float(np.abs(fine).max()), 1e-300)
+    est = float(np.abs(sub_fine - simpson(m, 2)).max()) / 15.0 / peak
+    return fine.reshape(rows.size, *samples.shape[1:]), est
+
+
+def chunked_horizon(profile, params, rel_tol=1e-4):
+    """Reference for ``read_horizon``: one read_analytic call per T/10 chunk."""
+    chunk = params.T / 10.0
+    total = 0.0
+    for k in range(50):
+        t = np.linspace(k * chunk, (k + 1) * chunk, 129)
+        env = read_analytic(profile, params, t)
+        inc = float(np.sum(simpson_weights(t.size, t[1] - t[0]) * np.abs(env) ** 2))
+        total += inc
+        if total > 0.0 and inc < rel_tol * total and k >= 9:
+            break
+    return (k + 1) * chunk
 
 
 class TestBesselJ0:
@@ -268,6 +311,32 @@ class TestReadAnalytic:
         prof = write_analytic(np.ones(801, dtype=complex), p, 201)
         assert read_horizon(prof, p) == pytest.approx(p.T, rel=1e-12)
 
+    def test_horizon_of_shipped_config(self):
+        # configs/dynamics.ini: d = 4, gamma_s = 2pi*18 kHz, T = 88.42 us, 2000 x 2000
+        p = MemoryParams(d=4.0, gamma_s=2.0 * np.pi * 18e3, T=88.42e-6)
+        prof = write_analytic(np.ones(2000, dtype=complex), p, 2000)
+        t_end = read_horizon(prof, p)
+        assert t_end == chunked_horizon(prof, p)
+        assert t_end == pytest.approx(8.842e-05, rel=1e-12)
+
+    def test_horizon_stops_after_the_first_window(self):
+        # at Gamma = 1 the retrieval takes a few decay times: the rule stops
+        # between the one-window floor and the 5T cap
+        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1.0 / GAMMA_S)
+        prof = write_analytic(np.ones(801, dtype=complex), p, 201)
+        t_end = read_horizon(prof, p)
+        assert t_end == chunked_horizon(prof, p)
+        assert 1.5 * p.T < t_end < 5.0 * p.T
+
+    def test_single_read_time_matches_grid(self):
+        p = params10()
+        prof = write_analytic(np.ones(801, dtype=complex), p, 201)
+        t = np.linspace(0.0, 2.0 * p.T, 301)
+        env = read_analytic(prof, p, t)
+        for i in (0, 37, 150, 300):
+            one = read_analytic(prof, p, t[i:i + 1])
+            assert abs(one[0] - env[i]) <= 1e-12 * np.abs(env).max()
+
 
 class TestPdeMarch:
     def test_matches_analytic_kernel(self):
@@ -310,6 +379,36 @@ class TestPdeMarch:
         total = bud["transmitted"] + bud["stored"] + bud["decayed"]
         assert abs(total - bud["input"]) / bud["input"] < 1e-4
         assert bud["residual"] < 1e-4
+
+    def test_energy_budget_holds_no_grid_temporary(self):
+        rng = np.random.default_rng(3)
+        n_z, n_t = 300, 400
+        b = rng.standard_normal((n_z, n_t)) + 1j * rng.standard_normal((n_z, n_t))
+        a = rng.standard_normal((n_z, n_t)) + 1j * rng.standard_normal((n_z, n_t))
+        t = np.linspace(0.0, T10, n_t)
+        z = np.linspace(0.0, 1.0, n_z)
+        grid = FieldGrid(z, t, a, b)
+        p = params10()
+        tracemalloc.start()
+        try:
+            bud = energy_budget(grid, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_z * n_t * 8
+        wt = simpson_weights(n_t, t[1] - t[0])
+        wz = simpson_weights(n_z, z[1] - z[0])
+        e_in = float(np.sum(wt * np.abs(a[0]) ** 2))
+        e_out = float(np.sum(wt * np.abs(a[-1]) ** 2))
+        e_stored = float(np.sum(wz * np.abs(b[:, -1]) ** 2))
+        e_decay = float(2.0 * p.gamma_s * wz @ (np.abs(b) ** 2 @ wt))
+        assert bud == {
+            "input": e_in,
+            "transmitted": e_out,
+            "stored": e_stored,
+            "decayed": e_decay,
+            "residual": abs(e_in - e_out - e_stored - e_decay) / e_in,
+        }
 
     def test_read_early_stop(self):
         p = params10()
@@ -369,7 +468,7 @@ class TestTransferFunction:
 
 
 class TestBesselTables:
-    """Each analytic run builds one J0 table per kernel, whatever the probe count."""
+    """J0 is evaluated on small square cores per kernel, whatever the probe count."""
 
     SMALL = dict(n_probe=201, n_z=100, n_read=601)
 
@@ -378,21 +477,34 @@ class TestBesselTables:
         calls = []
 
         def counted(x):
-            calls.append(np.size(x))
+            calls.append(np.shape(x))
             return bessel_j0(x)
 
         monkeypatch.setattr(dynamics, "bessel_j0", counted)
         return calls
 
-    def test_write_builds_one_table(self, j0_calls):
+    def test_write_evaluates_square_cores(self, j0_calls):
         write_analytic(np.ones(800, dtype=complex), params10(), 50)
-        assert j0_calls == [50 * 800]
+        assert j0_calls and all(len(s) == 2 and s[0] == s[1] for s in j0_calls)
+        assert sum(np.prod(s) for s in j0_calls) < 50 * 800
 
     @pytest.mark.parametrize("n_probes", [1, 3])
     def test_transfer_builds_two_tables(self, j0_calls, n_probes):
+        """One J0 core per kernel, write and read, each grown from the smallest size."""
         omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
         transfer_function_estimate(params10(), omegas, **self.SMALL)
-        assert len(j0_calls) == 2
+        sizes = [max(s) for s in j0_calls]
+        start = dynamics._CORE_START
+        assert sizes.count(start) == 2
+        assert all(b > a or b == start for a, b in zip(sizes, sizes[1:]))
+
+    def test_transfer_cores_do_not_depend_on_probe_count(self, j0_calls):
+        transfer_function_estimate(params10(), [0.0], **self.SMALL)
+        one = list(j0_calls)
+        j0_calls.clear()
+        transfer_function_estimate(params10(), np.linspace(-0.1, 0.1, 3) * GAMMA_S, **self.SMALL)
+        assert j0_calls == one
+        assert all(len(s) == 2 and s[0] == s[1] for s in one)
 
     @pytest.mark.parametrize("path", ["analytic", "pde"])
     def test_stacked_probes_match_single_runs(self, path):
@@ -404,6 +516,74 @@ class TestBesselTables:
             for w in omegas
         ])
         assert np.abs(together - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
+class TestBesselCore:
+    """The Chebyshev-core quadrature against the full J0 table."""
+
+    @staticmethod
+    def case(d, gamma, n_rows, n, k, seed, write, on_nodes):
+        rng = np.random.default_rng(seed)
+        span = 1.0 if write else 5.0 * gamma  # write rows are z, read rows are tau
+        rows = np.sort(rng.uniform(0.0, span, n_rows))
+        if on_nodes and n_rows > 1:
+            # add rows on the core nodes of the first sizes tried; the clip keeps
+            # the span, so the interior ones are exact nodes of the longer axis
+            span = np.linspace(rows[0], rows[-1], 65)
+            nodes = [dynamics._core_nodes(span, p) for p in (17, 33)]
+            rows = np.clip(np.concatenate([rows] + nodes), rows[0], rows[-1])
+        if write:
+            tau = np.linspace(0.0, gamma, n)
+            cols, h = gamma - tau, tau[1] - tau[0]
+        else:
+            z = np.linspace(0.0, 1.0, n)
+            cols, h = 1.0 - z, z[1] - z[0]
+        shape = (n,) if k == 1 else (n, k)
+        samples = 1.0 + 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return rows, cols, d, samples, h, write
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        d=st.floats(0.1, 40.0),
+        gamma=st.floats(1.0, 20.0),
+        n_rows=st.one_of(st.integers(1, 3), st.integers(4, 300)),
+        n=st.integers(9, 120),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        write=st.booleans(),
+        on_nodes=st.booleans(),
+    )
+    def test_matches_table(self, d, gamma, n_rows, n, k, seed, write, on_nodes):
+        args = self.case(d, gamma, n_rows, n, k, seed, write, on_nodes)
+        got, est = dynamics._bessel_quadrature(*args)
+        want, est_want = table_quadrature(*args)
+        assert got.shape == want.shape
+        # relative to the integral of |kernel x sample|: a read row far out in
+        # tau cancels its oscillating kernel down to ~1/50 of that scale
+        rows, cols, d, samples, h, write = args
+        wx = simpson_weights(n, h)[:, None] * np.abs(samples.reshape(n, -1))
+        scale = (np.abs(kernel_table(rows, cols, d, write)) @ wx).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        assert abs(est - est_want) <= 1e-9 * est_want
+
+    def test_read_times_on_core_nodes(self):
+        # every read time is a node of the 17-, 33- or 65-point core on [0, 25]
+        span = np.linspace(0.0, 25.0, 200)
+        tau = np.concatenate([dynamics._core_nodes(span, p) for p in (17, 33, 65)])
+        assert np.isin(dynamics._core_nodes(tau, 33), tau).all()
+        z = np.linspace(0.0, 1.0, 201)
+        b = np.cos(3.0 * z) + 0.5j
+        got, _ = dynamics._bessel_quadrature(tau, 1.0 - z, 4.0, b, z[1] - z[0], write=False)
+        want, _ = table_quadrature(tau, 1.0 - z, 4.0, b, z[1] - z[0], write=False)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_repeated_read_time(self):
+        # min = max on a row axis longer than the core: every row is every node
+        z = np.linspace(0.0, 1.0, 201)
+        tau = np.full(40, 3.0)
+        got, _ = dynamics._bessel_quadrature(tau, 1.0 - z, 4.0, np.ones(201), z[1] - z[0], False)
+        want, _ = table_quadrature(tau, 1.0 - z, 4.0, np.ones(201), z[1] - z[0], False)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestBatchedMarch:
