@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -378,8 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="deprecated and ignored; sweep runs in one vectorized call")
         sp.add_argument("--format", choices=["csv", "json", "both"], default=None)
     return parser
 
@@ -393,9 +390,6 @@ def main(argv=None) -> int:
         else:
             args.formats = ("csv", "json") if args.format == "both" else (args.format,)
         seed = cfg.seed if args.seed is None else args.seed
-        if (cfg.workers if args.workers is None else args.workers) != 1:
-            warnings.warn("workers is deprecated and ignored: sweep evaluates every "
-                          "depth in one vectorized call", DeprecationWarning, stacklevel=2)
         outdir = _resolve_outdir(cfg, args)
         return _COMMANDS[args.command](cfg, args, outdir, seed)
     except ConfigError as exc:

@@ -101,7 +101,6 @@ class ExperimentConfig:
     outdir: str | None
     formats: tuple
     seed: int
-    workers: int
     raw_text: str
 
 
@@ -188,23 +187,24 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[state] teeth must be at most {MAX_TOOTH_COUNT}, got {teeth}")
 
     # --- pumps --------------------------------------------------------------
-    pump_basis = get("pumps", "basis", "supermodes") if cp.has_section("pumps") else "supermodes"
+    pump_basis = get("pumps", "basis", "supermodes")
     if pump_basis not in ("supermodes", "random-unitary"):
         raise ConfigError(f"unknown pump basis {pump_basis!r}")
 
     # --- kernel -------------------------------------------------------------
-    omega_max_text = get("kernel", "omega_max") if cp.has_section("kernel") else None
+    omega_max_text = get("kernel", "omega_max")
     omega_max = (
         0.1 * memory.gamma_s if omega_max_text is None else parse_quantity(omega_max_text)
     )
-    n_points = _int(get("kernel", "n_points", 201), "n_points") if cp.has_section("kernel") else 201
-    if n_points < 1:
-        raise ConfigError("n_points must be positive")
+    if omega_max < 0.0:
+        raise ConfigError(f"[kernel] omega_max must be >= 0, got {omega_max_text!r}")
+    n_points = _int(get("kernel", "n_points", 201), "n_points")
+    if n_points < 2:
+        raise ConfigError(f"[kernel] n_points must be at least 2, got {n_points}")
 
     # --- dynamics -----------------------------------------------------------
-    has_dyn = cp.has_section("dynamics")
-    n_z = _int(get("dynamics", "n_z", 2000), "n_z") if has_dyn else 2000
-    n_t = _int(get("dynamics", "n_t", 2000), "n_t") if has_dyn else 2000
+    n_z = _int(get("dynamics", "n_z", 2000), "n_z")
+    n_t = _int(get("dynamics", "n_t", 2000), "n_t")
     if n_z < 4:
         raise ConfigError(f"[dynamics] n_z must be at least 4, got {n_z}")
     if n_t < 9:  # the write quadrature's floor on input samples
@@ -212,37 +212,36 @@ def load_config(path: str) -> ExperimentConfig:
     if n_z * n_t > MAX_GRID_CELLS:  # the march history alone takes 32 bytes a cell
         raise ConfigError(f"[dynamics] n_z * n_t must be at most {MAX_GRID_CELLS}, "
                           f"got {n_z} * {n_t} = {n_z * n_t}")
-    dynamics_path = get("dynamics", "path", "analytic") if has_dyn else "analytic"
+    dynamics_path = get("dynamics", "path", "analytic")
     if dynamics_path not in ("analytic", "pde"):
         raise ConfigError(f"unknown dynamics path {dynamics_path!r}")
-    probe_text = get("dynamics", "probe_omegas") if has_dyn else None
+    probe_text = get("dynamics", "probe_omegas")
     probe_omegas = (
         (0.0, 0.1 * memory.gamma_s)
         if probe_text is None
         else _quantity_list(probe_text, "probe_omegas")
     )
-    t_read_text = get("dynamics", "t_read") if has_dyn else None
+    t_read_text = get("dynamics", "t_read")
     t_read = None if t_read_text is None else parse_quantity(t_read_text)
+    if t_read is not None and t_read <= 0.0:
+        raise ConfigError(f"[dynamics] t_read must be positive, got {t_read_text!r}")
 
     # --- sweep --------------------------------------------------------------
-    if cp.has_section("sweep") and cp.has_option("sweep", "d_values"):
+    if cp.has_option("sweep", "d_values"):
         sweep_d = _float_list(get("sweep", "d_values"), "d_values")
     else:
         sweep_d = tuple(float(k) for k in range(1, 21))
 
     # --- output -------------------------------------------------------------
-    outdir = get("output", "dir") if cp.has_section("output") else None
-    fmt = (get("output", "format", "both") if cp.has_section("output") else "both").lower()
+    outdir = get("output", "dir")
+    fmt = get("output", "format", "both").lower()
     if fmt == "both":
         formats = ("csv", "json")
     elif fmt in ("csv", "json"):
         formats = (fmt,)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    seed = _int(get("output", "seed", 0), "seed") if cp.has_section("output") else 0
-    workers = _int(get("output", "workers", 1), "workers") if cp.has_section("output") else 1
-    if workers < 1:
-        raise ConfigError("workers must be positive")
+    seed = _int(get("output", "seed", 0), "seed")
 
     return ExperimentConfig(
         memory=memory,
@@ -264,6 +263,5 @@ def load_config(path: str) -> ExperimentConfig:
         outdir=outdir,
         formats=formats,
         seed=seed,
-        workers=workers,
         raw_text=raw,
     )

@@ -11,9 +11,11 @@ Two independent routes compute the same physics:
 * PDE route — a marching integrator for the coupled envelope equations
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
-  corrector pass for second-order accuracy.  Independent runs march together
-  as the columns of (n_z, k) arrays, so all probes of a transfer measurement
-  share one write march and one read march.
+  corrector pass for second-order accuracy.  One stepper yields the fields
+  at every time step, and each caller keeps what it reads: the full history,
+  or a(1, t) and the final b.  Independent runs march together as the
+  columns of (n_z, k) arrays, so all probes of a transfer measurement share
+  one write march and one read march.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -455,6 +457,21 @@ def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.nd
     return np.sqrt(params.gamma_s) * env  # scaled envelope back to SI amplitude
 
 
+def _converged_chunks(env, per, h, rel_tol=1e-4):
+    """Whole chunks of ``per`` steps (spacing h) to keep: the energy-convergence stop.
+
+    The first chunk from the tenth on whose Simpson sum of |env|^2 adds less
+    than ``rel_tol`` of the running total is the last one kept.
+    """
+    n = (env.shape[0] - 1) // per
+    chunks = np.lib.stride_tricks.sliding_window_view(np.abs(env[:n * per + 1]) ** 2, per + 1)
+    inc = np.sum(simpson_weights(per + 1, h) * chunks[::per], axis=1)
+    total = np.cumsum(inc)
+    done = (total > 0.0) & (inc < rel_tol * total)
+    done[:9] = False
+    return int(np.argmax(done)) + 1 if done.any() else n
+
+
 def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 1e-4) -> float:
     """Read window length: 5T capped, stopping early once retrieval has converged.
 
@@ -464,15 +481,7 @@ def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 
     """
     chunk = params.T / 10.0
     t = np.linspace(0.0, 50 * chunk, 50 * 128 + 1)  # cap at 5T: 50 chunks of 129 samples
-    energy = np.abs(read_analytic(profile, params, t)) ** 2
-    wts = simpson_weights(129, t[1] - t[0])
-    total = 0.0
-    for k in range(50):
-        inc = float(np.sum(wts * energy[128 * k:128 * k + 129]))
-        total += inc
-        if total > 0.0 and inc < rel_tol * total and k >= 9:  # at least one T
-            break
-    return (k + 1) * chunk
+    return _converged_chunks(read_analytic(profile, params, t), 128, t[1] - t[0], rel_tol) * chunk
 
 
 # ----------------------------------------------------------------------------
@@ -491,16 +500,16 @@ def _field(boundary, b, c, out):
     return np.cumsum(out, axis=0, out=out)
 
 
-def _march(b0, boundary, h, d, n_z, record_output=False):
-    """Advance the coupled pair over the scaled boundary samples.
+def _march(b0, boundary, h, d, n_z):
+    """Yield the coupled pair (a, b) at every scaled boundary sample, from sample 0.
 
     Exponential integrator in tau (exact decay factor, predictor-corrector
     source weights I0 = 1-e^{-h}, I1 = (h-1+e^{-h})/h) with the field slaved
     to the coherence through a cumulative trapezoid in z at every stage.
     Independent runs march together as columns: ``b0`` is (n_z,) or (n_z, k)
-    and ``boundary`` (n_t,) or (n_t, k), and every step works in place on
-    preallocated arrays of that shape.  The output record is (n_t,) or
-    (n_t, k); the full history (``record_output`` False) takes one run.
+    and ``boundary`` (n_t,) or (n_t, k).  Every step works in place on
+    preallocated arrays of b0's shape, and the yielded a and b are those
+    arrays: a caller copies what it keeps before asking for the next step.
     """
     sq = np.sqrt(d)
     c = 0.5 * sq / (n_z - 1)
@@ -510,32 +519,32 @@ def _march(b0, boundary, h, d, n_z, record_output=False):
     w0, w01, w1 = sq * I0, sq * (I0 - I1), sq * I1
     b = np.array(b0, dtype=complex)
     a, a_star, b_star, tmp = (np.empty_like(b) for _ in range(4))
-    _field(boundary[0], b, c, a)
-    n_t = len(boundary)
-    if record_output:
-        out = np.empty((n_t,) + b.shape[1:], dtype=complex)
-        out[0] = a[-1]
-        hist_a = hist_b = None
-    else:
-        hist_a = np.empty((n_z, n_t), dtype=complex)
-        hist_b = np.empty((n_z, n_t), dtype=complex)
-        hist_a[:, 0] = a
-        hist_b[:, 0] = b
-        out = None
-    for j in range(1, n_t):
+    yield _field(boundary[0], b, c, a), b
+    for bj in boundary[1:]:
         b *= e
         np.multiply(a, w0, out=b_star)
         b_star += b
-        _field(boundary[j], b_star, c, a_star)
+        _field(bj, b_star, c, a_star)
         b += np.multiply(a, w01, out=tmp)
         b += np.multiply(a_star, w1, out=tmp)
-        _field(boundary[j], b, c, a)
-        if record_output:
-            out[j] = a[-1]
-        else:
-            hist_a[:, j] = a
-            hist_b[:, j] = b
-    return out, hist_a, hist_b, b
+        yield _field(bj, b, c, a), b
+
+
+def _output_march(b0, boundary, h, d, n_z):
+    """(a(1, .) at every boundary sample, final b) of one march; see ``_march``."""
+    out = np.empty((len(boundary),) + np.shape(b0)[1:], dtype=complex)
+    for j, (a, b) in enumerate(_march(b0, boundary, h, d, n_z)):
+        out[j] = a[-1]
+    return out, b
+
+
+def _scaled_step(params: MemoryParams, span: float, n_t: int) -> float:
+    """gamma_s * dt over n_t samples of ``span`` s; past CFL_WARN, warns the caller's caller."""
+    h = params.gamma_s * span / (n_t - 1)
+    if h > CFL_WARN:
+        warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
+                      ResolutionWarning, stacklevel=3)
+    return h
 
 
 def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> FieldGrid:
@@ -553,13 +562,7 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> FieldGrid:
         bound = np.asarray(a_in, dtype=complex)
         if bound.shape != t.shape:
             raise DimensionError(f"a_in must provide exactly n_t = {n_t} samples")
-    h = params.gamma_s * params.T / (n_t - 1)
-    if h > CFL_WARN:
-        warnings.warn(
-            f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
-            ResolutionWarning,
-            stacklevel=2,
-        )
+    h = _scaled_step(params, params.T, n_t)
     z = np.linspace(0.0, 1.0, int(n_z))
     if params.d == 0.0:
         a = np.broadcast_to(bound, (int(n_z), int(n_t))).copy()
@@ -567,7 +570,11 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> FieldGrid:
     # scaled field: a_tilde = a / sqrt(gamma_s); ratio-free quantities are
     # unaffected, b matches the analytic-kernel normalization
     sg = np.sqrt(params.gamma_s)
-    _, ha, hb, _ = _march(np.zeros(int(n_z)), bound / sg, h, params.d, int(n_z))
+    ha = np.empty((int(n_z), int(n_t)), dtype=complex)
+    hb = np.empty_like(ha)
+    for j, (a, b) in enumerate(_march(np.zeros(int(n_z)), bound / sg, h, params.d, int(n_z))):
+        ha[:, j] = a
+        hb[:, j] = b
     ha *= sg
     return FieldGrid(z, t, ha, hb)
 
@@ -582,41 +589,28 @@ def pde_read(
     """Integrate the read stage from a stored profile; dark input boundary.
 
     Returns ``(t_points, envelope)`` with the envelope taken at z = 1.  The
-    horizon defaults to 5T with early stop once the retrieved energy converges
-    (increment below 1e-4 of the total over the trailing T/10).
+    horizon defaults to 5T, cut as ``read_horizon`` cuts it, at the end of a
+    chunk of round((n_t - 1) / 50) steps (T/10 when 50 divides n_t - 1).
     """
     if n_z < 4 or n_t < 4:
         raise DimensionError("n_z and n_t must be at least 4")
     z = np.linspace(0.0, 1.0, int(n_z))
     if profile.z_points.size != z.size or np.abs(profile.z_points - z).max() > 1e-12:
         raise DimensionError("profile grid must match linspace(0, 1, n_z)")
+    if t_max is not None and not t_max > 0.0:
+        raise PhysicsError(f"t_max must be positive, got {t_max!r}")
+    per = int(round((n_t - 1) / 50.0))  # steps per T/10 chunk of the default horizon
+    if t_max is None and per < 2:
+        raise DimensionError(f"a T/10 chunk needs at least 3 samples (n_t >= 76), got n_t = {n_t}")
     horizon = 5.0 * params.T if t_max is None else float(t_max)
     t = np.linspace(0.0, horizon, int(n_t))
     if params.d == 0.0:
         return t, np.zeros(int(n_t), dtype=complex)
-    h = params.gamma_s * horizon / (n_t - 1)
-    if h > CFL_WARN:
-        warnings.warn(
-            f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
-            ResolutionWarning,
-            stacklevel=2,
-        )
-    out, _, _, _ = _march(
-        profile.b_T, np.zeros(int(n_t), dtype=complex), h, params.d, int(n_z),
-        record_output=True,
-    )
+    h = _scaled_step(params, horizon, n_t)
+    out, _ = _output_march(profile.b_T, np.zeros(int(n_t), dtype=complex), h, params.d, int(n_z))
     env = out * np.sqrt(params.gamma_s)  # scaled envelope back to SI amplitude
     if t_max is None:
-        # early stop: drop the converged tail chunk by chunk (T/10 each)
-        per = max(int(round((n_t - 1) / 50.0)), 1)
-        energy = np.cumsum(np.abs(env) ** 2) * (t[1] - t[0])
-        keep = n_t
-        for k in range(10 * per, n_t, per):
-            total = energy[min(k, n_t - 1)]
-            inc = total - energy[k - per]
-            if total > 0.0 and inc < 1e-4 * total:
-                keep = k + 1
-                break
+        keep = _converged_chunks(env, per, t[1] - t[0]) * per + 1
         t, env = t[:keep], env[:keep]
     return t, env
 
@@ -674,9 +668,9 @@ def _probe_read_pde(d, tau_p, probes, n_z, tau_r):
     h_w, h_r = tau_p[1] - tau_p[0], tau_r[1] - tau_r[0]
     k = len(probes)
     # fields vanish before the probe support; start marching at its left edge
-    b_end = _march(np.zeros((n_z, k)), probes.T, h_w, d, n_z, record_output=True)[3]
+    _, b_end = _output_march(np.zeros((n_z, k)), probes.T, h_w, d, n_z)
     dark = np.zeros((tau_r.size, k), dtype=complex)
-    return _march(b_end, dark, h_r, d, n_z, record_output=True)[0].T
+    return _output_march(b_end, dark, h_r, d, n_z)[0].T
 
 
 def transfer_function_estimate(
@@ -712,6 +706,8 @@ def transfer_function_estimate(
         )
     if path not in ("analytic", "pde"):
         raise PhysicsError(f"unknown dynamics path {path!r}")
+    if T_read is not None and not T_read > 0.0:
+        raise PhysicsError(f"T_read must be positive, got {T_read!r}")
     if omegas.size == 0:
         return np.zeros(0, dtype=complex)
     if params.d == 0.0:

@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +76,19 @@ class TestKernelCommand:
         assert summary["narrowband"] is True
         assert len(summary["response"]) == 201
 
+    @pytest.mark.parametrize("line, key, code", [
+        ("n_points = 0", "n_points", 2),
+        ("n_points = 1", "n_points", 2),
+        ("n_points = 2", None, 0),
+        ("omega_max = -2pi*1 kHz", "omega_max", 2),
+        ("omega_max = 0", None, 0),  # a zero band collapses to omega = 0
+    ])
+    def test_kernel_key_floors(self, tmp_path, capsys, line, key, code):
+        rc, _ = run(tmp_path, "kernel", BASE + f"\n[kernel]\n{line}\n")
+        assert rc == code
+        if key is not None:
+            assert f"[kernel] {key}" in capsys.readouterr().err
+
     def test_manifest(self, tmp_path):
         rc, out = run(tmp_path, "kernel")
         man = json.loads((out / "manifest.json").read_text())
@@ -146,32 +158,6 @@ class TestSweepCommand:
             outs.append((out / "sweep_curves.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_workers_match_serial(self, tmp_path):
-        text = BASE + "\n[sweep]\nd_values = 1, 2, 3\n"
-        cfg = write_config(tmp_path, text)
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
-        with pytest.warns(DeprecationWarning, match="workers"):
-            assert main(["sweep", "--config", cfg, "--out", str(b), "--workers", "3"]) == 0
-        for name in ("sweep_curves.csv", "sweep_overall.csv", "sweep_curves.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    @pytest.mark.parametrize("key, flag, warns", [
-        ("", (), False),
-        ("workers = 1\n", (), False),
-        ("", ("--workers", "1"), False),
-        ("workers = 2\n", ("--workers", "1"), False),  # the flag overrides the key
-        ("workers = 2\n", (), True),
-    ])
-    def test_workers_is_a_deprecated_no_op(self, tmp_path, key, flag, warns):
-        text = BASE + key + "\n[sweep]\nd_values = 1, 2\n"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc, _ = run(tmp_path, "sweep", text, extra=flag)
-        assert rc == 0
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == (1 if warns else 0)
-
     def test_demo_row_at_metrics_depth_is_the_metrics_table(self, tmp_path):
         # configs/demo.ini sets d = 4 and sweeps d = 1..20
         outs = {}
@@ -233,6 +219,18 @@ class TestDynamicsCommand:
         assert rc in codes
         if rc == 2:
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, code", [
+        ("0 s", 2),
+        ("-0 s", 2),
+        ("-1 ms", 2),
+        ("0.45 ms", 0),  # about 5T, the default horizon
+    ])
+    def test_read_horizon_must_be_positive(self, tmp_path, capsys, value, code):
+        rc, _ = run(tmp_path, "dynamics", DYNAMICS + f"t_read = {value}\n")
+        assert rc == code
+        if code == 2:
+            assert "[dynamics] t_read" in capsys.readouterr().err
 
 
 class TestStateFile:

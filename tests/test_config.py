@@ -83,7 +83,6 @@ class TestLoadConfig:
         assert cfg.sweep_d == tuple(float(k) for k in range(1, 21))
         assert cfg.formats == ("csv", "json")
         assert cfg.seed == 0
-        assert cfg.workers == 1
 
     def test_rate_derived_from_raman_parameters(self, tmp_path):
         text = BASE.replace(
@@ -210,7 +209,7 @@ class TestLoadConfig:
         assert cfg.probe_omegas[1] == pytest.approx(TWO_PI * 1.8e3)
         assert cfg.sweep_d == (1.0, 2.0, 4.0)
         assert cfg.formats == ("csv",)
-        assert (cfg.seed, cfg.workers) == (5, 2)
+        assert cfg.seed == 5  # the retired workers key is ignored, like any unknown key
 
     def test_raw_text_retained(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE))

@@ -367,8 +367,29 @@ class TestPdeMarch:
         assert np.array_equal(grid.a, np.ones((16, 128)))
 
     def test_coarse_time_step_warns(self):
-        with pytest.warns(ResolutionWarning, match="under-resolved"):
+        with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
             pde_write(np.ones(51, dtype=complex), params10(), 16, 51)
+        assert caught[0].filename == __file__
+
+    def test_coarse_read_step_warns(self):
+        p = params10()
+        prof = StoredProfile(np.linspace(0.0, 1.0, 16), np.ones(16))
+        with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
+            pde_read(prof, p, 16, 51, t_max=p.T)
+        assert caught[0].filename == __file__
+
+    def test_write_grid_is_the_stepper_history(self):
+        p = params10()
+        n_z, n_t = 40, 120
+        a_in = np.exp(1j * np.linspace(0.0, 3.0, n_t))
+        grid = pde_write(a_in, p, n_z, n_t)
+        sg = np.sqrt(p.gamma_s)
+        h = p.gamma_s * p.T / (n_t - 1)
+        steps = dynamics._march(np.zeros(n_z), a_in / sg, h, p.d, n_z)
+        for j, (a, b) in enumerate(steps):
+            assert np.array_equal(grid.a[:, j], a * sg)
+            assert np.array_equal(grid.b[:, j], b)
+        assert j == n_t - 1
 
     def test_energy_budget_closes(self):
         p = params10()
@@ -418,6 +439,31 @@ class TestPdeMarch:
         assert len(t) == len(env) < 3001
         assert t[-1] == pytest.approx(p.T, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [0.5, 4.0, 12.0])
+    def test_read_stops_with_read_horizon(self, d):
+        # gamma_s T = 3, flat drive, 601-point grids: both stops sum T/10
+        # chunks by Simpson's rule, so they end on the same chunk
+        p = MemoryParams(d=d, gamma_s=GAMMA_S, T=3.0 / GAMMA_S)
+        prof = write_analytic(np.ones(601, dtype=complex), p, 601)
+        t, env = pde_read(prof, p, 601, 601)
+        assert len(t) == len(env) < 601
+        assert t[-1] == pytest.approx(read_horizon(prof, p), rel=1e-12)
+
+    @pytest.mark.parametrize("n_t", [4, 31, 75])
+    def test_read_chunk_floor(self, n_t):
+        # the default horizon's T/10 chunks need 3 samples for a Simpson sum
+        p = params10()
+        prof = write_analytic(np.ones(401, dtype=complex), p, 201)
+        with pytest.raises(DimensionError, match="3 samples"):
+            pde_read(prof, p, 201, n_t)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1e-3])
+    def test_read_horizon_must_be_positive(self, t_max):
+        p = params10()
+        prof = write_analytic(np.ones(401, dtype=complex), p, 201)
+        with pytest.raises(PhysicsError, match="t_max"):
+            pde_read(prof, p, 201, 401, t_max=t_max)
+
     def test_read_grid_must_match_profile(self):
         p = params10()
         prof = write_analytic(np.ones(401, dtype=complex), p, 100)
@@ -462,6 +508,11 @@ class TestTransferFunction:
     def test_zero_depth_yields_zero_gain(self):
         g = transfer_function_estimate(params10(d=0.0), [0.0, 0.05 * GAMMA_S])
         assert np.array_equal(g, np.zeros(2, dtype=complex))
+
+    @pytest.mark.parametrize("T_read", [0.0, -1e-3])
+    def test_read_window_must_be_positive(self, T_read):
+        with pytest.raises(PhysicsError, match="T_read"):
+            transfer_function_estimate(params10(), [0.0], T_read, path="pde")
 
     def test_empty_probe_list(self):
         assert transfer_function_estimate(params10(), []).size == 0
@@ -599,14 +650,17 @@ class TestBatchedMarch:
         else:
             b0 = rng.standard_normal((n_z, k)) + 1j * rng.standard_normal((n_z, k))
             bound = np.zeros((n_t, k), dtype=complex)
-        out, _, _, b_end = dynamics._march(b0, bound, 0.01, 4.0, n_z, record_output=True)
-        assert out.shape == (n_t, k) and b_end.shape == (n_z, k)
+
+        def history(b0, bound):
+            steps = [(a.copy(), b.copy()) for a, b in dynamics._march(b0, bound, 0.01, 4.0, n_z)]
+            return np.array([a for a, _ in steps]), np.array([b for _, b in steps])
+
+        a, b = history(b0, bound)
+        assert a.shape == b.shape == (n_t, n_z, k)
         for i in range(k):
-            out_i, _, _, b_i = dynamics._march(
-                b0[:, i], bound[:, i], 0.01, 4.0, n_z, record_output=True
-            )
-            assert np.abs(out[:, i] - out_i).max() <= 1e-13 * np.abs(out_i).max()
-            assert np.abs(b_end[:, i] - b_i).max() <= 1e-13 * np.abs(b_i).max()
+            a_i, b_i = history(b0[:, i], bound[:, i])
+            assert np.abs(a[..., i] - a_i).max() <= 1e-13 * np.abs(a_i).max()
+            assert np.abs(b[..., i] - b_i).max() <= 1e-13 * np.abs(b_i).max()
 
     @pytest.fixture
     def march_calls(self, monkeypatch):
