@@ -209,7 +209,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[dynamics] n_z must be at least 4, got {n_z}")
     if n_t < 9:  # the write quadrature's floor on input samples
         raise ConfigError(f"[dynamics] n_t must be at least 9, got {n_t}")
-    if n_z * n_t > MAX_GRID_CELLS:  # the march history alone takes 32 bytes a cell
+    if n_z * n_t > MAX_GRID_CELLS:  # a bound on march work (22-48 ns a cell), not memory
         raise ConfigError(f"[dynamics] n_z * n_t must be at most {MAX_GRID_CELLS}, "
                           f"got {n_z} * {n_t} = {n_z * n_t}")
     dynamics_path = get("dynamics", "path", "analytic")

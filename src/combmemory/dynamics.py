@@ -12,8 +12,10 @@ Two independent routes compute the same physics:
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
   corrector pass for second-order accuracy.  One stepper yields the fields
-  at every time step, and each caller keeps what it reads: the full history,
-  or a(1, t) and the final b.  Independent runs march together as the
+  at every time step, and each caller keeps what it reads: the full history
+  (``pde_write``), a(1, t) and the final b (reads and probes), or the traces
+  the CLI's energy budget needs, with no (n_z, n_t) array at all
+  (``_write_budget``).  Independent runs march together as the
   columns of (n_z, k) arrays, so all probes of a transfer measurement share
   one write march and one read march.
 
@@ -68,7 +70,10 @@ QUAD_ERROR_LIMIT = 1e-6      # estimated relative quadrature error above this er
 LEAKAGE_LIMIT = 1e-2         # capture-bias estimate above this is a probe-design error
 PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
-MAX_GRID_CELLS = 2**25       # largest [dynamics] n_z * n_t: a 1 GiB a, b march history
+# Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory (the
+# CLI march keeps O(n_z + n_t) values).  The march takes 22-48 ns a cell
+# (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64, numpy 2.4), 0.7-1.6 s at the cap.
+MAX_GRID_CELLS = 2**25
 
 
 # ----------------------------------------------------------------------------
@@ -203,9 +208,9 @@ class FieldGrid:
     """Discretized fields a(z, t) and b(z, t) from a PDE run (SI time).
 
     Unlike the smaller value types, the grid does not copy its arrays: inputs
-    already of the right dtype are stored, and made read-only, in place.  Its
-    arrays are usually the marcher's fresh history (128 MB at 2000 x 2000),
-    which no one else holds.
+    already of the right dtype are stored, and made read-only, in place.  From
+    ``pde_write`` they are the marcher's fresh history (128 MB at 2000 x
+    2000), which no one else holds; the CLI does not build one.
     """
 
     z_points: np.ndarray
@@ -547,21 +552,26 @@ def _scaled_step(params: MemoryParams, span: float, n_t: int) -> float:
     return h
 
 
+def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
+    """(t, a(0, t)) of a write stage: ``a_in`` as n_t samples on [0, T], or called at each t."""
+    if n_z < 4 or n_t < 4:
+        raise DimensionError("n_z and n_t must be at least 4")
+    t = np.linspace(0.0, params.T, int(n_t))
+    if callable(a_in):
+        return t, np.asarray([a_in(tk) for tk in t], dtype=complex)
+    bound = np.asarray(a_in, dtype=complex)
+    if bound.shape != t.shape:
+        raise DimensionError(f"a_in must provide exactly n_t = {n_t} samples")
+    return t, bound
+
+
 def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> FieldGrid:
     """Integrate the write stage over [0, T] with all atoms initially unexcited.
 
     ``a_in`` is the boundary envelope a(0, t): either an array of n_t uniform
     samples or a callable of SI time.  Warns when gamma_s * dt exceeds 0.1.
     """
-    if n_z < 4 or n_t < 4:
-        raise DimensionError("n_z and n_t must be at least 4")
-    t = np.linspace(0.0, params.T, int(n_t))
-    if callable(a_in):
-        bound = np.asarray([a_in(tk) for tk in t], dtype=complex)
-    else:
-        bound = np.asarray(a_in, dtype=complex)
-        if bound.shape != t.shape:
-            raise DimensionError(f"a_in must provide exactly n_t = {n_t} samples")
+    t, bound = _write_boundary(a_in, params, n_z, n_t)
     h = _scaled_step(params, params.T, n_t)
     z = np.linspace(0.0, 1.0, int(n_z))
     if params.d == 0.0:
@@ -579,6 +589,42 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> FieldGrid:
     return FieldGrid(z, t, ha, hb)
 
 
+def _write_budget(a_in, params: MemoryParams, n_z: int, n_t: int):
+    """(b(z, T), energy budget) of ``pde_write``'s march, keeping no history.
+
+    Equals ``pde_write`` followed by ``energy_budget`` with the same inputs,
+    warnings and errors: b(., T) bit for bit, the budget to rounding (the
+    integral of |b|^2 over t is a running Simpson sum in step order, not a
+    row-block product).  Per step it keeps a(0, t) and a(1, t) and adds
+    w_t |b|^2 into one n_z vector, so memory is O(n_z + n_t).  A non-finite
+    field anywhere reaches a(1, .), the |b|^2 sum or b(., T), and raises
+    PhysicsError as the grid would.
+    """
+    t, bound = _write_boundary(a_in, params, n_z, n_t)
+    h = _scaled_step(params, params.T, n_t)
+    z = np.linspace(0.0, 1.0, int(n_z))
+    wt = simpson_weights(t.size, _uniform_spacing(t, "t"))
+    wz = simpson_weights(z.size, _uniform_spacing(z, "z"))
+    per_z = np.zeros(int(n_z))  # integral |b|^2 dt per z
+    if params.d == 0.0:
+        ends, b = np.stack([bound, bound], axis=1), np.zeros(int(n_z), dtype=complex)
+    else:
+        sg = np.sqrt(params.gamma_s)  # scaled field, as in pde_write
+        ends = np.empty((int(n_t), 2), dtype=complex)
+        b2 = np.empty(int(n_z))
+        for j, (a, b) in enumerate(_march(np.zeros(int(n_z)), bound / sg, h, params.d, int(n_z))):
+            ends[j, 0], ends[j, 1] = a[0], a[-1]
+            np.abs(b, out=b2)
+            b2 *= b2
+            b2 *= wt[j]
+            per_z += b2
+        ends *= sg
+    if not (np.all(np.isfinite(ends.view(float))) and np.all(np.isfinite(per_z))
+            and np.all(np.isfinite(b.view(float)))):
+        raise PhysicsError("fields must be finite everywhere")
+    return b, _budget(ends[:, 0], ends[:, 1], b, per_z, wt, wz, params.gamma_s)
+
+
 def pde_read(
     profile: StoredProfile,
     params: MemoryParams,
@@ -590,7 +636,9 @@ def pde_read(
 
     Returns ``(t_points, envelope)`` with the envelope taken at z = 1.  The
     horizon defaults to 5T, cut as ``read_horizon`` cuts it, at the end of a
-    chunk of round((n_t - 1) / 50) steps (T/10 when 50 divides n_t - 1).
+    T/10 chunk of (n_t - 1) / 50 steps.  So without ``t_max``, n_t must be
+    50 m + 1 with m >= 2 (at least 3 samples a chunk for Simpson's rule);
+    any other n_t raises DimensionError.
     """
     if n_z < 4 or n_t < 4:
         raise DimensionError("n_z and n_t must be at least 4")
@@ -599,9 +647,10 @@ def pde_read(
         raise DimensionError("profile grid must match linspace(0, 1, n_z)")
     if t_max is not None and not t_max > 0.0:
         raise PhysicsError(f"t_max must be positive, got {t_max!r}")
-    per = int(round((n_t - 1) / 50.0))  # steps per T/10 chunk of the default horizon
-    if t_max is None and per < 2:
-        raise DimensionError(f"a T/10 chunk needs at least 3 samples (n_t >= 76), got n_t = {n_t}")
+    per, rest = divmod(int(n_t) - 1, 50)  # steps per T/10 chunk of the default horizon
+    if t_max is None and (per < 2 or rest):
+        raise DimensionError("the default horizon's T/10 chunks need at least 3 samples and "
+                             f"n_t = 50 m + 1 (101, 151, ...), got n_t = {n_t}")
     horizon = 5.0 * params.T if t_max is None else float(t_max)
     t = np.linspace(0.0, horizon, int(n_t))
     if params.d == 0.0:
@@ -618,6 +667,22 @@ def pde_read(
 _BUDGET_ROWS = 64
 
 
+def _budget(a0, a1, b_T, per_z, wt, wz, gamma_s) -> dict:
+    """The five-key energy budget from a(0, .), a(1, .), b(., T) and integral |b|^2 dt per z."""
+    e_in = float(np.sum(wt * np.abs(a0) ** 2))
+    e_out = float(np.sum(wt * np.abs(a1) ** 2))
+    e_stored = float(np.sum(wz * np.abs(b_T) ** 2))
+    e_decay = float(2.0 * gamma_s * wz @ per_z)
+    resid = abs(e_in - e_out - e_stored - e_decay) / max(e_in, 1e-300)
+    return {
+        "input": e_in,
+        "transmitted": e_out,
+        "stored": e_stored,
+        "decayed": e_decay,
+        "residual": resid,
+    }
+
+
 def energy_budget(grid: FieldGrid, params: MemoryParams) -> dict:
     """Write-stage energy bookkeeping: input = transmitted + stored + decayed.
 
@@ -627,21 +692,10 @@ def energy_budget(grid: FieldGrid, params: MemoryParams) -> dict:
     t, z = grid.t_points, grid.z_points
     wt = simpson_weights(t.size, _uniform_spacing(t, "t"))
     wz = simpson_weights(z.size, _uniform_spacing(z, "z"))
-    e_in = float(np.sum(wt * np.abs(grid.a[0]) ** 2))
-    e_out = float(np.sum(wt * np.abs(grid.a[-1]) ** 2))
-    e_stored = float(np.sum(wz * np.abs(grid.b[:, -1]) ** 2))
     per_z = np.empty(z.size)  # integral |b|^2 dt, in row blocks: no (n_z, n_t) temporary
     for s in range(0, z.size, _BUDGET_ROWS):
         per_z[s:s + _BUDGET_ROWS] = np.abs(grid.b[s:s + _BUDGET_ROWS]) ** 2 @ wt
-    e_decay = float(2.0 * params.gamma_s * wz @ per_z)
-    resid = abs(e_in - e_out - e_stored - e_decay) / max(e_in, 1e-300)
-    return {
-        "input": e_in,
-        "transmitted": e_out,
-        "stored": e_stored,
-        "decayed": e_decay,
-        "residual": resid,
-    }
+    return _budget(grid.a[0], grid.a[-1], grid.b[:, -1], per_z, wt, wz, params.gamma_s)
 
 
 # ----------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from combmemory import cli, dynamics
 from combmemory.cli import main
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
@@ -206,6 +207,32 @@ class TestDynamicsCommand:
         assert by_name["gain_zero_magnitude"]["value"] <= 5e-3
         lines = capsys.readouterr().out.splitlines()
         assert all("pass" in ln for ln in lines if ln.startswith("dynamics:"))
+
+    def test_report_matches_grid_route(self, tmp_path, monkeypatch):
+        # the same run with the stored profile and budget taken from the full
+        # pde_write history, as the command computed them before
+        small = DYNAMICS.replace("n_z = 600", "n_z = 300").replace("n_t = 600", "n_t = 400")
+        rc, out = run(tmp_path, "dynamics", small)
+        report = json.loads((out / "dynamics_report.json").read_text())
+
+        def grid_route(a_in, params, n_z, n_t):
+            grid = dynamics.pde_write(a_in, params, n_z, n_t)
+            return grid.b[:, -1], dynamics.energy_budget(grid, params)
+
+        monkeypatch.setattr(cli, "_write_budget", grid_route)
+        rc_ref = main(["dynamics", "--config", str(tmp_path / "exp.ini"),
+                       "--out", str(tmp_path / "ref")])
+        ref = json.loads((tmp_path / "ref" / "dynamics_report.json").read_text())
+        assert rc == rc_ref
+        assert report["gains"] == ref["gains"]
+        checks = {c["check"]: c for c in report["checks"]}
+        ref_checks = {c["check"]: c for c in ref["checks"]}
+        assert checks["pde_vs_analytic_l2"] == ref_checks["pde_vs_analytic_l2"]
+        bud, ref_bud = report["energy_budget"], ref["energy_budget"]
+        for key in ("input", "transmitted", "stored", "decayed"):
+            assert bud[key] == pytest.approx(ref_bud[key], rel=1e-12, abs=0.0)
+        assert abs(bud["residual"] - ref_bud["residual"]) <= 1e-12
+        assert checks["energy_budget_residual"]["value"] == bud["residual"]
 
     @pytest.mark.parametrize("key, value, codes", [
         ("n_z", 3, (2,)),

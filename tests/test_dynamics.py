@@ -457,6 +457,24 @@ class TestPdeMarch:
         with pytest.raises(DimensionError, match="3 samples"):
             pde_read(prof, p, 201, n_t)
 
+    @pytest.mark.parametrize("n_t", [76, 126])
+    def test_read_chunks_are_a_tenth_of_T(self, n_t):
+        # 75 or 125 steps do not split into 50 chunks: at n_t = 76 a chunk of
+        # round(75 / 50) = 2 steps would be 0.133 T and the 'one T' floor 1.33 T
+        p = params10()
+        prof = write_analytic(np.ones(401, dtype=complex), p, 101)
+        with pytest.raises(DimensionError, match=r"n_t = 50 m \+ 1"):
+            pde_read(prof, p, 101, n_t)
+
+    @pytest.mark.parametrize("n_t", [101, 601, 3001])
+    def test_read_chunk_rule_accepts(self, n_t):
+        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1.0 / GAMMA_S)  # gamma_s dt <= 0.05
+        prof = write_analytic(np.ones(401, dtype=complex), p, 101)
+        t, env = pde_read(prof, p, 101, n_t)
+        per = (n_t - 1) // 50
+        assert len(t) == len(env) and (len(t) - 1) % per == 0
+        assert t[per] == pytest.approx(p.T / 10.0, rel=1e-12)
+
     @pytest.mark.parametrize("t_max", [0.0, -1e-3])
     def test_read_horizon_must_be_positive(self, t_max):
         p = params10()
@@ -680,3 +698,77 @@ class TestBatchedMarch:
         transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
         n_z = TestBesselTables.SMALL["n_z"]
         assert march_calls == [(n_z, n_probes)] * 2
+
+
+class TestWriteBudget:
+    """The CLI's history-free write march against the grid route."""
+
+    @staticmethod
+    def case(n_z, n_t):
+        if (n_z, n_t) == (2000, 2000):  # configs/dynamics.ini: flat drive, gamma_s T = 10
+            p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=88.42e-6)
+            return p, np.ones(n_t, dtype=complex)
+        t = np.linspace(0.0, 1.0, n_t)
+        return params10(), np.exp(-((t - 0.6) ** 2) / 0.05 + 3j * t)
+
+    @pytest.mark.parametrize("n_z, n_t", [(300, 400), (2000, 2000)])
+    def test_matches_grid_route(self, n_z, n_t):
+        p, a_in = self.case(n_z, n_t)
+        b_T, bud = dynamics._write_budget(a_in, p, n_z, n_t)
+        grid = pde_write(a_in, p, n_z, n_t)
+        assert np.array_equal(b_T, grid.b[:, -1])
+        ref = energy_budget(grid, p)
+        assert set(bud) == set(ref)
+        for key in ("input", "transmitted", "stored", "decayed"):
+            assert bud[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
+        assert abs(bud["residual"] - ref["residual"]) <= 1e-12
+
+    def test_zero_depth_matches_grid_route(self):
+        p, a_in = self.case(300, 400)
+        p = MemoryParams(d=0.0, gamma_s=p.gamma_s, T=p.T)
+        b_T, bud = dynamics._write_budget(a_in, p, 300, 400)
+        grid = pde_write(a_in, p, 300, 400)
+        assert np.array_equal(b_T, grid.b[:, -1])
+        assert bud == energy_budget(grid, p)
+
+    @pytest.mark.parametrize("d", [4.0, 0.0])
+    def test_nan_boundary_raises(self, d):
+        p = params10(d)
+        a_in = np.ones(400, dtype=complex)
+        a_in[200] = np.nan
+        with pytest.raises(PhysicsError, match="finite"):
+            pde_write(a_in, p, 300, 400)
+        with pytest.raises(PhysicsError, match="finite"):
+            dynamics._write_budget(a_in, p, 300, 400)
+
+    def test_same_input_checks_as_pde_write(self):
+        p = params10()
+        with pytest.raises(DimensionError, match="at least 4"):
+            dynamics._write_budget(np.ones(400), p, 3, 400)
+        with pytest.raises(DimensionError, match="n_t = 400"):
+            dynamics._write_budget(np.ones(399), p, 300, 400)
+        with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
+            dynamics._write_budget(np.ones(51, dtype=complex), p, 16, 51)
+        assert caught[0].filename == __file__
+        f = lambda tk: np.exp(-((tk / p.T - 0.5) ** 2) / 0.02)
+        t = np.linspace(0.0, p.T, 201)
+        b1, bud1 = dynamics._write_budget(f, p, 64, 201)
+        b2, bud2 = dynamics._write_budget(f(t).astype(complex), p, 64, 201)
+        assert np.array_equal(b1, b2) and bud1 == bud2
+
+    def test_keeps_no_history(self):
+        n_z, n_t = 300, 400
+        p, a_in = self.case(n_z, n_t)
+        one_array = n_z * n_t * 16  # one (n_z, n_t) complex128 array
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: dynamics._write_budget(a_in, p, n_z, n_t)) < one_array
+        # the grid route holds two such arrays, so the bound separates the routes
+        assert peak(lambda: energy_budget(pde_write(a_in, p, n_z, n_t), p)) > 2 * one_array
