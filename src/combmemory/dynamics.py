@@ -17,7 +17,10 @@ Two independent routes compute the same physics:
   the CLI's energy budget needs, with no (n_z, n_t) array at all
   (``_write_budget``).  Independent runs march together as the
   columns of (n_z, k) arrays, so all probes of a transfer measurement share
-  one write march and one read march.
+  one write march and one read march.  A read over the default 5T window
+  marches in T/10 chunks and stops at the first chunk, from the tenth on, in
+  which every column's energy has converged (``_converged_chunks``), so the
+  steps past the cut are never taken; an explicit window is marched whole.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -29,7 +32,12 @@ last ~1/gamma_s of the window is stored.  A probe placed at the end of the
 window has its whole composite response captured in the read record, and the
 ratio of output to input spectral amplitudes reproduces the channel kernel.
 Referenced to a read clock that restarts at the end of the write window, the
-measured gain equals -K_omega * exp(i omega T).
+measured gain equals -K_omega * exp(i omega T).  The measurement's grids
+default per path: 1200 z points and 1601 probe samples on the analytic
+route, 300 and 401 on the PDE route, whose read takes 120 steps per T/10 for
+each started 12 of optical depth.  There the stop needs every probe's chunk
+to add less than 1e-24 of its read energy, and the default window needs
+n_read = 50 m + 1.
 """
 
 from __future__ import annotations
@@ -74,6 +82,11 @@ CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marchin
 # CLI march keeps O(n_z + n_t) values).  The march takes 22-48 ns a cell
 # (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64, numpy 2.4), 0.7-1.6 s at the cap.
 MAX_GRID_CELLS = 2**25
+# The PDE probe read stops once each probe's T/10 chunk adds less than this of
+# its read energy; marching on to 5T moves the gains by 4e-14 .. 1.1e-12
+# relative (d = 1 .. 30 at the dynamics.ini working point).
+_PROBE_READ_TOL = 1e-24
+_PDE_READ_PER = 120          # PDE read steps per T/10 chunk, per started 12 of optical depth
 
 
 # ----------------------------------------------------------------------------
@@ -462,19 +475,22 @@ def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.nd
     return np.sqrt(params.gamma_s) * env  # scaled envelope back to SI amplitude
 
 
-def _converged_chunks(env, per, h, rel_tol=1e-4):
-    """Whole chunks of ``per`` steps (spacing h) to keep: the energy-convergence stop.
+def _converged_chunks(chunks, h, rel_tol=1e-4):
+    """Number of chunks to keep, drawn one at a time: the energy-convergence stop.
 
-    The first chunk from the tenth on whose Simpson sum of |env|^2 adds less
-    than ``rel_tol`` of the running total is the last one kept.
+    ``chunks`` yields successive chunks of samples at spacing h, each (n,) or
+    (n, k) with the next chunk starting on its last sample.  The first chunk
+    from the tenth on in which every column adds less than ``rel_tol`` of its
+    running Simpson sum of |x|^2 is the last one kept, and no chunk after it
+    is drawn; with none, every chunk is kept.
     """
-    n = (env.shape[0] - 1) // per
-    chunks = np.lib.stride_tricks.sliding_window_view(np.abs(env[:n * per + 1]) ** 2, per + 1)
-    inc = np.sum(simpson_weights(per + 1, h) * chunks[::per], axis=1)
-    total = np.cumsum(inc)
-    done = (total > 0.0) & (inc < rel_tol * total)
-    done[:9] = False
-    return int(np.argmax(done)) + 1 if done.any() else n
+    total, c = 0.0, 0
+    for c, x in enumerate(chunks, 1):
+        inc = simpson_weights(x.shape[0], h) @ np.abs(x) ** 2
+        total = total + inc
+        if c >= 10 and np.all((total > 0.0) & (inc < rel_tol * total)):
+            break
+    return c
 
 
 def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 1e-4) -> float:
@@ -486,7 +502,9 @@ def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 
     """
     chunk = params.T / 10.0
     t = np.linspace(0.0, 50 * chunk, 50 * 128 + 1)  # cap at 5T: 50 chunks of 129 samples
-    return _converged_chunks(read_analytic(profile, params, t), 128, t[1] - t[0], rel_tol) * chunk
+    env = read_analytic(profile, params, t)
+    chunks = (env[s:s + 129] for s in range(0, 50 * 128, 128))
+    return _converged_chunks(chunks, t[1] - t[0], rel_tol) * chunk
 
 
 # ----------------------------------------------------------------------------
@@ -541,6 +559,28 @@ def _output_march(b0, boundary, h, d, n_z):
     for j, (a, b) in enumerate(_march(b0, boundary, h, d, n_z)):
         out[j] = a[-1]
     return out, b
+
+
+def _read_march(b0, n_t, h, d, n_z, per=None, rel_tol=1e-4):
+    """a(1, .) of a read march from b0 with a dark input boundary.
+
+    The march goes in chunks of ``per`` steps and stops at the last chunk
+    ``_converged_chunks`` keeps at ``rel_tol`` (for (n_z, k) runs, once every
+    column has converged); only the samples up to that chunk's end are
+    marched and returned.  Without ``per`` the window is one chunk, so all
+    n_t samples are marched.
+    """
+    dark = np.zeros((int(n_t),) + np.shape(b0)[1:], dtype=complex)
+    out = np.empty_like(dark)
+    per = per or int(n_t) - 1
+
+    def chunks():  # march one chunk per draw
+        for j, (a, _) in enumerate(_march(b0, dark, h, d, n_z)):
+            out[j] = a[-1]
+            if j and j % per == 0:
+                yield out[j - per:j + 1]
+
+    return out[:_converged_chunks(chunks(), h, rel_tol) * per + 1]
 
 
 def _scaled_step(params: MemoryParams, span: float, n_t: int) -> float:
@@ -636,9 +676,10 @@ def pde_read(
 
     Returns ``(t_points, envelope)`` with the envelope taken at z = 1.  The
     horizon defaults to 5T, cut as ``read_horizon`` cuts it, at the end of a
-    T/10 chunk of (n_t - 1) / 50 steps.  So without ``t_max``, n_t must be
-    50 m + 1 with m >= 2 (at least 3 samples a chunk for Simpson's rule);
-    any other n_t raises DimensionError.
+    T/10 chunk of (n_t - 1) / 50 steps; the march stops there, so the steps
+    past the cut are never taken.  So without ``t_max``, n_t must be 50 m + 1
+    with m >= 2 (at least 3 samples a chunk for Simpson's rule); any other
+    n_t raises DimensionError.  An explicit ``t_max`` is marched whole.
     """
     if n_z < 4 or n_t < 4:
         raise DimensionError("n_z and n_t must be at least 4")
@@ -656,12 +697,8 @@ def pde_read(
     if params.d == 0.0:
         return t, np.zeros(int(n_t), dtype=complex)
     h = _scaled_step(params, horizon, n_t)
-    out, _ = _output_march(profile.b_T, np.zeros(int(n_t), dtype=complex), h, params.d, int(n_z))
-    env = out * np.sqrt(params.gamma_s)  # scaled envelope back to SI amplitude
-    if t_max is None:
-        keep = _converged_chunks(env, per, t[1] - t[0]) * per + 1
-        t, env = t[:keep], env[:keep]
-    return t, env
+    out = _read_march(profile.b_T, n_t, h, params.d, int(n_z), per if t_max is None else None)
+    return t[:out.size], out * np.sqrt(params.gamma_s)  # scaled envelope back to SI amplitude
 
 
 _BUDGET_ROWS = 64
@@ -717,14 +754,21 @@ def _probe_read_analytic(d, tau_p, probes, n_z, tau_r):
     return out.T
 
 
-def _probe_read_pde(d, tau_p, probes, n_z, tau_r):
-    """Read records of all probes (rows): one write and one read march, probes as columns."""
+def _probe_read_pde(d, tau_p, probes, n_z, tau_r, per):
+    """Read records of all probes (rows): one write and one read march, probes as columns.
+
+    With ``per`` the read march stops once every column has converged (see
+    ``_read_march``), so the records may be shorter than tau_r.
+    """
     h_w, h_r = tau_p[1] - tau_p[0], tau_r[1] - tau_r[0]
-    k = len(probes)
     # fields vanish before the probe support; start marching at its left edge
-    _, b_end = _output_march(np.zeros((n_z, k)), probes.T, h_w, d, n_z)
-    dark = np.zeros((tau_r.size, k), dtype=complex)
-    return _output_march(b_end, dark, h_r, d, n_z)[0].T
+    _, b_end = _output_march(np.zeros((n_z, len(probes))), probes.T, h_w, d, n_z)
+    return _read_march(b_end, tau_r.size, h_r, d, n_z, per, _PROBE_READ_TOL).T
+
+
+def _pde_read_samples(d):
+    """Default PDE read samples: 50 chunks of 120 steps per started 12 of optical depth."""
+    return 50 * _PDE_READ_PER * max(1, math.ceil(d / 12.0)) + 1
 
 
 def transfer_function_estimate(
@@ -735,9 +779,9 @@ def transfer_function_estimate(
     path: str = "analytic",
     probe_width: float | None = None,
     taper: float = 0.1,
-    n_probe: int = 1601,
-    n_z: int = 1200,
-    n_read: int = 6001,
+    n_probe: int | None = None,
+    n_z: int | None = None,
+    n_read: int | None = None,
 ) -> np.ndarray:
     """Measure the end-to-end write->read gain at the given frequencies.
 
@@ -752,6 +796,17 @@ def transfer_function_estimate(
     d <gamma_s (T - t)> / |K_0| around 0.1%; probes whose estimate exceeds 1%
     raise ProbeDesignError.  ``path`` selects the analytic quadrature route or
     the PDE marching route.
+
+    The grids default per path.  ``analytic``: n_z = 1200 ensemble positions,
+    n_probe = 1601 probe samples, n_read = 6001 read samples.  ``pde``:
+    n_z = 300, n_probe = 401, and 120 read steps per T/10 for each started 12
+    of optical depth (n_read = 6001 up to d = 12, 18001 at d = 30); twofold
+    finer grids move its gains by about 1e-6 relative.  The read window
+    defaults to 5T.  On the PDE path it is then marched in T/10 chunks of
+    (n_read - 1) / 50 steps, so n_read must be 50 m + 1 with m >= 2 (else
+    DimensionError), and the march stops at the end of the first chunk from
+    the tenth on in which every probe adds less than 1e-24 of its read
+    energy so far.  An explicit ``T_read`` is marched whole.
     """
     omegas = np.atleast_1d(np.asarray(probe_frequencies, dtype=float))
     if np.any(np.abs(omegas) > PROBE_BAND_LIMIT * params.gamma_s):
@@ -762,6 +817,14 @@ def transfer_function_estimate(
         raise PhysicsError(f"unknown dynamics path {path!r}")
     if T_read is not None and not T_read > 0.0:
         raise PhysicsError(f"T_read must be positive, got {T_read!r}")
+    pde = path == "pde"
+    n_z = int(n_z if n_z is not None else 300 if pde else 1200)
+    n_probe = int(n_probe if n_probe is not None else 401 if pde else 1601)
+    n_read = int(n_read if n_read is not None else _pde_read_samples(params.d) if pde else 6001)
+    per, rest = divmod(n_read - 1, 50)  # steps per T/10 chunk of the default window
+    if pde and T_read is None and (per < 2 or rest):
+        raise DimensionError("the default read window's T/10 chunks need at least 3 samples "
+                             f"and n_read = 50 m + 1 (101, 151, ...), got n_read = {n_read}")
     if omegas.size == 0:
         return np.zeros(0, dtype=complex)
     if params.d == 0.0:
@@ -776,8 +839,8 @@ def transfer_function_estimate(
         raise ProbeDesignError(
             f"probe width {probe_width:g} s does not fit in the write window"
         )
-    tau_p = np.linspace(Gamma - w_hat, Gamma, int(n_probe))
-    env = tukey_window(int(n_probe), taper)
+    tau_p = np.linspace(Gamma - w_hat, Gamma, n_probe)
+    env = tukey_window(n_probe, taper)
     wts_p = simpson_weights(tau_p.size, tau_p[1] - tau_p[0])
     centroid = float(np.sum(wts_p * env * (Gamma - tau_p)) / np.sum(wts_p * env))
     leakage = params.d * centroid / K0
@@ -788,11 +851,15 @@ def transfer_function_estimate(
         )
 
     horizon = 5.0 * params.T if T_read is None else float(T_read)
-    tau_r = np.linspace(0.0, params.gamma_s * horizon, int(n_read))
+    tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
     om_hat = omegas[:, None] / params.gamma_s
     probes = env * np.exp(1j * om_hat * tau_p)
-    read = _probe_read_analytic if path == "analytic" else _probe_read_pde
-    out = read(params.d, tau_p, probes, int(n_z), tau_r)
+    if pde:
+        out = _probe_read_pde(params.d, tau_p, probes, n_z, tau_r,
+                              per if T_read is None else None)
+        tau_r = tau_r[:out.shape[1]]
+    else:
+        out = _probe_read_analytic(params.d, tau_p, probes, n_z, tau_r)
     wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
     A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
     A_out = np.sum(wts_r * out * np.exp(-1j * om_hat * tau_r), axis=1)

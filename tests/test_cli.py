@@ -234,6 +234,16 @@ class TestDynamicsCommand:
         assert abs(bud["residual"] - ref_bud["residual"]) <= 1e-12
         assert checks["energy_budget_residual"]["value"] == bud["residual"]
 
+    def test_pde_path_at_depth_30(self, tmp_path):
+        # the PDE read step scales with d; at 6,001 read samples
+        # efficiency_measured was 8.0e-3 against its 5e-3 tolerance
+        text = DYNAMICS.replace("d = 4", "d = 30").replace("= 600", "= 1000")
+        rc, out = run(tmp_path, "dynamics", text + "path = pde\n")
+        report = json.loads((out / "dynamics_report.json").read_text())
+        assert rc == 0 and report["all_pass"] is True
+        for c in report["checks"]:
+            assert c["status"] == "pass" and c["value"] <= c["tolerance"], c
+
     @pytest.mark.parametrize("key, value, codes", [
         ("n_z", 3, (2,)),
         ("n_t", 5, (2,)),

@@ -69,6 +69,23 @@ def table_quadrature(rows, cols, d, samples, h, write):
     return fine.reshape(rows.size, *samples.shape[1:]), est
 
 
+@pytest.fixture
+def march_calls(monkeypatch):
+    """[b0 shape, yields taken] of each ``dynamics._march`` call, in call order."""
+    calls = []
+    march = dynamics._march
+
+    def counted(b0, *args, **kwargs):
+        calls.append([np.shape(b0), 0])
+        call = calls[-1]
+        for step in march(b0, *args, **kwargs):
+            call[1] += 1
+            yield step
+
+    monkeypatch.setattr(dynamics, "_march", counted)
+    return calls
+
+
 def chunked_horizon(profile, params, rel_tol=1e-4):
     """Reference for ``read_horizon``: one read_analytic call per T/10 chunk."""
     chunk = params.T / 10.0
@@ -439,6 +456,14 @@ class TestPdeMarch:
         assert len(t) == len(env) < 3001
         assert t[-1] == pytest.approx(p.T, rel=1e-12)
 
+    def test_read_march_ends_at_kept_chunk(self, march_calls):
+        # the stop lands at T (ten chunks of 60 steps); the 2,400 steps after
+        # it are never marched
+        p = params10()
+        prof = write_analytic(np.ones(601, dtype=complex), p, 601)
+        t, _ = pde_read(prof, p, 601, 3001)
+        assert march_calls == [[(601,), len(t)]] == [[(601,), 601]]
+
     @pytest.mark.parametrize("d", [0.5, 4.0, 12.0])
     def test_read_stops_with_read_horizon(self, d):
         # gamma_s T = 3, flat drive, 601-point grids: both stops sum T/10
@@ -534,6 +559,70 @@ class TestTransferFunction:
 
     def test_empty_probe_list(self):
         assert transfer_function_estimate(params10(), []).size == 0
+
+    @pytest.mark.parametrize("n_read", [4, 75, 76, 126, 6000])
+    def test_pde_read_chunk_rule(self, n_read):
+        # without T_read the PDE read marches in T/10 chunks of (n_read - 1) / 50 steps
+        with pytest.raises(DimensionError, match=r"n_read = 50 m \+ 1"):
+            transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_read)
+
+    def test_chunk_rule_needs_default_window(self):
+        # an explicit window is not chunked, and the analytic route never is
+        p = params10()
+        for kw in (dict(T_read=5.0 * p.T, path="pde"), dict(path="analytic")):
+            g = transfer_function_estimate(p, [0.0], n_probe=201, n_z=100, n_read=600, **kw)
+            assert np.isfinite(g).all()
+
+
+class TestPdeTransfer:
+    """The PDE probe read: column-wise convergence stop and per-path grid defaults."""
+
+    OMEGAS = np.array([0.0, 0.1, -0.25, 0.3, 0.17]) * GAMMA_S
+
+    @staticmethod
+    def params(d):
+        return MemoryParams(d=d, gamma_s=GAMMA_S, T=88.42e-6)  # configs/dynamics.ini
+
+    @staticmethod
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [4.0, 12.0])
+    def test_stop_matches_full_window(self, d):
+        p = self.params(d)
+        stopped = transfer_function_estimate(p, self.OMEGAS, path="pde")
+        full = transfer_function_estimate(p, self.OMEGAS, 5.0 * p.T, path="pde")
+        assert self.rel(stopped, full) <= 1e-12
+
+    @pytest.mark.parametrize("d", [4.0, 12.0])
+    def test_stop_lands_near_half_the_window(self, march_calls, d):
+        p = self.params(d)
+        transfer_function_estimate(p, self.OMEGAS, path="pde")
+        (_, write), (_, read) = march_calls
+        assert write == 401
+        assert 0.4 * 6000 <= read - 1 <= 0.6 * 6000 and (read - 1) % 120 == 0
+
+    def test_explicit_window_marches_whole(self, march_calls):
+        p = self.params(4.0)
+        transfer_function_estimate(p, self.OMEGAS, 3.0 * p.T, path="pde")
+        assert march_calls == [[(300, 5), 401], [(300, 5), 6001]]
+
+    def test_defaults_against_refined_grid(self):
+        p = self.params(4.0)
+        default = transfer_function_estimate(p, self.OMEGAS, path="pde")
+        fine = transfer_function_estimate(p, self.OMEGAS, path="pde", n_z=600, n_probe=801)
+        assert self.rel(default, fine) <= 1e-5
+
+    def test_analytic_defaults_unchanged(self):
+        p = self.params(4.0)
+        default = transfer_function_estimate(p, self.OMEGAS)
+        explicit = transfer_function_estimate(p, self.OMEGAS, n_z=1200, n_probe=1601, n_read=6001)
+        assert np.array_equal(default, explicit)
+
+    @pytest.mark.parametrize("d, n_read", [(0.0, 6001), (4.0, 6001), (12.0, 6001),
+                                           (12.5, 12001), (30.0, 18001)])
+    def test_read_samples_scale_with_depth(self, d, n_read):
+        assert dynamics._pde_read_samples(d) == n_read
 
 
 class TestBesselTables:
@@ -680,24 +769,12 @@ class TestBatchedMarch:
             assert np.abs(a[..., i] - a_i).max() <= 1e-13 * np.abs(a_i).max()
             assert np.abs(b[..., i] - b_i).max() <= 1e-13 * np.abs(b_i).max()
 
-    @pytest.fixture
-    def march_calls(self, monkeypatch):
-        calls = []
-        march = dynamics._march
-
-        def counted(b0, *args, **kwargs):
-            calls.append(np.shape(b0))
-            return march(b0, *args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "_march", counted)
-        return calls
-
     @pytest.mark.parametrize("n_probes", [1, 3])
     def test_transfer_marches_twice(self, march_calls, n_probes):
         omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
         transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
         n_z = TestBesselTables.SMALL["n_z"]
-        assert march_calls == [(n_z, n_probes)] * 2
+        assert [shape for shape, _ in march_calls] == [(n_z, n_probes)] * 2
 
 
 class TestWriteBudget:
