@@ -22,10 +22,7 @@ from .modes import (
     DEFAULT_TOOTH_COUNT,
     ModeBasis,
     ModeVector,
-    Projector,
     gram_schmidt,
-    inner_product,
-    projector_of,
     unitary_mix,
 )
 from .gaussian import (
@@ -56,8 +53,8 @@ from .channel import (
     pulse_capacity,
 )
 from .dynamics import (
-    FieldGrid,
     StoredProfile,
+    WriteRecord,
     bessel_j0,
     energy_budget,
     expected_gain,
@@ -91,8 +88,8 @@ __all__ = [
     "CombMemoryError", "ConfigError", "DimensionError", "PhysicsError",
     "ProbeDesignError", "ResolutionError", "ResolutionWarning",
     # modes
-    "DEFAULT_TOOTH_COUNT", "ModeVector", "ModeBasis", "Projector",
-    "inner_product", "gram_schmidt", "projector_of", "unitary_mix",
+    "DEFAULT_TOOTH_COUNT", "ModeVector", "ModeBasis", "gram_schmidt",
+    "unitary_mix",
     # gaussian
     "CovarianceMatrix", "SqueezingSpectrum", "vacuum", "squeezed_vacuum",
     "apply_mode_unitary", "purity", "squeezing_spectrum",
@@ -103,7 +100,7 @@ __all__ = [
     "kernel", "efficiency", "covariance_map", "apply_single", "apply_cascade",
     "frequency_response", "pulse_capacity",
     # dynamics
-    "FieldGrid", "StoredProfile", "bessel_j0", "simpson_weights",
+    "StoredProfile", "WriteRecord", "bessel_j0", "simpson_weights",
     "tukey_window", "write_analytic", "read_analytic", "read_horizon",
     "pde_write", "pde_read", "energy_budget", "transfer_function_estimate",
     "expected_gain",

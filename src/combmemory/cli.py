@@ -28,8 +28,13 @@ import numpy as np
 from . import __version__
 from .channel import apply_cascade, efficiency, frequency_response, kernel, pulse_capacity
 from .config import ExperimentConfig, load_config
-from .dynamics import _write_budget, expected_gain, transfer_function_estimate, write_analytic
-from .dynamics import energy_budget, pde_write  # noqa: F401  (bench/tracer.py wraps both by name)
+from .dynamics import (
+    energy_budget,
+    expected_gain,
+    pde_write,
+    transfer_function_estimate,
+    write_analytic,
+)
 from .errors import CombMemoryError, ConfigError, PhysicsError, ResolutionError
 from .gaussian import (
     CovarianceMatrix,
@@ -254,9 +259,10 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     # stored profile: marching integrator against the closed-form kernel
     a_in = np.ones(cfg.n_t, dtype=complex)
     profile = write_analytic(a_in, p, cfg.n_z)
-    b_T, budget = _write_budget(a_in, p, cfg.n_z, cfg.n_t)  # no (n_z, n_t) history
+    run = pde_write(a_in, p, cfg.n_z, cfg.n_t)
+    budget = energy_budget(run, p)
     ref = np.linalg.norm(profile.b_T)
-    diff = float(np.linalg.norm(b_T - profile.b_T))
+    diff = float(np.linalg.norm(run.profile.b_T - profile.b_T))
     l2 = diff / ref if ref > 0 else diff
     all_ok = record("pde_vs_analytic_l2", l2, L2_TOL, l2 <= L2_TOL)
     all_ok &= record("energy_budget_residual", budget["residual"], BUDGET_TOL,

@@ -12,15 +12,15 @@ Two independent routes compute the same physics:
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
   corrector pass for second-order accuracy.  One stepper yields the fields
-  at every time step, and each caller keeps what it reads: the full history
-  (``pde_write``), a(1, t) and the final b (reads and probes), or the traces
-  the CLI's energy budget needs, with no (n_z, n_t) array at all
-  (``_write_budget``).  Independent runs march together as the
-  columns of (n_z, k) arrays, so all probes of a transfer measurement share
-  one write march and one read march.  A read over the default 5T window
-  marches in T/10 chunks and stops at the first chunk, from the tenth on, in
-  which every column's energy has converged (``_converged_chunks``), so the
-  steps past the cut are never taken; an explicit window is marched whole.
+  at every time step, and each caller keeps what it reads: a(1, t) and the
+  final b (reads and probes), or the traces the energy budget needs
+  (``pde_write``).  No route keeps an (n_z, n_t) history.  Independent runs
+  march together as the columns of (n_z, k) arrays, so all probes of a
+  transfer measurement share one write march and one read march.  A read
+  over the default 5T window marches in T/10 chunks and stops at the first
+  chunk, from the tenth on, in which every column's energy has converged
+  (``_converged_chunks``), so the steps past the cut are never taken; an
+  explicit window is marched whole.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -56,11 +56,10 @@ from .errors import (
     ResolutionError,
     ResolutionWarning,
 )
-from .tables import write_csv
 
 __all__ = [
-    "FieldGrid",
     "StoredProfile",
+    "WriteRecord",
     "bessel_j0",
     "simpson_weights",
     "tukey_window",
@@ -78,8 +77,8 @@ QUAD_ERROR_LIMIT = 1e-6      # estimated relative quadrature error above this er
 LEAKAGE_LIMIT = 1e-2         # capture-bias estimate above this is a probe-design error
 PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
-# Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory (the
-# CLI march keeps O(n_z + n_t) values).  The march takes 22-48 ns a cell
+# Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory
+# (``pde_write`` keeps O(n_z + n_t) values).  The march takes 22-48 ns a cell
 # (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64, numpy 2.4), 0.7-1.6 s at the cap.
 MAX_GRID_CELLS = 2**25
 # The PDE probe read stops once each probe's T/10 chunk adds less than this of
@@ -217,50 +216,6 @@ def tukey_window(n: int, taper: float = 0.1) -> np.ndarray:
 # grids
 
 @dataclass(frozen=True, eq=False)
-class FieldGrid:
-    """Discretized fields a(z, t) and b(z, t) from a PDE run (SI time).
-
-    Unlike the smaller value types, the grid does not copy its arrays: inputs
-    already of the right dtype are stored, and made read-only, in place.  From
-    ``pde_write`` they are the marcher's fresh history (128 MB at 2000 x
-    2000), which no one else holds; the CLI does not build one.
-    """
-
-    z_points: np.ndarray
-    t_points: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z_points, dtype=float)
-        t = np.asarray(self.t_points, dtype=float)
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        if np.any(np.diff(z) <= 0) or np.any(np.diff(t) <= 0):
-            raise PhysicsError("grids must be strictly ascending")
-        if a.shape != (z.size, t.size) or b.shape != a.shape:
-            raise DimensionError("field arrays must be shaped (n_z, n_t)")
-        for arr in (a, b):
-            if not np.all(np.isfinite(arr.view(float))):
-                raise PhysicsError("fields must be finite everywhere")
-        for arr in (z, t, a, b):
-            arr.flags.writeable = False
-        object.__setattr__(self, "z_points", z)
-        object.__setattr__(self, "t_points", t)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def to_csv(self, path):
-        """Flat (z, t, re_a, im_a, re_b, im_b) table; size is n_z * n_t rows."""
-        n_z, n_t = self.a.shape
-        write_csv(path, ["z", "t", "re_a", "im_a", "re_b", "im_b"], [
-            np.repeat(self.z_points, n_t), np.tile(self.t_points, n_z),
-            self.a.real.reshape(-1), self.a.imag.reshape(-1),
-            self.b.real.reshape(-1), self.b.imag.reshape(-1),
-        ])
-
-
-@dataclass(frozen=True, eq=False)
 class StoredProfile:
     """Coherence profile b(z, T) left in the ensemble after the write window."""
 
@@ -285,6 +240,37 @@ class StoredProfile:
     def stored_energy(self) -> float:
         """integral |b|^2 dz over the ensemble (trapezoid on the stored grid)."""
         return float(np.trapezoid(np.abs(self.b_T) ** 2, self.z_points))
+
+
+@dataclass(frozen=True, eq=False)
+class WriteRecord:
+    """What ``pde_write`` keeps of a write march: b(., T) and three traces.
+
+    ``a_in`` and ``a_out`` are a(0, t) and a(1, t) on ``t_points`` (SI
+    amplitude units); ``b_sq_dt`` is the integral of |b|^2 over the window at
+    each z point of ``profile``.  Every array is stored as a read-only copy.
+    """
+
+    profile: StoredProfile
+    t_points: np.ndarray
+    a_in: np.ndarray
+    a_out: np.ndarray
+    b_sq_dt: np.ndarray
+
+    def __post_init__(self):
+        t = np.array(self.t_points, dtype=float)
+        a_in = np.array(self.a_in, dtype=complex)
+        a_out = np.array(self.a_out, dtype=complex)
+        b_sq_dt = np.array(self.b_sq_dt, dtype=float)
+        if t.ndim != 1 or a_in.shape != t.shape or a_out.shape != t.shape:
+            raise DimensionError("a_in and a_out must be 1-d traces matching t_points")
+        if b_sq_dt.shape != self.profile.z_points.shape:
+            raise DimensionError("b_sq_dt needs one value per profile z point")
+        if not all(np.isfinite(x).all() for x in (a_in, a_out, b_sq_dt)):
+            raise PhysicsError("fields must be finite everywhere")
+        for name, arr in zip(("t_points", "a_in", "a_out", "b_sq_dt"), (t, a_in, a_out, b_sq_dt)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def _uniform_spacing(x: np.ndarray, name: str) -> float:
@@ -583,9 +569,8 @@ def _read_march(b0, n_t, h, d, n_z, per=None, rel_tol=1e-4):
     return out[:_converged_chunks(chunks(), h, rel_tol) * per + 1]
 
 
-def _scaled_step(params: MemoryParams, span: float, n_t: int) -> float:
-    """gamma_s * dt over n_t samples of ``span`` s; past CFL_WARN, warns the caller's caller."""
-    h = params.gamma_s * span / (n_t - 1)
+def _scaled_step(h: float) -> float:
+    """The scaled march step h = gamma_s * dt; past CFL_WARN, warns the caller's caller."""
     if h > CFL_WARN:
         warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
                       ResolutionWarning, stacklevel=3)
@@ -605,51 +590,27 @@ def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
     return t, bound
 
 
-def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> FieldGrid:
+def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     """Integrate the write stage over [0, T] with all atoms initially unexcited.
 
     ``a_in`` is the boundary envelope a(0, t): either an array of n_t uniform
     samples or a callable of SI time.  Warns when gamma_s * dt exceeds 0.1.
+    No (n_z, n_t) history is kept: per step the march keeps a(0, t) and
+    a(1, t) and adds w_t |b|^2 (Simpson weights in t) into one n_z vector, so
+    memory is O(n_z + n_t).  A non-finite field anywhere reaches a(1, .), that
+    sum or b(., T), and raises PhysicsError.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
-    h = _scaled_step(params, params.T, n_t)
-    z = np.linspace(0.0, 1.0, int(n_z))
-    if params.d == 0.0:
-        a = np.broadcast_to(bound, (int(n_z), int(n_t))).copy()
-        return FieldGrid(z, t, a, np.zeros_like(a))
-    # scaled field: a_tilde = a / sqrt(gamma_s); ratio-free quantities are
-    # unaffected, b matches the analytic-kernel normalization
-    sg = np.sqrt(params.gamma_s)
-    ha = np.empty((int(n_z), int(n_t)), dtype=complex)
-    hb = np.empty_like(ha)
-    for j, (a, b) in enumerate(_march(np.zeros(int(n_z)), bound / sg, h, params.d, int(n_z))):
-        ha[:, j] = a
-        hb[:, j] = b
-    ha *= sg
-    return FieldGrid(z, t, ha, hb)
-
-
-def _write_budget(a_in, params: MemoryParams, n_z: int, n_t: int):
-    """(b(z, T), energy budget) of ``pde_write``'s march, keeping no history.
-
-    Equals ``pde_write`` followed by ``energy_budget`` with the same inputs,
-    warnings and errors: b(., T) bit for bit, the budget to rounding (the
-    integral of |b|^2 over t is a running Simpson sum in step order, not a
-    row-block product).  Per step it keeps a(0, t) and a(1, t) and adds
-    w_t |b|^2 into one n_z vector, so memory is O(n_z + n_t).  A non-finite
-    field anywhere reaches a(1, .), the |b|^2 sum or b(., T), and raises
-    PhysicsError as the grid would.
-    """
-    t, bound = _write_boundary(a_in, params, n_z, n_t)
-    h = _scaled_step(params, params.T, n_t)
+    h = _scaled_step(params.gamma_s * params.T / (n_t - 1))
     z = np.linspace(0.0, 1.0, int(n_z))
     wt = simpson_weights(t.size, _uniform_spacing(t, "t"))
-    wz = simpson_weights(z.size, _uniform_spacing(z, "z"))
-    per_z = np.zeros(int(n_z))  # integral |b|^2 dt per z
+    b_sq_dt = np.zeros(int(n_z))
     if params.d == 0.0:
         ends, b = np.stack([bound, bound], axis=1), np.zeros(int(n_z), dtype=complex)
     else:
-        sg = np.sqrt(params.gamma_s)  # scaled field, as in pde_write
+        # scaled field: a_tilde = a / sqrt(gamma_s); ratio-free quantities are
+        # unaffected, b matches the analytic-kernel normalization
+        sg = np.sqrt(params.gamma_s)
         ends = np.empty((int(n_t), 2), dtype=complex)
         b2 = np.empty(int(n_z))
         for j, (a, b) in enumerate(_march(np.zeros(int(n_z)), bound / sg, h, params.d, int(n_z))):
@@ -657,12 +618,9 @@ def _write_budget(a_in, params: MemoryParams, n_z: int, n_t: int):
             np.abs(b, out=b2)
             b2 *= b2
             b2 *= wt[j]
-            per_z += b2
+            b_sq_dt += b2
         ends *= sg
-    if not (np.all(np.isfinite(ends.view(float))) and np.all(np.isfinite(per_z))
-            and np.all(np.isfinite(b.view(float)))):
-        raise PhysicsError("fields must be finite everywhere")
-    return b, _budget(ends[:, 0], ends[:, 1], b, per_z, wt, wz, params.gamma_s)
+    return WriteRecord(StoredProfile(z, b), t, ends[:, 0], ends[:, 1], b_sq_dt)
 
 
 def pde_read(
@@ -696,20 +654,24 @@ def pde_read(
     t = np.linspace(0.0, horizon, int(n_t))
     if params.d == 0.0:
         return t, np.zeros(int(n_t), dtype=complex)
-    h = _scaled_step(params, horizon, n_t)
+    h = _scaled_step(params.gamma_s * horizon / (n_t - 1))
     out = _read_march(profile.b_T, n_t, h, params.d, int(n_z), per if t_max is None else None)
     return t[:out.size], out * np.sqrt(params.gamma_s)  # scaled envelope back to SI amplitude
 
 
-_BUDGET_ROWS = 64
+def energy_budget(record: WriteRecord, params: MemoryParams) -> dict:
+    """Write-stage energy bookkeeping: input = transmitted + stored + decayed.
 
-
-def _budget(a0, a1, b_T, per_z, wt, wz, gamma_s) -> dict:
-    """The five-key energy budget from a(0, .), a(1, .), b(., T) and integral |b|^2 dt per z."""
-    e_in = float(np.sum(wt * np.abs(a0) ** 2))
-    e_out = float(np.sum(wt * np.abs(a1) ** 2))
-    e_stored = float(np.sum(wz * np.abs(b_T) ** 2))
-    e_decay = float(2.0 * gamma_s * wz @ per_z)
+    Returns the four terms plus the relative residual.  The decayed term is
+    2 gamma_s * double integral of |b|^2 (coherence loss during the window).
+    """
+    t, z = record.t_points, record.profile.z_points
+    wt = simpson_weights(t.size, _uniform_spacing(t, "t"))
+    wz = simpson_weights(z.size, _uniform_spacing(z, "z"))
+    e_in = float(np.sum(wt * np.abs(record.a_in) ** 2))
+    e_out = float(np.sum(wt * np.abs(record.a_out) ** 2))
+    e_stored = float(np.sum(wz * np.abs(record.profile.b_T) ** 2))
+    e_decay = float(2.0 * params.gamma_s * wz @ record.b_sq_dt)
     resid = abs(e_in - e_out - e_stored - e_decay) / max(e_in, 1e-300)
     return {
         "input": e_in,
@@ -718,21 +680,6 @@ def _budget(a0, a1, b_T, per_z, wt, wz, gamma_s) -> dict:
         "decayed": e_decay,
         "residual": resid,
     }
-
-
-def energy_budget(grid: FieldGrid, params: MemoryParams) -> dict:
-    """Write-stage energy bookkeeping: input = transmitted + stored + decayed.
-
-    Returns the four terms plus the relative residual.  The decayed term is
-    2 gamma_s * double integral of |b|^2 (coherence loss during the window).
-    """
-    t, z = grid.t_points, grid.z_points
-    wt = simpson_weights(t.size, _uniform_spacing(t, "t"))
-    wz = simpson_weights(z.size, _uniform_spacing(z, "z"))
-    per_z = np.empty(z.size)  # integral |b|^2 dt, in row blocks: no (n_z, n_t) temporary
-    for s in range(0, z.size, _BUDGET_ROWS):
-        per_z[s:s + _BUDGET_ROWS] = np.abs(grid.b[s:s + _BUDGET_ROWS]) ** 2 @ wt
-    return _budget(grid.a[0], grid.a[-1], grid.b[:, -1], per_z, wt, wz, params.gamma_s)
 
 
 # ----------------------------------------------------------------------------
@@ -754,16 +701,16 @@ def _probe_read_analytic(d, tau_p, probes, n_z, tau_r):
     return out.T
 
 
-def _probe_read_pde(d, tau_p, probes, n_z, tau_r, per):
+def _probe_read_pde(d, probes, n_z, n_read, h_w, h_r, per):
     """Read records of all probes (rows): one write and one read march, probes as columns.
 
-    With ``per`` the read march stops once every column has converged (see
-    ``_read_march``), so the records may be shorter than tau_r.
+    ``probes`` are sampled at write step h_w, and the read takes n_read
+    samples at step h_r.  With ``per`` the read march stops once every
+    column has converged (see ``_read_march``), so the records may be shorter.
     """
-    h_w, h_r = tau_p[1] - tau_p[0], tau_r[1] - tau_r[0]
     # fields vanish before the probe support; start marching at its left edge
     _, b_end = _output_march(np.zeros((n_z, len(probes))), probes.T, h_w, d, n_z)
-    return _read_march(b_end, tau_r.size, h_r, d, n_z, per, _PROBE_READ_TOL).T
+    return _read_march(b_end, n_read, h_r, d, n_z, per, _PROBE_READ_TOL).T
 
 
 def _pde_read_samples(d):
@@ -806,7 +753,8 @@ def transfer_function_estimate(
     (n_read - 1) / 50 steps, so n_read must be 50 m + 1 with m >= 2 (else
     DimensionError), and the march stops at the end of the first chunk from
     the tenth on in which every probe adds less than 1e-24 of its read
-    energy so far.  An explicit ``T_read`` is marched whole.
+    energy so far.  An explicit ``T_read`` is marched whole.  A PDE write or
+    read step gamma_s * dt above 0.1 warns (ResolutionWarning).
     """
     omegas = np.atleast_1d(np.asarray(probe_frequencies, dtype=float))
     if np.any(np.abs(omegas) > PROBE_BAND_LIMIT * params.gamma_s):
@@ -855,7 +803,9 @@ def transfer_function_estimate(
     om_hat = omegas[:, None] / params.gamma_s
     probes = env * np.exp(1j * om_hat * tau_p)
     if pde:
-        out = _probe_read_pde(params.d, tau_p, probes, n_z, tau_r,
+        h_w = _scaled_step(tau_p[1] - tau_p[0])
+        h_r = _scaled_step(tau_r[1] - tau_r[0])
+        out = _probe_read_pde(params.d, probes, n_z, n_read, h_w, h_r,
                               per if T_read is None else None)
         tau_r = tau_r[:out.shape[1]]
     else:

@@ -1,4 +1,4 @@
-"""Mode vectors over comb teeth, orthonormal bases, and projectors.
+"""Mode vectors over comb teeth and orthonormal bases.
 
 A comb field is a superposition of discrete spectral teeth.  Pump shapes and
 supermodes are both vectors of complex amplitudes over a common tooth range;
@@ -19,10 +19,7 @@ from .errors import DimensionError, PhysicsError
 __all__ = [
     "ModeVector",
     "ModeBasis",
-    "Projector",
-    "inner_product",
     "gram_schmidt",
-    "projector_of",
     "unitary_mix",
 ]
 
@@ -31,8 +28,6 @@ MAX_TOOTH_COUNT = 2**16  # largest `[state] teeth` a config may ask for
 
 ORTHO_TOL = 1e-10        # pairwise |<vi,vj> - delta_ij| for a valid basis
 DEPENDENCE_TOL = 1e-8    # residual norm below this is linear dependence
-PROJECTOR_HERM_TOL = 1e-12
-PROJECTOR_IDEM_TOL = 1e-10
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
@@ -103,12 +98,6 @@ def _check_common_range(u: ModeVector, v: ModeVector):
         )
 
 
-def inner_product(u: ModeVector, v: ModeVector) -> complex:
-    """Hermitian inner product sum_m conj(u_m) v_m over a common tooth range."""
-    _check_common_range(u, v)
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
-
-
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Ordered orthonormal mode vectors over one tooth range, as one array.
@@ -155,26 +144,6 @@ class ModeBasis:
         return cls(np.array([v.amplitudes for v in vs]), vs[0].tooth_offset)
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Hermitian idempotent N x N matrix onto a spanned tooth subspace."""
-
-    matrix: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        P = np.array(self.matrix, dtype=complex)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise DimensionError("projector matrix must be square")
-        if np.abs(P - P.conj().T).max() > PROJECTOR_HERM_TOL:
-            raise PhysicsError("projector is not Hermitian within 1e-12")
-        if np.abs(P @ P - P).max() > PROJECTOR_IDEM_TOL:
-            raise PhysicsError("projector is not idempotent within 1e-10")
-        P.flags.writeable = False
-        object.__setattr__(self, "matrix", P)
-        object.__setattr__(self, "rank", int(self.rank))
-
-
 def gram_schmidt(vs) -> ModeBasis:
     """Orthonormalize mode vectors (modified Gram-Schmidt, one re-pass).
 
@@ -205,12 +174,6 @@ def gram_schmidt(vs) -> ModeBasis:
             )
         out.append(w / r)
     return ModeBasis(np.array(out), vs[0].tooth_offset)
-
-
-def projector_of(basis: ModeBasis) -> Projector:
-    """P = sum_k p_k p_k^H; rank equals the number of basis vectors."""
-    A = basis.matrix
-    return Projector(A.conj().T @ A, rank=len(basis))
 
 
 def unitary_mix(basis: ModeBasis, U) -> ModeBasis:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from combmemory import SqueezingSpectrum, apply_mode_unitary, squeezed_vacuum
+from combmemory import SqueezingSpectrum, apply_mode_unitary, dynamics, squeezed_vacuum
 
 
 def random_unitary(M, rng):
@@ -20,3 +20,45 @@ def random_pure_state(M, rng, r_max=1.5):
     angles = rng.uniform(0.0, np.pi, size=M)
     C = squeezed_vacuum(SqueezingSpectrum(zetas), angles=angles)
     return apply_mode_unitary(C, random_unitary(M, rng))
+
+
+def grid_write(a_in, params, n_z, n_t):
+    """Reference for ``pde_write``: (z, t, a, b) with the full (n_z, n_t) SI histories.
+
+    The same march as ``pde_write``, with every step's fields copied into
+    the history arrays.
+    """
+    t, bound = dynamics._write_boundary(a_in, params, n_z, n_t)
+    h = params.gamma_s * params.T / (n_t - 1)
+    z = np.linspace(0.0, 1.0, n_z)
+    if params.d == 0.0:
+        a = np.broadcast_to(bound, (n_z, n_t)).copy()
+        return z, t, a, np.zeros_like(a)
+    sg = np.sqrt(params.gamma_s)
+    a = np.empty((n_z, n_t), dtype=complex)
+    b = np.empty_like(a)
+    for j, (aj, bj) in enumerate(dynamics._march(np.zeros(n_z), bound / sg, h, params.d, n_z)):
+        a[:, j] = aj
+        b[:, j] = bj
+    a *= sg
+    return z, t, a, b
+
+
+def grid_budget(z, t, a, b, params, rows=64):
+    """Reference for ``energy_budget`` from full histories: |b|^2 summed over t in row blocks."""
+    wt = dynamics.simpson_weights(t.size, t[1] - t[0])
+    wz = dynamics.simpson_weights(z.size, z[1] - z[0])
+    per_z = np.empty(z.size)
+    for s in range(0, z.size, rows):
+        per_z[s:s + rows] = np.abs(b[s:s + rows]) ** 2 @ wt
+    e_in = float(np.sum(wt * np.abs(a[0]) ** 2))
+    e_out = float(np.sum(wt * np.abs(a[-1]) ** 2))
+    e_stored = float(np.sum(wz * np.abs(b[:, -1]) ** 2))
+    e_decay = float(2.0 * params.gamma_s * wz @ per_z)
+    return {
+        "input": e_in,
+        "transmitted": e_out,
+        "stored": e_stored,
+        "decayed": e_decay,
+        "residual": abs(e_in - e_out - e_stored - e_decay) / max(e_in, 1e-300),
+    }

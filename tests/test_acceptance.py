@@ -75,9 +75,9 @@ class TestAcceptance:
         def l2(n):
             a = np.ones(n, dtype=complex)
             prof = write_analytic(a, p, n)
-            grid = pde_write(a, p, n, n)
+            run = pde_write(a, p, n, n)
             return float(
-                np.linalg.norm(grid.b[:, -1] - prof.b_T) / np.linalg.norm(prof.b_T)
+                np.linalg.norm(run.profile.b_T - prof.b_T) / np.linalg.norm(prof.b_T)
             )
 
         fine = l2(2000)

@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from combmemory import cli, dynamics
+from combmemory import StoredProfile, cli
 from combmemory.cli import main
+from support import grid_budget, grid_write
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
 
@@ -210,16 +212,18 @@ class TestDynamicsCommand:
 
     def test_report_matches_grid_route(self, tmp_path, monkeypatch):
         # the same run with the stored profile and budget taken from the full
-        # pde_write history, as the command computed them before
+        # (n_z, n_t) field history, as the command once computed them
         small = DYNAMICS.replace("n_z = 600", "n_z = 300").replace("n_t = 600", "n_t = 400")
         rc, out = run(tmp_path, "dynamics", small)
         report = json.loads((out / "dynamics_report.json").read_text())
 
         def grid_route(a_in, params, n_z, n_t):
-            grid = dynamics.pde_write(a_in, params, n_z, n_t)
-            return grid.b[:, -1], dynamics.energy_budget(grid, params)
+            z, t, a, b = grid_write(a_in, params, n_z, n_t)
+            return SimpleNamespace(profile=StoredProfile(z, b[:, -1]),
+                                   budget=grid_budget(z, t, a, b, params))
 
-        monkeypatch.setattr(cli, "_write_budget", grid_route)
+        monkeypatch.setattr(cli, "pde_write", grid_route)
+        monkeypatch.setattr(cli, "energy_budget", lambda run, params: run.budget)
         rc_ref = main(["dynamics", "--config", str(tmp_path / "exp.ini"),
                        "--out", str(tmp_path / "ref")])
         ref = json.loads((tmp_path / "ref" / "dynamics_report.json").read_text())

@@ -1,5 +1,3 @@
-import csv
-import io
 import tracemalloc
 
 import numpy as np
@@ -10,16 +8,16 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combmemory import dynamics, tables
+from combmemory import dynamics
 from combmemory import (
     DimensionError,
-    FieldGrid,
     MemoryParams,
     PhysicsError,
     ProbeDesignError,
     ResolutionError,
     ResolutionWarning,
     StoredProfile,
+    WriteRecord,
     bessel_j0,
     energy_budget,
     expected_gain,
@@ -33,6 +31,7 @@ from combmemory import (
     tukey_window,
     write_analytic,
 )
+from support import grid_budget, grid_write
 
 GAMMA_S = 2.0 * np.pi * 18e3
 T10 = 10.0 / GAMMA_S  # write window spanning ten decay times
@@ -191,73 +190,21 @@ class TestTukeyWindow:
 
 
 class TestContainers:
-    def test_field_grid_shape_check(self):
-        z = np.linspace(0, 1, 4)
+    def test_write_record_shapes_and_values(self):
+        prof = StoredProfile(np.linspace(0, 1, 4), np.zeros(4, dtype=complex))
         t = np.linspace(0, 1e-3, 5)
-        good = np.zeros((4, 5), dtype=complex)
-        FieldGrid(z, t, good, good)
-        with pytest.raises(DimensionError, match="shaped"):
-            FieldGrid(z, t, good.T, good.T)
-
-    def test_field_grid_wants_ascending_grids(self):
-        z = np.linspace(1, 0, 4)
-        t = np.linspace(0, 1e-3, 5)
-        a = np.zeros((4, 5), dtype=complex)
-        with pytest.raises(PhysicsError, match="ascending"):
-            FieldGrid(z, t, a, a)
-
-    def test_field_grid_rejects_nan(self):
-        z = np.linspace(0, 1, 4)
-        t = np.linspace(0, 1e-3, 5)
-        a = np.zeros((4, 5), dtype=complex)
+        a = np.zeros(5, dtype=complex)
+        WriteRecord(prof, t, a, a, np.zeros(4))
+        with pytest.raises(DimensionError, match="t_points"):
+            WriteRecord(prof, t, a[:4], a, np.zeros(4))
+        with pytest.raises(DimensionError, match="z point"):
+            WriteRecord(prof, t, a, a, np.zeros(5))
         bad = a.copy()
-        bad[2, 3] = np.nan
+        bad[3] = np.nan
         with pytest.raises(PhysicsError, match="finite"):
-            FieldGrid(z, t, a, bad)
-
-    def test_field_grid_csv_header(self, tmp_path):
-        z = np.linspace(0, 1, 4)
-        t = np.linspace(0, 1e-3, 5)
-        a = np.zeros((4, 5), dtype=complex)
-        path = tmp_path / "grid.csv"
-        FieldGrid(z, t, a, a).to_csv(path)
-        assert path.read_text().splitlines()[0] == "z,t,re_a,im_a,re_b,im_b"
-
-    def test_field_grid_csv_bytes_match_csv_writer(self, tmp_path):
-        rng = np.random.default_rng(2)
-        z = np.linspace(0, 1, 3)
-        t = np.linspace(0, 1e-3, 4)
-        a = rng.standard_normal((3, 4)) - 1j * rng.random((3, 4))
-        b = 1e-7 * (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
-        a[0, 0] = complex(-0.0, -0.0)
-        a[2, 1] = 123456789012345.6 - 1e-300j
-        b[1, 2] = complex(0.0, -0.0)
-        path = tmp_path / "grid.csv"
-        FieldGrid(z, t, a, b).to_csv(path)
-        ref = io.StringIO(newline="")
-        w = csv.writer(ref)
-        w.writerow(["z", "t", "re_a", "im_a", "re_b", "im_b"])
-        for i, zi in enumerate(z):
-            for j, tj in enumerate(t):
-                cells = (zi, tj, a[i, j].real, a[i, j].imag, b[i, j].real, b[i, j].imag)
-                w.writerow([f"{v:.15g}" for v in cells])
-        assert path.read_bytes() == ref.getvalue().encode()
-        assert b",-0,-0," in path.read_bytes()
-
-    def test_field_grid_csv_holds_no_table_copy(self, tmp_path, monkeypatch):
-        # small blocks, so the per-block Python objects stay far below the table
-        monkeypatch.setattr(tables, "BLOCK_ROWS", 256)
-        z = np.linspace(0, 1, 100)
-        t = np.linspace(0, 1e-3, 200)
-        a = np.zeros((100, 200), dtype=complex)
-        grid = FieldGrid(z, t, a, a.copy())
-        tracemalloc.start()
-        try:
-            grid.to_csv(tmp_path / "grid.csv")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 8 * a.size  # the (n_z * n_t, 6) float table
+            WriteRecord(prof, t, a, bad, np.zeros(4))
+        with pytest.raises(PhysicsError, match="finite"):
+            WriteRecord(prof, t, a, a, np.full(4, np.inf))
 
     def test_stored_profile_mismatch(self):
         with pytest.raises(DimensionError, match="matching"):
@@ -362,9 +309,9 @@ class TestPdeMarch:
         p = params10()
         n = 601
         a = np.ones(n, dtype=complex)
-        grid = pde_write(a, p, n, n)
+        run = pde_write(a, p, n, n)
         prof = write_analytic(a, p, n)
-        l2 = np.linalg.norm(grid.b[:, -1] - prof.b_T) / np.linalg.norm(prof.b_T)
+        l2 = np.linalg.norm(run.profile.b_T - prof.b_T) / np.linalg.norm(prof.b_T)
         assert l2 < 1e-5
         assert l2 == pytest.approx(2.6068e-06, rel=1e-2)
 
@@ -373,15 +320,19 @@ class TestPdeMarch:
         n = 201
         t = np.linspace(0.0, p.T, n)
         f = lambda tk: np.exp(-((tk / p.T - 0.5) ** 2) / 0.02)
-        g1 = pde_write(f, p, 64, n)
-        g2 = pde_write(f(t).astype(complex), p, 64, n)
-        assert np.abs(g1.b - g2.b).max() == 0.0
+        r1 = pde_write(f, p, 64, n)
+        r2 = pde_write(f(t).astype(complex), p, 64, n)
+        assert np.array_equal(r1.profile.b_T, r2.profile.b_T)
+        assert np.array_equal(r1.b_sq_dt, r2.b_sq_dt)
+        assert energy_budget(r1, p) == energy_budget(r2, p)
 
     def test_zero_depth_passthrough(self):
         p = params10(d=0.0)
-        grid = pde_write(np.ones(128, dtype=complex), p, 16, 128)
-        assert np.array_equal(grid.b, np.zeros((16, 128)))
-        assert np.array_equal(grid.a, np.ones((16, 128)))
+        run = pde_write(np.ones(128, dtype=complex), p, 16, 128)
+        assert np.array_equal(run.profile.b_T, np.zeros(16))
+        assert np.array_equal(run.b_sq_dt, np.zeros(16))
+        assert np.array_equal(run.a_in, np.ones(128))
+        assert np.array_equal(run.a_out, np.ones(128))
 
     def test_coarse_time_step_warns(self):
         with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
@@ -395,24 +346,28 @@ class TestPdeMarch:
             pde_read(prof, p, 16, 51, t_max=p.T)
         assert caught[0].filename == __file__
 
-    def test_write_grid_is_the_stepper_history(self):
+    def test_write_record_is_the_stepper_output(self):
         p = params10()
         n_z, n_t = 40, 120
         a_in = np.exp(1j * np.linspace(0.0, 3.0, n_t))
-        grid = pde_write(a_in, p, n_z, n_t)
+        run = pde_write(a_in, p, n_z, n_t)
         sg = np.sqrt(p.gamma_s)
         h = p.gamma_s * p.T / (n_t - 1)
         steps = dynamics._march(np.zeros(n_z), a_in / sg, h, p.d, n_z)
+        b_sq = np.empty((n_z, n_t))
         for j, (a, b) in enumerate(steps):
-            assert np.array_equal(grid.a[:, j], a * sg)
-            assert np.array_equal(grid.b[:, j], b)
+            assert run.a_in[j] == a[0] * sg and run.a_out[j] == a[-1] * sg
+            b_sq[:, j] = np.abs(b) ** 2
         assert j == n_t - 1
+        assert np.array_equal(run.profile.b_T, b)
+        assert np.array_equal(run.t_points, np.linspace(0.0, p.T, n_t))
+        want = b_sq @ simpson_weights(n_t, p.T / (n_t - 1))
+        assert np.abs(run.b_sq_dt - want).max() <= 1e-13 * want.max()
 
     def test_energy_budget_closes(self):
         p = params10()
         n = 601
-        grid = pde_write(np.ones(n, dtype=complex), p, n, n)
-        bud = energy_budget(grid, p)
+        bud = energy_budget(pde_write(np.ones(n, dtype=complex), p, n, n), p)
         assert set(bud) == {"input", "transmitted", "stored", "decayed", "residual"}
         total = bud["transmitted"] + bud["stored"] + bud["decayed"]
         assert abs(total - bud["input"]) / bud["input"] < 1e-4
@@ -421,25 +376,25 @@ class TestPdeMarch:
     def test_energy_budget_holds_no_grid_temporary(self):
         rng = np.random.default_rng(3)
         n_z, n_t = 300, 400
-        b = rng.standard_normal((n_z, n_t)) + 1j * rng.standard_normal((n_z, n_t))
-        a = rng.standard_normal((n_z, n_t)) + 1j * rng.standard_normal((n_z, n_t))
+        noise = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         t = np.linspace(0.0, T10, n_t)
         z = np.linspace(0.0, 1.0, n_z)
-        grid = FieldGrid(z, t, a, b)
+        a0, a1, b_T, b_sq_dt = noise(n_t), noise(n_t), noise(n_z), rng.random(n_z)
+        record = WriteRecord(StoredProfile(z, b_T), t, a0, a1, b_sq_dt)
         p = params10()
         tracemalloc.start()
         try:
-            bud = energy_budget(grid, p)
+            bud = energy_budget(record, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n_z * n_t * 8
         wt = simpson_weights(n_t, t[1] - t[0])
         wz = simpson_weights(n_z, z[1] - z[0])
-        e_in = float(np.sum(wt * np.abs(a[0]) ** 2))
-        e_out = float(np.sum(wt * np.abs(a[-1]) ** 2))
-        e_stored = float(np.sum(wz * np.abs(b[:, -1]) ** 2))
-        e_decay = float(2.0 * p.gamma_s * wz @ (np.abs(b) ** 2 @ wt))
+        e_in = float(np.sum(wt * np.abs(a0) ** 2))
+        e_out = float(np.sum(wt * np.abs(a1) ** 2))
+        e_stored = float(np.sum(wz * np.abs(b_T) ** 2))
+        e_decay = float(2.0 * p.gamma_s * wz @ b_sq_dt)
         assert bud == {
             "input": e_in,
             "transmitted": e_out,
@@ -619,6 +574,17 @@ class TestPdeTransfer:
         explicit = transfer_function_estimate(p, self.OMEGAS, n_z=1200, n_probe=1601, n_read=6001)
         assert np.array_equal(default, explicit)
 
+    def test_coarse_read_step_warns(self):
+        # gamma_s * dt = 0.5: |g(0)| comes out 25% off |K_0|
+        with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
+            transfer_function_estimate(self.params(4.0), [0.0], path="pde", n_read=101)
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("d", [4.0, 30.0])
+    def test_default_grids_do_not_warn(self, recwarn, d):
+        transfer_function_estimate(self.params(d), self.OMEGAS[:2], path="pde")
+        assert not [w for w in recwarn if issubclass(w.category, ResolutionWarning)]
+
     @pytest.mark.parametrize("d, n_read", [(0.0, 6001), (4.0, 6001), (12.0, 6001),
                                            (12.5, 12001), (30.0, 18001)])
     def test_read_samples_scale_with_depth(self, d, n_read):
@@ -778,7 +744,7 @@ class TestBatchedMarch:
 
 
 class TestWriteBudget:
-    """The CLI's history-free write march against the grid route."""
+    """The history-free write march against the full-history grid route."""
 
     @staticmethod
     def case(n_z, n_t):
@@ -791,10 +757,11 @@ class TestWriteBudget:
     @pytest.mark.parametrize("n_z, n_t", [(300, 400), (2000, 2000)])
     def test_matches_grid_route(self, n_z, n_t):
         p, a_in = self.case(n_z, n_t)
-        b_T, bud = dynamics._write_budget(a_in, p, n_z, n_t)
-        grid = pde_write(a_in, p, n_z, n_t)
-        assert np.array_equal(b_T, grid.b[:, -1])
-        ref = energy_budget(grid, p)
+        run = pde_write(a_in, p, n_z, n_t)
+        bud = energy_budget(run, p)
+        z, t, a, b = grid_write(a_in, p, n_z, n_t)
+        assert np.array_equal(run.profile.b_T, b[:, -1])
+        ref = grid_budget(z, t, a, b, p)
         assert set(bud) == set(ref)
         for key in ("input", "transmitted", "stored", "decayed"):
             assert bud[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
@@ -803,10 +770,10 @@ class TestWriteBudget:
     def test_zero_depth_matches_grid_route(self):
         p, a_in = self.case(300, 400)
         p = MemoryParams(d=0.0, gamma_s=p.gamma_s, T=p.T)
-        b_T, bud = dynamics._write_budget(a_in, p, 300, 400)
-        grid = pde_write(a_in, p, 300, 400)
-        assert np.array_equal(b_T, grid.b[:, -1])
-        assert bud == energy_budget(grid, p)
+        run = pde_write(a_in, p, 300, 400)
+        z, t, a, b = grid_write(a_in, p, 300, 400)
+        assert np.array_equal(run.profile.b_T, b[:, -1])
+        assert energy_budget(run, p) == grid_budget(z, t, a, b, p)
 
     @pytest.mark.parametrize("d", [4.0, 0.0])
     def test_nan_boundary_raises(self, d):
@@ -815,23 +782,13 @@ class TestWriteBudget:
         a_in[200] = np.nan
         with pytest.raises(PhysicsError, match="finite"):
             pde_write(a_in, p, 300, 400)
-        with pytest.raises(PhysicsError, match="finite"):
-            dynamics._write_budget(a_in, p, 300, 400)
 
-    def test_same_input_checks_as_pde_write(self):
+    def test_grid_size_checks(self):
         p = params10()
         with pytest.raises(DimensionError, match="at least 4"):
-            dynamics._write_budget(np.ones(400), p, 3, 400)
+            pde_write(np.ones(400), p, 3, 400)
         with pytest.raises(DimensionError, match="n_t = 400"):
-            dynamics._write_budget(np.ones(399), p, 300, 400)
-        with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
-            dynamics._write_budget(np.ones(51, dtype=complex), p, 16, 51)
-        assert caught[0].filename == __file__
-        f = lambda tk: np.exp(-((tk / p.T - 0.5) ** 2) / 0.02)
-        t = np.linspace(0.0, p.T, 201)
-        b1, bud1 = dynamics._write_budget(f, p, 64, 201)
-        b2, bud2 = dynamics._write_budget(f(t).astype(complex), p, 64, 201)
-        assert np.array_equal(b1, b2) and bud1 == bud2
+            pde_write(np.ones(399), p, 300, 400)
 
     def test_keeps_no_history(self):
         n_z, n_t = 300, 400
@@ -846,6 +803,6 @@ class TestWriteBudget:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: dynamics._write_budget(a_in, p, n_z, n_t)) < one_array
+        assert peak(lambda: energy_budget(pde_write(a_in, p, n_z, n_t), p)) < one_array
         # the grid route holds two such arrays, so the bound separates the routes
-        assert peak(lambda: energy_budget(pde_write(a_in, p, n_z, n_t), p)) > 2 * one_array
+        assert peak(lambda: grid_budget(*grid_write(a_in, p, n_z, n_t), p)) > 2 * one_array
