@@ -46,7 +46,7 @@ from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieva
 from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
 from .modes import ModeBasis, unitary_mix
 from .presets import get_preset
-from .tables import write_csv
+from .tables import Records, write_csv, write_json
 
 OUTDIR_ENV = "COMBMEMORY_OUTDIR"
 
@@ -59,18 +59,6 @@ BUDGET_TOL = 1e-4      # write-stage energy bookkeeping residual
 
 # ----------------------------------------------------------------------------
 # output helpers
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _records(header, columns):
-    """JSON rows ``{name: value}`` of a column table, as plain Python values."""
-    return [dict(zip(header, row)) for row in zip(*(np.asarray(c).tolist() for c in columns))]
-
 
 def _resolve_outdir(cfg: ExperimentConfig, args) -> str:
     outdir = args.out or cfg.outdir or os.environ.get(OUTDIR_ENV) or "combmemory-out"
@@ -86,11 +74,11 @@ def _write_outputs(command, cfg, args, outdir, seed, derived, tables=(), documen
         files += [write_csv(os.path.join(outdir, name), header, columns)
                   for name, header, columns in tables]
     if "json" in args.formats:
-        files += [_write_json(os.path.join(outdir, name), body) for name, body in documents]
+        files += [write_json(os.path.join(outdir, name), body) for name, body in documents]
     digest = hashlib.sha256(
         cfg.raw_text.encode() + f"\nseed={seed}".encode()
     ).hexdigest()
-    _write_json(os.path.join(outdir, "manifest.json"), {
+    write_json(os.path.join(outdir, "manifest.json"), {
         "command": command,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -113,8 +101,16 @@ def _derived_base(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------------------
 # state and basis assembly
 
-def _input_state(cfg: ExperimentConfig) -> CovarianceMatrix:
+def _fit_teeth(M: int, teeth) -> None:
+    if teeth is not None and teeth < M:
+        raise ConfigError(f"state has {M} modes but only {teeth} teeth configured")
+
+
+def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
+    """The configured input state.  Given ``teeth``, a spectrum or state file
+    of more modes than teeth exits 2 before any covariance is built."""
     if cfg.state_source == "spectrum":
+        _fit_teeth(len(cfg.spectrum_db), teeth)
         zetas = tuple(10.0 ** (db / 10.0) for db in cfg.spectrum_db)
         return squeezed_vacuum(SqueezingSpectrum(zetas), angles=cfg.angles)
     if cfg.state_source == "file":
@@ -123,8 +119,13 @@ def _input_state(cfg: ExperimentConfig) -> CovarianceMatrix:
                 obj = json.load(fh)
             except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary input
                 raise ConfigError(f"state file {cfg.state_file} is not JSON: {exc}") from exc
+        rows = obj.get("rows") if isinstance(obj, dict) else None
+        if isinstance(rows, list) and len(rows) % 2 == 0:  # odd sizes fail in from_json
+            _fit_teeth(len(rows) // 2, teeth)
         return CovarianceMatrix.from_json(obj)
-    return get_preset(cfg.preset)
+    C = get_preset(cfg.preset)
+    _fit_teeth(C.mode_count, teeth)
+    return C
 
 
 def _state_zetas_db(cfg: ExperimentConfig):
@@ -134,12 +135,6 @@ def _state_zetas_db(cfg: ExperimentConfig):
     C = _input_state(cfg)
     _, spectrum, _ = supermode_extraction(C)
     return [zeta_to_db(z) for z in spectrum.values]
-
-
-def _canonical_basis(M: int, teeth: int) -> ModeBasis:
-    if teeth < M:
-        raise ConfigError(f"state has {M} modes but only {teeth} teeth configured")
-    return ModeBasis(np.eye(M, teeth, dtype=complex))
 
 
 def _random_unitary(M: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +159,7 @@ def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         "efficiency": efficiency(cfg.memory.d),
         "flatness": resp.flatness,
         "narrowband": resp.narrowband,
-        "response": _records(["omega", "re", "im"], [w, K.real, K.imag]),
+        "response": Records(["omega", "re", "im"], [w, K.real, K.imag]),
     }
     derived = _derived_base(cfg)
     derived["flatness"] = resp.flatness
@@ -193,7 +188,7 @@ def cmd_metrics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         "metrics", cfg, args, outdir, seed, derived,
         tables=[("metrics_table.csv", header, columns)],
         documents=[("metrics_table.json", {
-            "rows": _records(header, columns),
+            "rows": Records(header, columns),
             "overall_fidelity": F,
             "fidelity_vector": vec.tolist(),
         })],
@@ -203,10 +198,10 @@ def cmd_metrics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
 
 def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
-    C_in = _input_state(cfg)
+    C_in = _input_state(cfg, teeth=cfg.teeth)
     M = C_in.mode_count
     k2 = efficiency(cfg.memory.d)
-    supermodes = _canonical_basis(M, cfg.teeth)
+    supermodes = ModeBasis(np.eye(M, cfg.teeth, dtype=complex))
     basis_check = None
     if cfg.pump_basis == "random-unitary":
         rng = np.random.default_rng(seed)
@@ -344,8 +339,8 @@ def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         tables=[("sweep_curves.csv", curve_header, curves),
                 ("sweep_overall.csv", overall_header, overall)],
         documents=[("sweep_curves.json", {
-            "curves": _records(curve_header, curves),
-            "overall": _records(overall_header, overall),
+            "curves": Records(curve_header, curves),
+            "overall": Records(overall_header, overall),
         })],
     )
     print(f"sweep: {len(cfg.sweep_d)} depths x {len(zetas_db)} modes")

@@ -33,6 +33,18 @@ _UNITS = {
     "rad/s": 1.0,
 }
 
+# Every section and key a config may name (keys as configparser folds them,
+# to lower case).  ``[output] workers`` is retired and accepted without effect.
+_KEYS = {
+    "memory": {"d", "t", "gamma_s", "gamma", "delta", "omega_p", "rep_rate", "alpha"},
+    "state": {"squeezing_db", "file", "preset", "angles", "teeth"},
+    "pumps": {"basis"},
+    "kernel": {"omega_max", "n_points"},
+    "dynamics": {"n_z", "n_t", "path", "probe_omegas", "t_read"},
+    "sweep": {"d_values"},
+    "output": {"dir", "format", "seed", "workers"},
+}
+
 _QUANTITY_RE = re.compile(r"^\s*(?:([-+]?)(2pi\*))?\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z/]*)\s*$")
 
 
@@ -114,6 +126,13 @@ def load_config(path: str) -> ExperimentConfig:
         cp.read_string(raw)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
+    defaults = cp.defaults()  # [DEFAULT] keys, which every section would inherit
+    unknown = [f"[{name}]" for name in cp.sections() if name not in _KEYS]
+    unknown += [f"[{cp.default_section}] {key}" for key in defaults]
+    unknown += [f"[{name}] {key}" for name in cp.sections() if name in _KEYS
+                for key in cp.options(name) if key not in _KEYS[name] and key not in defaults]
+    if unknown:
+        raise ConfigError(f"unknown config names: {', '.join(unknown)}")
 
     def get(section, key, default=None):
         if cp.has_option(section, key):

@@ -138,6 +138,32 @@ class TestChannelCommand:
         assert rows[0] == "index,zeta_in,zeta_out"
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("source", ["spectrum", "file"])
+    def test_more_modes_than_teeth_rejected_before_building(self, tmp_path, monkeypatch,
+                                                            capsys, source):
+        # three modes on two teeth: the check must come before any 2M x 2M
+        # covariance (and its eigenvalue check) exists, whose cost grows as M^3
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a covariance was built before the teeth check")
+
+        monkeypatch.setattr(cli, "squeezed_vacuum", unbuilt)
+        monkeypatch.setattr(cli, "CovarianceMatrix", SimpleNamespace(from_json=unbuilt))
+        text = BASE.replace("teeth = 32", "teeth = 2")
+        if source == "file":
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps({"mode_count": 3, "rows": np.eye(6).tolist()}))
+            text = text.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        rc, _ = run(tmp_path, "channel", text)
+        assert rc == 2
+        assert "state has 3 modes but only 2 teeth configured" in capsys.readouterr().err
+
+    def test_preset_with_more_modes_than_teeth_rejected(self, tmp_path, capsys):
+        text = BASE.replace("squeezing_db = -6, -3, -1", "preset = epr").replace(
+            "teeth = 32", "teeth = 1")
+        rc, _ = run(tmp_path, "channel", text)
+        assert rc == 2
+        assert "state has 2 modes but only 1 teeth configured" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_curves(self, tmp_path):
@@ -314,6 +340,34 @@ class TestStateFile:
         rc, out = run(tmp_path, "metrics", text)
         assert rc == 0
         assert len(csv_rows(out / "metrics_table.csv")) == M
+
+
+class TestJsonOutputs:
+    """Every JSON file the commands write is the stdlib's own encoding of its content."""
+
+    CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+    @pytest.mark.parametrize("command, config", [
+        ("kernel", "demo.ini"),
+        ("metrics", "demo.ini"),
+        ("channel", "demo.ini"),
+        ("sweep", "demo.ini"),
+        ("channel", "channel_epr.ini"),
+        ("dynamics", None),
+    ])
+    def test_stdlib_round_trip(self, tmp_path, command, config):
+        if config is None:  # the PDE route of a small dynamics run
+            small = DYNAMICS.replace("n_z = 600", "n_z = 300").replace("n_t = 600", "n_t = 400")
+            config = write_config(tmp_path, small + "path = pde\n")
+        else:
+            config = os.path.join(self.CONFIGS, config)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        written = sorted(out.glob("*.json"))
+        assert "manifest.json" in [p.name for p in written] and len(written) == 2
+        for path in written:
+            body = path.read_bytes()
+            assert body == (json.dumps(json.loads(body), indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestCliPlumbing:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,32 @@ class TestLoadConfig:
         text = BASE + "\n[output]\nformat = yaml\n"
         with pytest.raises(ConfigError, match="output format"):
             load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("extra, names", [
+        ("\n[kernel]\nn_pionts = 1\n", "[kernel] n_pionts"),
+        ("\n[kernal]\nomega_max = -5\n", "[kernal]"),
+        ("\n[kernal]\nomega_max = -5\n\n[kernel]\nn_pionts = 1\n", "[kernal], [kernel] n_pionts"),
+        ("gamma_S = 1 kHz\nteeth = 4\n", "[state] gamma_s"),
+        ("\n[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
+    ], ids=["misspelt-key", "misspelt-section", "both", "key-in-wrong-section", "default-section"])
+    def test_unknown_names_rejected(self, tmp_path, extra, names):
+        # a misspelt name used to run silently with the default it meant to replace
+        with pytest.raises(ConfigError, match=f"unknown config names: {re.escape(names)}$"):
+            load_config(write_config(tmp_path, BASE + extra))
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        text = (
+            "[memory]\nd = 4\ngamma = 2pi*3 MHz\nDelta = 2pi*700 MHz\nOmega_p = 2pi*50 MHz\n"
+            "T = 1 ms\nrep_rate = 80 MHz\n"
+            "\n[state]\nsqueezing_db = -6, -3\nangles = 0, 0.5\nteeth = 8\n"
+            "\n[pumps]\nbasis = random-unitary\n"
+            "\n[kernel]\nomega_max = 2pi*1 kHz\nn_points = 11\n"
+            "\n[dynamics]\nn_z = 40\nn_t = 51\npath = pde\nprobe_omegas = 0\nt_read = 1 ms\n"
+            "\n[sweep]\nd_values = 1, 2\n"
+            "\n[output]\ndir = somewhere\nformat = csv\nseed = 1\nworkers = 4\n"
+        )
+        cfg = load_config(write_config(tmp_path, text))
+        assert (cfg.teeth, cfg.n_points, cfg.outdir) == (8, 11, "somewhere")
 
     def test_explicit_sections(self, tmp_path):
         text = (

@@ -1,10 +1,14 @@
 import csv
 import io
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from combmemory.tables import BLOCK_ROWS, write_csv
+from combmemory.tables import BLOCK_ROWS, Records, write_csv, write_json
 
 
 def reference_bytes(header, columns):
@@ -51,3 +55,123 @@ def test_edge_values_spelled_out(tmp_path):
 def test_malformed_table_rejected(tmp_path, header, columns):
     with pytest.raises(ValueError, match="column"):
         write_csv(tmp_path / "t.csv", header, columns)
+
+
+# ----------------------------------------------------------------------------
+# write_json: the bytes of json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+def stdlib_bytes(obj):
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def as_rows(obj):
+    """``obj`` with every ``Records`` table spelt out as the dicts it stands for."""
+    if isinstance(obj, Records):
+        return [dict(zip(obj.header, row)) for row in zip(*(c.tolist() for c in obj.columns))]
+    if isinstance(obj, dict):
+        return {k: as_rows(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_rows(v) for v in obj]
+    return obj
+
+
+def assert_stdlib_bytes(tmp_path, obj):
+    path = tmp_path / "t.json"
+    assert write_json(path, obj) == path
+    assert path.read_bytes() == stdlib_bytes(as_rows(obj))
+
+
+FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, 1e16, -2.5e17, 0.1 + 0.2, 123456789012345.6]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+STRINGS = ['say "hi"', "back\\slash", "tab\tnew\nline", "caf\u00e9 \u00b5s \U0001d11e", "50% off", ""]
+
+
+@pytest.mark.parametrize("obj", [
+    FLOATS, [-f for f in FLOATS], [[1.0, -0.0], [5e-324, 1e16]],
+    2**70, -(2**70), [2**70, 1, -1, 0], None, True, False, [None, True, False, 0, 1],
+    math.nan, math.inf, -math.inf, NON_FINITE, [1.0, math.nan, 2.0], [[math.inf, 1.0]],
+    [], {}, [[], {}], {"a": [], "b": {}}, (1.0, 2.0),
+    STRINGS, {s: s for s in STRINGS if s},
+    np.float64(0.1), [np.float64(1.5), np.float64(-0.0)], {"x": np.float64(1e-300)},
+    [1.0, 2, "three", None, [4.0]], {"b": 1, "a": {"d": [1.0], "c": None}},
+    {"keys": {2: "b", 1.5: None}},  # non-string keys, which the stdlib prints as strings
+], ids=lambda obj: type(obj).__name__)
+def test_json_values(tmp_path, obj):
+    assert_stdlib_bytes(tmp_path, obj)
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["i", "x", "name"], [np.arange(3), np.array([0.5, -0.0, 5e-324]), ["a", 'q"', "\u00e9"]]),
+    (["x", "y"], [np.array(FLOATS), -np.array(FLOATS)]),
+    (["big", "small"], [[2**70, 1], [-(2**70), 0]]),
+    (["flag", "maybe"], [[True, False], [None, True]]),
+    (["mixed"], [[None, True, 1.5, "x", 2**70, math.nan]]),
+    (["x", "i"], [np.array(NON_FINITE + [1.0]), np.arange(4)]),
+    (["x"], [np.array([1.0, math.nan], dtype=np.float32)]),
+    (["a", "b"], [np.array([]), np.array([])]),
+    ([], []),
+    (["100%", "%d", "%(x)s"], [[1.0], [2], ["%s"]]),
+    (["z", "a", "m"], [np.linspace(0, 1, 2 * BLOCK_ROWS + 3), np.arange(2 * BLOCK_ROWS + 3),
+                       np.random.default_rng(0).standard_normal(2 * BLOCK_ROWS + 3)]),
+], ids=["mixed", "edge-floats", "large-ints", "none-and-bools", "object-column", "non-finite",
+        "float32", "zero-rows", "no-columns", "percent-names", "block-seams"])
+def test_records_match_stdlib_dicts(tmp_path, header, columns):
+    assert_stdlib_bytes(tmp_path, {"rows": Records(header, columns), "n": 1})
+    assert_stdlib_bytes(tmp_path, [Records(header, columns)])
+
+
+def test_records_are_the_dicts_they_stand_for(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, Records(["b", "a"], [[1, 2], [0.5, "x"]]))
+    assert json.loads(path.read_text()) == [{"a": "0.5", "b": 1}, {"a": "x", "b": 2}]
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "a"], [[1.0], [2.0]]),
+    ([1, "a"], [[1.0], [2.0]]),
+    (["a", "b"], [[1.0, 2.0], [1.0]]),
+], ids=["duplicate", "not-a-string", "ragged"])
+def test_malformed_records_rejected(header, columns):
+    with pytest.raises(ValueError):
+        Records(header, columns)
+
+
+def test_unserialisable_value_raises_like_the_stdlib(tmp_path):
+    for value in (1j, np.int64(3), object()):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "t.json", {"a": [1.0, value]})
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+                | st.floats() | st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=6) | st.lists(st.floats(), max_size=6)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(obj=JSON_VALUES)
+def test_nested_values_match_stdlib(tmp_path_factory, obj):
+    path = write_json(tmp_path_factory.getbasetemp() / "nested.json", obj)
+    assert path.read_bytes() == stdlib_bytes(obj)
+
+
+RECORD_COLUMNS = st.one_of(
+    st.lists(st.floats(), min_size=3, max_size=3).map(np.array),
+    st.lists(st.integers(-2**62, 2**62), min_size=3, max_size=3).map(np.array),
+    st.lists(st.text(max_size=4), min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.lists(JSON_SCALARS, min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(table=st.dictionaries(st.text(max_size=4), RECORD_COLUMNS, max_size=5),
+       rest=JSON_VALUES)
+def test_record_tables_match_stdlib(tmp_path_factory, table, rest):
+    obj = {"table": Records(list(table), list(table.values())), "rest": rest}
+    path = write_json(tmp_path_factory.getbasetemp() / "records.json", obj)
+    assert path.read_bytes() == stdlib_bytes(as_rows(obj))
