@@ -228,11 +228,14 @@ def apply_cascade(
 ) -> CovarianceMatrix:
     """Cascade of ensembles, one per pump mode, spanning the signal subspace.
 
-    ``C_in`` lives on the supermode basis.  The pumps must span the same
-    subspace; the retrieved state is then basis independent and equals
-    ``covariance_map(C_in, k2)``.  The output is computed through the pump
-    projector (restricted to the supermode frame and symplectically embedded)
-    rather than assumed, so span defects surface as output defects.
+    ``C_in`` lives on the supermode basis.  The pumps, one per mode, must span
+    the same subspace; the retrieved state is then basis independent and
+    equals ``covariance_map(C_in, k2)``.  The output is computed through the
+    pump projector in the supermode frame, H^H H with the M x M overlaps
+    H = A Psi^H, symplectically embedded, rather than assumed, so span defects
+    surface as output defects.  The span gap is the pump amplitude left
+    outside the supermode span, max |A - H Psi|; nothing of teeth x teeth
+    size is built.
     """
     k2 = _check_k2(k2)
     M = C_in.mode_count
@@ -240,19 +243,20 @@ def apply_cascade(
         raise DimensionError(
             f"state has {M} modes but supermode basis has {len(supermodes)}"
         )
+    if len(pumps) != M:
+        raise DimensionError(f"state has {M} modes but pump basis has {len(pumps)}")
     if (pumps.tooth_offset, pumps.tooth_count) != (supermodes.tooth_offset, supermodes.tooth_count):
         raise DimensionError("pump and supermode bases live on different tooth ranges")
     Psi = supermodes.matrix
     A = pumps.matrix
-    P_pump = A.conj().T @ A
-    P_super = Psi.conj().T @ Psi
-    gap = np.abs(P_pump - P_super).max()
+    H = A @ Psi.conj().T
+    gap = np.abs(A - H @ Psi).max()
     if gap > SPAN_TOL:
         raise PhysicsError(
             f"pump basis does not span the supermode subspace "
-            f"(projector gap {gap:.3e}); the cascade would leak state"
+            f"(span gap {gap:.3e}); the cascade would leak state"
         )
-    S = symplectic_embedding(Psi @ P_pump @ Psi.conj().T)
+    S = symplectic_embedding(H.conj().T @ H)
     n = 2 * M
     out = np.eye(n) + k2 * (S @ (C_in.entries - np.eye(n)) @ S.T)
     return CovarianceMatrix(out)

@@ -391,6 +391,18 @@ def _bessel_quadrature(rows, cols, d, samples, h, write):
     return fine.reshape(rows.size, *samples.shape[1:]), est
 
 
+def _checked_quadrature(rows, cols, d, samples, h, write):
+    """``_bessel_quadrature``'s integral; an error estimate above 1e-6 raises ResolutionError."""
+    out, est = _bessel_quadrature(rows, cols, d, samples, h, write)
+    if est > QUAD_ERROR_LIMIT:
+        stage, what = ("write", "input") if write else ("read", "profile")
+        raise ResolutionError(
+            f"{stage} quadrature error estimate {est:.2e} exceeds {QUAD_ERROR_LIMIT:g}; "
+            f"try at least {2 * samples.shape[0] - 1} {what} samples"
+        )
+    return out
+
+
 def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
     """Stored coherence profile b(z, T) from the closed-form write kernel.
 
@@ -415,20 +427,12 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
         raise DimensionError("a_in must be a 1-d envelope with at least 9 samples")
     if n_z < 4:
         raise DimensionError("n_z must be at least 4")
-    n_t = a.size
     Gamma = params.gamma_s * params.T
-    tau = np.linspace(0.0, Gamma, n_t)
+    tau = np.linspace(0.0, Gamma, a.size)
     z = np.linspace(0.0, 1.0, int(n_z))
-
     if params.d == 0.0:
         return StoredProfile(z, np.zeros(int(n_z), dtype=complex))
-
-    b, est = _bessel_quadrature(z, Gamma - tau, params.d, a, tau[1] - tau[0], write=True)
-    if est > QUAD_ERROR_LIMIT:
-        raise ResolutionError(
-            f"write quadrature error estimate {est:.2e} exceeds {QUAD_ERROR_LIMIT:g}; "
-            f"try at least {2 * n_t - 1} input samples"
-        )
+    b = _checked_quadrature(z, Gamma - tau, params.d, a, tau[1] - tau[0], write=True)
     return StoredProfile(z, b)
 
 
@@ -452,12 +456,7 @@ def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.nd
     if params.d == 0.0:
         return np.zeros(t.size, dtype=complex)
     tau = params.gamma_s * t
-    env, est = _bessel_quadrature(tau, 1.0 - z, params.d, profile.b_T, hz, write=False)
-    if est > QUAD_ERROR_LIMIT:
-        raise ResolutionError(
-            f"read quadrature error estimate {est:.2e} exceeds {QUAD_ERROR_LIMIT:g}; "
-            f"try at least {2 * z.size - 1} profile samples"
-        )
+    env = _checked_quadrature(tau, 1.0 - z, params.d, profile.b_T, hz, write=False)
     return np.sqrt(params.gamma_s) * env  # scaled envelope back to SI amplitude
 
 
@@ -479,18 +478,18 @@ def _converged_chunks(chunks, h, rel_tol=1e-4):
     return c
 
 
-def read_horizon(profile: StoredProfile, params: MemoryParams, rel_tol: float = 1e-4) -> float:
+def read_horizon(profile: StoredProfile, params: MemoryParams) -> float:
     """Read window length: 5T capped, stopping early once retrieval has converged.
 
     Evaluates the retrieved envelope once on [0, 5T], sums its energy in
-    chunks of T/10 and stops when a chunk adds less than ``rel_tol`` of the
-    running total.
+    chunks of T/10 and stops when a chunk adds less than 1e-4 of the running
+    total (``_converged_chunks``).
     """
     chunk = params.T / 10.0
     t = np.linspace(0.0, 50 * chunk, 50 * 128 + 1)  # cap at 5T: 50 chunks of 129 samples
     env = read_analytic(profile, params, t)
     chunks = (env[s:s + 129] for s in range(0, 50 * 128, 128))
-    return _converged_chunks(chunks, t[1] - t[0], rel_tol) * chunk
+    return _converged_chunks(chunks, t[1] - t[0]) * chunk
 
 
 # ----------------------------------------------------------------------------
@@ -539,14 +538,6 @@ def _march(b0, boundary, h, d, n_z):
         yield _field(bj, b, c, a), b
 
 
-def _output_march(b0, boundary, h, d, n_z):
-    """(a(1, .) at every boundary sample, final b) of one march; see ``_march``."""
-    out = np.empty((len(boundary),) + np.shape(b0)[1:], dtype=complex)
-    for j, (a, b) in enumerate(_march(b0, boundary, h, d, n_z)):
-        out[j] = a[-1]
-    return out, b
-
-
 def _read_march(b0, n_t, h, d, n_z, per=None, rel_tol=1e-4):
     """a(1, .) of a read march from b0 with a dark input boundary.
 
@@ -577,13 +568,20 @@ def _scaled_step(h: float) -> float:
     return h
 
 
+def _read_chunk_steps(n: int, name: str) -> int:
+    """Steps per T/10 chunk of a default 5T read window of n samples; n must be 50 m + 1, m >= 2."""
+    per, rest = divmod(int(n) - 1, 50)
+    if per < 2 or rest:
+        raise DimensionError("the default read window's T/10 chunks need at least 3 samples "
+                             f"and {name} = 50 m + 1 (101, 151, ...), got {name} = {n}")
+    return per
+
+
 def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
-    """(t, a(0, t)) of a write stage: ``a_in`` as n_t samples on [0, T], or called at each t."""
+    """(t, a(0, t)) of a write stage: ``a_in`` as n_t samples on [0, T]."""
     if n_z < 4 or n_t < 4:
         raise DimensionError("n_z and n_t must be at least 4")
     t = np.linspace(0.0, params.T, int(n_t))
-    if callable(a_in):
-        return t, np.asarray([a_in(tk) for tk in t], dtype=complex)
     bound = np.asarray(a_in, dtype=complex)
     if bound.shape != t.shape:
         raise DimensionError(f"a_in must provide exactly n_t = {n_t} samples")
@@ -593,12 +591,12 @@ def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
 def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     """Integrate the write stage over [0, T] with all atoms initially unexcited.
 
-    ``a_in`` is the boundary envelope a(0, t): either an array of n_t uniform
-    samples or a callable of SI time.  Warns when gamma_s * dt exceeds 0.1.
-    No (n_z, n_t) history is kept: per step the march keeps a(0, t) and
-    a(1, t) and adds w_t |b|^2 (Simpson weights in t) into one n_z vector, so
-    memory is O(n_z + n_t).  A non-finite field anywhere reaches a(1, .), that
-    sum or b(., T), and raises PhysicsError.
+    ``a_in`` is the boundary envelope a(0, t) as n_t uniform samples on
+    [0, T].  Warns when gamma_s * dt exceeds 0.1.  No (n_z, n_t) history is
+    kept: per step the march keeps a(0, t) and a(1, t) and adds w_t |b|^2
+    (Simpson weights in t) into one n_z vector, so memory is O(n_z + n_t).
+    A non-finite field anywhere reaches a(1, .), that sum or b(., T), and
+    raises PhysicsError.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
     h = _scaled_step(params.gamma_s * params.T / (n_t - 1))
@@ -646,16 +644,13 @@ def pde_read(
         raise DimensionError("profile grid must match linspace(0, 1, n_z)")
     if t_max is not None and not t_max > 0.0:
         raise PhysicsError(f"t_max must be positive, got {t_max!r}")
-    per, rest = divmod(int(n_t) - 1, 50)  # steps per T/10 chunk of the default horizon
-    if t_max is None and (per < 2 or rest):
-        raise DimensionError("the default horizon's T/10 chunks need at least 3 samples and "
-                             f"n_t = 50 m + 1 (101, 151, ...), got n_t = {n_t}")
+    per = _read_chunk_steps(n_t, "n_t") if t_max is None else None
     horizon = 5.0 * params.T if t_max is None else float(t_max)
     t = np.linspace(0.0, horizon, int(n_t))
     if params.d == 0.0:
         return t, np.zeros(int(n_t), dtype=complex)
     h = _scaled_step(params.gamma_s * horizon / (n_t - 1))
-    out = _read_march(profile.b_T, n_t, h, params.d, int(n_z), per if t_max is None else None)
+    out = _read_march(profile.b_T, n_t, h, params.d, int(n_z), per)
     return t[:out.size], out * np.sqrt(params.gamma_s)  # scaled envelope back to SI amplitude
 
 
@@ -692,27 +687,6 @@ def expected_gain(params: MemoryParams, omega):
     return complex(g) if np.isscalar(omega) or w.ndim == 0 else g
 
 
-def _probe_read_analytic(d, tau_p, probes, n_z, tau_r):
-    """Read records of all probes (rows) from one write and one read J0 table."""
-    z = np.linspace(0.0, 1.0, n_z)
-    h = tau_p[1] - tau_p[0]
-    b, _ = _bessel_quadrature(z, tau_p[-1] - tau_p, d, probes.T, h, write=True)
-    out, _ = _bessel_quadrature(tau_r, 1.0 - z, d, b, z[1] - z[0], write=False)
-    return out.T
-
-
-def _probe_read_pde(d, probes, n_z, n_read, h_w, h_r, per):
-    """Read records of all probes (rows): one write and one read march, probes as columns.
-
-    ``probes`` are sampled at write step h_w, and the read takes n_read
-    samples at step h_r.  With ``per`` the read march stops once every
-    column has converged (see ``_read_march``), so the records may be shorter.
-    """
-    # fields vanish before the probe support; start marching at its left edge
-    _, b_end = _output_march(np.zeros((n_z, len(probes))), probes.T, h_w, d, n_z)
-    return _read_march(b_end, n_read, h_r, d, n_z, per, _PROBE_READ_TOL).T
-
-
 def _pde_read_samples(d):
     """Default PDE read samples: 50 chunks of 120 steps per started 12 of optical depth."""
     return 50 * _PDE_READ_PER * max(1, math.ceil(d / 12.0)) + 1
@@ -725,7 +699,6 @@ def transfer_function_estimate(
     *,
     path: str = "analytic",
     probe_width: float | None = None,
-    taper: float = 0.1,
     n_probe: int | None = None,
     n_z: int | None = None,
     n_read: int | None = None,
@@ -742,7 +715,9 @@ def transfer_function_estimate(
     width 0.002 |K_0| / (d gamma_s) keeps the capture-bias estimate
     d <gamma_s (T - t)> / |K_0| around 0.1%; probes whose estimate exceeds 1%
     raise ProbeDesignError.  ``path`` selects the analytic quadrature route or
-    the PDE marching route.
+    the PDE marching route.  The analytic route checks its write and read
+    quadratures as ``write_analytic`` and ``read_analytic`` do: an estimated
+    relative error above 1e-6 raises ResolutionError.
 
     The grids default per path.  ``analytic``: n_z = 1200 ensemble positions,
     n_probe = 1601 probe samples, n_read = 6001 read samples.  ``pde``:
@@ -769,10 +744,7 @@ def transfer_function_estimate(
     n_z = int(n_z if n_z is not None else 300 if pde else 1200)
     n_probe = int(n_probe if n_probe is not None else 401 if pde else 1601)
     n_read = int(n_read if n_read is not None else _pde_read_samples(params.d) if pde else 6001)
-    per, rest = divmod(n_read - 1, 50)  # steps per T/10 chunk of the default window
-    if pde and T_read is None and (per < 2 or rest):
-        raise DimensionError("the default read window's T/10 chunks need at least 3 samples "
-                             f"and n_read = 50 m + 1 (101, 151, ...), got n_read = {n_read}")
+    per = _read_chunk_steps(n_read, "n_read") if pde and T_read is None else None
     if omegas.size == 0:
         return np.zeros(0, dtype=complex)
     if params.d == 0.0:
@@ -788,7 +760,7 @@ def transfer_function_estimate(
             f"probe width {probe_width:g} s does not fit in the write window"
         )
     tau_p = np.linspace(Gamma - w_hat, Gamma, n_probe)
-    env = tukey_window(n_probe, taper)
+    env = tukey_window(n_probe)
     wts_p = simpson_weights(tau_p.size, tau_p[1] - tau_p[0])
     centroid = float(np.sum(wts_p * env * (Gamma - tau_p)) / np.sum(wts_p * env))
     leakage = params.d * centroid / K0
@@ -802,14 +774,19 @@ def transfer_function_estimate(
     tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
     om_hat = omegas[:, None] / params.gamma_s
     probes = env * np.exp(1j * om_hat * tau_p)
+    # one write and one read of all probes at once, probes as columns
     if pde:
         h_w = _scaled_step(tau_p[1] - tau_p[0])
         h_r = _scaled_step(tau_r[1] - tau_r[0])
-        out = _probe_read_pde(params.d, probes, n_z, n_read, h_w, h_r,
-                              per if T_read is None else None)
+        # fields vanish before the probe support; start marching at its left edge
+        for _, b in _march(np.zeros((n_z, omegas.size)), probes.T, h_w, params.d, n_z):
+            pass
+        out = _read_march(b, n_read, h_r, params.d, n_z, per, _PROBE_READ_TOL).T
         tau_r = tau_r[:out.shape[1]]
     else:
-        out = _probe_read_analytic(params.d, tau_p, probes, n_z, tau_r)
+        z = np.linspace(0.0, 1.0, n_z)
+        b = _checked_quadrature(z, Gamma - tau_p, params.d, probes.T, tau_p[1] - tau_p[0], True)
+        out = _checked_quadrature(tau_r, 1.0 - z, params.d, b, z[1] - z[0], False).T
     wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
     A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
     A_out = np.sum(wts_r * out * np.exp(-1j * om_hat * tau_r), axis=1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, PhysicsError
-from .modes import ModeBasis
+from .modes import ModeBasis, _check_unitary
 
 __all__ = [
     "CovarianceMatrix",
@@ -36,8 +36,8 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9   # symplectic eigenvalues must be >= 1 - this
-UNITARY_TOL = 1e-10
 SQUEEZED_EIG_TOL = 1e-10  # eigenvalues below 1 - this count as squeezed
+PURITY_TOL = 1e-6        # supermode extraction needs purity >= 1 - this
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,15 +155,6 @@ def symplectic_embedding(U) -> np.ndarray:
     return S
 
 
-def _check_unitary(U, M):
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (M, M):
-        raise DimensionError(f"expected a {M}x{M} unitary, got shape {U.shape}")
-    if np.abs(U @ U.conj().T - np.eye(M)).max() > UNITARY_TOL:
-        raise PhysicsError("matrix is not unitary within 1e-10")
-    return U
-
-
 def _symplectic_eigenvalues(C: np.ndarray) -> np.ndarray:
     M = C.shape[0] // 2
     ev = np.linalg.eigvals(symplectic_form(M) @ C)
@@ -261,7 +252,7 @@ def _vacuum_pairs(E: np.ndarray, Om: np.ndarray) -> np.ndarray:
     return np.array(vs)
 
 
-def supermode_extraction(C: CovarianceMatrix, purity_tol: float = 1e-6):
+def supermode_extraction(C: CovarianceMatrix):
     """Reduce a pure state to uncorrelated squeezed vacua on supermodes.
 
     Returns ``(basis, spectrum, angles)`` where ``basis`` holds the rows of the
@@ -276,12 +267,13 @@ def supermode_extraction(C: CovarianceMatrix, purity_tol: float = 1e-6):
     the orthosymplectic transform directly; as (Omega v)[2j] = v[2j+1], row m
     of V is v_m[1::2] + i v_m[0::2].  Ties in zeta are broken by the smallest
     index of the largest-magnitude eigenvector component; signs are fixed by
-    making that component positive.
+    making that component positive.  A purity below 1 - PURITY_TOL (1e-6)
+    raises PhysicsError.
     """
     p = purity(C)
-    if p < 1.0 - purity_tol:
+    if p < 1.0 - PURITY_TOL:
         raise PhysicsError(
-            f"state is not pure within tolerance (purity {p:.9f}, tol {purity_tol:g})"
+            f"state is not pure within tolerance (purity {p:.9f}, tol {PURITY_TOL:g})"
         )
     M = C.mode_count
     lam, vec = np.linalg.eigh(C.entries)

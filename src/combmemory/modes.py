@@ -26,7 +26,7 @@ __all__ = [
 DEFAULT_TOOTH_COUNT = 128
 MAX_TOOTH_COUNT = 2**16  # largest `[state] teeth` a config may ask for
 
-ORTHO_TOL = 1e-10        # pairwise |<vi,vj> - delta_ij| for a valid basis
+ORTHO_TOL = 1e-10        # pairwise |<vi,vj> - delta_ij| for a valid basis or unitary
 DEPENDENCE_TOL = 1e-8    # residual norm below this is linear dependence
 
 
@@ -176,12 +176,17 @@ def gram_schmidt(vs) -> ModeBasis:
     return ModeBasis(np.array(out), vs[0].tooth_offset)
 
 
+def _check_unitary(U, M: int) -> np.ndarray:
+    """U as a complex array, checked to be M x M and unitary within ORTHO_TOL."""
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (M, M):
+        raise DimensionError(f"expected a {M}x{M} unitary, got shape {U.shape}")
+    if np.abs(U @ U.conj().T - np.eye(M)).max() > ORTHO_TOL:
+        raise PhysicsError(f"matrix is not unitary within {ORTHO_TOL:g}")
+    return U
+
+
 def unitary_mix(basis: ModeBasis, U) -> ModeBasis:
     """Re-mix a basis: q_j = sum_k U_jk p_k.  Leaves the projector unchanged."""
-    U = np.asarray(U, dtype=complex)
-    M = len(basis)
-    if U.shape != (M, M):
-        raise DimensionError(f"expected a {M}x{M} matrix, got {U.shape}")
-    if np.abs(U @ U.conj().T - np.eye(M)).max() > ORTHO_TOL:
-        raise PhysicsError("mixing matrix is not unitary within 1e-10")
+    U = _check_unitary(U, len(basis))
     return ModeBasis(U @ basis.matrix, basis.tooth_offset)

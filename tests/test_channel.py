@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,44 @@ class TestApplyCascade:
         other = self._bases(2, 6, np.random.default_rng(99))
         with pytest.raises(PhysicsError, match="span"):
             apply_cascade(random_pure_state(2, rng), supermodes, other, 0.9)
+
+    def test_first_order_span_leak_rejected(self):
+        # one pump rotated out of the span by eps = 1e-6 leaks ~eps of amplitude;
+        # a check on the M x M overlaps alone (|H^H H - I| ~ eps^2) would pass it
+        rng = np.random.default_rng(19)
+        G = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+        full = gram_schmidt([ModeVector(g) for g in G]).matrix
+        supermodes = ModeBasis(full[:2])
+        eps = 1e-6
+        A = supermodes.matrix.copy()
+        A[0] = np.cos(eps) * A[0] + np.sin(eps) * full[2]
+        with pytest.raises(PhysicsError, match="span"):
+            apply_cascade(random_pure_state(2, rng), supermodes, ModeBasis(A), 0.9)
+
+    def test_pump_count_mismatch_rejected(self):
+        rng = np.random.default_rng(20)
+        full = self._bases(3, 8, rng)
+        two = ModeBasis(full.matrix[:2])
+        with pytest.raises(DimensionError, match="pump basis"):
+            apply_cascade(random_pure_state(2, rng), two, full, 0.9)
+        with pytest.raises(DimensionError, match="pump basis"):
+            apply_cascade(random_pure_state(3, rng), full, two, 0.9)
+
+    def test_memory_independent_of_teeth_squared(self):
+        # at 2048 teeth a teeth x teeth complex projector alone takes 64 MiB;
+        # the supermode-frame cascade keeps only M x teeth and M x M arrays
+        M, teeth = 2, 2048
+        supermodes = ModeBasis(np.eye(M, teeth, dtype=complex))
+        pumps = unitary_mix(supermodes, random_unitary(M, np.random.default_rng(21)))
+        C_in = random_pure_state(M, np.random.default_rng(22))
+        tracemalloc.start()
+        try:
+            out = apply_cascade(C_in, supermodes, pumps, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.abs(out.entries - covariance_map(C_in, 0.9).entries).max() < 1e-10
 
     def test_mode_count_mismatch_rejected(self):
         rng = np.random.default_rng(17)

@@ -315,17 +315,6 @@ class TestPdeMarch:
         assert l2 < 1e-5
         assert l2 == pytest.approx(2.6068e-06, rel=1e-2)
 
-    def test_callable_boundary_equals_samples(self):
-        p = params10()
-        n = 201
-        t = np.linspace(0.0, p.T, n)
-        f = lambda tk: np.exp(-((tk / p.T - 0.5) ** 2) / 0.02)
-        r1 = pde_write(f, p, 64, n)
-        r2 = pde_write(f(t).astype(complex), p, 64, n)
-        assert np.array_equal(r1.profile.b_T, r2.profile.b_T)
-        assert np.array_equal(r1.b_sq_dt, r2.b_sq_dt)
-        assert energy_budget(r1, p) == energy_budget(r2, p)
-
     def test_zero_depth_passthrough(self):
         p = params10(d=0.0)
         run = pde_write(np.ones(128, dtype=complex), p, 16, 128)
@@ -527,6 +516,14 @@ class TestTransferFunction:
         for kw in (dict(T_read=5.0 * p.T, path="pde"), dict(path="analytic")):
             g = transfer_function_estimate(p, [0.0], n_probe=201, n_z=100, n_read=600, **kw)
             assert np.isfinite(g).all()
+
+    @pytest.mark.parametrize("n_z, n_probe, stage", [(100, 9, "write"), (9, 201, "read")])
+    def test_analytic_quadrature_error_raises(self, n_z, n_probe, stage):
+        # 9 probe samples (estimate 6.1e-3) or 9 z points (1.9e-5) under-resolve
+        # a quadrature; the stages' 1e-6 limit holds here too, instead of a
+        # plausible |g(0)| of 0.98
+        with pytest.raises(ResolutionError, match=f"{stage} quadrature error"):
+            transfer_function_estimate(params10(), [0.0], n_z=n_z, n_probe=n_probe, n_read=601)
 
 
 class TestPdeTransfer:
