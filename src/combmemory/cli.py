@@ -44,7 +44,7 @@ from .gaussian import (
 )
 from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieval_table, zeta_to_db
 from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
-from .modes import ModeBasis, unitary_mix
+from .modes import MAX_MODE_COUNT, ModeBasis, unitary_mix
 from .presets import get_preset
 from .tables import Records, write_csv, write_json
 
@@ -120,6 +120,9 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
             except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary input
                 raise ConfigError(f"state file {cfg.state_file} is not JSON: {exc}") from exc
         rows = obj.get("rows") if isinstance(obj, dict) else None
+        if isinstance(rows, list) and len(rows) > 2 * MAX_MODE_COUNT:
+            raise ConfigError(f"[state] file {cfg.state_file} holds a {len(rows)}-row matrix; "
+                              f"at most {MAX_MODE_COUNT} modes are supported")
         if isinstance(rows, list) and len(rows) % 2 == 0:  # odd sizes fail in from_json
             _fit_teeth(len(rows) // 2, teeth)
         return CovarianceMatrix.from_json(obj)

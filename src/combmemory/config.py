@@ -22,7 +22,7 @@ import numpy as np
 from .channel import MemoryParams, PhysicalParams, derive_gamma_s
 from .errors import CombMemoryError, ConfigError
 from .dynamics import MAX_GRID_CELLS
-from .modes import DEFAULT_TOOTH_COUNT, MAX_TOOTH_COUNT
+from .modes import DEFAULT_TOOTH_COUNT, MAX_MODE_COUNT, MAX_TOOTH_COUNT
 
 __all__ = ["ExperimentConfig", "parse_quantity", "load_config"]
 
@@ -44,6 +44,11 @@ _KEYS = {
     "sweep": {"d_values"},
     "output": {"dir", "format", "seed", "workers"},
 }
+
+# Largest `[state] file`, checked before it is read: 64 bytes for each entry of
+# a 2 MAX_MODE_COUNT square matrix (64 MiB).  The stdlib's indent=2 encoding
+# of a state takes at most 34: 8 spaces, a 24-character float and ",\n".
+MAX_STATE_FILE_BYTES = 64 * (2 * MAX_MODE_COUNT) ** 2
 
 _QUANTITY_RE = re.compile(r"^\s*(?:([-+]?)(2pi\*))?\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z/]*)\s*$")
 
@@ -180,6 +185,9 @@ def load_config(path: str) -> ExperimentConfig:
     sources = []
     if cp.has_option("state", "squeezing_db"):
         spectrum_db = _float_list(get("state", "squeezing_db"), "squeezing_db")
+        if len(spectrum_db) > MAX_MODE_COUNT:
+            raise ConfigError(f"[state] squeezing_db lists {len(spectrum_db)} modes; "
+                              f"at most {MAX_MODE_COUNT} are supported")
         sources.append("spectrum")
     if cp.has_option("state", "file"):
         state_file = get("state", "file")
@@ -191,8 +199,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"exactly one state source required (squeezing_db, file, or preset); got {sources or 'none'}"
         )
-    if state_file is not None and not os.path.isfile(state_file):
-        raise ConfigError(f"state file not found: {state_file}")
+    if state_file is not None:
+        if not os.path.isfile(state_file):
+            raise ConfigError(f"state file not found: {state_file}")
+        size = os.path.getsize(state_file)
+        if size > MAX_STATE_FILE_BYTES:
+            raise ConfigError(f"[state] file {state_file} is {size} bytes; a state of at most "
+                              f"{MAX_MODE_COUNT} modes takes at most {MAX_STATE_FILE_BYTES}")
     if cp.has_option("state", "angles"):
         angles = _float_list(get("state", "angles"), "angles")
         if spectrum_db is None:

@@ -76,6 +76,7 @@ __all__ = [
 QUAD_ERROR_LIMIT = 1e-6      # estimated relative quadrature error above this errors out
 LEAKAGE_LIMIT = 1e-2         # capture-bias estimate above this is a probe-design error
 PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
+READ_SUM_ERROR_LIMIT = 1e-4  # estimated relative error of the read clock's Fourier sum
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
 # Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory
 # (``pde_write`` keeps O(n_z + n_t) values).  The march takes 22-48 ns a cell
@@ -692,6 +693,15 @@ def _pde_read_samples(d):
     return 50 * _PDE_READ_PER * max(1, math.ceil(d / 12.0)) + 1
 
 
+def _read_sum_error(terms, h):
+    """Richardson's |S_h - S_2h| / 15 for Simpson sums of ``terms`` along axis 1
+    over the leading odd run of samples, relative to the largest |S_h|."""
+    m = terms.shape[1] - (terms.shape[1] % 2 == 0)
+    fine = np.sum(simpson_weights(m, h) * terms[:, :m], axis=1)
+    coarse = np.sum(simpson_weights((m + 1) // 2, 2.0 * h) * terms[:, :m:2], axis=1)
+    return float(np.abs(fine - coarse).max()) / 15.0 / max(float(np.abs(fine).max()), 1e-300)
+
+
 def transfer_function_estimate(
     params: MemoryParams,
     probe_frequencies,
@@ -717,7 +727,10 @@ def transfer_function_estimate(
     raise ProbeDesignError.  ``path`` selects the analytic quadrature route or
     the PDE marching route.  The analytic route checks its write and read
     quadratures as ``write_analytic`` and ``read_analytic`` do: an estimated
-    relative error above 1e-6 raises ResolutionError.
+    relative error above 1e-6 raises ResolutionError.  It also checks the
+    read clock's Fourier sum: a Richardson estimate above 1e-4 raises
+    ResolutionError with an n_read to try (the default 6001 samples hold at
+    the ``dynamics.ini`` working point to about d = 100).
 
     The grids default per path.  ``analytic``: n_z = 1200 ensemble positions,
     n_probe = 1601 probe samples, n_read = 6001 read samples.  ``pde``:
@@ -788,6 +801,16 @@ def transfer_function_estimate(
         b = _checked_quadrature(z, Gamma - tau_p, params.d, probes.T, tau_p[1] - tau_p[0], True)
         out = _checked_quadrature(tau_r, 1.0 - z, params.d, b, z[1] - z[0], False).T
     wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
+    phase = np.exp(-1j * om_hat * tau_r)
     A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
-    A_out = np.sum(wts_r * out * np.exp(-1j * om_hat * tau_r), axis=1)
+    A_out = np.sum(wts_r * out * phase, axis=1)
+    if not pde:
+        est = _read_sum_error(out * phase, tau_r[1] - tau_r[0])
+        if est > READ_SUM_ERROR_LIMIT:
+            # the sum's error falls as h^4; the hint aims at half the limit
+            need = 1 + math.ceil((n_read - 1) * (2.0 * est / READ_SUM_ERROR_LIMIT) ** 0.25)
+            raise ResolutionError(
+                f"read-clock Fourier sum error estimate {est:.2e} exceeds "
+                f"{READ_SUM_ERROR_LIMIT:g}; try n_read >= {need}"
+            )
     return A_out / A_in

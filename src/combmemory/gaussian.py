@@ -7,6 +7,15 @@ orthonormal set of supermodes; ``supermode_extraction`` finds that set from the
 eigenstructure of C, using the fact that for pure states the symplectic form
 maps a squeezed eigenvector (eigenvalue zeta < 1) to its antisqueezed partner
 (eigenvalue 1/zeta).
+
+Physicality is the uncertainty relation C + i Omega >= 0 (Weedbrook et al.,
+RMP 84, 621 (2012)), i.e. every symplectic eigenvalue nu >= 1.  The
+Hermitian C + i lam Omega is positive semidefinite exactly when
+nu_min >= lam, so (1 + delta) C + i Omega, with 1 + delta =
+1 / (1 - PHYSICALITY_TOL), is positive definite exactly when
+nu_min > 1 - PHYSICALITY_TOL.  One complex Cholesky of it accepts a state;
+only when it fails do the symplectic eigenvalues decide, and they write the
+rejection message, so near the boundary the eigenvalues have the last word.
 """
 
 from __future__ import annotations
@@ -35,7 +44,12 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
-PHYSICALITY_TOL = 1e-9   # symplectic eigenvalues must be >= 1 - this
+# Symplectic eigenvalues must be >= 1 - PHYSICALITY_TOL.  With 1 + delta =
+# 1 / (1 - PHYSICALITY_TOL), i.e. delta = tol / (1 - tol), the matrix
+# (1 + delta) C + i Omega is positive definite exactly when
+# nu_min > 1 - PHYSICALITY_TOL, which one complex Cholesky decides.
+PHYSICALITY_TOL = 1e-9
+_PHYSICALITY_SCALE = 1.0 / (1.0 - PHYSICALITY_TOL)  # 1 + delta
 SQUEEZED_EIG_TOL = 1e-10  # eigenvalues below 1 - this count as squeezed
 PURITY_TOL = 1e-6        # supermode extraction needs purity >= 1 - this
 
@@ -81,11 +95,12 @@ class CovarianceMatrix:
         if np.abs(C - C.T).max() > SYMMETRY_TOL * max(1.0, np.abs(C).max()):
             raise PhysicsError("covariance is not symmetric within 1e-12")
         C = 0.5 * (C + C.T)
-        nu = _symplectic_eigenvalues(C)
-        if nu.min() < 1.0 - PHYSICALITY_TOL:
-            raise PhysicsError(
-                f"unphysical covariance: smallest symplectic eigenvalue {nu.min():.12f}"
-            )
+        if not _certainly_physical(C):
+            nu = _symplectic_eigenvalues(C)
+            if nu.min() < 1.0 - PHYSICALITY_TOL:
+                raise PhysicsError(
+                    f"unphysical covariance: smallest symplectic eigenvalue {nu.min():.12f}"
+                )
         C.flags.writeable = False
         object.__setattr__(self, "entries", C)
 
@@ -159,6 +174,18 @@ def _symplectic_eigenvalues(C: np.ndarray) -> np.ndarray:
     M = C.shape[0] // 2
     ev = np.linalg.eigvals(symplectic_form(M) @ C)
     return np.sort(np.abs(ev))[::2]  # each nu appears as +/- i nu
+
+
+def _certainly_physical(C: np.ndarray) -> bool:
+    """True when a Cholesky of (1 + delta) C + i Omega succeeds: nu_min > 1 - tol."""
+    A = np.empty(C.shape, dtype=complex)  # filled by parts: no complex temporaries
+    A.real = _PHYSICALITY_SCALE * C
+    A.imag = symplectic_form(C.shape[0] // 2)
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def symplectic_eigenvalues(C: CovarianceMatrix) -> np.ndarray:

@@ -25,6 +25,9 @@ __all__ = [
 
 DEFAULT_TOOTH_COUNT = 128
 MAX_TOOTH_COUNT = 2**16  # largest `[state] teeth` a config may ask for
+# Largest state a config may name, in modes.  Every 2M x 2M covariance takes
+# 32 M^2 bytes, and `channel` at M = 512 runs in about 6 s at 250 MB peak RSS.
+MAX_MODE_COUNT = 512
 
 ORTHO_TOL = 1e-10        # pairwise |<vi,vj> - delta_ij| for a valid basis or unitary
 DEPENDENCE_TOL = 1e-8    # residual norm below this is linear dependence

@@ -319,6 +319,20 @@ class TestStateFile:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_too_many_rows_rejected_before_building(self, tmp_path, monkeypatch, capsys):
+        # a compact file can hold more modes than MAX_MODE_COUNT within the byte
+        # bound; its row count exits 2 before any covariance exists
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a covariance was built before the mode-count check")
+
+        monkeypatch.setattr(cli, "CovarianceMatrix", SimpleNamespace(from_json=unbuilt))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"rows": [[0]] * (2 * cli.MAX_MODE_COUNT + 2)}))
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        rc, _ = run(tmp_path, "metrics", text)
+        assert rc == 2
+        assert "[state] file" in capsys.readouterr().err
+
     def test_valid_file_runs(self, tmp_path):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"mode_count": 1, "rows": [[0.5, 0.0], [0.0, 2.0]]}))

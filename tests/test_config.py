@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from combmemory import ConfigError
-from combmemory.config import load_config, parse_quantity
+from combmemory.config import MAX_STATE_FILE_BYTES, load_config, parse_quantity
 from combmemory.dynamics import MAX_GRID_CELLS
+from combmemory.modes import MAX_MODE_COUNT
 
 TWO_PI = 2.0 * np.pi
 
@@ -161,6 +162,27 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, BASE + "teeth = 65536\n"))
         assert cfg.teeth == 65536
 
+    def test_mode_count_bound(self, tmp_path):
+        # a spectrum of MAX_MODE_COUNT + 1 modes exits at load, before any covariance
+        db = ", ".join(["-3"] * (MAX_MODE_COUNT + 1))
+        with pytest.raises(ConfigError, match=r"\[state\] squeezing_db lists 513 modes"):
+            load_config(write_config(tmp_path, BASE.replace("-6, -3", db)))
+        db = ", ".join(["-3"] * MAX_MODE_COUNT)
+        cfg = load_config(write_config(tmp_path, BASE.replace("-6, -3", db)))
+        assert len(cfg.spectrum_db) == MAX_MODE_COUNT
+
+    def test_state_file_size_bound(self, tmp_path):
+        # a sparse file one byte over the bound: its size is read, never its bytes
+        state = tmp_path / "state.json"
+        with open(state, "wb") as fh:
+            fh.truncate(MAX_STATE_FILE_BYTES + 1)
+        text = BASE.replace("squeezing_db = -6, -3", f"file = {state}")
+        with pytest.raises(ConfigError, match=r"\[state\] file .* bytes"):
+            load_config(write_config(tmp_path, text))
+        with open(state, "wb") as fh:
+            fh.truncate(MAX_STATE_FILE_BYTES)
+        assert load_config(write_config(tmp_path, text)).state_file == str(state)
+
     @pytest.mark.parametrize("n_z, n_t", [
         (10**6, 10**6),
         (33, 1016801),  # 2**25 + 1 cells, one over the cap
@@ -237,7 +259,8 @@ class TestLoadConfig:
         assert cfg.probe_omegas[1] == pytest.approx(TWO_PI * 1.8e3)
         assert cfg.sweep_d == (1.0, 2.0, 4.0)
         assert cfg.formats == ("csv",)
-        assert cfg.seed == 5  # the retired workers key is ignored, like any unknown key
+        # workers is the one retired key that is accepted and ignored
+        assert cfg.seed == 5
 
     def test_raw_text_retained(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE))

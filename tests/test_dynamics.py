@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from combmemory import (
     StoredProfile,
     WriteRecord,
     bessel_j0,
+    efficiency,
     energy_budget,
     expected_gain,
     kernel,
@@ -524,6 +526,32 @@ class TestTransferFunction:
         # plausible |g(0)| of 0.98
         with pytest.raises(ResolutionError, match=f"{stage} quadrature error"):
             transfer_function_estimate(params10(), [0.0], n_z=n_z, n_probe=n_probe, n_read=601)
+
+    def test_read_sum_error_raises_at_high_depth(self):
+        # at d = 400 the default 6001 read samples put |g(0)|^2 5.5e-2 off eta;
+        # the read clock's Fourier sum estimates its own error (2.4e-2) and raises
+        p = MemoryParams(d=400.0, gamma_s=GAMMA_S, T=88.42e-6)
+        with pytest.raises(ResolutionError, match=r"Fourier sum error estimate 2\.36e-02 "
+                                                  r"exceeds 0\.0001; try n_read >= \d+"):
+            transfer_function_estimate(p, [0.0, 0.1 * GAMMA_S])
+
+    def test_read_sum_hint_resolves(self):
+        # d = 100 estimates 1.24e-4 at 6001 samples; the hinted count passes
+        p = MemoryParams(d=100.0, gamma_s=GAMMA_S, T=88.42e-6)
+        with pytest.raises(ResolutionError, match="n_read") as caught:
+            transfer_function_estimate(p, [0.0])
+        n_read = int(re.search(r">= (\d+)", str(caught.value)).group(1))
+        g = transfer_function_estimate(p, [0.0], n_read=n_read)
+        assert abs(abs(g[0]) ** 2 - efficiency(100.0)) <= 5e-3
+
+    def test_resolved_read_sum_keeps_gains(self):
+        # d = 4 (estimate 1.9e-9) returns the gains measured before the estimate existed
+        before = [-0.9807031487773924 + 0j, -0.536453519241191 - 0.821883565994989j,
+                  0.7782253624795664 + 0.6047112609403783j,
+                  0.9743949553725382 - 0.1618280608979077j,
+                  0.11416999119745672 - 0.976267732135941j]
+        got = transfer_function_estimate(TestPdeTransfer.params(4.0), TestPdeTransfer.OMEGAS)
+        assert np.abs(got - before).max() <= 1e-12
 
 
 class TestPdeTransfer:

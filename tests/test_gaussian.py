@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from combmemory import (
     CovarianceMatrix,
     DimensionError,
+    ModeBasis,
     PhysicsError,
     SqueezingSpectrum,
+    apply_cascade,
     apply_mode_unitary,
+    covariance_map,
     gaussian_fidelity,
     purity,
     squeezed_vacuum,
@@ -15,8 +20,10 @@ from combmemory import (
     symplectic_eigenvalues,
     symplectic_embedding,
     symplectic_form,
+    unitary_mix,
     vacuum,
 )
+from combmemory import gaussian
 from support import random_pure_state, random_unitary
 
 
@@ -278,3 +285,85 @@ class TestGaussianFidelity:
         F0 = gaussian_fidelity(C1, C2)
         F1 = gaussian_fidelity(apply_mode_unitary(C1, U), apply_mode_unitary(C2, U))
         assert F1 == pytest.approx(F0, abs=1e-12)
+
+
+def mixed_state(M, db_min, thermal, seed):
+    """(C, nu): a pure or thermal M-mode state and its symplectic spectrum.
+
+    Each mode is squeezed down to at most ``db_min`` dB (the first mode to
+    exactly that) and, if thermal, scaled by nu > 1; a Haar mode unitary
+    then mixes all modes.
+    """
+    rng = np.random.default_rng(seed)
+    zeta = 10.0 ** (np.r_[db_min, rng.uniform(db_min, 0.0, M - 1)] / 10.0)
+    nu = 1.0 + rng.exponential(1.0, M) if thermal else np.ones(M)
+    D = np.diag(np.ravel(np.column_stack([nu / zeta, nu * zeta])))
+    S = symplectic_embedding(random_unitary(M, rng))
+    C = S @ D @ S.T
+    return 0.5 * (C + C.T), nu
+
+
+mixed_states = st.builds(mixed_state, st.integers(1, 128), st.floats(-20.0, 0.0),
+                         st.booleans(), st.integers(0, 2**32 - 1))
+
+
+def eigenvalue_verdict(C):
+    return gaussian._symplectic_eigenvalues(C).min() >= 1.0 - gaussian.PHYSICALITY_TOL
+
+
+class TestPhysicalityProperties:
+    """The one-Cholesky acceptance against the symplectic-eigenvalue oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(state=mixed_states)
+    @example(state=mixed_state(128, -20.0, False, 1))
+    @example(state=mixed_state(128, -20.0, True, 2))
+    def test_cholesky_verdict_matches_eigenvalues(self, state):
+        C, nu = state
+        assert gaussian._certainly_physical(C) and eigenvalue_verdict(C)
+        # scaled so that nu_min sits on 1, then 2e-9 either side of it
+        for scale, physical in ((1.0, True), (1.0 + 2e-9, True), (1.0 - 2e-9, False)):
+            X = C * (scale / nu.min())
+            assert gaussian._certainly_physical(X) == eigenvalue_verdict(X) == physical
+            if not physical:
+                with pytest.raises(PhysicsError, match="smallest symplectic eigenvalue"):
+                    CovarianceMatrix(X)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(state=mixed_states)
+    def test_acceptance_runs_no_eigensolve(self, state):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals ran on a physical state")
+
+        C, nu = state
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvals", refused)
+            for X in (C, C * (1.0 + 2e-9) / nu.min()):
+                assert np.array_equal(CovarianceMatrix(X).entries, X)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(state=mixed_states, k2=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_channels_stay_physical(self, state, k2, seed):
+        C = CovarianceMatrix(state[0])
+        M = C.mode_count
+        supermodes = ModeBasis(np.eye(M, dtype=complex))
+        pumps = unitary_mix(supermodes, random_unitary(M, np.random.default_rng(seed)))
+        for out in (covariance_map(C, k2), apply_cascade(C, supermodes, pumps, k2)):
+            assert symplectic_eigenvalues(out).min() >= 1.0 - gaussian.PHYSICALITY_TOL
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(state=mixed_states, k1=st.floats(0.0, 1.0), k2=st.floats(0.0, 1.0))
+    def test_two_memories_compose(self, state, k1, k2):
+        C = CovarianceMatrix(state[0])
+        twice = covariance_map(covariance_map(C, k1), k2).entries
+        once = covariance_map(C, k1 * k2).entries
+        assert np.abs(twice - once).max() <= 1e-12 * np.abs(C.entries).max()
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(state=mixed_states, seed=st.integers(0, 2**32 - 1))
+    def test_spectrum_invariant_under_mode_unitaries(self, state, seed):
+        C, nu = state
+        C = CovarianceMatrix(C)
+        U = random_unitary(C.mode_count, np.random.default_rng(seed))
+        for X in (C, apply_mode_unitary(C, U)):
+            assert np.abs(symplectic_eigenvalues(X) - np.sort(nu)).max() <= 1e-9 * nu.max()
