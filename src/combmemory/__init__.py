@@ -58,10 +58,7 @@ from .dynamics import (
     bessel_j0,
     energy_budget,
     expected_gain,
-    pde_read,
     pde_write,
-    read_analytic,
-    read_horizon,
     simpson_weights,
     transfer_function_estimate,
     tukey_window,
@@ -101,9 +98,8 @@ __all__ = [
     "frequency_response", "pulse_capacity",
     # dynamics
     "StoredProfile", "WriteRecord", "bessel_j0", "simpson_weights",
-    "tukey_window", "write_analytic", "read_analytic", "read_horizon",
-    "pde_write", "pde_read", "energy_budget", "transfer_function_estimate",
-    "expected_gain",
+    "tukey_window", "write_analytic", "pde_write", "energy_budget",
+    "transfer_function_estimate", "expected_gain",
     # metrics
     "SupermodeReport", "db_to_zeta", "zeta_to_db", "output_squeezing",
     "output_purity", "fidelity_supermode", "overall_fidelity",

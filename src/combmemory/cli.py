@@ -152,6 +152,7 @@ def _random_unitary(M: int, rng: np.random.Generator) -> np.ndarray:
 # subcommands
 
 def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+    """frequency response and flatness of the memory kernel"""
     resp = frequency_response(cfg.memory, cfg.omega_max, cfg.n_points)
     w, K = resp.frequencies, resp.values
     summary = {
@@ -179,6 +180,7 @@ def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
 
 def cmd_metrics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+    """per-supermode retrieval table (squeezing, purity, fidelity)"""
     zetas_db = _state_zetas_db(cfg)
     reports = retrieval_table(zetas_db, cfg.memory.d)
     F, vec = overall_fidelity(reports)
@@ -201,6 +203,7 @@ def cmd_metrics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
 
 def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+    """stored/retrieved covariance matrices through the pump cascade"""
     C_in = _input_state(cfg, teeth=cfg.teeth)
     M = C_in.mode_count
     k2 = efficiency(cfg.memory.d)
@@ -246,6 +249,7 @@ def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
 
 def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+    """space-time integrators validated against the closed forms"""
     p = cfg.memory
     checks = []
 
@@ -321,6 +325,7 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+    """efficiency / fidelity / purity curves over optical depth"""
     if not all(d > 0 for d in cfg.sweep_d):
         raise PhysicsError("optical depth must be positive")
     zetas_db = _state_zetas_db(cfg)
@@ -386,6 +391,8 @@ def main(argv=None) -> int:
         else:
             args.formats = ("csv", "json") if args.format == "both" else (args.format,)
         seed = cfg.seed if args.seed is None else args.seed
+        if seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {seed}")
         outdir = _resolve_outdir(cfg, args)
         return _COMMANDS[args.command](cfg, args, outdir, seed)
     except ConfigError as exc:

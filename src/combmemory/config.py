@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MemoryParams, PhysicalParams, derive_gamma_s
+from .channel import MAX_KERNEL_POINTS, MemoryParams, PhysicalParams, derive_gamma_s
 from .errors import CombMemoryError, ConfigError
 from .dynamics import MAX_GRID_CELLS
 from .modes import DEFAULT_TOOTH_COUNT, MAX_MODE_COUNT, MAX_TOOTH_COUNT
@@ -233,6 +233,8 @@ def load_config(path: str) -> ExperimentConfig:
     n_points = _int(get("kernel", "n_points", 201), "n_points")
     if n_points < 2:
         raise ConfigError(f"[kernel] n_points must be at least 2, got {n_points}")
+    if n_points > MAX_KERNEL_POINTS:
+        raise ConfigError(f"[kernel] n_points must be at most {MAX_KERNEL_POINTS}, got {n_points}")
 
     # --- dynamics -----------------------------------------------------------
     n_z = _int(get("dynamics", "n_z", 2000), "n_z")
@@ -274,6 +276,8 @@ def load_config(path: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     seed = _int(get("output", "seed", 0), "seed")
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise ConfigError(f"[output] seed must be non-negative, got {seed}")
 
     return ExperimentConfig(
         memory=memory,

@@ -3,24 +3,25 @@
 Two independent routes compute the same physics:
 
 * analytic route — the closed-form Bessel-kernel integrals for the stored
-  coherence profile and the retrieved envelope, both evaluated by one Simpson
-  quadrature.  Each kernel is J0 on a small Chebyshev core (p x p nodes, p
-  grown until the core's trailing coefficients vanish) times barycentric
-  interpolation matrices for its rows and columns, so no grid-sized J0 table
-  is built; row slices of the column matrix give the error estimate;
+  coherence profile (``write_analytic``) and the retrieved envelope (the
+  transfer measurement's read), both evaluated by one Simpson quadrature.
+  Each kernel is J0 on a small Chebyshev core (p x p nodes, p grown until
+  the core's trailing coefficients vanish) times barycentric interpolation
+  matrices for its rows and columns, so no grid-sized J0 table is built;
+  row slices of the column matrix give the error estimate;
 * PDE route — a marching integrator for the coupled envelope equations
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
   corrector pass for second-order accuracy.  One stepper yields the fields
-  at every time step, and each caller keeps what it reads: a(1, t) and the
-  final b (reads and probes), or the traces the energy budget needs
+  at every time step, and each caller keeps what it reads: the final b and
+  a(1, t) of the probe read, or the traces the energy budget needs
   (``pde_write``).  No route keeps an (n_z, n_t) history.  Independent runs
   march together as the columns of (n_z, k) arrays, so all probes of a
   transfer measurement share one write march and one read march.  A read
-  over the default 5T window marches in T/10 chunks and stops at the first
-  chunk, from the tenth on, in which every column's energy has converged
-  (``_converged_chunks``), so the steps past the cut are never taken; an
-  explicit window is marched whole.
+  over the default 5T window marches in T/10 chunks and stops at the end of
+  the first chunk, from the tenth on, in which every column's energy has
+  converged, so the steps past the cut are never taken; an explicit window
+  is marched whole.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -64,10 +65,7 @@ __all__ = [
     "simpson_weights",
     "tukey_window",
     "write_analytic",
-    "read_analytic",
-    "read_horizon",
     "pde_write",
-    "pde_read",
     "energy_budget",
     "transfer_function_estimate",
     "expected_gain",
@@ -236,11 +234,6 @@ class StoredProfile:
         b.flags.writeable = False
         object.__setattr__(self, "z_points", z)
         object.__setattr__(self, "b_T", b)
-
-    @property
-    def stored_energy(self) -> float:
-        """integral |b|^2 dz over the ensemble (trapezoid on the stored grid)."""
-        return float(np.trapezoid(np.abs(self.b_T) ** 2, self.z_points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,62 +430,6 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
     return StoredProfile(z, b)
 
 
-def read_analytic(profile: StoredProfile, params: MemoryParams, t_read) -> np.ndarray:
-    """Retrieved envelope at the ensemble output for the given read times.
-
-    Evaluates -exp(-gamma_s t) sqrt(alpha/T) * integral over the stored
-    profile, including the overall minus sign of the retrieved field.  Read
-    times are SI seconds counted from the start of the read stage.  The z
-    integral is checked as in ``write_analytic``, over the profile samples.
-    """
-    t = np.asarray(t_read, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise DimensionError("t_read must be a nonempty 1-d grid")
-    if t.min() < 0:
-        raise PhysicsError("read times must be >= 0")
-    z = profile.z_points
-    if z.size < 4:
-        raise DimensionError("profile needs at least 4 z samples")
-    hz = _uniform_spacing(z, "z")  # quadrature below assumes a uniform grid
-    if params.d == 0.0:
-        return np.zeros(t.size, dtype=complex)
-    tau = params.gamma_s * t
-    env = _checked_quadrature(tau, 1.0 - z, params.d, profile.b_T, hz, write=False)
-    return np.sqrt(params.gamma_s) * env  # scaled envelope back to SI amplitude
-
-
-def _converged_chunks(chunks, h, rel_tol=1e-4):
-    """Number of chunks to keep, drawn one at a time: the energy-convergence stop.
-
-    ``chunks`` yields successive chunks of samples at spacing h, each (n,) or
-    (n, k) with the next chunk starting on its last sample.  The first chunk
-    from the tenth on in which every column adds less than ``rel_tol`` of its
-    running Simpson sum of |x|^2 is the last one kept, and no chunk after it
-    is drawn; with none, every chunk is kept.
-    """
-    total, c = 0.0, 0
-    for c, x in enumerate(chunks, 1):
-        inc = simpson_weights(x.shape[0], h) @ np.abs(x) ** 2
-        total = total + inc
-        if c >= 10 and np.all((total > 0.0) & (inc < rel_tol * total)):
-            break
-    return c
-
-
-def read_horizon(profile: StoredProfile, params: MemoryParams) -> float:
-    """Read window length: 5T capped, stopping early once retrieval has converged.
-
-    Evaluates the retrieved envelope once on [0, 5T], sums its energy in
-    chunks of T/10 and stops when a chunk adds less than 1e-4 of the running
-    total (``_converged_chunks``).
-    """
-    chunk = params.T / 10.0
-    t = np.linspace(0.0, 50 * chunk, 50 * 128 + 1)  # cap at 5T: 50 chunks of 129 samples
-    env = read_analytic(profile, params, t)
-    chunks = (env[s:s + 129] for s in range(0, 50 * 128, 128))
-    return _converged_chunks(chunks, t[1] - t[0]) * chunk
-
-
 # ----------------------------------------------------------------------------
 # PDE route
 
@@ -539,26 +476,28 @@ def _march(b0, boundary, h, d, n_z):
         yield _field(bj, b, c, a), b
 
 
-def _read_march(b0, n_t, h, d, n_z, per=None, rel_tol=1e-4):
+def _read_march(b0, n_t, h, d, n_z, per=None):
     """a(1, .) of a read march from b0 with a dark input boundary.
 
-    The march goes in chunks of ``per`` steps and stops at the last chunk
-    ``_converged_chunks`` keeps at ``rel_tol`` (for (n_z, k) runs, once every
-    column has converged); only the samples up to that chunk's end are
-    marched and returned.  Without ``per`` the window is one chunk, so all
-    n_t samples are marched.
+    The march goes in chunks of ``per`` steps, each summed by Simpson's rule
+    in |a|^2 per column, and stops at the end of the first chunk from the
+    tenth on in which every column adds less than ``_PROBE_READ_TOL`` of its
+    running sum; only the samples up to there are marched and returned.
+    Without ``per`` the window is one chunk, so all n_t samples are marched.
     """
     dark = np.zeros((int(n_t),) + np.shape(b0)[1:], dtype=complex)
     out = np.empty_like(dark)
     per = per or int(n_t) - 1
-
-    def chunks():  # march one chunk per draw
-        for j, (a, _) in enumerate(_march(b0, dark, h, d, n_z)):
-            out[j] = a[-1]
-            if j and j % per == 0:
-                yield out[j - per:j + 1]
-
-    return out[:_converged_chunks(chunks(), h, rel_tol) * per + 1]
+    w = simpson_weights(per + 1, h)
+    total = 0.0
+    for j, (a, _) in enumerate(_march(b0, dark, h, d, n_z)):
+        out[j] = a[-1]
+        if j and j % per == 0:
+            inc = w @ np.abs(out[j - per:j + 1]) ** 2
+            total = total + inc
+            if j >= 10 * per and np.all((total > 0.0) & (inc < _PROBE_READ_TOL * total)):
+                return out[:j + 1]
+    return out
 
 
 def _scaled_step(h: float) -> float:
@@ -569,12 +508,12 @@ def _scaled_step(h: float) -> float:
     return h
 
 
-def _read_chunk_steps(n: int, name: str) -> int:
+def _read_chunk_steps(n: int) -> int:
     """Steps per T/10 chunk of a default 5T read window of n samples; n must be 50 m + 1, m >= 2."""
     per, rest = divmod(int(n) - 1, 50)
     if per < 2 or rest:
         raise DimensionError("the default read window's T/10 chunks need at least 3 samples "
-                             f"and {name} = 50 m + 1 (101, 151, ...), got {name} = {n}")
+                             f"and n_read = 50 m + 1 (101, 151, ...), got n_read = {n}")
     return per
 
 
@@ -620,39 +559,6 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
             b_sq_dt += b2
         ends *= sg
     return WriteRecord(StoredProfile(z, b), t, ends[:, 0], ends[:, 1], b_sq_dt)
-
-
-def pde_read(
-    profile: StoredProfile,
-    params: MemoryParams,
-    n_z: int,
-    n_t: int,
-    t_max: float | None = None,
-):
-    """Integrate the read stage from a stored profile; dark input boundary.
-
-    Returns ``(t_points, envelope)`` with the envelope taken at z = 1.  The
-    horizon defaults to 5T, cut as ``read_horizon`` cuts it, at the end of a
-    T/10 chunk of (n_t - 1) / 50 steps; the march stops there, so the steps
-    past the cut are never taken.  So without ``t_max``, n_t must be 50 m + 1
-    with m >= 2 (at least 3 samples a chunk for Simpson's rule); any other
-    n_t raises DimensionError.  An explicit ``t_max`` is marched whole.
-    """
-    if n_z < 4 or n_t < 4:
-        raise DimensionError("n_z and n_t must be at least 4")
-    z = np.linspace(0.0, 1.0, int(n_z))
-    if profile.z_points.size != z.size or np.abs(profile.z_points - z).max() > 1e-12:
-        raise DimensionError("profile grid must match linspace(0, 1, n_z)")
-    if t_max is not None and not t_max > 0.0:
-        raise PhysicsError(f"t_max must be positive, got {t_max!r}")
-    per = _read_chunk_steps(n_t, "n_t") if t_max is None else None
-    horizon = 5.0 * params.T if t_max is None else float(t_max)
-    t = np.linspace(0.0, horizon, int(n_t))
-    if params.d == 0.0:
-        return t, np.zeros(int(n_t), dtype=complex)
-    h = _scaled_step(params.gamma_s * horizon / (n_t - 1))
-    out = _read_march(profile.b_T, n_t, h, params.d, int(n_z), per)
-    return t[:out.size], out * np.sqrt(params.gamma_s)  # scaled envelope back to SI amplitude
 
 
 def energy_budget(record: WriteRecord, params: MemoryParams) -> dict:
@@ -726,9 +632,9 @@ def transfer_function_estimate(
     d <gamma_s (T - t)> / |K_0| around 0.1%; probes whose estimate exceeds 1%
     raise ProbeDesignError.  ``path`` selects the analytic quadrature route or
     the PDE marching route.  The analytic route checks its write and read
-    quadratures as ``write_analytic`` and ``read_analytic`` do: an estimated
-    relative error above 1e-6 raises ResolutionError.  It also checks the
-    read clock's Fourier sum: a Richardson estimate above 1e-4 raises
+    quadratures as ``write_analytic`` checks its own: an estimated relative
+    error above 1e-6 raises ResolutionError.  It also checks the read
+    clock's Fourier sum: a Richardson estimate above 1e-4 raises
     ResolutionError with an n_read to try (the default 6001 samples hold at
     the ``dynamics.ini`` working point to about d = 100).
 
@@ -757,7 +663,7 @@ def transfer_function_estimate(
     n_z = int(n_z if n_z is not None else 300 if pde else 1200)
     n_probe = int(n_probe if n_probe is not None else 401 if pde else 1601)
     n_read = int(n_read if n_read is not None else _pde_read_samples(params.d) if pde else 6001)
-    per = _read_chunk_steps(n_read, "n_read") if pde and T_read is None else None
+    per = _read_chunk_steps(n_read) if pde and T_read is None else None
     if omegas.size == 0:
         return np.zeros(0, dtype=complex)
     if params.d == 0.0:
@@ -794,7 +700,7 @@ def transfer_function_estimate(
         # fields vanish before the probe support; start marching at its left edge
         for _, b in _march(np.zeros((n_z, omegas.size)), probes.T, h_w, params.d, n_z):
             pass
-        out = _read_march(b, n_read, h_r, params.d, n_z, per, _PROBE_READ_TOL).T
+        out = _read_march(b, n_read, h_r, params.d, n_z, per).T
         tau_r = tau_r[:out.shape[1]]
     else:
         z = np.linspace(0.0, 1.0, n_z)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from combmemory import StoredProfile, cli
+from combmemory.channel import MAX_KERNEL_POINTS
 from combmemory.cli import main
 from support import grid_budget, grid_write
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
+EPR = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "channel_epr.ini")
 
 BASE = """\
 [memory]
@@ -91,6 +93,16 @@ class TestKernelCommand:
         assert rc == code
         if key is not None:
             assert f"[kernel] {key}" in capsys.readouterr().err
+
+    def test_point_count_bound(self, tmp_path, capsys, monkeypatch):
+        # one point over channel.MAX_KERNEL_POINTS exits 2 at load, before any sampling
+        def never(*args):
+            raise AssertionError("frequency_response ran")
+
+        monkeypatch.setattr(cli, "frequency_response", never)
+        rc, _ = run(tmp_path, "kernel", BASE + f"\n[kernel]\nn_points = {MAX_KERNEL_POINTS + 1}\n")
+        assert rc == 2
+        assert "[kernel] n_points" in capsys.readouterr().err
 
     def test_manifest(self, tmp_path):
         rc, out = run(tmp_path, "kernel")
@@ -427,6 +439,28 @@ class TestCliPlumbing:
         assert main(["kernel", "--config", cfg, "--out", str(out), "--seed", "9"]) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["seed"] == 9
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        # numpy's generators take no negative seed; it exits 2 before any output
+        out = tmp_path / "o"
+        assert main(["channel", "--config", EPR, "--out", str(out), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed_rejected(self, tmp_path, capsys):
+        text = BASE.replace("seed = 0", "seed = -5") + "\n[pumps]\nbasis = random-unitary\n"
+        rc, _ = run(tmp_path, "channel", text)
+        assert rc == 2
+        assert "[output] seed" in capsys.readouterr().err
+
+    def test_help_describes_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        for name, fn in cli._COMMANDS.items():
+            words = next(words for words in lines if words[:1] == [name])
+            assert words[1:] and fn.__doc__.split()[0] == words[1]
 
     def test_seed_changes_manifest_hash(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from combmemory import ConfigError
+from combmemory.channel import MAX_KERNEL_POINTS
 from combmemory.config import MAX_STATE_FILE_BYTES, load_config, parse_quantity
 from combmemory.dynamics import MAX_GRID_CELLS
 from combmemory.modes import MAX_MODE_COUNT
@@ -157,6 +158,18 @@ class TestLoadConfig:
         # rejected at load, before anything is allocated for the teeth
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, BASE + f"teeth = {teeth}\n"))
+
+    def test_kernel_point_bound(self, tmp_path):
+        kernel = "\n[kernel]\nn_points = {}\n"
+        with pytest.raises(ConfigError, match=r"\[kernel\] n_points must be at most"):
+            load_config(write_config(tmp_path, BASE + kernel.format(MAX_KERNEL_POINTS + 1)))
+        cfg = load_config(write_config(tmp_path, BASE + kernel.format(MAX_KERNEL_POINTS)))
+        assert cfg.n_points == MAX_KERNEL_POINTS
+
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_rejected(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match=r"\[output\] seed must be non-negative"):
+            load_config(write_config(tmp_path, BASE + f"\n[output]\nseed = {seed}\n"))
 
     def test_largest_teeth_accepted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE + "teeth = 65536\n"))

@@ -24,10 +24,7 @@ from combmemory import (
     energy_budget,
     expected_gain,
     kernel,
-    pde_read,
     pde_write,
-    read_analytic,
-    read_horizon,
     simpson_weights,
     transfer_function_estimate,
     tukey_window,
@@ -85,20 +82,6 @@ def march_calls(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_march", counted)
     return calls
-
-
-def chunked_horizon(profile, params, rel_tol=1e-4):
-    """Reference for ``read_horizon``: one read_analytic call per T/10 chunk."""
-    chunk = params.T / 10.0
-    total = 0.0
-    for k in range(50):
-        t = np.linspace(k * chunk, (k + 1) * chunk, 129)
-        env = read_analytic(profile, params, t)
-        inc = float(np.sum(simpson_weights(t.size, t[1] - t[0]) * np.abs(env) ** 2))
-        total += inc
-        if total > 0.0 and inc < rel_tol * total and k >= 9:
-            break
-    return (k + 1) * chunk
 
 
 class TestBesselJ0:
@@ -219,7 +202,7 @@ class TestWriteAnalytic:
         # (1 - e^{-2d}) / (2 Gamma); quadrature value pinned
         p = params10()
         prof = write_analytic(np.ones(2001, dtype=complex), p, 401)
-        ratio = prof.stored_energy / p.T
+        ratio = np.trapezoid(np.abs(prof.b_T) ** 2, prof.z_points) / p.T
         assert ratio == pytest.approx(0.049984903207108404, abs=1e-12)
         assert ratio == pytest.approx((1 - np.exp(-8.0)) / 20.0, rel=1e-3)
 
@@ -247,63 +230,6 @@ class TestWriteAnalytic:
             write_analytic(np.ones(5, dtype=complex), params10(), 16)
 
 
-class TestReadAnalytic:
-    def test_retrieved_field_decays(self):
-        p = params10()
-        prof = write_analytic(np.ones(801, dtype=complex), p, 201)
-        t = np.linspace(0.0, 2.0 * p.T, 9)
-        env = read_analytic(prof, p, t)
-        assert env.shape == (9,)
-        assert np.all(np.isfinite(env))
-        assert abs(env[-1]) < 0.1 * abs(env[0])
-
-    def test_negative_times_rejected(self):
-        p = params10()
-        prof = write_analytic(np.ones(801, dtype=complex), p, 201)
-        with pytest.raises(PhysicsError, match=">= 0"):
-            read_analytic(prof, p, [-1e-6])
-
-    @pytest.mark.parametrize("n", [9, 10])
-    def test_under_resolved_profile_rejected(self, n):
-        p = params10()
-        z = np.linspace(0.0, 1.0, n)
-        prof = StoredProfile(z, np.cos(9.0 * np.pi * z).astype(complex))
-        with pytest.raises(ResolutionError, match="read quadrature error"):
-            read_analytic(prof, p, np.linspace(0.0, p.T, 7))
-
-    def test_horizon_converges_within_window(self):
-        # at Gamma = 10 the retrieved energy saturates inside one window
-        p = params10()
-        prof = write_analytic(np.ones(801, dtype=complex), p, 201)
-        assert read_horizon(prof, p) == pytest.approx(p.T, rel=1e-12)
-
-    def test_horizon_of_shipped_config(self):
-        # configs/dynamics.ini: d = 4, gamma_s = 2pi*18 kHz, T = 88.42 us, 2000 x 2000
-        p = MemoryParams(d=4.0, gamma_s=2.0 * np.pi * 18e3, T=88.42e-6)
-        prof = write_analytic(np.ones(2000, dtype=complex), p, 2000)
-        t_end = read_horizon(prof, p)
-        assert t_end == chunked_horizon(prof, p)
-        assert t_end == pytest.approx(8.842e-05, rel=1e-12)
-
-    def test_horizon_stops_after_the_first_window(self):
-        # at Gamma = 1 the retrieval takes a few decay times: the rule stops
-        # between the one-window floor and the 5T cap
-        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1.0 / GAMMA_S)
-        prof = write_analytic(np.ones(801, dtype=complex), p, 201)
-        t_end = read_horizon(prof, p)
-        assert t_end == chunked_horizon(prof, p)
-        assert 1.5 * p.T < t_end < 5.0 * p.T
-
-    def test_single_read_time_matches_grid(self):
-        p = params10()
-        prof = write_analytic(np.ones(801, dtype=complex), p, 201)
-        t = np.linspace(0.0, 2.0 * p.T, 301)
-        env = read_analytic(prof, p, t)
-        for i in (0, 37, 150, 300):
-            one = read_analytic(prof, p, t[i:i + 1])
-            assert abs(one[0] - env[i]) <= 1e-12 * np.abs(env).max()
-
-
 class TestPdeMarch:
     def test_matches_analytic_kernel(self):
         # independent routes agree: marched b(z, T) against the closed-form
@@ -328,13 +254,6 @@ class TestPdeMarch:
     def test_coarse_time_step_warns(self):
         with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
             pde_write(np.ones(51, dtype=complex), params10(), 16, 51)
-        assert caught[0].filename == __file__
-
-    def test_coarse_read_step_warns(self):
-        p = params10()
-        prof = StoredProfile(np.linspace(0.0, 1.0, 16), np.ones(16))
-        with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
-            pde_read(prof, p, 16, 51, t_max=p.T)
         assert caught[0].filename == __file__
 
     def test_write_record_is_the_stepper_output(self):
@@ -394,78 +313,53 @@ class TestPdeMarch:
             "residual": abs(e_in - e_out - e_stored - e_decay) / e_in,
         }
 
-    def test_read_early_stop(self):
+    @staticmethod
+    def flat_read(per, n_t=3001):
+        """``_read_march`` of a flat drive's profile at d = 4, gamma_s T = 10:
+        601 z points, a 5T window of n_t samples, chunks of ``per`` steps."""
         p = params10()
-        n = 601
-        prof = write_analytic(np.ones(n, dtype=complex), p, n)
-        t, env = pde_read(prof, p, n, 3001)
-        assert len(t) == len(env) < 3001
-        assert t[-1] == pytest.approx(p.T, rel=1e-12)
+        b = write_analytic(np.ones(601, dtype=complex), p, 601).b_T
+        return dynamics._read_march(b, n_t, p.gamma_s * 5.0 * p.T / (n_t - 1), p.d, 601, per)
 
-    def test_read_march_ends_at_kept_chunk(self, march_calls):
+    def test_read_early_stop(self, monkeypatch):
+        # with the stop tolerance at 1e-4 the read energy has converged by T,
+        # the end of the tenth T/10 chunk and the rule's floor; the samples
+        # kept are those of the whole window's march
+        monkeypatch.setattr(dynamics, "_PROBE_READ_TOL", 1e-4)
+        out = self.flat_read(60)
+        assert out.shape == (601,)
+        assert np.array_equal(out, self.flat_read(None)[:601])
+
+    def test_read_march_ends_at_kept_chunk(self, monkeypatch, march_calls):
         # the stop lands at T (ten chunks of 60 steps); the 2,400 steps after
         # it are never marched
-        p = params10()
-        prof = write_analytic(np.ones(601, dtype=complex), p, 601)
-        t, _ = pde_read(prof, p, 601, 3001)
-        assert march_calls == [[(601,), len(t)]] == [[(601,), 601]]
-
-    @pytest.mark.parametrize("d", [0.5, 4.0, 12.0])
-    def test_read_stops_with_read_horizon(self, d):
-        # gamma_s T = 3, flat drive, 601-point grids: both stops sum T/10
-        # chunks by Simpson's rule, so they end on the same chunk
-        p = MemoryParams(d=d, gamma_s=GAMMA_S, T=3.0 / GAMMA_S)
-        prof = write_analytic(np.ones(601, dtype=complex), p, 601)
-        t, env = pde_read(prof, p, 601, 601)
-        assert len(t) == len(env) < 601
-        assert t[-1] == pytest.approx(read_horizon(prof, p), rel=1e-12)
+        monkeypatch.setattr(dynamics, "_PROBE_READ_TOL", 1e-4)
+        out = self.flat_read(60)
+        assert march_calls == [[(601,), out.size]] == [[(601,), 601]]
 
     @pytest.mark.parametrize("n_t", [4, 31, 75])
     def test_read_chunk_floor(self, n_t):
-        # the default horizon's T/10 chunks need 3 samples for a Simpson sum
-        p = params10()
-        prof = write_analytic(np.ones(401, dtype=complex), p, 201)
+        # the default window's T/10 chunks need 3 samples for a Simpson sum
         with pytest.raises(DimensionError, match="3 samples"):
-            pde_read(prof, p, 201, n_t)
+            transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_t)
 
     @pytest.mark.parametrize("n_t", [76, 126])
     def test_read_chunks_are_a_tenth_of_T(self, n_t):
         # 75 or 125 steps do not split into 50 chunks: at n_t = 76 a chunk of
         # round(75 / 50) = 2 steps would be 0.133 T and the 'one T' floor 1.33 T
-        p = params10()
-        prof = write_analytic(np.ones(401, dtype=complex), p, 101)
-        with pytest.raises(DimensionError, match=r"n_t = 50 m \+ 1"):
-            pde_read(prof, p, 101, n_t)
+        with pytest.raises(DimensionError, match=r"n_read = 50 m \+ 1"):
+            transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_t)
 
     @pytest.mark.parametrize("n_t", [101, 601, 3001])
-    def test_read_chunk_rule_accepts(self, n_t):
-        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1.0 / GAMMA_S)  # gamma_s dt <= 0.05
-        prof = write_analytic(np.ones(401, dtype=complex), p, 101)
-        t, env = pde_read(prof, p, 101, n_t)
+    def test_read_chunk_rule_accepts(self, march_calls, n_t):
+        # gamma_s T = 1 (gamma_s dt <= 0.05): the probe read marches whole
+        # T/10 chunks of (n_t - 1) / 50 steps, at least ten of them
+        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1.0 / GAMMA_S)
+        g = transfer_function_estimate(p, [0.0], path="pde", n_z=101, n_read=n_t)
+        [_, (_, read)] = march_calls
         per = (n_t - 1) // 50
-        assert len(t) == len(env) and (len(t) - 1) % per == 0
-        assert t[per] == pytest.approx(p.T / 10.0, rel=1e-12)
-
-    @pytest.mark.parametrize("t_max", [0.0, -1e-3])
-    def test_read_horizon_must_be_positive(self, t_max):
-        p = params10()
-        prof = write_analytic(np.ones(401, dtype=complex), p, 201)
-        with pytest.raises(PhysicsError, match="t_max"):
-            pde_read(prof, p, 201, 401, t_max=t_max)
-
-    def test_read_grid_must_match_profile(self):
-        p = params10()
-        prof = write_analytic(np.ones(401, dtype=complex), p, 100)
-        with pytest.raises(DimensionError, match="profile grid"):
-            pde_read(prof, p, 101, 400)
-
-    def test_read_with_explicit_horizon(self):
-        p = params10()
-        n = 201
-        prof = write_analytic(np.ones(401, dtype=complex), p, n)
-        t, env = pde_read(prof, p, n, 401, t_max=0.5 * p.T)
-        assert len(t) == 401
-        assert t[-1] == pytest.approx(0.5 * p.T)
+        assert (read - 1) % per == 0 and 10 * per < read <= n_t
+        assert np.isfinite(g).all()
 
 
 class TestTransferFunction:
@@ -506,10 +400,12 @@ class TestTransferFunction:
     def test_empty_probe_list(self):
         assert transfer_function_estimate(params10(), []).size == 0
 
-    @pytest.mark.parametrize("n_read", [4, 75, 76, 126, 6000])
+    @pytest.mark.parametrize("n_read", [4, 31, 75, 76, 126, 6000])
     def test_pde_read_chunk_rule(self, n_read):
-        # without T_read the PDE read marches in T/10 chunks of (n_read - 1) / 50 steps
-        with pytest.raises(DimensionError, match=r"n_read = 50 m \+ 1"):
+        # without T_read the PDE read marches in T/10 chunks of (n_read - 1) / 50
+        # steps, at least 2 (3 samples for a Simpson sum); 75 or 125 steps do
+        # not split into 50 chunks, and rounding would stretch a chunk past T/10
+        with pytest.raises(DimensionError, match=r"3 samples and n_read = 50 m \+ 1"):
             transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_read)
 
     def test_chunk_rule_needs_default_window(self):
@@ -519,10 +415,11 @@ class TestTransferFunction:
             g = transfer_function_estimate(p, [0.0], n_probe=201, n_z=100, n_read=600, **kw)
             assert np.isfinite(g).all()
 
-    @pytest.mark.parametrize("n_z, n_probe, stage", [(100, 9, "write"), (9, 201, "read")])
+    @pytest.mark.parametrize("n_z, n_probe, stage",
+                             [(100, 9, "write"), (9, 201, "read"), (10, 201, "read")])
     def test_analytic_quadrature_error_raises(self, n_z, n_probe, stage):
-        # 9 probe samples (estimate 6.1e-3) or 9 z points (1.9e-5) under-resolve
-        # a quadrature; the stages' 1e-6 limit holds here too, instead of a
+        # 9 probe samples (estimate 6.1e-3), or 9 or 10 z points (1.9e-5, and
+        # 8.6e-6 from the sliced odd sub-grid) under-resolve a quadrature; the stages' 1e-6 limit holds here too, instead of a
         # plausible |g(0)| of 0.98
         with pytest.raises(ResolutionError, match=f"{stage} quadrature error"):
             transfer_function_estimate(params10(), [0.0], n_z=n_z, n_probe=n_probe, n_read=601)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from combmemory import (
     CovarianceMatrix,
     DimensionError,
     PhysicsError,
+    SqueezingSpectrum,
     covariance_map,
     db_to_zeta,
     efficiency,
@@ -16,9 +19,13 @@ from combmemory import (
     purity,
     report_from_block,
     retrieval_table,
+    squeezed_vacuum,
+    supermode_extraction,
     zeta_to_db,
 )
 from combmemory.metrics import _pure_retrieval
+from combmemory.presets import cluster_linear4, epr
+from support import random_pure_state
 
 ETA4 = efficiency(4.0)
 
@@ -219,6 +226,50 @@ class TestRetrievalTable:
             retrieval_table([], 4.0)
         with pytest.raises(PhysicsError):
             retrieval_table([-6.0], 0.0)
+
+
+def oracle_fidelity(C_in, d):
+    """F = 2^M / sqrt(det(C_in + C_out)) of a pure input and its retrieved state,
+    C_out = (1 - eta) I + eta C_in, by slogdet in the tooth basis."""
+    C_out = covariance_map(C_in, efficiency(d))
+    sign, logdet = np.linalg.slogdet(C_in.entries + C_out.entries)
+    assert sign > 0
+    return float(np.exp(C_in.mode_count * np.log(2.0) - 0.5 * logdet))
+
+
+def extracted_fidelity(C_in, d):
+    """The overall fidelity the metrics route reports for the extracted spectrum."""
+    _, spectrum, _ = supermode_extraction(C_in)
+    return overall_fidelity(retrieval_table([zeta_to_db(z) for z in spectrum.values], d))[0]
+
+
+class TestMultimodeFidelityOracle:
+    """The per-supermode closed forms against the whole-state Gaussian fidelity.
+
+    For a pure input the fidelity of two zero-mean states (vacuum = I) is
+    1 / sqrt(det((C_in + C_out) / 2)), computed on the full 2M x 2M matrices
+    before any supermode extraction.
+    """
+
+    @pytest.mark.parametrize("name, state", [
+        ("demo", lambda: squeezed_vacuum(SqueezingSpectrum(
+            [10.0 ** (db / 10.0) for db in (-6, -5, -4, -3, -2, -1)]))),
+        ("epr", epr),
+        ("cluster-linear-4", cluster_linear4),
+    ])
+    def test_shipped_states(self, name, state):
+        C = state()
+        assert extracted_fidelity(C, 4.0) == pytest.approx(oracle_fidelity(C, 4.0), rel=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(M=st.integers(1, 128), db_min=st.floats(-20.0, -0.1), d=st.floats(0.1, 30.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(M=128, db_min=-20.0, d=0.1, seed=1)
+    @example(M=128, db_min=-20.0, d=4.0, seed=2)
+    def test_random_pure_states(self, M, db_min, d, seed):
+        # squeezing parameters r up to that of db_min, under a Haar mode unitary
+        C = random_pure_state(M, np.random.default_rng(seed), r_max=-db_min * np.log(10.0) / 20.0)
+        assert extracted_fidelity(C, d) == pytest.approx(oracle_fidelity(C, d), rel=1e-10)
 
 
 class TestMonotonicity:
