@@ -13,15 +13,22 @@ Two independent routes compute the same physics:
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
   corrector pass for second-order accuracy.  One stepper yields the fields
-  at every time step, and each caller keeps what it reads: the final b and
-  a(1, t) of the probe read, or the traces the energy budget needs
-  (``pde_write``).  No route keeps an (n_z, n_t) history.  Independent runs
-  march together as the columns of (n_z, k) arrays, so all probes of a
-  transfer measurement share one write march and one read march.  A read
-  over the default 5T window marches in T/10 chunks and stops at the end of
-  the first chunk, from the tenth on, in which every column's energy has
-  converged, so the steps past the cut are never taken; an explicit window
-  is marched whole.
+  at every time step, and each caller keeps what it reads: the final b of
+  the probe write, or the traces the energy budget needs (``pde_write``).
+  No route keeps an (n_z, n_t) history.  Independent runs march together as
+  the columns of (n_z, k) arrays, so all probes of a transfer measurement
+  share one write march and one read.  The read has a dark boundary, so it
+  is linear and time-invariant: one stepper step on the unit columns gives
+  its real one-step matrix M and a(1, .) row r, and the read advances in
+  blocks of 128 samples, each the rows r M^i (i < 128) times the state and
+  the next state M^128 times it, M^128 by seven squarings.  That setup
+  costs O(n_z^3 log 128): at n_z = 300 the read takes 0.01-0.03 s against
+  0.17-0.21 s stepped, at 600 0.07 s against 0.21 s, and at 1200 0.4-0.5 s
+  against 0.4 s (d = 4, five probes, 2-vCPU x86-64, OpenBLAS 0.3.31).  A
+  read over the default 5T window is summed in T/10 chunks and stops at the
+  end of the first chunk, from the tenth on, in which every column's energy
+  has converged, with at most one block computed past it; an explicit
+  window is read whole.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -85,6 +92,10 @@ MAX_GRID_CELLS = 2**25
 # relative (d = 1 .. 30 at the dynamics.ini working point).
 _PROBE_READ_TOL = 1e-24
 _PDE_READ_PER = 120          # PDE read steps per T/10 chunk, per started 12 of optical depth
+_READ_BLOCK = 128            # PDE read samples per power of the one-step matrix
+# Largest PDE transfer n_z: the read holds two n_z x n_z float64 matrices,
+# 128 MiB apiece at the cap.
+_MAX_READ_N_Z = 4096
 
 
 # ----------------------------------------------------------------------------
@@ -476,27 +487,74 @@ def _march(b0, boundary, h, d, n_z):
         yield _field(bj, b, c, a), b
 
 
+def _read_operator(h, d, n_z):
+    """(R, P) of a dark read: R's rows are r M^i for i < _READ_BLOCK, and P = M^_READ_BLOCK.
+
+    M is the marcher's real (n_z, n_z) one-step matrix and r its a(1, .)
+    row, both taken from one dark ``_march`` step on the unit columns, 32 at
+    a time.  The powers come from repeated squaring, each squaring also
+    doubling the rows of R, so at most two n_z x n_z matrices are alive.
+    """
+    P = np.empty((n_z, n_z))     # M, then squared in its place
+    R = np.empty((_READ_BLOCK, n_z))
+    for s in range(0, n_z, 32):
+        m = min(32, n_z - s)
+        steps = _march(np.eye(n_z, m, -s), np.zeros((2, m)), h, d, n_z)
+        R[0, s:s + m] = next(steps)[0][-1].real
+        P[:, s:s + m] = next(steps)[1].real
+    del steps                    # the marcher's arrays go before the squarings
+    n = 1
+    while n < _READ_BLOCK:
+        np.matmul(R[:n], P, out=R[n:2 * n])
+        P = P @ P
+        n *= 2
+    return R, P
+
+
+def _read_blocks(b0, h, d, n_z):
+    """Yield a(1, .) of a dark read from b0 in blocks of _READ_BLOCK samples, from sample 0.
+
+    The state b0 (n_z,) or (n_z, k) is carried as one real (n_z, 2k) array
+    of its real and imaginary parts; a block is R @ B and the next state
+    P @ B, with (R, P) from ``_read_operator``.  Each block has k columns.
+    """
+    R, P = _read_operator(h, d, n_z)
+    b = np.asarray(b0, dtype=complex).reshape(n_z, -1)
+    k = b.shape[1]
+    B = np.hstack([b.real, b.imag])
+    while True:
+        y = R @ B
+        yield y[:, :k] + 1j * y[:, k:]
+        B = P @ B
+
+
 def _read_march(b0, n_t, h, d, n_z, per=None):
     """a(1, .) of a read march from b0 with a dark input boundary.
 
-    The march goes in chunks of ``per`` steps, each summed by Simpson's rule
+    The record goes in chunks of ``per`` steps, each summed by Simpson's rule
     in |a|^2 per column, and stops at the end of the first chunk from the
     tenth on in which every column adds less than ``_PROBE_READ_TOL`` of its
-    running sum; only the samples up to there are marched and returned.
-    Without ``per`` the window is one chunk, so all n_t samples are marched.
+    running sum; only the samples up to there are returned, and at most one
+    ``_read_blocks`` block past them is computed.  Without ``per`` the window
+    is one chunk, so all n_t samples are computed.  The blocks do not depend
+    on ``per``, so neither do the samples.
     """
-    dark = np.zeros((int(n_t),) + np.shape(b0)[1:], dtype=complex)
-    out = np.empty_like(dark)
-    per = per or int(n_t) - 1
+    n_t = int(n_t)
+    out = np.empty((n_t,) + np.shape(b0)[1:], dtype=complex)
+    flat = out.reshape(n_t, -1)
+    per = per or n_t - 1
     w = simpson_weights(per + 1, h)
     total = 0.0
-    for j, (a, _) in enumerate(_march(b0, dark, h, d, n_z)):
-        out[j] = a[-1]
-        if j and j % per == 0:
+    j = per  # end of the next chunk
+    for start, y in zip(range(0, n_t, _READ_BLOCK), _read_blocks(b0, h, d, n_z)):
+        stop = min(start + _READ_BLOCK, n_t)
+        flat[start:stop] = y[:stop - start]
+        while j < stop:
             inc = w @ np.abs(out[j - per:j + 1]) ** 2
             total = total + inc
             if j >= 10 * per and np.all((total > 0.0) & (inc < _PROBE_READ_TOL * total)):
                 return out[:j + 1]
+            j += per
     return out
 
 
@@ -636,19 +694,33 @@ def transfer_function_estimate(
     error above 1e-6 raises ResolutionError.  It also checks the read
     clock's Fourier sum: a Richardson estimate above 1e-4 raises
     ResolutionError with an n_read to try (the default 6001 samples hold at
-    the ``dynamics.ini`` working point to about d = 100).
+    the ``dynamics.ini`` working point to about d = 100; with the retry
+    below, d = 400 passes and d = 800 raises).
 
     The grids default per path.  ``analytic``: n_z = 1200 ensemble positions,
     n_probe = 1601 probe samples, n_read = 6001 read samples.  ``pde``:
     n_z = 300, n_probe = 401, and 120 read steps per T/10 for each started 12
     of optical depth (n_read = 6001 up to d = 12, 18001 at d = 30); twofold
     finer grids move its gains by about 1e-6 relative.  The read window
-    defaults to 5T.  On the PDE path it is then marched in T/10 chunks of
+    defaults to 5T.  On the PDE path it is then summed in T/10 chunks of
     (n_read - 1) / 50 steps, so n_read must be 50 m + 1 with m >= 2 (else
-    DimensionError), and the march stops at the end of the first chunk from
+    DimensionError), and the read stops at the end of the first chunk from
     the tenth on in which every probe adds less than 1e-24 of its read
-    energy so far.  An explicit ``T_read`` is marched whole.  A PDE write or
+    energy so far.  An explicit ``T_read`` is read whole.  A PDE write or
     read step gamma_s * dt above 0.1 warns (ResolutionWarning).
+
+    The PDE read is the write marcher's one-step matrix, advanced in blocks
+    of 128 steps by its 128th power, with the stop rule above.  Its setup
+    costs O(n_z^3 log 128) time and two n_z x n_z float64 matrices.  At
+    d = 4 the read takes 0.01-0.03 s at the default n_z = 300 against
+    0.17-0.21 s stepped, 0.07 s at 600 against 0.21 s, and 0.4-0.5 s at
+    1200 against 0.4 s, where the two break even (2-vCPU x86-64, OpenBLAS
+    0.3.31).  ``path="pde"`` with n_z above 4096 (128 MiB per matrix)
+    raises DimensionError before any march.
+
+    When the analytic read clock's estimate fails at the default n_read, the
+    read is taken once more at the hinted n_read, and only a second failure
+    raises; an explicit ``n_read`` raises on the first.
     """
     omegas = np.atleast_1d(np.asarray(probe_frequencies, dtype=float))
     if np.any(np.abs(omegas) > PROBE_BAND_LIMIT * params.gamma_s):
@@ -660,10 +732,14 @@ def transfer_function_estimate(
     if T_read is not None and not T_read > 0.0:
         raise PhysicsError(f"T_read must be positive, got {T_read!r}")
     pde = path == "pde"
+    follow_hint = n_read is None  # a default analytic read retries once at its own hint
     n_z = int(n_z if n_z is not None else 300 if pde else 1200)
     n_probe = int(n_probe if n_probe is not None else 401 if pde else 1601)
     n_read = int(n_read if n_read is not None else _pde_read_samples(params.d) if pde else 6001)
     per = _read_chunk_steps(n_read) if pde and T_read is None else None
+    if pde and n_z > _MAX_READ_N_Z:
+        raise DimensionError(f"the PDE read needs n_z <= {_MAX_READ_N_Z} (two n_z x n_z "
+                             f"matrices of 8 n_z^2 bytes), got n_z = {n_z}")
     if omegas.size == 0:
         return np.zeros(0, dtype=complex)
     if params.d == 0.0:
@@ -702,21 +778,26 @@ def transfer_function_estimate(
             pass
         out = _read_march(b, n_read, h_r, params.d, n_z, per).T
         tau_r = tau_r[:out.shape[1]]
+        phase = np.exp(-1j * om_hat * tau_r)
     else:
         z = np.linspace(0.0, 1.0, n_z)
         b = _checked_quadrature(z, Gamma - tau_p, params.d, probes.T, tau_p[1] - tau_p[0], True)
-        out = _checked_quadrature(tau_r, 1.0 - z, params.d, b, z[1] - z[0], False).T
-    wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
-    phase = np.exp(-1j * om_hat * tau_r)
-    A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
-    A_out = np.sum(wts_r * out * phase, axis=1)
-    if not pde:
-        est = _read_sum_error(out * phase, tau_r[1] - tau_r[0])
-        if est > READ_SUM_ERROR_LIMIT:
+        while True:
+            out = _checked_quadrature(tau_r, 1.0 - z, params.d, b, z[1] - z[0], False).T
+            phase = np.exp(-1j * om_hat * tau_r)
+            est = _read_sum_error(out * phase, tau_r[1] - tau_r[0])
+            if est <= READ_SUM_ERROR_LIMIT:
+                break
             # the sum's error falls as h^4; the hint aims at half the limit
             need = 1 + math.ceil((n_read - 1) * (2.0 * est / READ_SUM_ERROR_LIMIT) ** 0.25)
-            raise ResolutionError(
-                f"read-clock Fourier sum error estimate {est:.2e} exceeds "
-                f"{READ_SUM_ERROR_LIMIT:g}; try n_read >= {need}"
-            )
+            if not follow_hint:
+                raise ResolutionError(
+                    f"read-clock Fourier sum error estimate {est:.2e} exceeds "
+                    f"{READ_SUM_ERROR_LIMIT:g}; try n_read >= {need}"
+                )
+            n_read, follow_hint = need, False
+            tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
+    wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
+    A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
+    A_out = np.sum(wts_r * out * phase, axis=1)
     return A_out / A_in

@@ -286,6 +286,16 @@ class TestDynamicsCommand:
         for c in report["checks"]:
             assert c["status"] == "pass" and c["value"] <= c["tolerance"], c
 
+    def test_analytic_path_at_depth_100(self, tmp_path):
+        # the default 6,001 read samples estimate the read-clock sum's error
+        # at 1.2e-4; the read is taken again at the hinted 7,528 and passes,
+        # where the command exited 4.  n_z = 4000 keeps the energy budget
+        # under its 1e-4 (1.6e-4 at n_z = 2000)
+        text = DYNAMICS.replace("d = 4", "d = 100").replace("n_z = 600", "n_z = 4000")
+        rc, out = run(tmp_path, "dynamics", text.replace("n_t = 600", "n_t = 4001"))
+        report = json.loads((out / "dynamics_report.json").read_text())
+        assert rc == 0 and report["all_pass"] is True
+
     @pytest.mark.parametrize("key, value, codes", [
         ("n_z", 3, (2,)),
         ("n_t", 5, (2,)),

@@ -30,7 +30,7 @@ from combmemory import (
     tukey_window,
     write_analytic,
 )
-from support import grid_budget, grid_write
+from support import grid_budget, grid_write, stepped_read
 
 GAMMA_S = 2.0 * np.pi * 18e3
 T10 = 10.0 / GAMMA_S  # write window spanning ten decay times
@@ -82,6 +82,38 @@ def march_calls(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_march", counted)
     return calls
+
+
+@pytest.fixture
+def read_calls(monkeypatch):
+    """[b0 shape, samples returned, blocks computed] of each ``dynamics._read_march`` call."""
+    calls = []
+    read_march, read_blocks = dynamics._read_march, dynamics._read_blocks
+
+    def counted_blocks(*args, **kwargs):
+        for block in read_blocks(*args, **kwargs):
+            calls[-1][2] += 1
+            yield block
+
+    def counted(b0, *args, **kwargs):
+        calls.append([np.shape(b0), None, 0])
+        out = read_march(b0, *args, **kwargs)
+        calls[-1][1] = out.shape[0]
+        return out
+
+    monkeypatch.setattr(dynamics, "_read_blocks", counted_blocks)
+    monkeypatch.setattr(dynamics, "_read_march", counted)
+    return calls
+
+
+def blocks_for(n):
+    """Read blocks holding samples 0 .. n - 1: none past the block of the last one."""
+    return -(-n // dynamics._READ_BLOCK)
+
+
+def operator_builds(n_z):
+    """``march_calls`` entries of one read operator: one step on each 32 unit columns."""
+    return [[(n_z, min(32, n_z - s)), 2] for s in range(0, n_z, 32)]
 
 
 class TestBesselJ0:
@@ -330,12 +362,12 @@ class TestPdeMarch:
         assert out.shape == (601,)
         assert np.array_equal(out, self.flat_read(None)[:601])
 
-    def test_read_march_ends_at_kept_chunk(self, monkeypatch, march_calls):
-        # the stop lands at T (ten chunks of 60 steps); the 2,400 steps after
-        # it are never marched
+    def test_read_march_ends_at_kept_chunk(self, monkeypatch, read_calls):
+        # the stop lands at T (ten chunks of 60 steps); of the 2,400 samples
+        # after it only the rest of the block holding T is computed
         monkeypatch.setattr(dynamics, "_PROBE_READ_TOL", 1e-4)
         out = self.flat_read(60)
-        assert march_calls == [[(601,), out.size]] == [[(601,), 601]]
+        assert read_calls == [[(601,), out.size, blocks_for(601)]] == [[(601,), 601, 5]]
 
     @pytest.mark.parametrize("n_t", [4, 31, 75])
     def test_read_chunk_floor(self, n_t):
@@ -351,14 +383,15 @@ class TestPdeMarch:
             transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_t)
 
     @pytest.mark.parametrize("n_t", [101, 601, 3001])
-    def test_read_chunk_rule_accepts(self, march_calls, n_t):
-        # gamma_s T = 1 (gamma_s dt <= 0.05): the probe read marches whole
+    def test_read_chunk_rule_accepts(self, read_calls, n_t):
+        # gamma_s T = 1 (gamma_s dt <= 0.05): the probe read returns whole
         # T/10 chunks of (n_t - 1) / 50 steps, at least ten of them
         p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1.0 / GAMMA_S)
         g = transfer_function_estimate(p, [0.0], path="pde", n_z=101, n_read=n_t)
-        [_, (_, read)] = march_calls
+        [(_, read, blocks)] = read_calls
         per = (n_t - 1) // 50
         assert (read - 1) % per == 0 and 10 * per < read <= n_t
+        assert blocks == blocks_for(read)
         assert np.isfinite(g).all()
 
 
@@ -425,21 +458,47 @@ class TestTransferFunction:
             transfer_function_estimate(params10(), [0.0], n_z=n_z, n_probe=n_probe, n_read=601)
 
     def test_read_sum_error_raises_at_high_depth(self):
-        # at d = 400 the default 6001 read samples put |g(0)|^2 5.5e-2 off eta;
-        # the read clock's Fourier sum estimates its own error (2.4e-2) and raises
+        # at d = 400, 6001 read samples put |g(0)|^2 5.5e-2 off eta; the read
+        # clock's Fourier sum estimates its own error (2.4e-2) and raises
         p = MemoryParams(d=400.0, gamma_s=GAMMA_S, T=88.42e-6)
         with pytest.raises(ResolutionError, match=r"Fourier sum error estimate 2\.36e-02 "
                                                   r"exceeds 0\.0001; try n_read >= \d+"):
-            transfer_function_estimate(p, [0.0, 0.1 * GAMMA_S])
+            transfer_function_estimate(p, [0.0, 0.1 * GAMMA_S], n_read=6001)
 
     def test_read_sum_hint_resolves(self):
         # d = 100 estimates 1.24e-4 at 6001 samples; the hinted count passes
         p = MemoryParams(d=100.0, gamma_s=GAMMA_S, T=88.42e-6)
         with pytest.raises(ResolutionError, match="n_read") as caught:
-            transfer_function_estimate(p, [0.0])
+            transfer_function_estimate(p, [0.0], n_read=6001)
         n_read = int(re.search(r">= (\d+)", str(caught.value)).group(1))
         g = transfer_function_estimate(p, [0.0], n_read=n_read)
         assert abs(abs(g[0]) ** 2 - efficiency(100.0)) <= 5e-3
+
+    @pytest.mark.parametrize("d", [100.0, 200.0])
+    def test_default_read_follows_its_hint(self, monkeypatch, d):
+        # the default 6001 read samples fail the sum's estimate; the read is
+        # taken again at the hinted count, once, and its gains pass
+        p = MemoryParams(d=d, gamma_s=GAMMA_S, T=88.42e-6)
+        omegas = TestPdeTransfer.OMEGAS
+        with pytest.raises(ResolutionError, match="n_read") as caught:
+            transfer_function_estimate(p, omegas, n_read=6001)
+        hint = int(re.search(r">= (\d+)", str(caught.value)).group(1))
+        reads = []
+        quadrature = dynamics._checked_quadrature
+        monkeypatch.setattr(dynamics, "_checked_quadrature", lambda rows, *args: (
+            reads.append(rows.size), quadrature(rows, *args))[1])
+        g = transfer_function_estimate(p, omegas)
+        assert reads[1:] == [6001, hint]
+        want = expected_gain(p, omegas)
+        assert np.abs(g - want).max() <= 2e-3 * np.abs(want).max()
+
+    def test_default_read_raises_on_second_failure(self):
+        # at d = 800 the 6001 default read samples estimate 1.5e-1; the hinted
+        # 44631 estimate 1.5e-4 in turn, and that raises
+        p = MemoryParams(d=800.0, gamma_s=GAMMA_S, T=88.42e-6)
+        with pytest.raises(ResolutionError, match=r"estimate 1\.49e-04 exceeds 0\.0001; "
+                                                  r"try n_read >= 58673"):
+            transfer_function_estimate(p, [0.0])
 
     def test_resolved_read_sum_keeps_gains(self):
         # d = 4 (estimate 1.9e-9) returns the gains measured before the estimate existed
@@ -472,17 +531,19 @@ class TestPdeTransfer:
         assert self.rel(stopped, full) <= 1e-12
 
     @pytest.mark.parametrize("d", [4.0, 12.0])
-    def test_stop_lands_near_half_the_window(self, march_calls, d):
+    def test_stop_lands_near_half_the_window(self, march_calls, read_calls, d):
         p = self.params(d)
         transfer_function_estimate(p, self.OMEGAS, path="pde")
-        (_, write), (_, read) = march_calls
-        assert write == 401
+        assert march_calls == [[(300, 5), 401]] + operator_builds(300)
+        [(_, read, blocks)] = read_calls
         assert 0.4 * 6000 <= read - 1 <= 0.6 * 6000 and (read - 1) % 120 == 0
+        assert blocks == blocks_for(read)
 
-    def test_explicit_window_marches_whole(self, march_calls):
+    def test_explicit_window_marches_whole(self, march_calls, read_calls):
         p = self.params(4.0)
         transfer_function_estimate(p, self.OMEGAS, 3.0 * p.T, path="pde")
-        assert march_calls == [[(300, 5), 401], [(300, 5), 6001]]
+        assert march_calls == [[(300, 5), 401]] + operator_builds(300)
+        assert read_calls == [[(300, 5), 6001, blocks_for(6001)]]
 
     def test_defaults_against_refined_grid(self):
         p = self.params(4.0)
@@ -507,10 +568,61 @@ class TestPdeTransfer:
         transfer_function_estimate(self.params(d), self.OMEGAS[:2], path="pde")
         assert not [w for w in recwarn if issubclass(w.category, ResolutionWarning)]
 
+    def test_read_operator_size_checked_first(self):
+        # past n_z = 4096 one n_z x n_z operator would exceed 128 MiB; the
+        # check comes before the write march or any grid-sized array
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="n_z <= 4096"):
+                transfer_function_estimate(self.params(4.0), self.OMEGAS, path="pde", n_z=4097)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("d, n_read", [(0.0, 6001), (4.0, 6001), (12.0, 6001),
                                            (12.5, 12001), (30.0, 18001)])
     def test_read_samples_scale_with_depth(self, d, n_read):
         assert dynamics._pde_read_samples(d) == n_read
+
+
+class TestOperatorRead:
+    """The block read of the one-step matrix against a plain stepped read."""
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("d", [4.0, 30.0])
+    def test_matches_stepped_read(self, d, k, explicit):
+        p = TestPdeTransfer.params(d)
+        n_z, n_read = 300, dynamics._pde_read_samples(d)
+        h = p.gamma_s * 5.0 * p.T / (n_read - 1)
+        t = np.linspace(0.0, 1.0, 2000)
+        b0 = np.stack([write_analytic(np.exp(8j * w * t), p, n_z).b_T
+                       for w in np.linspace(-1.0, 1.0, k)], axis=1)
+        b0 = b0[:, 0] if k == 1 else b0
+        # the default window in T/10 chunks, or an explicit 3T window marched whole
+        n_t, per = ((n_read - 1) * 3 // 5 + 1, None) if explicit else \
+            (n_read, dynamics._read_chunk_steps(n_read))
+        got = dynamics._read_march(b0, n_t, h, d, n_z, per)
+        want = stepped_read(b0, n_t, h, d, n_z, per)
+        assert got.shape == want.shape
+        assert explicit or got.shape[0] < n_t
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_operator_holds_two_matrices(self):
+        # the unit columns go through the marcher 32 at a time, and squaring
+        # keeps at most the power and its square: 2.5 n_z x n_z matrices
+        # bound the peak, where a third matrix or a whole complex identity
+        # marched at once would not fit
+        n_z = 600
+        tracemalloc.start()
+        try:
+            R, P = dynamics._read_operator(1e-2, 4.0, n_z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.shape == (dynamics._READ_BLOCK, n_z) and P.shape == (n_z, n_z)
+        assert peak < 2.5 * n_z * n_z * 8
 
 
 class TestBesselTables:
@@ -658,11 +770,14 @@ class TestBatchedMarch:
             assert np.abs(b[..., i] - b_i).max() <= 1e-13 * np.abs(b_i).max()
 
     @pytest.mark.parametrize("n_probes", [1, 3])
-    def test_transfer_marches_twice(self, march_calls, n_probes):
+    def test_transfer_marches_twice(self, march_calls, read_calls, n_probes):
+        # one write march and one read of all probes; the read operator's
+        # one-step builds do not depend on the probe count
         omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
         transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
         n_z = TestBesselTables.SMALL["n_z"]
-        assert [shape for shape, _ in march_calls] == [(n_z, n_probes)] * 2
+        assert march_calls == [[(n_z, n_probes), 201]] + operator_builds(n_z)
+        assert [shape for shape, _, _ in read_calls] == [(n_z, n_probes)]
 
 
 class TestWriteBudget:
