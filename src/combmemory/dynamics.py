@@ -24,11 +24,8 @@ Two independent routes compute the same physics:
   the next state M^128 times it, M^128 by seven squarings.  That setup
   costs O(n_z^3 log 128): at n_z = 300 the read takes 0.01-0.03 s against
   0.17-0.21 s stepped, at 600 0.07 s against 0.21 s, and at 1200 0.4-0.5 s
-  against 0.4 s (d = 4, five probes, 2-vCPU x86-64, OpenBLAS 0.3.31).  A
-  read over the default 5T window is summed in T/10 chunks and stops at the
-  end of the first chunk, from the tenth on, in which every column's energy
-  has converged, with at most one block computed past it; an explicit
-  window is read whole.
+  against 0.4 s (d = 4, five probes, 2-vCPU x86-64, OpenBLAS 0.3.31).  Both
+  routes read their whole window, 5T unless set.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -42,10 +39,9 @@ ratio of output to input spectral amplitudes reproduces the channel kernel.
 Referenced to a read clock that restarts at the end of the write window, the
 measured gain equals -K_omega * exp(i omega T).  The measurement's grids
 default per path: 1200 z points and 1601 probe samples on the analytic
-route, 300 and 401 on the PDE route, whose read takes 120 steps per T/10 for
-each started 12 of optical depth.  There the stop needs every probe's chunk
-to add less than 1e-24 of its read energy, and the default window needs
-n_read = 50 m + 1.
+route, 300 and 401 on the PDE route, whose read takes 6000 steps for each
+started 12 of optical depth.  Any n_z >= 4, n_probe >= 3 and n_read >= 3 is
+accepted; the analytic route's error estimates need 5 samples per axis.
 """
 
 from __future__ import annotations
@@ -87,11 +83,7 @@ CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marchin
 # (``pde_write`` keeps O(n_z + n_t) values).  The march takes 22-48 ns a cell
 # (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64, numpy 2.4), 0.7-1.6 s at the cap.
 MAX_GRID_CELLS = 2**25
-# The PDE probe read stops once each probe's T/10 chunk adds less than this of
-# its read energy; marching on to 5T moves the gains by 4e-14 .. 1.1e-12
-# relative (d = 1 .. 30 at the dynamics.ini working point).
-_PROBE_READ_TOL = 1e-24
-_PDE_READ_PER = 120          # PDE read steps per T/10 chunk, per started 12 of optical depth
+_PDE_READ_PER = 6000         # default PDE read steps per started 12 of optical depth
 _READ_BLOCK = 128            # PDE read samples per power of the one-step matrix
 # Largest PDE transfer n_z: the read holds two n_z x n_z float64 matrices,
 # 128 MiB apiece at the cap.
@@ -511,50 +503,24 @@ def _read_operator(h, d, n_z):
     return R, P
 
 
-def _read_blocks(b0, h, d, n_z):
-    """Yield a(1, .) of a dark read from b0 in blocks of _READ_BLOCK samples, from sample 0.
+def _read_march(b0, n_t, h, d, n_z):
+    """a(1, .) of a dark read from b0: all n_t samples, from sample 0.
 
     The state b0 (n_z,) or (n_z, k) is carried as one real (n_z, 2k) array
-    of its real and imaginary parts; a block is R @ B and the next state
-    P @ B, with (R, P) from ``_read_operator``.  Each block has k columns.
+    of its real and imaginary parts; each block of _READ_BLOCK samples is
+    R @ B and the next state P @ B, with (R, P) from ``_read_operator``.
     """
     R, P = _read_operator(h, d, n_z)
-    b = np.asarray(b0, dtype=complex).reshape(n_z, -1)
-    k = b.shape[1]
-    B = np.hstack([b.real, b.imag])
-    while True:
-        y = R @ B
-        yield y[:, :k] + 1j * y[:, k:]
-        B = P @ B
-
-
-def _read_march(b0, n_t, h, d, n_z, per=None):
-    """a(1, .) of a read march from b0 with a dark input boundary.
-
-    The record goes in chunks of ``per`` steps, each summed by Simpson's rule
-    in |a|^2 per column, and stops at the end of the first chunk from the
-    tenth on in which every column adds less than ``_PROBE_READ_TOL`` of its
-    running sum; only the samples up to there are returned, and at most one
-    ``_read_blocks`` block past them is computed.  Without ``per`` the window
-    is one chunk, so all n_t samples are computed.  The blocks do not depend
-    on ``per``, so neither do the samples.
-    """
     n_t = int(n_t)
     out = np.empty((n_t,) + np.shape(b0)[1:], dtype=complex)
     flat = out.reshape(n_t, -1)
-    per = per or n_t - 1
-    w = simpson_weights(per + 1, h)
-    total = 0.0
-    j = per  # end of the next chunk
-    for start, y in zip(range(0, n_t, _READ_BLOCK), _read_blocks(b0, h, d, n_z)):
-        stop = min(start + _READ_BLOCK, n_t)
-        flat[start:stop] = y[:stop - start]
-        while j < stop:
-            inc = w @ np.abs(out[j - per:j + 1]) ** 2
-            total = total + inc
-            if j >= 10 * per and np.all((total > 0.0) & (inc < _PROBE_READ_TOL * total)):
-                return out[:j + 1]
-            j += per
+    b = np.asarray(b0, dtype=complex).reshape(n_z, -1)
+    k = b.shape[1]
+    B = np.hstack([b.real, b.imag])
+    for start in range(0, n_t, _READ_BLOCK):
+        y = R[:n_t - start] @ B
+        flat[start:start + _READ_BLOCK] = y[:, :k] + 1j * y[:, k:]
+        B = P @ B
     return out
 
 
@@ -564,15 +530,6 @@ def _scaled_step(h: float) -> float:
         warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
                       ResolutionWarning, stacklevel=3)
     return h
-
-
-def _read_chunk_steps(n: int) -> int:
-    """Steps per T/10 chunk of a default 5T read window of n samples; n must be 50 m + 1, m >= 2."""
-    per, rest = divmod(int(n) - 1, 50)
-    if per < 2 or rest:
-        raise DimensionError("the default read window's T/10 chunks need at least 3 samples "
-                             f"and n_read = 50 m + 1 (101, 151, ...), got n_read = {n}")
-    return per
 
 
 def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
@@ -653,8 +610,8 @@ def expected_gain(params: MemoryParams, omega):
 
 
 def _pde_read_samples(d):
-    """Default PDE read samples: 50 chunks of 120 steps per started 12 of optical depth."""
-    return 50 * _PDE_READ_PER * max(1, math.ceil(d / 12.0)) + 1
+    """Default PDE read samples: 6000 steps over the window per started 12 of optical depth."""
+    return _PDE_READ_PER * max(1, math.ceil(d / 12.0)) + 1
 
 
 def _read_sum_error(terms, h):
@@ -699,24 +656,22 @@ def transfer_function_estimate(
 
     The grids default per path.  ``analytic``: n_z = 1200 ensemble positions,
     n_probe = 1601 probe samples, n_read = 6001 read samples.  ``pde``:
-    n_z = 300, n_probe = 401, and 120 read steps per T/10 for each started 12
-    of optical depth (n_read = 6001 up to d = 12, 18001 at d = 30); twofold
-    finer grids move its gains by about 1e-6 relative.  The read window
-    defaults to 5T.  On the PDE path it is then summed in T/10 chunks of
-    (n_read - 1) / 50 steps, so n_read must be 50 m + 1 with m >= 2 (else
-    DimensionError), and the read stops at the end of the first chunk from
-    the tenth on in which every probe adds less than 1e-24 of its read
-    energy so far.  An explicit ``T_read`` is read whole.  A PDE write or
-    read step gamma_s * dt above 0.1 warns (ResolutionWarning).
+    n_z = 300, n_probe = 401, and 6000 read steps for each started 12 of
+    optical depth (n_read = 6001 up to d = 12, 18001 at d = 30); twofold
+    finer grids move its gains by about 1e-6 relative.  On both paths n_z
+    below 4, or n_probe or n_read below 3, raises DimensionError before any
+    grid is built; the analytic route's error estimates need 5 samples per
+    axis.  Both paths read the whole window, 5T unless ``T_read`` is set.  A PDE write or read step gamma_s * dt above 0.1 warns
+    (ResolutionWarning).
 
     The PDE read is the write marcher's one-step matrix, advanced in blocks
-    of 128 steps by its 128th power, with the stop rule above.  Its setup
-    costs O(n_z^3 log 128) time and two n_z x n_z float64 matrices.  At
-    d = 4 the read takes 0.01-0.03 s at the default n_z = 300 against
-    0.17-0.21 s stepped, 0.07 s at 600 against 0.21 s, and 0.4-0.5 s at
-    1200 against 0.4 s, where the two break even (2-vCPU x86-64, OpenBLAS
-    0.3.31).  ``path="pde"`` with n_z above 4096 (128 MiB per matrix)
-    raises DimensionError before any march.
+    of 128 steps by its 128th power.  Its setup costs O(n_z^3 log 128) time
+    and two n_z x n_z float64 matrices.  At d = 4 the read takes
+    0.01-0.03 s at the default n_z = 300 against 0.17-0.21 s stepped, 0.07 s
+    at 600 against 0.21 s, and 0.4-0.5 s at 1200 against 0.4 s, where the
+    two break even (2-vCPU x86-64, OpenBLAS 0.3.31).  ``path="pde"`` with
+    n_z above 4096 (128 MiB per matrix) raises DimensionError before any
+    march.
 
     When the analytic read clock's estimate fails at the default n_read, the
     read is taken once more at the hinted n_read, and only a second failure
@@ -736,7 +691,9 @@ def transfer_function_estimate(
     n_z = int(n_z if n_z is not None else 300 if pde else 1200)
     n_probe = int(n_probe if n_probe is not None else 401 if pde else 1601)
     n_read = int(n_read if n_read is not None else _pde_read_samples(params.d) if pde else 6001)
-    per = _read_chunk_steps(n_read) if pde and T_read is None else None
+    for name, n, least in (("n_z", n_z, 4), ("n_probe", n_probe, 3), ("n_read", n_read, 3)):
+        if n < least:
+            raise DimensionError(f"{name} must be at least {least}, got {n}")
     if pde and n_z > _MAX_READ_N_Z:
         raise DimensionError(f"the PDE read needs n_z <= {_MAX_READ_N_Z} (two n_z x n_z "
                              f"matrices of 8 n_z^2 bytes), got n_z = {n_z}")
@@ -776,8 +733,7 @@ def transfer_function_estimate(
         # fields vanish before the probe support; start marching at its left edge
         for _, b in _march(np.zeros((n_z, omegas.size)), probes.T, h_w, params.d, n_z):
             pass
-        out = _read_march(b, n_read, h_r, params.d, n_z, per).T
-        tau_r = tau_r[:out.shape[1]]
+        out = _read_march(b, n_read, h_r, params.d, n_z).T
         phase = np.exp(-1j * om_hat * tau_r)
     else:
         z = np.linspace(0.0, 1.0, n_z)

@@ -44,24 +44,15 @@ def grid_write(a_in, params, n_z, n_t):
     return z, t, a, b
 
 
-def stepped_read(b0, n_t, h, d, n_z, per=None):
+def stepped_read(b0, n_t, h, d, n_z):
     """Reference for ``dynamics._read_march``: a(1, .) stepped one sample at a time.
 
-    Every step of ``_march`` with a dark boundary, with the same Simpson
-    chunks of ``per`` steps and the same stop rule as the block read.
+    Every step of ``_march`` with a dark boundary, over the whole window.
     """
     dark = np.zeros((n_t,) + np.shape(b0)[1:], dtype=complex)
     out = np.empty_like(dark)
-    per = per or n_t - 1
-    w = dynamics.simpson_weights(per + 1, h)
-    total = 0.0
     for j, (a, _) in enumerate(dynamics._march(b0, dark, h, d, n_z)):
         out[j] = a[-1]
-        if j and j % per == 0:
-            inc = w @ np.abs(out[j - per:j + 1]) ** 2
-            total = total + inc
-            if j >= 10 * per and np.all((total > 0.0) & (inc < dynamics._PROBE_READ_TOL * total)):
-                return out[:j + 1]
     return out
 
 

@@ -86,14 +86,13 @@ def march_calls(monkeypatch):
 
 @pytest.fixture
 def read_calls(monkeypatch):
-    """[b0 shape, samples returned, blocks computed] of each ``dynamics._read_march`` call."""
+    """[b0 shape, samples returned, read operators built] of each ``dynamics._read_march`` call."""
     calls = []
-    read_march, read_blocks = dynamics._read_march, dynamics._read_blocks
+    read_march, read_operator = dynamics._read_march, dynamics._read_operator
 
-    def counted_blocks(*args, **kwargs):
-        for block in read_blocks(*args, **kwargs):
-            calls[-1][2] += 1
-            yield block
+    def counted_operator(*args, **kwargs):
+        calls[-1][2] += 1
+        return read_operator(*args, **kwargs)
 
     def counted(b0, *args, **kwargs):
         calls.append([np.shape(b0), None, 0])
@@ -101,14 +100,9 @@ def read_calls(monkeypatch):
         calls[-1][1] = out.shape[0]
         return out
 
-    monkeypatch.setattr(dynamics, "_read_blocks", counted_blocks)
+    monkeypatch.setattr(dynamics, "_read_operator", counted_operator)
     monkeypatch.setattr(dynamics, "_read_march", counted)
     return calls
-
-
-def blocks_for(n):
-    """Read blocks holding samples 0 .. n - 1: none past the block of the last one."""
-    return -(-n // dynamics._READ_BLOCK)
 
 
 def operator_builds(n_z):
@@ -345,56 +339,6 @@ class TestPdeMarch:
             "residual": abs(e_in - e_out - e_stored - e_decay) / e_in,
         }
 
-    @staticmethod
-    def flat_read(per, n_t=3001):
-        """``_read_march`` of a flat drive's profile at d = 4, gamma_s T = 10:
-        601 z points, a 5T window of n_t samples, chunks of ``per`` steps."""
-        p = params10()
-        b = write_analytic(np.ones(601, dtype=complex), p, 601).b_T
-        return dynamics._read_march(b, n_t, p.gamma_s * 5.0 * p.T / (n_t - 1), p.d, 601, per)
-
-    def test_read_early_stop(self, monkeypatch):
-        # with the stop tolerance at 1e-4 the read energy has converged by T,
-        # the end of the tenth T/10 chunk and the rule's floor; the samples
-        # kept are those of the whole window's march
-        monkeypatch.setattr(dynamics, "_PROBE_READ_TOL", 1e-4)
-        out = self.flat_read(60)
-        assert out.shape == (601,)
-        assert np.array_equal(out, self.flat_read(None)[:601])
-
-    def test_read_march_ends_at_kept_chunk(self, monkeypatch, read_calls):
-        # the stop lands at T (ten chunks of 60 steps); of the 2,400 samples
-        # after it only the rest of the block holding T is computed
-        monkeypatch.setattr(dynamics, "_PROBE_READ_TOL", 1e-4)
-        out = self.flat_read(60)
-        assert read_calls == [[(601,), out.size, blocks_for(601)]] == [[(601,), 601, 5]]
-
-    @pytest.mark.parametrize("n_t", [4, 31, 75])
-    def test_read_chunk_floor(self, n_t):
-        # the default window's T/10 chunks need 3 samples for a Simpson sum
-        with pytest.raises(DimensionError, match="3 samples"):
-            transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_t)
-
-    @pytest.mark.parametrize("n_t", [76, 126])
-    def test_read_chunks_are_a_tenth_of_T(self, n_t):
-        # 75 or 125 steps do not split into 50 chunks: at n_t = 76 a chunk of
-        # round(75 / 50) = 2 steps would be 0.133 T and the 'one T' floor 1.33 T
-        with pytest.raises(DimensionError, match=r"n_read = 50 m \+ 1"):
-            transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_t)
-
-    @pytest.mark.parametrize("n_t", [101, 601, 3001])
-    def test_read_chunk_rule_accepts(self, read_calls, n_t):
-        # gamma_s T = 1 (gamma_s dt <= 0.05): the probe read returns whole
-        # T/10 chunks of (n_t - 1) / 50 steps, at least ten of them
-        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1.0 / GAMMA_S)
-        g = transfer_function_estimate(p, [0.0], path="pde", n_z=101, n_read=n_t)
-        [(_, read, blocks)] = read_calls
-        per = (n_t - 1) // 50
-        assert (read - 1) % per == 0 and 10 * per < read <= n_t
-        assert blocks == blocks_for(read)
-        assert np.isfinite(g).all()
-
-
 class TestTransferFunction:
     def test_read_clock_gain_identity(self):
         p = params10()
@@ -433,20 +377,26 @@ class TestTransferFunction:
     def test_empty_probe_list(self):
         assert transfer_function_estimate(params10(), []).size == 0
 
-    @pytest.mark.parametrize("n_read", [4, 31, 75, 76, 126, 6000])
-    def test_pde_read_chunk_rule(self, n_read):
-        # without T_read the PDE read marches in T/10 chunks of (n_read - 1) / 50
-        # steps, at least 2 (3 samples for a Simpson sum); 75 or 125 steps do
-        # not split into 50 chunks, and rounding would stretch a chunk past T/10
-        with pytest.raises(DimensionError, match=r"3 samples and n_read = 50 m \+ 1"):
-            transfer_function_estimate(params10(), [0.0], path="pde", n_read=n_read)
-
     def test_chunk_rule_needs_default_window(self):
-        # an explicit window is not chunked, and the analytic route never is
+        # any n_read of at least 3 is read whole, on the default and an
+        # explicit PDE window and on the analytic route
         p = params10()
-        for kw in (dict(T_read=5.0 * p.T, path="pde"), dict(path="analytic")):
+        for kw in (dict(path="pde"), dict(T_read=5.0 * p.T, path="pde"), dict(path="analytic")):
             g = transfer_function_estimate(p, [0.0], n_probe=201, n_z=100, n_read=600, **kw)
             assert np.isfinite(g).all()
+
+    @pytest.mark.parametrize("path", ["analytic", "pde"])
+    @pytest.mark.parametrize("name, n", [("n_z", 1), ("n_z", 2), ("n_z", 3), ("n_probe", 0),
+                                         ("n_probe", 1), ("n_probe", 2), ("n_read", 1),
+                                         ("n_read", 2)])
+    def test_grid_sizes_checked_first(self, march_calls, path, name, n):
+        # n_z below 4 (the write stages' floor) or n_probe, n_read below 3
+        # (Simpson's) raise before any march or quadrature, on both paths;
+        # unchecked, they raised IndexError or, on the PDE path, returned
+        # gains of 0 (n_z = 1) or |g(0)| = 1.33 (n_z = 2)
+        with pytest.raises(DimensionError, match=f"{name} must be at least"):
+            transfer_function_estimate(params10(), [0.0], path=path, **{name: n})
+        assert march_calls == []
 
     @pytest.mark.parametrize("n_z, n_probe, stage",
                              [(100, 9, "write"), (9, 201, "read"), (10, 201, "read")])
@@ -511,7 +461,7 @@ class TestTransferFunction:
 
 
 class TestPdeTransfer:
-    """The PDE probe read: column-wise convergence stop and per-path grid defaults."""
+    """The PDE probe read: the whole window, and per-path grid defaults."""
 
     OMEGAS = np.array([0.0, 0.1, -0.25, 0.3, 0.17]) * GAMMA_S
 
@@ -523,27 +473,27 @@ class TestPdeTransfer:
     def rel(got, want):
         return np.abs(got - want).max() / np.abs(want).max()
 
-    @pytest.mark.parametrize("d", [4.0, 12.0])
+    @pytest.mark.parametrize("d", [4.0, 12.0, 30.0])
     def test_stop_matches_full_window(self, d):
+        # the default read stops at the end of its 5T window
         p = self.params(d)
-        stopped = transfer_function_estimate(p, self.OMEGAS, path="pde")
-        full = transfer_function_estimate(p, self.OMEGAS, 5.0 * p.T, path="pde")
-        assert self.rel(stopped, full) <= 1e-12
+        default = transfer_function_estimate(p, self.OMEGAS, path="pde")
+        explicit = transfer_function_estimate(p, self.OMEGAS, 5.0 * p.T, path="pde")
+        assert np.array_equal(default, explicit)
 
     @pytest.mark.parametrize("d", [4.0, 12.0])
     def test_stop_lands_near_half_the_window(self, march_calls, read_calls, d):
+        # the default read returns every sample of its window
         p = self.params(d)
         transfer_function_estimate(p, self.OMEGAS, path="pde")
         assert march_calls == [[(300, 5), 401]] + operator_builds(300)
-        [(_, read, blocks)] = read_calls
-        assert 0.4 * 6000 <= read - 1 <= 0.6 * 6000 and (read - 1) % 120 == 0
-        assert blocks == blocks_for(read)
+        assert read_calls == [[(300, 5), dynamics._pde_read_samples(d), 1]]
 
     def test_explicit_window_marches_whole(self, march_calls, read_calls):
         p = self.params(4.0)
         transfer_function_estimate(p, self.OMEGAS, 3.0 * p.T, path="pde")
         assert march_calls == [[(300, 5), 401]] + operator_builds(300)
-        assert read_calls == [[(300, 5), 6001, blocks_for(6001)]]
+        assert read_calls == [[(300, 5), 6001, 1]]
 
     def test_defaults_against_refined_grid(self):
         p = self.params(4.0)
@@ -589,25 +539,33 @@ class TestPdeTransfer:
 class TestOperatorRead:
     """The block read of the one-step matrix against a plain stepped read."""
 
-    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
-    @pytest.mark.parametrize("k", [1, 5])
-    @pytest.mark.parametrize("d", [4.0, 30.0])
-    def test_matches_stepped_read(self, d, k, explicit):
+    @staticmethod
+    def check(d, k, n_t):
+        """The first n_t samples of a read at the default 5T step from k written profiles."""
         p = TestPdeTransfer.params(d)
-        n_z, n_read = 300, dynamics._pde_read_samples(d)
-        h = p.gamma_s * 5.0 * p.T / (n_read - 1)
+        n_z = 300
+        h = p.gamma_s * 5.0 * p.T / (dynamics._pde_read_samples(d) - 1)
         t = np.linspace(0.0, 1.0, 2000)
         b0 = np.stack([write_analytic(np.exp(8j * w * t), p, n_z).b_T
                        for w in np.linspace(-1.0, 1.0, k)], axis=1)
         b0 = b0[:, 0] if k == 1 else b0
-        # the default window in T/10 chunks, or an explicit 3T window marched whole
-        n_t, per = ((n_read - 1) * 3 // 5 + 1, None) if explicit else \
-            (n_read, dynamics._read_chunk_steps(n_read))
-        got = dynamics._read_march(b0, n_t, h, d, n_z, per)
-        want = stepped_read(b0, n_t, h, d, n_z, per)
-        assert got.shape == want.shape
-        assert explicit or got.shape[0] < n_t
+        got = dynamics._read_march(b0, n_t, h, d, n_z)
+        want = stepped_read(b0, n_t, h, d, n_z)
+        assert got.shape == want.shape == (n_t,) + b0.shape[1:]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("d", [4.0, 30.0])
+    def test_matches_stepped_read(self, d, k, explicit):
+        # the default 5T window, or an explicit 3T one
+        n_read = dynamics._pde_read_samples(d)
+        self.check(d, k, (n_read - 1) * 3 // 5 + 1 if explicit else n_read)
+
+    @pytest.mark.parametrize("n_t", [3, 127, 128, 129, 257])
+    def test_block_boundaries_match_stepped_read(self, n_t):
+        # windows ending in, at and just past a block's last sample
+        self.check(4.0, 5, n_t)
 
     def test_operator_holds_two_matrices(self):
         # the unit columns go through the marcher 32 at a time, and squaring
@@ -777,7 +735,7 @@ class TestBatchedMarch:
         transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
         n_z = TestBesselTables.SMALL["n_z"]
         assert march_calls == [[(n_z, n_probes), 201]] + operator_builds(n_z)
-        assert [shape for shape, _, _ in read_calls] == [(n_z, n_probes)]
+        assert read_calls == [[(n_z, n_probes), TestBesselTables.SMALL["n_read"], 1]]
 
 
 class TestWriteBudget:

@@ -36,6 +36,8 @@ RUNS = [
     ("epr-channel", "channel", "channel_epr.ini", ()),
     ("dynamics", "dynamics", "dynamics.ini", ()),
     ("dynamics-pde", "dynamics", "dynamics.ini", PDE),
+    # the PDE route at d = 30, whose read takes 18001 samples
+    ("dynamics-pde-d30", "dynamics", "dynamics.ini", PDE + ((r"^d = .*", "d = 30"),)),
 ]
 _NUMBER = re.compile(r"[-+]?(?:[0-9.]+(?:e[-+]?[0-9]+)?|nan|inf)")
 
