@@ -21,7 +21,6 @@ from .errors import (
 from .modes import (
     DEFAULT_TOOTH_COUNT,
     ModeBasis,
-    ModeVector,
     gram_schmidt,
     unitary_mix,
 )
@@ -85,8 +84,7 @@ __all__ = [
     "CombMemoryError", "ConfigError", "DimensionError", "PhysicsError",
     "ProbeDesignError", "ResolutionError", "ResolutionWarning",
     # modes
-    "DEFAULT_TOOTH_COUNT", "ModeVector", "ModeBasis", "gram_schmidt",
-    "unitary_mix",
+    "DEFAULT_TOOTH_COUNT", "ModeBasis", "gram_schmidt", "unitary_mix",
     # gaussian
     "CovarianceMatrix", "SqueezingSpectrum", "vacuum", "squeezed_vacuum",
     "apply_mode_unitary", "purity", "squeezing_spectrum",

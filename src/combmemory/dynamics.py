@@ -40,8 +40,9 @@ Referenced to a read clock that restarts at the end of the write window, the
 measured gain equals -K_omega * exp(i omega T).  The measurement's grids
 default per path: 1200 z points and 1601 probe samples on the analytic
 route, 300 and 401 on the PDE route, whose read takes 6000 steps for each
-started 12 of optical depth.  Any n_z >= 4, n_probe >= 3 and n_read >= 3 is
-accepted; the analytic route's error estimates need 5 samples per axis.
+started 12 of optical depth.  The PDE route accepts any n_z >= 4, n_probe >= 3
+and n_read >= 3; the analytic route's error estimates need 5 samples per
+axis, so it accepts any grid of at least 5 on each.
 """
 
 from __future__ import annotations
@@ -658,11 +659,13 @@ def transfer_function_estimate(
     n_probe = 1601 probe samples, n_read = 6001 read samples.  ``pde``:
     n_z = 300, n_probe = 401, and 6000 read steps for each started 12 of
     optical depth (n_read = 6001 up to d = 12, 18001 at d = 30); twofold
-    finer grids move its gains by about 1e-6 relative.  On both paths n_z
-    below 4, or n_probe or n_read below 3, raises DimensionError before any
-    grid is built; the analytic route's error estimates need 5 samples per
-    axis.  Both paths read the whole window, 5T unless ``T_read`` is set.  A PDE write or read step gamma_s * dt above 0.1 warns
-    (ResolutionWarning).
+    finer grids move its gains by about 1e-6 relative.  A grid below its
+    path's floor raises DimensionError naming it before any grid is built:
+    on ``pde`` n_z below 4, or n_probe or n_read below 3; on ``analytic``
+    any of the three below 5, since each error estimate takes a stride-2
+    Simpson sum over an odd run of samples.  Both paths read the whole
+    window, 5T unless ``T_read`` is set.  A PDE write or read step
+    gamma_s * dt above 0.1 warns (ResolutionWarning).
 
     The PDE read is the write marcher's one-step matrix, advanced in blocks
     of 128 steps by its 128th power.  Its setup costs O(n_z^3 log 128) time
@@ -691,7 +694,9 @@ def transfer_function_estimate(
     n_z = int(n_z if n_z is not None else 300 if pde else 1200)
     n_probe = int(n_probe if n_probe is not None else 401 if pde else 1601)
     n_read = int(n_read if n_read is not None else _pde_read_samples(params.d) if pde else 6001)
-    for name, n, least in (("n_z", n_z, 4), ("n_probe", n_probe, 3), ("n_read", n_read, 3)):
+    # each analytic error estimate is a stride-2 Simpson sum over an odd run: 5 per axis
+    floors = (4, 3, 3) if pde else (5, 5, 5)
+    for name, n, least in zip(("n_z", "n_probe", "n_read"), (n_z, n_probe, n_read), floors):
         if n < least:
             raise DimensionError(f"{name} must be at least {least}, got {n}")
     if pde and n_z > _MAX_READ_N_Z:

@@ -1,11 +1,12 @@
-"""Mode vectors over comb teeth and orthonormal bases.
+"""Orthonormal bases of comb modes, stored as arrays.
 
-A comb field is a superposition of discrete spectral teeth.  Pump shapes and
-supermodes are both vectors of complex amplitudes over a common tooth range;
-everything downstream (channels, covariance transforms) only ever sees the
-finite-dimensional subspace these vectors span, so the tooth count is a desk
-scale knob, not a physical limit.  A basis of M such vectors over N teeth is
-stored as one M x N array, one row per mode vector.
+A comb field is a superposition of discrete spectral teeth.  A mode vector
+(a pump shape or a supermode) is a row of complex amplitudes over a tooth
+range, and a set of M of them over N teeth is one M x N array: row k is mode
+k, column m is tooth ``tooth_offset + m``.  Sharing one array gives every row
+the same tooth range by construction.  Everything downstream (channels,
+covariance transforms) only ever sees the finite-dimensional subspace these
+rows span, so the tooth count is a desk-scale knob, not a physical limit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import DimensionError, PhysicsError
 
 __all__ = [
-    "ModeVector",
     "ModeBasis",
     "gram_schmidt",
     "unitary_mix",
@@ -33,72 +33,14 @@ ORTHO_TOL = 1e-10        # pairwise |<vi,vj> - delta_ij| for a valid basis or un
 DEPENDENCE_TOL = 1e-8    # residual norm below this is linear dependence
 
 
-def _as_complex_vector(amplitudes) -> np.ndarray:
-    v = np.array(amplitudes, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError("amplitudes must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(v.view(float))):
+def _mode_array(matrix) -> np.ndarray:
+    """A complex copy of ``matrix``, checked to be a nonempty, finite M x N array."""
+    A = np.array(matrix, dtype=complex)
+    if A.ndim != 2 or A.size == 0:
+        raise DimensionError("basis must be a nonempty M x N array of mode vectors")
+    if not np.all(np.isfinite(A)):
         raise PhysicsError("amplitudes must be finite")
-    return v
-
-
-@dataclass(frozen=True, eq=False)
-class ModeVector:
-    """Complex amplitude per comb tooth.
-
-    Parameters
-    ----------
-    amplitudes : array_like of complex
-        One amplitude per tooth, tooth ``m`` at frequency offset
-        ``(tooth_offset + m) * omega_r``.
-    tooth_offset : int
-        Index of the first tooth.
-    """
-
-    amplitudes: np.ndarray
-    tooth_offset: int = 0
-
-    def __post_init__(self):
-        v = _as_complex_vector(self.amplitudes)
-        v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
-        object.__setattr__(self, "tooth_offset", int(self.tooth_offset))
-
-    def __len__(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "ModeVector":
-        n = self.norm
-        if n == 0.0:
-            raise PhysicsError("cannot normalize the zero vector")
-        return ModeVector(self.amplitudes / n, self.tooth_offset)
-
-    def to_json(self) -> dict:
-        return {
-            "tooth_offset": self.tooth_offset,
-            "re": self.amplitudes.real.tolist(),
-            "im": self.amplitudes.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModeVector":
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        if re.shape != im.shape:
-            raise DimensionError("re/im length mismatch in mode vector JSON")
-        return cls(re + 1j * im, int(obj.get("tooth_offset", 0)))
-
-
-def _check_common_range(u: ModeVector, v: ModeVector):
-    if u.tooth_offset != v.tooth_offset or len(u) != len(v):
-        raise DimensionError(
-            "mode vectors live on different tooth ranges: "
-            f"[{u.tooth_offset}, +{len(u)}) vs [{v.tooth_offset}, +{len(v)})"
-        )
+    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +55,7 @@ class ModeBasis:
     tooth_offset: int = 0
 
     def __post_init__(self):
-        A = np.array(self.matrix, dtype=complex)
-        if A.ndim != 2 or A.size == 0:
-            raise DimensionError("basis must be a nonempty M x N array of mode vectors")
-        if not np.all(np.isfinite(A)):
-            raise PhysicsError("amplitudes must be finite")
+        A = _mode_array(self.matrix)
         dev = np.abs(A @ A.conj().T - np.eye(A.shape[0])).max()
         if dev > ORTHO_TOL:
             raise PhysicsError(
@@ -134,40 +72,24 @@ class ModeBasis:
     def tooth_count(self) -> int:
         return self.matrix.shape[1]
 
-    def to_json(self) -> dict:
-        return {"vectors": [ModeVector(row, self.tooth_offset).to_json() for row in self.matrix]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModeBasis":
-        vs = [ModeVector.from_json(v) for v in obj["vectors"]]
-        if not vs:
-            raise DimensionError("basis must contain at least one vector")
-        for v in vs[1:]:
-            _check_common_range(vs[0], v)
-        return cls(np.array([v.amplitudes for v in vs]), vs[0].tooth_offset)
+def gram_schmidt(amplitudes, tooth_offset: int = 0) -> ModeBasis:
+    """Orthonormalize the rows of an M x N array (modified Gram-Schmidt, one re-pass).
 
-
-def gram_schmidt(vs) -> ModeBasis:
-    """Orthonormalize mode vectors (modified Gram-Schmidt, one re-pass).
-
-    The first output is parallel to the first input.  Raises PhysicsError when
-    a residual norm falls below 1e-8 of the original vector norm (linear
+    Row k is input vector k, with tooth ``tooth_offset + m`` in column m.  The
+    first output row is parallel to the first input row.  Works on a copy, so
+    the caller's array is neither changed nor kept.  Raises PhysicsError when
+    a residual norm falls below 1e-8 of the original row norm (linear
     dependence).
     """
-    vs = list(vs)
-    if not vs:
-        raise DimensionError("gram_schmidt needs at least one vector")
-    for v in vs[1:]:
-        _check_common_range(vs[0], v)
-    out = []
-    for k, v in enumerate(vs):
-        w = v.amplitudes.astype(complex)
+    W = _mode_array(amplitudes)
+    for k, w in enumerate(W):
         scale = np.linalg.norm(w)
         if scale == 0.0:
             raise PhysicsError(f"vector {k} is linearly dependent (zero norm)")
         # two passes of projection removal for numerical stability
         for _ in range(2):
-            for q in out:
+            for q in W[:k]:
                 w = w - np.vdot(q, w) * q
         r = np.linalg.norm(w)
         if r < DEPENDENCE_TOL * scale:
@@ -175,8 +97,8 @@ def gram_schmidt(vs) -> ModeBasis:
                 f"vector {k} is linearly dependent on its predecessors "
                 f"(residual {r / scale:.3e})"
             )
-        out.append(w / r)
-    return ModeBasis(np.array(out), vs[0].tooth_offset)
+        W[k] = w / r
+    return ModeBasis(W, tooth_offset)
 
 
 def _check_unitary(U, M: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from combmemory import (
     unitary_mix,
     write_analytic,
     CovarianceMatrix,
-    ModeVector,
 )
 from support import random_pure_state, random_unitary
 
@@ -47,7 +46,7 @@ def rotated_block(zeta, theta):
 
 def random_basis(M, teeth, rng):
     G = rng.normal(size=(M, teeth)) + 1j * rng.normal(size=(M, teeth))
-    return gram_schmidt([ModeVector(g) for g in G])
+    return gram_schmidt(G)
 
 
 class TestAcceptance:

@@ -385,18 +385,26 @@ class TestTransferFunction:
             g = transfer_function_estimate(p, [0.0], n_probe=201, n_z=100, n_read=600, **kw)
             assert np.isfinite(g).all()
 
-    @pytest.mark.parametrize("path", ["analytic", "pde"])
-    @pytest.mark.parametrize("name, n", [("n_z", 1), ("n_z", 2), ("n_z", 3), ("n_probe", 0),
-                                         ("n_probe", 1), ("n_probe", 2), ("n_read", 1),
-                                         ("n_read", 2)])
-    def test_grid_sizes_checked_first(self, march_calls, path, name, n):
-        # n_z below 4 (the write stages' floor) or n_probe, n_read below 3
-        # (Simpson's) raise before any march or quadrature, on both paths;
-        # unchecked, they raised IndexError or, on the PDE path, returned
-        # gains of 0 (n_z = 1) or |g(0)| = 1.33 (n_z = 2)
-        with pytest.raises(DimensionError, match=f"{name} must be at least"):
+    @pytest.mark.parametrize("name, n, path", [
+        (name, n, path)
+        for name, n in [("n_z", 1), ("n_z", 2), ("n_z", 3), ("n_probe", 0), ("n_probe", 1),
+                        ("n_probe", 2), ("n_read", 1), ("n_read", 2)]
+        for path in ("analytic", "pde")
+    ] + [("n_z", 4, "analytic"), ("n_probe", 3, "analytic"), ("n_probe", 4, "analytic"),
+         ("n_read", 3, "analytic"), ("n_read", 4, "analytic")])
+    def test_grid_sizes_checked_first(self, monkeypatch, march_calls, name, n, path):
+        # on the PDE path n_z below 4 (the write stages' floor) or n_probe,
+        # n_read below 3 (Simpson's) raise before any march; unchecked, they
+        # raised IndexError or returned gains of 0 (n_z = 1) or |g(0)| = 1.33
+        # (n_z = 2).  The analytic error estimates take stride-2 Simpson sums
+        # over an odd run, so that path needs 5 samples per axis and raises
+        # before any quadrature; n = 3 or 4 raised an unnamed DimensionError
+        least = 5 if path == "analytic" else 4 if name == "n_z" else 3
+        quadratures = []
+        monkeypatch.setattr(dynamics, "_checked_quadrature", lambda *args: quadratures.append(args))
+        with pytest.raises(DimensionError, match=f"{name} must be at least {least}, got {n}"):
             transfer_function_estimate(params10(), [0.0], path=path, **{name: n})
-        assert march_calls == []
+        assert march_calls == [] and quadratures == []
 
     @pytest.mark.parametrize("n_z, n_probe, stage",
                              [(100, 9, "write"), (9, 201, "read"), (10, 201, "read")])

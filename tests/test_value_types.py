@@ -7,7 +7,6 @@ from combmemory import (
     CovarianceMatrix,
     KernelResponse,
     ModeBasis,
-    ModeVector,
     SqueezingSpectrum,
     StoredProfile,
     WriteRecord,
@@ -15,7 +14,6 @@ from combmemory import (
 
 # type -> fresh constructor arguments, already of the dtype the type stores
 ARGUMENTS = {
-    ModeVector: lambda: (np.array([0.6 + 0j, 0.8j]),),
     ModeBasis: lambda: (np.eye(2, dtype=complex),),
     SqueezingSpectrum: lambda: (np.array([0.5, 0.25]),),
     CovarianceMatrix: lambda: (np.eye(2),),
