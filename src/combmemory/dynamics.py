@@ -15,6 +15,10 @@ Two independent routes compute the same physics:
   corrector pass for second-order accuracy.  One stepper yields the fields
   at every time step, and each caller keeps what it reads: the final b of
   the probe write, or the traces the energy budget needs (``pde_write``).
+  Every coefficient of the stepper is real, so it marches in float64 when
+  its initial state and boundary are real (the write cross-check's constant
+  drive, the read's unit columns) and in complex128 otherwise, with the same
+  bits as the real part of a complex march.
   No route keeps an (n_z, n_t) history.  Independent runs march together as
   the columns of (n_z, k) arrays, so all probes of a transfer measurement
   share one write march and one read.  The read has a dark boundary, so it
@@ -81,8 +85,9 @@ PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
 READ_SUM_ERROR_LIMIT = 1e-4  # estimated relative error of the read clock's Fourier sum
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
 # Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory
-# (``pde_write`` keeps O(n_z + n_t) values).  The march takes 22-48 ns a cell
-# (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64, numpy 2.4), 0.7-1.6 s at the cap.
+# (``pde_write`` keeps O(n_z + n_t) values).  The float64 march of a real
+# drive takes 14-33 ns a cell (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64,
+# numpy 2.4), 0.5-1.1 s at the cap.
 MAX_GRID_CELLS = 2**25
 _PDE_READ_PER = 6000         # default PDE read steps per started 12 of optical depth
 _READ_BLOCK = 128            # PDE read samples per power of the one-step matrix
@@ -460,6 +465,10 @@ def _march(b0, boundary, h, d, n_z):
     and ``boundary`` (n_t,) or (n_t, k).  Every step works in place on
     preallocated arrays of b0's shape, and the yielded a and b are those
     arrays: a caller copies what it keeps before asking for the next step.
+    The state's dtype is ``np.result_type(b0, boundary, float)``: every march
+    coefficient is real, so a real b0 and boundary march in float64, with the
+    same bits as the real part of a complex march, and anything complex
+    marches in complex128.
     """
     sq = np.sqrt(d)
     c = 0.5 * sq / (n_z - 1)
@@ -467,7 +476,7 @@ def _march(b0, boundary, h, d, n_z):
     I0 = 1.0 - e
     I1 = (h - 1.0 + e) / h
     w0, w01, w1 = sq * I0, sq * (I0 - I1), sq * I1
-    b = np.array(b0, dtype=complex)
+    b = np.array(b0, dtype=np.result_type(b0, boundary, float))
     a, a_star, b_star, tmp = (np.empty_like(b) for _ in range(4))
     yield _field(boundary[0], b, c, a), b
     for bj in boundary[1:]:
@@ -485,7 +494,8 @@ def _read_operator(h, d, n_z):
 
     M is the marcher's real (n_z, n_z) one-step matrix and r its a(1, .)
     row, both taken from one dark ``_march`` step on the unit columns, 32 at
-    a time.  The powers come from repeated squaring, each squaring also
+    a time; those columns and the dark boundary are real, so the step runs
+    in float64.  The powers come from repeated squaring, each squaring also
     doubling the rows of R, so at most two n_z x n_z matrices are alive.
     """
     P = np.empty((n_z, n_z))     # M, then squared in its place
@@ -493,8 +503,8 @@ def _read_operator(h, d, n_z):
     for s in range(0, n_z, 32):
         m = min(32, n_z - s)
         steps = _march(np.eye(n_z, m, -s), np.zeros((2, m)), h, d, n_z)
-        R[0, s:s + m] = next(steps)[0][-1].real
-        P[:, s:s + m] = next(steps)[1].real
+        R[0, s:s + m] = next(steps)[0][-1]
+        P[:, s:s + m] = next(steps)[1]
     del steps                    # the marcher's arrays go before the squarings
     n = 1
     while n < _READ_BLOCK:
@@ -552,9 +562,13 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     kept: per step the march keeps a(0, t) and a(1, t) and adds w_t |b|^2
     (Simpson weights in t) into one n_z vector, so memory is O(n_z + n_t).
     A non-finite field anywhere reaches a(1, .), that sum or b(., T), and
-    raises PhysicsError.
+    raises PhysicsError.  A drive whose imaginary part is all zero marches as
+    its real part, in float64 (``_march``'s dtype rule), with the same bits;
+    the record's fields are complex either way.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
+    if not bound.imag.any():
+        bound = bound.real
     h = _scaled_step(params.gamma_s * params.T / (n_t - 1))
     z = np.linspace(0.0, 1.0, int(n_z))
     wt = simpson_weights(t.size, _uniform_spacing(t, "t"))

@@ -746,6 +746,102 @@ class TestBatchedMarch:
         assert read_calls == [[(n_z, n_probes), TestBesselTables.SMALL["n_read"], 1]]
 
 
+class TestRealMarch:
+    """A real state and boundary march in float64, with the bits of a complex march's parts."""
+
+    @staticmethod
+    def steps(b0, bound):
+        """Copies of every (a, b) the marcher yields, at a small grid."""
+        return [(a.copy(), b.copy()) for a, b in dynamics._march(b0, bound, 0.01, 4.0, 40)]
+
+    @pytest.mark.parametrize("real_b0, real_bound, dtype", [
+        (True, True, np.float64), (False, True, np.complex128),
+        (True, False, np.complex128), (False, False, np.complex128),
+    ])
+    def test_dtype_rule(self, real_b0, real_bound, dtype):
+        b0 = np.zeros(40, dtype=float if real_b0 else complex)
+        bound = np.ones(6, dtype=float if real_bound else complex)
+        for a, b in self.steps(b0, bound):
+            assert a.dtype == b.dtype == dtype
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["1-d", "columns"])
+    @pytest.mark.parametrize("driven", [True, False], ids=["driven", "dark"])
+    def test_complex_march_is_two_real_marches(self, driven, k):
+        # every coefficient is real, so the real and imaginary parts of a
+        # complex march are the float64 marches of those parts, bit for bit
+        rng = np.random.default_rng(21)
+        shape = () if k is None else (k,)
+        n_z, n_t = 40, 120
+
+        def draw(n):
+            return rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
+
+        if driven:
+            b0, bound = np.zeros((n_z,) + shape), draw(n_t)
+        else:
+            b0, bound = draw(n_z), np.zeros((n_t,) + shape)
+        both = self.steps(b0, bound)
+        parts = [self.steps(part(b0), part(bound)) for part in (np.real, np.imag)]
+        assert len(both) == len(parts[0]) == len(parts[1]) == n_t
+        for (a, b), (a_x, b_x), (a_y, b_y) in zip(both, *parts):
+            assert a.dtype == np.complex128 and a_x.dtype == a_y.dtype == np.float64
+            assert np.array_equal(a.real, a_x) and np.array_equal(a.imag, a_y)
+            assert np.array_equal(b.real, b_x) and np.array_equal(b.imag, b_y)
+
+    @pytest.mark.parametrize("d", [4.0, 0.0])
+    def test_zero_imaginary_drive_gives_the_same_record(self, monkeypatch, d):
+        p = params10(d)
+        n_z, n_t = 60, 200
+        t = np.linspace(0.0, 1.0, n_t)
+        drive = np.exp(-((t - 0.6) ** 2) / 0.05) - 0.3 * t
+        dtypes = []
+        march = dynamics._march
+
+        def recorded(*args):
+            for a, b in march(*args):
+                dtypes.append(b.dtype)
+                yield a, b
+
+        def fields(run):
+            return run.profile.b_T, run.t_points, run.a_in, run.a_out, run.b_sq_dt
+
+        monkeypatch.setattr(dynamics, "_march", recorded)
+        real = pde_write(drive, p, n_z, n_t)
+        cplx = pde_write(drive + 0j, p, n_z, n_t)
+        for got, want in zip(fields(cplx), fields(real)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert not got.flags.writeable and not want.flags.writeable
+        assert real.profile.b_T.dtype == real.a_in.dtype == real.a_out.dtype == np.complex128
+        # both drives march in float64; one with an imaginary part marches complex
+        pde_write(drive + 1e-3j, p, n_z, n_t)
+        assert dtypes == ([np.float64] * n_t * 2 + [np.complex128] * n_t if d else [])
+
+    def test_read_operator_matches_complex_columns(self):
+        # the operator as built from complex unit columns and a complex dark
+        # boundary, keeping the real parts of their (exactly real) steps
+        h, d, n_z = 0.00833, 4.0, 70
+        P = np.empty((n_z, n_z))
+        R = np.empty((dynamics._READ_BLOCK, n_z))
+        for s in range(0, n_z, 32):
+            m = min(32, n_z - s)
+            steps = dynamics._march(np.eye(n_z, m, -s, dtype=complex), np.zeros((2, m), complex),
+                                    h, d, n_z)
+            a = next(steps)[0][-1]       # the marcher's own array: read it before stepping
+            assert not a.imag.any()
+            R[0, s:s + m] = a.real
+            b = next(steps)[1]
+            assert not b.imag.any()
+            P[:, s:s + m] = b.real
+        n = 1
+        while n < dynamics._READ_BLOCK:
+            np.matmul(R[:n], P, out=R[n:2 * n])
+            P = P @ P
+            n *= 2
+        got_R, got_P = dynamics._read_operator(h, d, n_z)
+        assert got_R.dtype == got_P.dtype == np.float64
+        assert np.array_equal(got_R, R) and np.array_equal(got_P, P)
+
+
 class TestWriteBudget:
     """The history-free write march against the full-history grid route."""
 

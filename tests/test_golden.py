@@ -2,12 +2,17 @@
 
 The file set, the CSV headers and row counts, the JSON key order and every
 non-numeric field must match exactly.  A number a matches its golden b when
-|a - b| <= 1e-12 * max(|b|, s), where s is the largest magnitude in that
-golden file: the floor lets float-noise zeros (the EPR ``c_out`` holds
-entries of +-5e-16) round differently on another BLAS or CPU.  That tolerance
-is the contract; a change that moves a value past it regenerates the golden
-files (``python tests/golden/regen.py``) and names each changed value.
-Manifests carry a timestamp and are not compared.
+|a - b| <= max(1e-12 * max(|b|, s), f).  s is the largest magnitude in b's
+column of the golden CSV, or among the golden JSON values on b's key path
+(list indices dropped, so ``response[].re`` is one column): the floor lets
+float-noise zeros (the EPR ``c_out`` holds entries of +-5e-16) round
+differently on another BLAS or CPU, while a small column is not checked on
+a large neighbour's scale.  f is 0, except for the values that are small
+differences of O(1) terms (``CANCELLING``): they carry the rounding of those
+terms, not their own, and get the absolute floor ``CANCEL_FLOOR``, 20 ulps
+of 1.  That tolerance is the contract; a change that moves a value past it
+regenerates the golden files (``python tests/golden/regen.py``) and names
+each changed value.  Manifests carry a timestamp and are not compared.
 """
 
 import csv
@@ -24,6 +29,17 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
 REL_TOL = 1e-12
+CANCEL_FLOOR = 20 * 2.0**-52
+# CSV columns and JSON key paths, per file name, that are small differences
+# of O(1) terms: each check's error measure (pde_vs_analytic_l2 and the
+# energy-budget residual among them), the budget residual, the kernel's
+# flatness |K|^2 / |K_0|^2 - 1 and the pump-basis check's largest difference
+CANCELLING = {
+    "dynamics_report.csv": {"value"},
+    "dynamics_report.json": {"checks[].value", "energy_budget.residual"},
+    "kernel_summary.json": {"flatness"},
+    "channel_summary.json": {"basis_independence_max_abs"},
+}
 
 # the PDE route of the dynamics working point, at 1000 x 1000
 PDE = ((r"^n_z = .*", "n_z = 1000"), (r"^n_t = .*", "n_t = 1000"), (r"^path = .*", "path = pde"))
@@ -58,19 +74,22 @@ def run(name, command, config, subs, outdir):
     return target
 
 
-def _numbers(obj):
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_scales(obj, path="", scales=None):
+    """{key path: largest finite magnitude on it} of a JSON document."""
+    scales = {} if scales is None else scales
     if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, list):
+        for key, value in obj.items():
+            _json_scales(value, f"{path}.{key}" if path else key, scales)
+    elif isinstance(obj, list):
         for item in obj:
-            yield from _numbers(item)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        yield float(obj)
-
-
-def _scale(values):
-    """s: the largest finite magnitude among ``values``."""
-    return max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+            _json_scales(item, path + "[]", scales)
+    elif _is_number(obj) and math.isfinite(obj):
+        scales[path] = max(scales.get(path, 0.0), abs(obj))
+    return scales
 
 
 def _close(a, b, s):
@@ -79,29 +98,36 @@ def _close(a, b, s):
     return abs(a - b) <= REL_TOL * max(abs(b), s)
 
 
-def _compare_json(got, want, s, where, problems):
+def _floored(scales, floors):
+    """``scales`` with each key in ``floors`` raised so that REL_TOL * s >= CANCEL_FLOOR."""
+    return {key: max(s, CANCEL_FLOOR / REL_TOL) if key in floors else s
+            for key, s in scales.items()}
+
+
+def _compare_json(got, want, scales, path, where, problems):
     if isinstance(want, dict):
         if not isinstance(got, dict) or list(got) != list(want):
             problems.append(f"{where}: keys {list(got) if isinstance(got, dict) else got!r}"
                             f" != {list(want)}")
             return
         for key in want:
-            _compare_json(got[key], want[key], s, f"{where}.{key}", problems)
+            _compare_json(got[key], want[key], scales, f"{path}.{key}" if path else key,
+                          f"{where}.{key}", problems)
     elif isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             problems.append(f"{where}: {len(got) if isinstance(got, list) else got!r} items "
                             f"!= {len(want)}")
             return
         for i, (g, w) in enumerate(zip(got, want)):
-            _compare_json(g, w, s, f"{where}[{i}]", problems)
-    elif isinstance(want, (int, float)) and not isinstance(want, bool):
-        if type(got) is not type(want) or not _close(got, want, s):
+            _compare_json(g, w, scales, path + "[]", f"{where}[{i}]", problems)
+    elif _is_number(want):
+        if type(got) is not type(want) or not _close(got, want, scales.get(path, 0.0)):
             problems.append(f"{where}: {got!r} != {want!r}")
     elif type(got) is not type(want) or got != want:
         problems.append(f"{where}: {got!r} != {want!r}")
 
 
-def _compare_csv(got_path, want_path, where, problems):
+def _compare_csv(got_path, want_path, floors, where, problems):
     rows = []
     for path in (got_path, want_path):
         with open(path, newline="") as fh:
@@ -113,14 +139,23 @@ def _compare_csv(got_path, want_path, where, problems):
     if len(got) != len(want):
         problems.append(f"{where}: {len(got) - 1} rows != {len(want) - 1}")
         return
-    numeric = [[_NUMBER.fullmatch(cell) is not None for cell in row] for row in want[1:]]
-    s = _scale(float(c) for row, num in zip(want[1:], numeric) for c, n in zip(row, num) if n)
-    for i, (g, w, num) in enumerate(zip(got[1:], want[1:], numeric), 1):
+    scales = {}  # column name (or index past the header): largest finite magnitude
+    columns = want[0] + list(range(len(want[0]), max(map(len, want))))
+    for row in want[1:]:
+        for name, cell in zip(columns, row):
+            if _NUMBER.fullmatch(cell) and math.isfinite(float(cell)):
+                scales[name] = max(scales.get(name, 0.0), abs(float(cell)))
+    scales = _floored(scales, floors)
+    for i, (g, w) in enumerate(zip(got[1:], want[1:]), 1):
         if len(g) != len(w):
             problems.append(f"{where} row {i}: {len(g)} fields != {len(w)}")
             continue
-        for j, (a, b, n) in enumerate(zip(g, w, num)):
-            ok = (_NUMBER.fullmatch(a) is not None and _close(float(a), float(b), s)) if n else a == b
+        for j, (name, a, b) in enumerate(zip(columns, g, w)):
+            if _NUMBER.fullmatch(b):
+                ok = _NUMBER.fullmatch(a) is not None and _close(float(a), float(b),
+                                                                  scales.get(name, 0.0))
+            else:
+                ok = a == b
             if not ok:
                 problems.append(f"{where} row {i} field {j}: {a!r} != {b!r}")
 
@@ -137,12 +172,13 @@ def compare_dirs(got_dir, want_dir):
     for name in sorted(names[1]):
         got_path, want_path = os.path.join(got_dir, name), os.path.join(want_dir, name)
         where = os.path.join(os.path.basename(want_dir), name)
+        floors = CANCELLING.get(name, set())
         if name.endswith(".csv"):
-            _compare_csv(got_path, want_path, where, problems)
+            _compare_csv(got_path, want_path, floors, where, problems)
         else:
             with open(got_path) as g, open(want_path) as w:
                 got, want = json.load(g), json.load(w)
-            _compare_json(got, want, _scale(_numbers(want)), where, problems)
+            _compare_json(got, want, _floored(_json_scales(want), floors), "", where, problems)
     return problems
 
 
@@ -195,3 +231,59 @@ def test_comparison_contract(tmp_path):
     ]:
         assert compare_dirs(write(name, got_table, got_doc, extra), want), name
     assert compare_dirs(str(tmp_path / "missing"), want)
+
+
+def test_scale_is_per_column(tmp_path):
+    # a small column is checked on its own scale, not on a large neighbour's
+    def write(name, k2, omega=1.1e4):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "t.csv").write_text(f"omega,k2\r\n{omega!r},{k2!r}\r\n")
+        (d / "d.json").write_text(json.dumps({"rows": [{"omega": omega, "k2": k2}]}))
+        return str(d)
+
+    want = write("want", 0.96)
+    assert compare_dirs(write("same", 0.96 * (1 + 5e-13), 1.1e4 * (1 + 5e-13)), want) == []
+    problems = compare_dirs(write("k2", 0.96 * (1 + 3e-12)), want)
+    assert len(problems) == 2 and "d.json.rows[0].k2" in problems[0]
+    assert "t.csv row 1 field 1" in problems[1]
+
+
+def test_cancelling_values_get_an_absolute_floor(tmp_path):
+    # the budget residual is a difference of O(1) terms: its own size would
+    # leave it 6e-19 of room, and its neighbours' scale (the gains' omega)
+    # 1.1e-8; a key path outside CANCELLING keeps the relative rule
+    def write(name, residual, other):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "dynamics_report.json").write_text(json.dumps(
+            {"energy_budget": {"residual": residual, "stored": other}, "omega": 1.1e4}))
+        return str(d)
+
+    want = write("want", 6e-7, 6e-7)
+    assert compare_dirs(write("noise", 6e-7 + 3e-15, 6e-7), want) == []
+    assert compare_dirs(write("residual", 6e-7 + 1e-14, 6e-7), want)
+    assert compare_dirs(write("stored", 6e-7, 6e-7 + 3e-15), want)
+
+
+@pytest.mark.parametrize("run_name, name, column", [
+    ("demo-kernel", "kernel_response.csv", 3),     # |K|^2 beside omega ~ 1.1e4
+    ("demo-channel", "channel_spectra.csv", 2),    # zeta_out beside the mode index
+])
+def test_small_relative_moves_are_caught(tmp_path, run_name, name, column):
+    # moves of 2-3e-12 relative passed when the floor was the largest value in the file
+    got = tmp_path / run_name
+    got.mkdir()
+    want = os.path.join(GOLDEN, run_name)
+    for other in os.listdir(want):
+        with open(os.path.join(want, other), "rb") as src:
+            (got / other).write_bytes(src.read())
+    with open(got / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[column] = repr(float(row[column]) * (1 + 3e-12))
+    with open(got / name, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    problems = compare_dirs(str(got), want)
+    assert len(problems) == len(rows) - 1
+    assert all(f"{name} row" in p and f"field {column}:" in p for p in problems)
