@@ -243,7 +243,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[dynamics] n_z must be at least 4, got {n_z}")
     if n_t < 9:  # the write quadrature's floor on input samples
         raise ConfigError(f"[dynamics] n_t must be at least 9, got {n_t}")
-    if n_z * n_t > MAX_GRID_CELLS:  # a bound on march work (22-48 ns a cell), not memory
+    if n_z * n_t > MAX_GRID_CELLS:  # march work, not memory; per-cell cost in dynamics
         raise ConfigError(f"[dynamics] n_z * n_t must be at most {MAX_GRID_CELLS}, "
                           f"got {n_z} * {n_t} = {n_z * n_t}")
     dynamics_path = get("dynamics", "path", "analytic")

@@ -12,9 +12,13 @@ Two independent routes compute the same physics:
 * PDE route — a marching integrator for the coupled envelope equations
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
   with the decay handled by an exact exponential factor per step and one
-  corrector pass for second-order accuracy.  One stepper yields the fields
-  at every time step, and each caller keeps what it reads: the final b of
-  the probe write, or the traces the energy budget needs (``pde_write``).
+  corrector pass for second-order accuracy.  Each field is a prefix sum:
+  ``np.add.accumulate`` down a work array whose row 0 is the boundary
+  sample and whose other rows are the scaled pair sums of b, written into
+  the field through row views taken once before the march, so a step
+  allocates nothing of grid size.  One stepper yields the fields at every
+  time step, and each caller keeps what it reads: the final b of the probe
+  write, or the traces the energy budget needs (``pde_write``).
   Every coefficient of the stepper is real, so it marches in float64 when
   its initial state and boundary are real (the write cross-check's constant
   drive, the read's unit columns) and in complex128 otherwise, with the same
@@ -86,8 +90,8 @@ READ_SUM_ERROR_LIMIT = 1e-4  # estimated relative error of the read clock's Four
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
 # Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory
 # (``pde_write`` keeps O(n_z + n_t) values).  The float64 march of a real
-# drive takes 14-33 ns a cell (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64,
-# numpy 2.4), 0.5-1.1 s at the cap.
+# drive takes 12-21 ns a cell (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64,
+# numpy 2.4), 0.4-0.7 s at the cap.
 MAX_GRID_CELLS = 2**25
 _PDE_READ_PER = 6000         # default PDE read steps per started 12 of optical depth
 _READ_BLOCK = 128            # PDE read samples per power of the one-step matrix
@@ -442,25 +446,18 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
 # ----------------------------------------------------------------------------
 # PDE route
 
-def _field(boundary, b, c, out):
-    """a = boundary - sqrt(d) * cumulative trapezoid of b along z, into ``out``.
-
-    ``c`` is sqrt(d) h_z / 2.  The scaled pair sums of b fill rows 1.. and
-    the boundary row 0, so one in-place cumulative sum down the rows gives a
-    with no broadcast over z.
-    """
-    np.add(b[1:], b[:-1], out=out[1:])
-    out[1:] *= -c
-    out[0] = boundary
-    return np.cumsum(out, axis=0, out=out)
-
-
 def _march(b0, boundary, h, d, n_z):
     """Yield the coupled pair (a, b) at every scaled boundary sample, from sample 0.
 
     Exponential integrator in tau (exact decay factor, predictor-corrector
     source weights I0 = 1-e^{-h}, I1 = (h-1+e^{-h})/h) with the field slaved
-    to the coherence through a cumulative trapezoid in z at every stage.
+    to the coherence through a cumulative trapezoid in z at every stage:
+    a = a(0) - sqrt(d) * cumulative trapezoid of b.  Each field is a prefix
+    sum down the rows of one work array: row 0 holds the boundary sample,
+    rows 1.. the pair sums of b scaled by -sqrt(d) h_z / 2, and
+    ``np.add.accumulate`` writes their running sum into the field, with no
+    broadcast over z.  Both fields of a step share the boundary row, which
+    is set once per step, and the row slices are views taken before the loop.
     Independent runs march together as columns: ``b0`` is (n_z,) or (n_z, k)
     and ``boundary`` (n_t,) or (n_t, k).  Every step works in place on
     preallocated arrays of b0's shape, and the yielded a and b are those
@@ -471,22 +468,31 @@ def _march(b0, boundary, h, d, n_z):
     marches in complex128.
     """
     sq = np.sqrt(d)
-    c = 0.5 * sq / (n_z - 1)
+    nc = -(0.5 * sq / (n_z - 1))
     e = np.exp(-h)
     I0 = 1.0 - e
     I1 = (h - 1.0 + e) / h
     w0, w01, w1 = sq * I0, sq * (I0 - I1), sq * I1
     b = np.array(b0, dtype=np.result_type(b0, boundary, float))
-    a, a_star, b_star, tmp = (np.empty_like(b) for _ in range(4))
-    yield _field(boundary[0], b, c, a), b
+    a, a_star, b_star, s = (np.empty_like(b) for _ in range(4))
+    b_hi, b_lo, bs_hi, bs_lo, pairs = b[1:], b[:-1], b_star[1:], b_star[:-1], s[1:]
+
+    def field(hi, lo, out):
+        np.add(hi, lo, out=pairs)
+        np.multiply(pairs, nc, out=pairs)
+        return np.add.accumulate(s, axis=0, out=out)
+
+    s[0] = boundary[0]
+    yield field(b_hi, b_lo, a), b
     for bj in boundary[1:]:
+        s[0] = bj
         b *= e
         np.multiply(a, w0, out=b_star)
         b_star += b
-        _field(bj, b_star, c, a_star)
-        b += np.multiply(a, w01, out=tmp)
-        b += np.multiply(a_star, w1, out=tmp)
-        yield _field(bj, b, c, a), b
+        field(bs_hi, bs_lo, a_star)
+        b += np.multiply(a, w01, out=b_star)    # b_star is spent: it holds the terms
+        b += np.multiply(a_star, w1, out=b_star)
+        yield field(b_hi, b_lo, a), b
 
 
 def _read_operator(h, d, n_z):

@@ -44,6 +44,40 @@ def grid_write(a_in, params, n_z, n_t):
     return z, t, a, b
 
 
+def _reference_field(boundary, b, c, out):
+    """a = boundary - sqrt(d) * cumulative trapezoid of b along z, into ``out``."""
+    np.add(b[1:], b[:-1], out=out[1:])
+    out[1:] *= -c
+    out[0] = boundary
+    return np.cumsum(out, axis=0, out=out)
+
+
+def reference_march(b0, boundary, h, d, n_z):
+    """Reference for ``dynamics._march``: the same step with an in-place ``np.cumsum`` per field.
+
+    Each field is built in its own output array and summed there, and every
+    stage multiplies into a separate temporary.  It yields its own live
+    arrays, as ``_march`` does.
+    """
+    sq = np.sqrt(d)
+    c = 0.5 * sq / (n_z - 1)
+    e = np.exp(-h)
+    I0 = 1.0 - e
+    I1 = (h - 1.0 + e) / h
+    w0, w01, w1 = sq * I0, sq * (I0 - I1), sq * I1
+    b = np.array(b0, dtype=np.result_type(b0, boundary, float))
+    a, a_star, b_star, tmp = (np.empty_like(b) for _ in range(4))
+    yield _reference_field(boundary[0], b, c, a), b
+    for bj in boundary[1:]:
+        b *= e
+        np.multiply(a, w0, out=b_star)
+        b_star += b
+        _reference_field(bj, b_star, c, a_star)
+        b += np.multiply(a, w01, out=tmp)
+        b += np.multiply(a_star, w1, out=tmp)
+        yield _reference_field(bj, b, c, a), b
+
+
 def stepped_read(b0, n_t, h, d, n_z):
     """Reference for ``dynamics._read_march``: a(1, .) stepped one sample at a time.
 

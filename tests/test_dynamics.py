@@ -30,7 +30,7 @@ from combmemory import (
     tukey_window,
     write_analytic,
 )
-from support import grid_budget, grid_write, stepped_read
+from support import grid_budget, grid_write, reference_march, stepped_read
 
 GAMMA_S = 2.0 * np.pi * 18e3
 T10 = 10.0 / GAMMA_S  # write window spanning ten decay times
@@ -732,8 +732,7 @@ class TestBatchedMarch:
         assert a.shape == b.shape == (n_t, n_z, k)
         for i in range(k):
             a_i, b_i = history(b0[:, i], bound[:, i])
-            assert np.abs(a[..., i] - a_i).max() <= 1e-13 * np.abs(a_i).max()
-            assert np.abs(b[..., i] - b_i).max() <= 1e-13 * np.abs(b_i).max()
+            assert np.array_equal(a[..., i], a_i) and np.array_equal(b[..., i], b_i)
 
     @pytest.mark.parametrize("n_probes", [1, 3])
     def test_transfer_marches_twice(self, march_calls, read_calls, n_probes):
@@ -744,6 +743,49 @@ class TestBatchedMarch:
         n_z = TestBesselTables.SMALL["n_z"]
         assert march_calls == [[(n_z, n_probes), 201]] + operator_builds(n_z)
         assert read_calls == [[(n_z, n_probes), TestBesselTables.SMALL["n_read"], 1]]
+
+
+class TestMarchReference:
+    """``_march`` against ``support.reference_march``, its step with an in-place ``np.cumsum``."""
+
+    @pytest.mark.parametrize("n_z", [4, 5, 40])
+    @pytest.mark.parametrize("k", [None, 3], ids=["1-d", "columns"])
+    @pytest.mark.parametrize("driven", [True, False], ids=["driven", "dark"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_every_yield_is_bit_identical(self, n_z, k, driven, real):
+        rng = np.random.default_rng(22)
+        shape = () if k is None else (k,)
+        n_t = 60
+
+        def draw(n):
+            x = rng.standard_normal((n,) + shape)
+            return x if real else x + 1j * rng.standard_normal((n,) + shape)
+
+        if driven:
+            b0, bound = np.zeros((n_z,) + shape), draw(n_t)
+        else:
+            b0, bound = draw(n_z), np.zeros((n_t,) + shape)
+        got, want = ([(a.copy(), b.copy()) for a, b in march(b0, bound, 0.01, 4.0, n_z)]
+                     for march in (dynamics._march, reference_march))
+        assert len(got) == len(want) == n_t
+        for (a, b), (a_ref, b_ref) in zip(got, want):
+            assert a.dtype == b.dtype == a_ref.dtype == (np.float64 if real else np.complex128)
+            assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+    def test_steps_allocate_no_field_sized_array(self):
+        # after the first yield every step works in place: a stray product
+        # or a prefix sum without out= would allocate an n_z array
+        n_z, n_t = 2000, 400
+        steps = dynamics._march(np.zeros(n_z), np.ones(n_t), 0.01, 4.0, n_z)
+        next(steps)
+        tracemalloc.start()
+        try:
+            taken = sum(1 for _ in steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taken == n_t - 1
+        assert peak < n_z * 8
 
 
 class TestRealMarch:

@@ -16,10 +16,12 @@ each changed value.  Manifests carry a timestamp and are not compared.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import os
 import re
+import shutil
 
 import pytest
 
@@ -287,3 +289,35 @@ def test_small_relative_moves_are_caught(tmp_path, run_name, name, column):
     problems = compare_dirs(str(got), want)
     assert len(problems) == len(rows) - 1
     assert all(f"{name} row" in p and f"field {column}:" in p for p in problems)
+
+
+def test_regen_check_names_a_changed_byte(tmp_path, monkeypatch, capsys):
+    # ``regen.py --check`` on a copy of one run's golden files: it names the
+    # file with one byte changed and writes nothing; regenerating restores it
+    spec = importlib.util.spec_from_file_location("regen", os.path.join(GOLDEN, "regen.py"))
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    golden = tmp_path / "golden"
+    shutil.copytree(os.path.join(GOLDEN, "demo-kernel"), golden / "demo-kernel")
+    monkeypatch.setattr(regen, "GOLDEN", str(golden))
+    monkeypatch.setattr(regen, "RUNS", [s for s in RUNS if s[0] == "demo-kernel"])
+    assert regen.main(["--check"]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+    path = golden / "demo-kernel" / "kernel_summary.json"
+    data = bytearray(path.read_bytes())
+    i = next(i for i, c in enumerate(data) if chr(c).isdigit())
+    data[i] = ord("0") + (data[i] - ord("0") + 1) % 10
+    path.write_bytes(bytes(data))
+    assert regen.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("differs: ")] == [
+        "differs: " + os.path.join("demo-kernel", "kernel_summary.json")]
+    assert path.read_bytes() == bytes(data)
+    assert sorted(os.listdir(golden / "demo-kernel")) == ["kernel_response.csv",
+                                                           "kernel_summary.json"]
+    assert regen.main([]) == 0
+    assert regen.main(["--check"]) == 0
+    os.remove(golden / "demo-kernel" / "kernel_response.csv")
+    assert regen.main(["--check"]) == 1
+    assert "differs: " + os.path.join("demo-kernel", "kernel_response.csv") in (
+        capsys.readouterr().out.splitlines())
