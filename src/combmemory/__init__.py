@@ -66,9 +66,6 @@ from .dynamics import (
 from .metrics import (
     SupermodeReport,
     db_to_zeta,
-    fidelity_supermode,
-    output_purity,
-    output_squeezing,
     overall_fidelity,
     report_from_block,
     retrieval_table,
@@ -99,8 +96,7 @@ __all__ = [
     "tukey_window", "write_analytic", "pde_write", "energy_budget",
     "transfer_function_estimate", "expected_gain",
     # metrics
-    "SupermodeReport", "db_to_zeta", "zeta_to_db", "output_squeezing",
-    "output_purity", "fidelity_supermode", "overall_fidelity",
+    "SupermodeReport", "db_to_zeta", "zeta_to_db", "overall_fidelity",
     "retrieval_table", "report_from_block",
     # presets
     "epr", "cluster_linear4", "get_preset", "PRESET_NAMES",

@@ -10,12 +10,13 @@ beamsplitter-like channel C -> (1-k2) I + k2 C gives closed forms:
 Tr C_in - 2 = zeta + 1/zeta - 2 equals 4 sinh^2 r for squeezing parameter r
 and is rotation invariant, so squeezing angles drop out of purity and
 fidelity.  The closed forms are written once, in ``_pure_retrieval``, which
-broadcasts over arrays of zeta_in and eta; ``output_squeezing``,
-``output_purity``, ``fidelity_supermode``, ``retrieval_table``,
-``report_from_block`` and the CLI's depth sweep all evaluate it.  The tests
-cross-check it against the general Gaussian-state oracles (covariance_map +
-gaussian_fidelity / purity); impure inputs are routed through that oracle
-path directly and flagged.
+broadcasts over arrays of zeta_in and eta.  Two entry points lead into it:
+``retrieval_table`` takes squeezing levels in dB and ``report_from_block``
+takes one pure single-mode covariance block; the CLI's depth sweep calls it
+on arrays.  The closed forms hold for pure inputs only, so an impure block
+is rejected; the general Gaussian-state oracles (covariance_map +
+gaussian_fidelity / purity) cover mixed inputs, and the tests cross-check
+the closed forms against them.
 """
 
 from __future__ import annotations
@@ -24,17 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import covariance_map, efficiency
+from .channel import efficiency
 from .errors import DimensionError, PhysicsError
-from .gaussian import CovarianceMatrix, gaussian_fidelity, purity
+from .gaussian import CovarianceMatrix
 
 __all__ = [
     "SupermodeReport",
     "db_to_zeta",
     "zeta_to_db",
-    "output_squeezing",
-    "output_purity",
-    "fidelity_supermode",
     "overall_fidelity",
     "retrieval_table",
     "report_from_block",
@@ -49,7 +47,7 @@ def db_to_zeta(db: float) -> float:
 
 
 def zeta_to_db(zeta: float) -> float:
-    if zeta <= 0:
+    if not zeta > 0:
         raise PhysicsError("variance must be positive")
     return float(10.0 * np.log10(zeta))
 
@@ -63,10 +61,9 @@ class SupermodeReport:
     zeta_out: float
     purity_out: float
     fidelity: float
-    oracle_fallback: bool = False
 
     def __post_init__(self):
-        if self.zeta_in <= 0 or self.zeta_out <= 0:
+        if not (self.zeta_in > 0 and self.zeta_out > 0):
             raise PhysicsError("variances must be positive")
         if not (0.0 < self.fidelity <= 1.0 + 1e-12):
             raise PhysicsError("fidelity must lie in (0, 1]")
@@ -80,27 +77,6 @@ class SupermodeReport:
     @property
     def zeta_out_db(self) -> float:
         return zeta_to_db(self.zeta_out)
-
-
-def _single_mode(block) -> CovarianceMatrix:
-    """Validated single-mode CovarianceMatrix from a CovarianceMatrix or raw array."""
-    if not isinstance(block, CovarianceMatrix):
-        block = CovarianceMatrix(np.asarray(block, dtype=float))
-    if block.mode_count != 1:
-        raise DimensionError("per-supermode metrics take a single-mode 2x2 block")
-    return block
-
-
-def _pure_zeta(block) -> float:
-    """Squeezed-quadrature variance of a pure single-mode block."""
-    C = _single_mode(block).entries
-    det = float(np.linalg.det(C))
-    if abs(det - 1.0) > PURE_DET_TOL:
-        raise PhysicsError(
-            f"input block is impure (det = {det:.12g}); "
-            "use report_from_block for the general oracle path"
-        )
-    return float(np.linalg.eigvalsh(C)[0])
 
 
 def _squeezed_zeta(zeta_in_db) -> np.ndarray:
@@ -133,21 +109,6 @@ def _pure_retrieval(zeta_in, eta):
     return zeta_out, purity_out, fidelity
 
 
-def output_squeezing(zeta_in: float, eta: float) -> float:
-    """Squeezed-quadrature variance after retrieval: 1 - eta (1 - zeta_in)."""
-    return float(_pure_retrieval(zeta_in, eta)[0])
-
-
-def output_purity(C_in_block, eta: float) -> float:
-    """Purity of the retrieved mode for a pure squeezed input block."""
-    return float(_pure_retrieval(_pure_zeta(C_in_block), eta)[1])
-
-
-def fidelity_supermode(C_in_block, eta: float) -> float:
-    """Input-output fidelity for a pure squeezed input block."""
-    return float(_pure_retrieval(_pure_zeta(C_in_block), eta)[2])
-
-
 def overall_fidelity(reports):
     """Product of per-mode fidelities plus the full vector.
 
@@ -161,29 +122,24 @@ def overall_fidelity(reports):
 
 
 def report_from_block(C_in_block, eta: float, index: int = 0) -> SupermodeReport:
-    """Report for an arbitrary (possibly impure) single-mode input block.
+    """Report for one pure single-mode input block (CovarianceMatrix or 2x2 array).
 
-    Pure blocks use the closed forms; impure blocks fall back to the general
-    covariance-map + Gaussian-fidelity route and are flagged
-    ``oracle_fallback``.  The affine law zeta_out = 1 - eta (1 - zeta_in)
-    holds either way because the channel maps eigenvalues affinely.
+    The closed forms need only the squeezed-quadrature variance
+    zeta_in = eigvalsh(C)[0].  They hold for pure blocks alone, so a block
+    with |det C - 1| > PURE_DET_TOL raises PhysicsError.
     """
-    C_in_block = _single_mode(C_in_block)
-    C = C_in_block.entries
+    block = C_in_block if isinstance(C_in_block, CovarianceMatrix) else CovarianceMatrix(C_in_block)
+    if block.mode_count != 1:
+        raise DimensionError("per-supermode metrics take a single-mode 2x2 block")
+    C = block.entries
+    det = float(np.linalg.det(C))
+    if abs(det - 1.0) > PURE_DET_TOL:
+        raise PhysicsError(
+            f"input block is impure (det = {det:.12g}); the closed forms need a pure block"
+        )
     zeta_in = float(np.linalg.eigvalsh(C)[0])
     zeta_out, purity_out, fidelity = _pure_retrieval(zeta_in, eta)
-    impure = abs(float(np.linalg.det(C)) - 1.0) > PURE_DET_TOL
-    if impure:
-        C_out = covariance_map(C_in_block, eta)
-        purity_out, fidelity = purity(C_out), gaussian_fidelity(C_in_block, C_out)
-    return SupermodeReport(
-        index=index,
-        zeta_in=zeta_in,
-        zeta_out=float(zeta_out),
-        purity_out=float(purity_out),
-        fidelity=float(fidelity),
-        oracle_fallback=impure,
-    )
+    return SupermodeReport(index, zeta_in, float(zeta_out), float(purity_out), float(fidelity))
 
 
 def retrieval_table(zeta_in_db, d: float):

@@ -15,16 +15,14 @@ from combmemory import (
     covariance_map,
     efficiency,
     epr,
-    fidelity_supermode,
     frequency_response,
     gaussian_fidelity,
     gram_schmidt,
     kernel,
-    output_purity,
-    output_squeezing,
     pde_write,
     pulse_capacity,
     purity,
+    report_from_block,
     retrieval_table,
     supermode_extraction,
     apply_mode_unitary,
@@ -106,13 +104,13 @@ class TestAcceptance:
             theta = float(rng.uniform(0.0, np.pi))
             eta = float(rng.uniform(0.0, 1.0))
             C = rotated_block(zeta, theta)
-            closed = fidelity_supermode(C, eta)
+            closed = report_from_block(C, eta).fidelity
             oracle = gaussian_fidelity(C, covariance_map(C, eta))
             worst = max(worst, abs(closed - oracle))
         assert worst < 1e-9
-        worked = fidelity_supermode(
+        worked = report_from_block(
             np.diag([10.0 ** 0.6, 10.0 ** -0.6]), efficiency(4.0)
-        )
+        ).fidelity
         assert worked == pytest.approx(0.98069, abs=1e-5)
         print(f"criterion 5: PASS  max |closed - oracle| {worst:.2e}, "
               f"F(-6dB, d=4) = {worked:.6f}")
@@ -125,7 +123,7 @@ class TestAcceptance:
             theta = float(rng.uniform(0.0, np.pi))
             eta = float(rng.uniform(0.0, 1.0))
             C = rotated_block(float(np.exp(-2.0 * r)), theta)
-            closed = output_purity(C, eta)
+            closed = report_from_block(C, eta).purity_out
             mapped = covariance_map(C, eta)
             worst_p = max(worst_p, abs(closed - purity(mapped)))
             det = float(np.linalg.det(mapped.entries))
@@ -193,7 +191,7 @@ class TestAcceptance:
         for db in dbs:
             z_in = 10.0 ** (db / 10.0)
             for d in depths:
-                z_out = output_squeezing(z_in, efficiency(d))
+                z_out = report_from_block(np.diag([1.0 / z_in, z_in]), efficiency(d)).zeta_out
                 worst = min(worst, z_out - z_in)
         assert worst >= 0.0
         print("criterion 10: PASS  fidelity monotone in squeezing and depth, "

@@ -8,13 +8,11 @@ from combmemory import (
     DimensionError,
     PhysicsError,
     SqueezingSpectrum,
+    SupermodeReport,
     covariance_map,
     db_to_zeta,
     efficiency,
-    fidelity_supermode,
     gaussian_fidelity,
-    output_purity,
-    output_squeezing,
     overall_fidelity,
     purity,
     report_from_block,
@@ -45,21 +43,22 @@ class TestDecibelConversions:
         assert db_to_zeta(-6.0) == pytest.approx(10.0 ** -0.6, abs=1e-15)
 
     def test_nonpositive_variance_rejected(self):
-        with pytest.raises(PhysicsError, match="positive"):
-            zeta_to_db(0.0)
+        for zeta in (0.0, -1.0, float("nan"), np.float64("nan")):
+            with pytest.raises(PhysicsError, match="positive"):
+                zeta_to_db(zeta)
 
 
 class TestClosedForms:
     def test_output_squeezing_value(self):
-        got = output_squeezing(10.0 ** -0.6, ETA4)
+        got = _pure_retrieval(10.0 ** -0.6, ETA4)[0]
         assert got == pytest.approx(0.2783673617410465, abs=1e-15)
 
     def test_output_squeezing_limits(self):
-        assert output_squeezing(0.5, 0.0) == 1.0   # nothing retrieved: vacuum
-        assert output_squeezing(0.5, 1.0) == 0.5   # lossless: unchanged
+        assert _pure_retrieval(0.5, 0.0)[0] == 1.0   # nothing retrieved: vacuum
+        assert _pure_retrieval(0.5, 1.0)[0] == 0.5   # lossless: unchanged
 
     def test_purity_value(self):
-        got = output_purity(np.diag([4.0, 0.25]), ETA4)
+        got = report_from_block(np.diag([4.0, 0.25]), ETA4).purity_out
         assert got == pytest.approx(0.9628294503360206, abs=1e-15)
 
     def test_purity_matches_general_route(self):
@@ -70,12 +69,12 @@ class TestClosedForms:
             theta = float(rng.uniform(0.0, np.pi))
             eta = float(rng.uniform(0.0, 1.0))
             C = pure_block(zeta, theta)
-            got = output_purity(C, eta)
+            got = report_from_block(C, eta).purity_out
             ref = purity(covariance_map(C, eta))
             assert abs(got - ref) < 1e-10
 
     def test_fidelity_value(self):
-        got = fidelity_supermode(np.diag([10.0 ** 0.6, 10.0 ** -0.6]), ETA4)
+        got = report_from_block(np.diag([10.0 ** 0.6, 10.0 ** -0.6]), ETA4).fidelity
         assert got == pytest.approx(0.9806864506695876, abs=1e-10)
 
     def test_fidelity_matches_general_route(self):
@@ -85,24 +84,23 @@ class TestClosedForms:
             theta = float(rng.uniform(0.0, np.pi))
             eta = float(rng.uniform(0.0, 1.0))
             C = pure_block(zeta, theta)
-            got = fidelity_supermode(C, eta)
+            got = report_from_block(C, eta).fidelity
             ref = gaussian_fidelity(C, covariance_map(C, eta))
             assert abs(got - ref) < 1e-9
 
     def test_vacuum_is_a_fixed_point(self):
-        C = np.eye(2)
-        assert fidelity_supermode(C, 0.37) == pytest.approx(1.0)
-        assert output_purity(C, 0.37) == pytest.approx(1.0)
+        r = report_from_block(np.eye(2), 0.37)
+        assert r.fidelity == pytest.approx(1.0)
+        assert r.purity_out == pytest.approx(1.0)
 
     def test_impure_block_rejected(self):
-        with pytest.raises(PhysicsError, match="report_from_block"):
-            fidelity_supermode(np.diag([2.0, 2.0]), 0.5)
-        with pytest.raises(PhysicsError, match="report_from_block"):
-            output_purity(np.diag([2.0, 2.0]), 0.5)
+        # the closed forms need a pure block; the general oracles cover mixed ones
+        with pytest.raises(PhysicsError, match="impure"):
+            report_from_block(np.diag([2.0, 2.0]), 0.5)
 
     def test_bad_eta_rejected(self):
         with pytest.raises(PhysicsError, match="efficiency"):
-            output_purity(np.diag([4.0, 0.25]), 1.2)
+            report_from_block(np.diag([4.0, 0.25]), 1.2)
 
 
 class TestPureRetrieval:
@@ -140,21 +138,10 @@ class TestPureRetrieval:
 class TestReportFromBlock:
     def test_pure_block_uses_closed_forms(self):
         r = report_from_block(np.diag([10.0 ** 0.6, 10.0 ** -0.6]), ETA4)
-        assert not r.oracle_fallback
         assert r.zeta_in == pytest.approx(10.0 ** -0.6, abs=1e-14)
         assert r.zeta_out == pytest.approx(0.2783673617410465, abs=1e-14)
         assert r.fidelity == pytest.approx(0.9806864506695876, abs=1e-10)
         assert r.zeta_out_db == pytest.approx(zeta_to_db(r.zeta_out))
-
-    def test_impure_block_falls_back(self):
-        r = report_from_block(np.diag([2.0, 2.0]), ETA4)
-        assert r.oracle_fallback
-        # thermal input: eigenvalues still map affinely
-        assert r.zeta_out == pytest.approx(1.0 - ETA4 * (1.0 - 2.0), abs=1e-14)
-        assert 0.0 < r.fidelity <= 1.0
-        assert r.purity_out == pytest.approx(
-            purity(covariance_map(CovarianceMatrix(np.diag([2.0, 2.0])), ETA4))
-        )
 
     def test_rotated_block_matches_axis_aligned(self):
         # rotation invariance: only Tr C enters the closed forms
@@ -167,6 +154,12 @@ class TestReportFromBlock:
     def test_multimode_block_rejected(self):
         with pytest.raises(DimensionError, match="single-mode"):
             report_from_block(np.eye(4), ETA4)
+
+    def test_report_rejects_nonpositive_variances(self):
+        for zeta_in, zeta_out in ((0.0, 0.5), (0.5, -1.0), (float("nan"), 0.5),
+                                  (0.5, float("nan")), (np.nan, np.nan)):
+            with pytest.raises(PhysicsError, match="positive"):
+                SupermodeReport(0, zeta_in, zeta_out, 0.9, 0.9)
 
 
 class TestOverallFidelity:
@@ -278,6 +271,6 @@ class TestMonotonicity:
         assert np.all(np.diff(fids) > 0)
 
     def test_output_squeezing_weakens_with_loss(self):
-        zetas = [output_squeezing(0.25, eta) for eta in np.linspace(0.0, 1.0, 21)]
+        zetas = _pure_retrieval(0.25, np.linspace(0.0, 1.0, 21))[0]
         assert np.all(np.diff(zetas) < 0)  # toward the input as eta -> 1
         assert zetas[0] == 1.0

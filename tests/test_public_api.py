@@ -1,5 +1,6 @@
 """The package's public names: every export resolves, and none is stale."""
 
+import dataclasses
 import importlib
 
 import combmemory
@@ -26,3 +27,12 @@ def test_exports_resolve_and_none_is_stale():
         assert not hasattr(module, "ModeVector")
     assert not hasattr(combmemory.ModeBasis, "to_json")
     assert not hasattr(combmemory.ModeBasis, "from_json")
+
+    # report_from_block is the one block route into the closed forms; the
+    # per-quantity wrappers and the impure-block fallback flag are gone
+    for module in (combmemory, combmemory.metrics):
+        for name in ("output_squeezing", "output_purity", "fidelity_supermode"):
+            assert name not in module.__all__, name
+            assert not hasattr(module, name), name
+    fields = {f.name for f in dataclasses.fields(combmemory.SupermodeReport)}
+    assert "oracle_fallback" not in fields
