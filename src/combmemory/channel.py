@@ -69,14 +69,14 @@ class MemoryParams:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not (self.d >= 0.0):
-            raise PhysicsError("optical depth d must be >= 0")
-        if not (self.gamma_s > 0.0):
-            raise PhysicsError("gamma_s must be positive")
-        if not (self.T > 0.0):
-            raise PhysicsError("write duration T must be positive")
-        if self.rep_rate is not None and not (self.rep_rate > 0.0):
-            raise PhysicsError("rep_rate must be positive when given")
+        if not (0.0 <= self.d < np.inf):
+            raise PhysicsError("optical depth d must be finite and >= 0")
+        if not (0.0 < self.gamma_s < np.inf):
+            raise PhysicsError("gamma_s must be finite and positive")
+        if not (0.0 < self.T < np.inf):
+            raise PhysicsError("write duration T must be finite and positive")
+        if self.rep_rate is not None and not (0.0 < self.rep_rate < np.inf):
+            raise PhysicsError("rep_rate must be finite and positive when given")
         derived = self.d * self.gamma_s * self.T
         if self.alpha is None:
             object.__setattr__(self, "alpha", derived)

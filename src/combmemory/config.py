@@ -13,6 +13,7 @@ spectrum in dB, a covariance-matrix JSON file, or a named synthetic preset.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -53,8 +54,15 @@ MAX_STATE_FILE_BYTES = 64 * (2 * MAX_MODE_COUNT) ** 2
 _QUANTITY_RE = re.compile(r"^\s*(?:([-+]?)(2pi\*))?\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z/]*)\s*$")
 
 
+def _finite(value: float, text) -> float:
+    """``value``, parsed from ``text``; inf or nan raises ConfigError (float() reads 1e999 as inf)."""
+    if not math.isfinite(value):
+        raise ConfigError(f"value {text!r} is not finite")
+    return value
+
+
 def parse_quantity(text: str) -> float:
-    """SI value from '2pi*10e3', '-2pi*1.8 kHz', '80 MHz', '1 ms', '0.5', ..."""
+    """SI value from '2pi*10e3', '-2pi*1.8 kHz', '80 MHz', '1 ms', '0.5', ...; finite."""
     m = _QUANTITY_RE.match(str(text))
     if m is None:
         raise ConfigError(f"cannot parse quantity {text!r}")
@@ -68,7 +76,7 @@ def parse_quantity(text: str) -> float:
         raise ConfigError(f"unknown unit {unit!r} in {text!r}")
     if prefix:
         value *= 2.0 * np.pi
-    return value * scale
+    return _finite(value * scale, text)
 
 
 def _float_list(text: str, what: str) -> tuple:
@@ -76,8 +84,8 @@ def _float_list(text: str, what: str) -> tuple:
     if not items:
         raise ConfigError(f"{what} list is empty")
     try:
-        return tuple(float(p) for p in items)
-    except ValueError as exc:
+        return tuple(_finite(float(p), p) for p in items)
+    except ValueError as exc:  # ConfigError is a ValueError too
         raise ConfigError(f"bad {what} list: {exc}") from None
 
 
@@ -171,11 +179,11 @@ def load_config(path: str) -> ExperimentConfig:
     alpha_text = get("memory", "alpha")
     try:
         memory = MemoryParams(
-            d=float(d_text),
+            d=_finite(float(d_text), d_text),
             gamma_s=gamma_s,
             T=parse_quantity(T_text),
             rep_rate=None if rep_text is None else parse_quantity(rep_text),
-            alpha=None if alpha_text is None else float(alpha_text),
+            alpha=None if alpha_text is None else _finite(float(alpha_text), alpha_text),
         )
     except (CombMemoryError, ValueError) as exc:
         raise ConfigError(f"invalid [memory] parameters: {exc}") from None

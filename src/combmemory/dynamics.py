@@ -21,18 +21,18 @@ Two independent routes compute the same physics:
   write, or the traces the energy budget needs (``pde_write``).
   Every coefficient of the stepper is real, so it marches in float64 when
   its initial state and boundary are real (the write cross-check's constant
-  drive, the read's unit columns) and in complex128 otherwise, with the same
-  bits as the real part of a complex march.
+  drive) and in complex128 otherwise, with the same bits as the real part
+  of a complex march.
   No route keeps an (n_z, n_t) history.  Independent runs march together as
   the columns of (n_z, k) arrays, so all probes of a transfer measurement
   share one write march and one read.  The read has a dark boundary, so it
-  is linear and time-invariant: one stepper step on the unit columns gives
-  its real one-step matrix M and a(1, .) row r, and the read advances in
-  blocks of 128 samples, each the rows r M^i (i < 128) times the state and
-  the next state M^128 times it, M^128 by seven squarings.  That setup
-  costs O(n_z^3 log 128): at n_z = 300 the read takes 0.01-0.03 s against
-  0.17-0.21 s stepped, at 600 0.07 s against 0.21 s, and at 1200 0.4-0.5 s
-  against 0.4 s (d = 4, five probes, 2-vCPU x86-64, OpenBLAS 0.3.31).  Both
+  is linear and time-invariant: db/dtau = A b with A = -I + sqrt(d) times
+  the field's prefix sum.  Its real one-sample propagator M = exp(h A),
+  a Taylor series in that prefix sum, makes every read sample exact for the
+  z-discretized system, and the read advances in blocks of 128 samples,
+  each the rows r M^i (i < 128) times the state and the next state M^128
+  times it, M^128 by seven squarings.  That setup costs O(n_z^3 log 128),
+  about 8 ms at n_z = 300 (d = 4, 2-vCPU x86-64, OpenBLAS 0.3.31).  Both
   routes read their whole window, 5T unless set.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
@@ -47,10 +47,10 @@ ratio of output to input spectral amplitudes reproduces the channel kernel.
 Referenced to a read clock that restarts at the end of the write window, the
 measured gain equals -K_omega * exp(i omega T).  The measurement's grids
 default per path: 1200 z points and 1601 probe samples on the analytic
-route, 300 and 401 on the PDE route, whose read takes 6000 steps for each
-started 12 of optical depth.  The PDE route accepts any n_z >= 4, n_probe >= 3
-and n_read >= 3; the analytic route's error estimates need 5 samples per
-axis, so it accepts any grid of at least 5 on each.
+route, 300 and 401 on the PDE route; both read 6001 samples and check the
+read clock's Fourier sum by one rule.  The PDE route accepts any n_z >= 4,
+n_probe >= 3 and n_read >= 5; the analytic route's error estimates need 5
+samples per axis, so it accepts any grid of at least 5 on each.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marchin
 # drive takes 12-21 ns a cell (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64,
 # numpy 2.4), 0.4-0.7 s at the cap.
 MAX_GRID_CELLS = 2**25
-_PDE_READ_PER = 6000         # default PDE read steps per started 12 of optical depth
-_READ_BLOCK = 128            # PDE read samples per power of the one-step matrix
+_READ_BLOCK = 128            # PDE read samples per power of the one-sample propagator
+_TAYLOR_TOL = 1e-17          # remainder bound of the propagator's Taylor series
 # Largest PDE transfer n_z: the read holds two n_z x n_z float64 matrices,
 # 128 MiB apiece at the cap.
 _MAX_READ_N_Z = 4096
@@ -498,20 +498,49 @@ def _march(b0, boundary, h, d, n_z):
 def _read_operator(h, d, n_z):
     """(R, P) of a dark read: R's rows are r M^i for i < _READ_BLOCK, and P = M^_READ_BLOCK.
 
-    M is the marcher's real (n_z, n_z) one-step matrix and r its a(1, .)
-    row, both taken from one dark ``_march`` step on the unit columns, 32 at
-    a time; those columns and the dark boundary are real, so the step runs
-    in float64.  The powers come from repeated squaring, each squaring also
-    doubling the rows of R, so at most two n_z x n_z matrices are alive.
+    A dark read is db/dtau = A b with A = -I + sqrt(d) nc L, where L b is
+    the trapezoid prefix sum of ``_march``'s field (pair sums accumulated
+    down z from a zero row 0) and nc = -sqrt(d) / (2 (n_z - 1)).  M is its
+    exact real propagator over one sample, e^{-h} exp(G) with
+    G = h sqrt(d) nc L, so a read sample carries no time-step error; r is
+    a(1, .) = nc L[-1] = nc [1, 2, ..., 2, 1].  exp(G) is a Taylor series
+    on the unit columns, 32 at a time, with L applied as that prefix sum.
+    Since ||G||_1 <= h d, the degree is the smallest K with
+    (h d)^{K+1} / (K+1)! <= 1e-17; above h d = 1 the series is taken at
+    G / 2^s and squared s times (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+    The powers come from repeated squaring, each squaring also doubling the
+    rows of R, so at most two n_z x n_z matrices are alive.
     """
-    P = np.empty((n_z, n_z))     # M, then squared in its place
+    sq = np.sqrt(d)
+    nc = -(0.5 * sq / (n_z - 1))
+    halvings = math.ceil(math.log2(h * d)) if h * d > 1.0 else 0
+    theta = h * d / 2**halvings
+    degree, remainder = 0, theta  # remainder = theta^(degree+1) / (degree+1)!
+    while remainder > _TAYLOR_TOL:
+        degree += 1
+        remainder *= theta / (degree + 1)
+    c = h / 2**halvings * sq * nc
+    P = np.zeros((n_z, n_z))     # exp(G / 2^s), then squared in its place
     R = np.empty((_READ_BLOCK, n_z))
+    R[0] = 2.0 * nc
+    R[0, [0, -1]] = nc
+    pairs, sums = np.empty((n_z, 32)), np.empty((n_z, 32))
     for s in range(0, n_z, 32):
+        # L is lower triangular, so columns s.. of exp(G) vanish above row s
         m = min(32, n_z - s)
-        steps = _march(np.eye(n_z, m, -s), np.zeros((2, m)), h, d, n_z)
-        R[0, s:s + m] = next(steps)[0][-1]
-        P[:, s:s + m] = next(steps)[1]
-    del steps                    # the marcher's arrays go before the squarings
+        term, w, col = np.eye(n_z - s, m), pairs[s:, :m], sums[s:, :m]
+        col[...] = term
+        for k in range(1, degree + 1):
+            # row s pairs with the zero above it; row 0 is the dark boundary
+            w[0] = term[0] if s else 0.0
+            np.add(term[1:], term[:-1], out=w[1:])
+            w *= c / k
+            np.add.accumulate(w, axis=0, out=term)
+            col += term
+        P[s:, s:s + m] = col
+    for _ in range(halvings):
+        P = P @ P
+    P *= math.exp(-h)
     n = 1
     while n < _READ_BLOCK:
         np.matmul(R[:n], P, out=R[n:2 * n])
@@ -630,11 +659,6 @@ def expected_gain(params: MemoryParams, omega):
     return complex(g) if np.isscalar(omega) or w.ndim == 0 else g
 
 
-def _pde_read_samples(d):
-    """Default PDE read samples: 6000 steps over the window per started 12 of optical depth."""
-    return _PDE_READ_PER * max(1, math.ceil(d / 12.0)) + 1
-
-
 def _read_sum_error(terms, h):
     """Richardson's |S_h - S_2h| / 15 for Simpson sums of ``terms`` along axis 1
     over the leading odd run of samples, relative to the largest |S_h|."""
@@ -669,36 +693,34 @@ def transfer_function_estimate(
     raise ProbeDesignError.  ``path`` selects the analytic quadrature route or
     the PDE marching route.  The analytic route checks its write and read
     quadratures as ``write_analytic`` checks its own: an estimated relative
-    error above 1e-6 raises ResolutionError.  It also checks the read
-    clock's Fourier sum: a Richardson estimate above 1e-4 raises
-    ResolutionError with an n_read to try (the default 6001 samples hold at
-    the ``dynamics.ini`` working point to about d = 100; with the retry
-    below, d = 400 passes and d = 800 raises).
+    error above 1e-6 raises ResolutionError.
 
-    The grids default per path.  ``analytic``: n_z = 1200 ensemble positions,
-    n_probe = 1601 probe samples, n_read = 6001 read samples.  ``pde``:
-    n_z = 300, n_probe = 401, and 6000 read steps for each started 12 of
-    optical depth (n_read = 6001 up to d = 12, 18001 at d = 30); twofold
-    finer grids move its gains by about 1e-6 relative.  A grid below its
-    path's floor raises DimensionError naming it before any grid is built:
-    on ``pde`` n_z below 4, or n_probe or n_read below 3; on ``analytic``
+    The grids default per path.  ``analytic``: n_z = 1200 ensemble positions
+    and n_probe = 1601 probe samples; ``pde``: n_z = 300 and n_probe = 401,
+    where twofold finer grids move its gains by about 1e-6 relative.  Both
+    paths read n_read = 6001 samples unless set.  A grid below its path's
+    floor raises DimensionError naming it before any grid is built: on
+    ``pde`` n_z below 4, n_probe below 3 or n_read below 5; on ``analytic``
     any of the three below 5, since each error estimate takes a stride-2
     Simpson sum over an odd run of samples.  Both paths read the whole
-    window, 5T unless ``T_read`` is set.  A PDE write or read step
-    gamma_s * dt above 0.1 warns (ResolutionWarning).
+    window, 5T unless ``T_read`` is set.  A PDE write step gamma_s * dt
+    above 0.1 warns (ResolutionWarning).
 
-    The PDE read is the write marcher's one-step matrix, advanced in blocks
-    of 128 steps by its 128th power.  Its setup costs O(n_z^3 log 128) time
-    and two n_z x n_z float64 matrices.  At d = 4 the read takes
-    0.01-0.03 s at the default n_z = 300 against 0.17-0.21 s stepped, 0.07 s
-    at 600 against 0.21 s, and 0.4-0.5 s at 1200 against 0.4 s, where the
-    two break even (2-vCPU x86-64, OpenBLAS 0.3.31).  ``path="pde"`` with
-    n_z above 4096 (128 MiB per matrix) raises DimensionError before any
-    march.
+    The PDE read is the exact propagator of the z-discretized dark read over
+    one sample, advanced in blocks of 128 samples by its 128th power, so
+    its samples carry no time-step error.  Its setup costs
+    O(n_z^3 log 128) time and two n_z x n_z float64 matrices: at d = 4 and
+    the default n_z = 300 the operator takes about 8 ms (2-vCPU x86-64,
+    OpenBLAS 0.3.31).  ``path="pde"`` with n_z above 4096 (128 MiB per
+    matrix) raises DimensionError before any march.
 
-    When the analytic read clock's estimate fails at the default n_read, the
-    read is taken once more at the hinted n_read, and only a second failure
-    raises; an explicit ``n_read`` raises on the first.
+    Both paths check the read clock's Fourier sum: a Richardson estimate
+    above 1e-4 raises ResolutionError with an n_read to try (the default
+    6001 samples hold at the ``dynamics.ini`` working point to about
+    d = 100).  When the estimate fails at the default n_read, the read is
+    taken once more at the hinted n_read, and only a second failure raises
+    (d = 100 passes on both paths; on the analytic path d = 400 passes and
+    d = 800 raises); an explicit ``n_read`` raises on the first.
     """
     omegas = np.atleast_1d(np.asarray(probe_frequencies, dtype=float))
     if np.any(np.abs(omegas) > PROBE_BAND_LIMIT * params.gamma_s):
@@ -710,12 +732,13 @@ def transfer_function_estimate(
     if T_read is not None and not T_read > 0.0:
         raise PhysicsError(f"T_read must be positive, got {T_read!r}")
     pde = path == "pde"
-    follow_hint = n_read is None  # a default analytic read retries once at its own hint
+    follow_hint = n_read is None  # a default read retries once at its own hint
     n_z = int(n_z if n_z is not None else 300 if pde else 1200)
     n_probe = int(n_probe if n_probe is not None else 401 if pde else 1601)
-    n_read = int(n_read if n_read is not None else _pde_read_samples(params.d) if pde else 6001)
-    # each analytic error estimate is a stride-2 Simpson sum over an odd run: 5 per axis
-    floors = (4, 3, 3) if pde else (5, 5, 5)
+    n_read = int(n_read if n_read is not None else 6001)
+    # each read-sum and analytic error estimate is a stride-2 Simpson sum
+    # over an odd run of samples: 5 of them
+    floors = (4, 3, 5) if pde else (5, 5, 5)
     for name, n, least in zip(("n_z", "n_probe", "n_read"), (n_z, n_probe, n_read), floors):
         if n < least:
             raise DimensionError(f"{name} must be at least {least}, got {n}")
@@ -748,36 +771,35 @@ def transfer_function_estimate(
         )
 
     horizon = 5.0 * params.T if T_read is None else float(T_read)
-    tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
     om_hat = omegas[:, None] / params.gamma_s
     probes = env * np.exp(1j * om_hat * tau_p)
     # one write and one read of all probes at once, probes as columns
     if pde:
         h_w = _scaled_step(tau_p[1] - tau_p[0])
-        h_r = _scaled_step(tau_r[1] - tau_r[0])
         # fields vanish before the probe support; start marching at its left edge
         for _, b in _march(np.zeros((n_z, omegas.size)), probes.T, h_w, params.d, n_z):
             pass
-        out = _read_march(b, n_read, h_r, params.d, n_z).T
-        phase = np.exp(-1j * om_hat * tau_r)
     else:
         z = np.linspace(0.0, 1.0, n_z)
         b = _checked_quadrature(z, Gamma - tau_p, params.d, probes.T, tau_p[1] - tau_p[0], True)
-        while True:
+    while True:
+        tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
+        if pde:
+            out = _read_march(b, n_read, tau_r[1] - tau_r[0], params.d, n_z).T
+        else:
             out = _checked_quadrature(tau_r, 1.0 - z, params.d, b, z[1] - z[0], False).T
-            phase = np.exp(-1j * om_hat * tau_r)
-            est = _read_sum_error(out * phase, tau_r[1] - tau_r[0])
-            if est <= READ_SUM_ERROR_LIMIT:
-                break
-            # the sum's error falls as h^4; the hint aims at half the limit
-            need = 1 + math.ceil((n_read - 1) * (2.0 * est / READ_SUM_ERROR_LIMIT) ** 0.25)
-            if not follow_hint:
-                raise ResolutionError(
-                    f"read-clock Fourier sum error estimate {est:.2e} exceeds "
-                    f"{READ_SUM_ERROR_LIMIT:g}; try n_read >= {need}"
-                )
-            n_read, follow_hint = need, False
-            tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
+        phase = np.exp(-1j * om_hat * tau_r)
+        est = _read_sum_error(out * phase, tau_r[1] - tau_r[0])
+        if est <= READ_SUM_ERROR_LIMIT:
+            break
+        # the sum's error falls as h^4; the hint aims at half the limit
+        need = 1 + math.ceil((n_read - 1) * (2.0 * est / READ_SUM_ERROR_LIMIT) ** 0.25)
+        if not follow_hint:
+            raise ResolutionError(
+                f"read-clock Fourier sum error estimate {est:.2e} exceeds "
+                f"{READ_SUM_ERROR_LIMIT:g}; try n_read >= {need}"
+            )
+        n_read, follow_hint = need, False
     wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
     A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
     A_out = np.sum(wts_r * out * phase, axis=1)

@@ -79,9 +79,10 @@ def reference_march(b0, boundary, h, d, n_z):
 
 
 def stepped_read(b0, n_t, h, d, n_z):
-    """Reference for ``dynamics._read_march``: a(1, .) stepped one sample at a time.
+    """a(1, .) of a dark read stepped one sample at a time by the marcher.
 
-    Every step of ``_march`` with a dark boundary, over the whole window.
+    Every step of ``_march`` with a dark boundary, over the whole window: it
+    approaches ``dynamics._read_march``, the exact read, at second order in h.
     """
     dark = np.zeros((n_t,) + np.shape(b0)[1:], dtype=complex)
     out = np.empty_like(dark)

@@ -55,6 +55,14 @@ class TestMemoryParams:
         with pytest.raises(PhysicsError):
             params_for(4.0, rep_rate=-80e6)
 
+    @pytest.mark.parametrize("key", ["d", "gamma_s", "T", "rep_rate"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_values(self, key, value):
+        kw = dict(d=4.0, gamma_s=GAMMA_S, T=1e-3, rep_rate=80e6)
+        kw[key] = value
+        with pytest.raises(PhysicsError, match=f"{key} must be finite"):
+            MemoryParams(**kw)
+
 
 class TestPhysicalParams:
     def test_induced_rate_from_dispersive_ratio(self):

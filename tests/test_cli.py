@@ -277,8 +277,10 @@ class TestDynamicsCommand:
         assert checks["energy_budget_residual"]["value"] == bud["residual"]
 
     def test_pde_path_at_depth_30(self, tmp_path):
-        # the PDE read step scales with d; at 6,001 read samples
-        # efficiency_measured was 8.0e-3 against its 5e-3 tolerance
+        # the default 6,001 read samples pass: every read sample is exact,
+        # and efficiency_measured is 2.0e-3, the probe protocol's capture
+        # bias, where the stepped read at 6,001 samples left it 8.0e-3
+        # against its 5e-3 tolerance
         text = DYNAMICS.replace("d = 4", "d = 30").replace("= 600", "= 1000")
         rc, out = run(tmp_path, "dynamics", text + "path = pde\n")
         report = json.loads((out / "dynamics_report.json").read_text())
@@ -415,6 +417,26 @@ class TestCliPlumbing:
         text = BASE.replace("teeth = 32", "teeth = 32\npreset = epr")
         cfg = write_config(tmp_path, text)
         assert main(["kernel", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("kernel", BASE.replace("T = 1 ms", "T = 1e999 s")),
+        ("kernel", BASE.replace("rep_rate = 80 MHz", "rep_rate = 1e999")),
+        ("kernel", BASE.replace("d = 4", "d = 1e999")),
+        ("kernel", BASE.replace("gamma_s = 2pi*18 kHz", "gamma_s = 1e999")),
+        ("kernel", BASE + "\n[kernel]\nomega_max = 1e999\n"),
+        ("dynamics", DYNAMICS + "t_read = 1e999\n"),
+        ("metrics", BASE.replace("squeezing_db = -6, -3, -1", "squeezing_db = -6, 1e999, -1")),
+        ("metrics", BASE.replace("teeth = 32", "teeth = 32\nangles = 0, 1e999, 0")),
+        ("sweep", BASE + "\n[sweep]\nd_values = 1, 1e999\n"),
+    ], ids=["T", "rep_rate", "d", "gamma_s", "omega_max", "t_read", "squeezing_db", "angles",
+            "d_values"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, text):
+        # float() reads 1e999 as inf: T or rep_rate died in pulse_capacity with
+        # an OverflowError, t_read with a ValueError, omega_max and gamma_s
+        # wrote nan gains, and d ran at inf
+        rc, _ = run(tmp_path, command, text)
+        err = capsys.readouterr().err
+        assert rc == 2 and "1e999" in err and "Traceback" not in err
 
     def test_physics_error_exit_code(self, tmp_path):
         text = DYNAMICS.replace("probe_omegas = 0", "probe_omegas = 2pi*18kHz")

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.signal
 import scipy.special
 from hypothesis import given, settings
@@ -105,9 +106,31 @@ def read_calls(monkeypatch):
     return calls
 
 
-def operator_builds(n_z):
-    """``march_calls`` entries of one read operator: one step on each 32 unit columns."""
-    return [[(n_z, min(32, n_z - s)), 2] for s in range(0, n_z, 32)]
+def dark_read_generator(d, n_z):
+    """(A, r) of a dark read as dense arrays: db/dtau = A b and a(1, tau) = r b.
+
+    A = -I + sqrt(d) nc L and r = nc L[-1], with L the trapezoid prefix-sum
+    matrix of the marcher's field (row 0 zero; row i weights 1, 2, ..., 2, 1
+    over columns 0..i) and nc = -sqrt(d) / (2 (n_z - 1)).
+    """
+    nc = -(0.5 * np.sqrt(d) / (n_z - 1))
+    L = np.tril(np.full((n_z, n_z), 2.0))
+    L[:, 0] = 1.0
+    L[np.diag_indices(n_z)] = 1.0
+    L[0] = 0.0
+    return -np.eye(n_z) + np.sqrt(d) * nc * L, nc * L[-1]
+
+
+def exact_read(b0, n_t, h, d, n_z):
+    """Reference for ``dynamics._read_march``: one sample at a time by expm(h A)."""
+    A, r = dark_read_generator(d, n_z)
+    M = scipy.linalg.expm(h * A).astype(complex)  # cast once, not at every product
+    b = np.asarray(b0, dtype=complex)
+    out = np.empty((n_t,) + b.shape[1:], dtype=complex)
+    for j in range(n_t):
+        out[j] = r @ b
+        b = M @ b
+    return out
 
 
 class TestBesselJ0:
@@ -378,7 +401,7 @@ class TestTransferFunction:
         assert transfer_function_estimate(params10(), []).size == 0
 
     def test_chunk_rule_needs_default_window(self):
-        # any n_read of at least 3 is read whole, on the default and an
+        # any n_read of at least 5 is read whole, on the default and an
         # explicit PDE window and on the analytic route
         p = params10()
         for kw in (dict(path="pde"), dict(T_read=5.0 * p.T, path="pde"), dict(path="analytic")):
@@ -388,18 +411,20 @@ class TestTransferFunction:
     @pytest.mark.parametrize("name, n, path", [
         (name, n, path)
         for name, n in [("n_z", 1), ("n_z", 2), ("n_z", 3), ("n_probe", 0), ("n_probe", 1),
-                        ("n_probe", 2), ("n_read", 1), ("n_read", 2)]
+                        ("n_probe", 2), ("n_read", 1), ("n_read", 2), ("n_read", 3),
+                        ("n_read", 4)]
         for path in ("analytic", "pde")
-    ] + [("n_z", 4, "analytic"), ("n_probe", 3, "analytic"), ("n_probe", 4, "analytic"),
-         ("n_read", 3, "analytic"), ("n_read", 4, "analytic")])
+    ] + [("n_z", 4, "analytic"), ("n_probe", 3, "analytic"), ("n_probe", 4, "analytic")])
     def test_grid_sizes_checked_first(self, monkeypatch, march_calls, name, n, path):
-        # on the PDE path n_z below 4 (the write stages' floor) or n_probe,
-        # n_read below 3 (Simpson's) raise before any march; unchecked, they
-        # raised IndexError or returned gains of 0 (n_z = 1) or |g(0)| = 1.33
-        # (n_z = 2).  The analytic error estimates take stride-2 Simpson sums
-        # over an odd run, so that path needs 5 samples per axis and raises
-        # before any quadrature; n = 3 or 4 raised an unnamed DimensionError
-        least = 5 if path == "analytic" else 4 if name == "n_z" else 3
+        # on the PDE path n_z below 4 (the write stages' floor) or n_probe
+        # below 3 (Simpson's) raise before any march; unchecked, they raised
+        # IndexError or returned gains of 0 (n_z = 1) or |g(0)| = 1.33
+        # (n_z = 2).  The error estimates take stride-2 Simpson sums over an
+        # odd run: the read-clock sum's on both paths, so n_read needs 5
+        # samples there, and the analytic quadratures', so that path needs 5
+        # per axis and raises before any quadrature; n = 3 or 4 raised an
+        # unnamed DimensionError
+        least = 5 if path == "analytic" or name == "n_read" else 4 if name == "n_z" else 3
         quadratures = []
         monkeypatch.setattr(dynamics, "_checked_quadrature", lambda *args: quadratures.append(args))
         with pytest.raises(DimensionError, match=f"{name} must be at least {least}, got {n}"):
@@ -494,13 +519,13 @@ class TestPdeTransfer:
         # the default read returns every sample of its window
         p = self.params(d)
         transfer_function_estimate(p, self.OMEGAS, path="pde")
-        assert march_calls == [[(300, 5), 401]] + operator_builds(300)
-        assert read_calls == [[(300, 5), dynamics._pde_read_samples(d), 1]]
+        assert march_calls == [[(300, 5), 401]]
+        assert read_calls == [[(300, 5), 6001, 1]]
 
     def test_explicit_window_marches_whole(self, march_calls, read_calls):
         p = self.params(4.0)
         transfer_function_estimate(p, self.OMEGAS, 3.0 * p.T, path="pde")
-        assert march_calls == [[(300, 5), 401]] + operator_builds(300)
+        assert march_calls == [[(300, 5), 401]]
         assert read_calls == [[(300, 5), 6001, 1]]
 
     def test_defaults_against_refined_grid(self):
@@ -509,17 +534,43 @@ class TestPdeTransfer:
         fine = transfer_function_estimate(p, self.OMEGAS, path="pde", n_z=600, n_probe=801)
         assert self.rel(default, fine) <= 1e-5
 
+    @pytest.mark.parametrize("d", [4.0, 30.0])
+    def test_defaults_against_analytic_reference(self, d):
+        # every read sample is exact, so the default 6001 samples leave the
+        # gains 1.35e-6 (d = 4) and 1.31e-6 (d = 30) off a fine analytic
+        # run; the stepped read was 4.2e-5 off at d = 4 and, at 18001
+        # samples, 5.3e-4 at d = 30
+        p = self.params(d)
+        default = transfer_function_estimate(p, self.OMEGAS, path="pde")
+        ref = transfer_function_estimate(p, self.OMEGAS, n_z=2400, n_probe=3201, n_read=24001)
+        assert self.rel(default, ref) <= 1e-5
+
+    def test_default_read_follows_its_hint(self, read_calls):
+        # at d = 100 the default 6001 read samples estimate the read-clock
+        # sum's error at 1.24e-4; the PDE read is taken again at the hinted
+        # count, as the analytic read is, and its gains pass
+        p = self.params(100.0)
+        with pytest.raises(ResolutionError, match="n_read") as caught:
+            transfer_function_estimate(p, self.OMEGAS, path="pde", n_read=6001)
+        hint = int(re.search(r">= (\d+)", str(caught.value)).group(1))
+        read_calls.clear()
+        g = transfer_function_estimate(p, self.OMEGAS, path="pde")
+        assert read_calls == [[(300, 5), 6001, 1], [(300, 5), hint, 1]]
+        want = expected_gain(p, self.OMEGAS)
+        assert np.abs(g - want).max() <= 2e-3 * np.abs(want).max()
+
     def test_analytic_defaults_unchanged(self):
         p = self.params(4.0)
         default = transfer_function_estimate(p, self.OMEGAS)
         explicit = transfer_function_estimate(p, self.OMEGAS, n_z=1200, n_probe=1601, n_read=6001)
         assert np.array_equal(default, explicit)
 
-    def test_coarse_read_step_warns(self):
-        # gamma_s * dt = 0.5: |g(0)| comes out 25% off |K_0|
-        with pytest.warns(ResolutionWarning, match="under-resolved") as caught:
+    def test_coarse_read_raises(self):
+        # gamma_s * dt = 0.5: the stepped read warned and returned |g(0)| 25%
+        # off |K_0|; the exact read's Fourier sum estimates 1.5e-2 and raises
+        with pytest.raises(ResolutionError, match=r"estimate 1\.50e-02 exceeds 0\.0001; "
+                                                  r"try n_read >= 418"):
             transfer_function_estimate(self.params(4.0), [0.0], path="pde", n_read=101)
-        assert caught[0].filename == __file__
 
     @pytest.mark.parametrize("d", [4.0, 30.0])
     def test_default_grids_do_not_warn(self, recwarn, d):
@@ -538,27 +589,41 @@ class TestPdeTransfer:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("d, n_read", [(0.0, 6001), (4.0, 6001), (12.0, 6001),
-                                           (12.5, 12001), (30.0, 18001)])
-    def test_read_samples_scale_with_depth(self, d, n_read):
-        assert dynamics._pde_read_samples(d) == n_read
-
 
 class TestOperatorRead:
-    """The block read of the one-step matrix against a plain stepped read."""
+    """The block read of the exact one-sample propagator against scipy's expm."""
+
+    H = 5.0 * GAMMA_S * 88.42e-6 / 6000  # the default read step at the dynamics.ini point
+
+    @pytest.mark.parametrize("d, h", [(4.0, H), (30.0, H), (4.0, 0.5)],
+                             ids=["d4", "d30", "hd2"])
+    def test_operator_matches_expm(self, d, h):
+        # R's rows are r expm(h A)^i and P is expm(128 h A); at h d = 2 the
+        # series is taken at h / 2 and squared once
+        n_z = 300
+        A, r = dark_read_generator(d, n_z)
+        R, P = dynamics._read_operator(h, d, n_z)
+        assert R.dtype == P.dtype == np.float64
+        M = scipy.linalg.expm(h * A)
+        want_R = np.empty_like(R)
+        want_R[0] = r
+        for i in range(1, dynamics._READ_BLOCK):
+            want_R[i] = want_R[i - 1] @ M
+        want_P = scipy.linalg.expm(dynamics._READ_BLOCK * h * A)
+        assert np.abs(R - want_R).max() <= 1e-13 * np.abs(want_R).max()
+        assert np.abs(P - want_P).max() <= 1e-13 * np.abs(want_P).max()
 
     @staticmethod
     def check(d, k, n_t):
-        """The first n_t samples of a read at the default 5T step from k written profiles."""
-        p = TestPdeTransfer.params(d)
-        n_z = 300
-        h = p.gamma_s * 5.0 * p.T / (dynamics._pde_read_samples(d) - 1)
+        """The first n_t samples of a read at the default step from k written
+        profiles, against a read stepped one sample at a time by expm(h A)."""
+        p, n_z = TestPdeTransfer.params(d), 300
         t = np.linspace(0.0, 1.0, 2000)
         b0 = np.stack([write_analytic(np.exp(8j * w * t), p, n_z).b_T
                        for w in np.linspace(-1.0, 1.0, k)], axis=1)
         b0 = b0[:, 0] if k == 1 else b0
-        got = dynamics._read_march(b0, n_t, h, d, n_z)
-        want = stepped_read(b0, n_t, h, d, n_z)
+        got = dynamics._read_march(b0, n_t, TestOperatorRead.H, d, n_z)
+        want = exact_read(b0, n_t, TestOperatorRead.H, d, n_z)
         assert got.shape == want.shape == (n_t,) + b0.shape[1:]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -566,20 +631,34 @@ class TestOperatorRead:
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("d", [4.0, 30.0])
     def test_matches_stepped_read(self, d, k, explicit):
-        # the default 5T window, or an explicit 3T one
-        n_read = dynamics._pde_read_samples(d)
-        self.check(d, k, (n_read - 1) * 3 // 5 + 1 if explicit else n_read)
+        # the default 5T window of 6001 samples, or an explicit 3T one
+        self.check(d, k, 3601 if explicit else 6001)
 
     @pytest.mark.parametrize("n_t", [3, 127, 128, 129, 257])
     def test_block_boundaries_match_stepped_read(self, n_t):
         # windows ending in, at and just past a block's last sample
         self.check(4.0, 5, n_t)
 
+    def test_stepped_read_converges_at_second_order(self):
+        # the marcher's read (support.stepped_read) reaches the exact read
+        # with its second-order step error: halving h quarters it (4.07 and
+        # 4.03 for h = 0.04, 0.02, 0.01)
+        d, n_z = 4.0, 60
+        z = np.linspace(0.0, 1.0, n_z)
+        b0 = np.cos(3.0 * z) + 0.5j * z
+        errs = []
+        for h in (0.04, 0.02, 0.01):
+            n_t = round(2.0 / h) + 1
+            want = dynamics._read_march(b0, n_t, h, d, n_z)
+            errs.append(np.abs(stepped_read(b0, n_t, h, d, n_z) - want).max())
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.5)
+
     def test_operator_holds_two_matrices(self):
-        # the unit columns go through the marcher 32 at a time, and squaring
+        # the Taylor series runs on 32 unit columns at a time, and squaring
         # keeps at most the power and its square: 2.5 n_z x n_z matrices
-        # bound the peak, where a third matrix or a whole complex identity
-        # marched at once would not fit
+        # bound the peak, where a third matrix, a dense generator or a
+        # series on all columns at once would not fit
         n_z = 600
         tracemalloc.start()
         try:
@@ -736,12 +815,12 @@ class TestBatchedMarch:
 
     @pytest.mark.parametrize("n_probes", [1, 3])
     def test_transfer_marches_twice(self, march_calls, read_calls, n_probes):
-        # one write march and one read of all probes; the read operator's
-        # one-step builds do not depend on the probe count
+        # one write march and one read of all probes, whose operator is
+        # built once, whatever the probe count
         omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
         transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
         n_z = TestBesselTables.SMALL["n_z"]
-        assert march_calls == [[(n_z, n_probes), 201]] + operator_builds(n_z)
+        assert march_calls == [[(n_z, n_probes), 201]]
         assert read_calls == [[(n_z, n_probes), TestBesselTables.SMALL["n_read"], 1]]
 
 
@@ -857,31 +936,6 @@ class TestRealMarch:
         # both drives march in float64; one with an imaginary part marches complex
         pde_write(drive + 1e-3j, p, n_z, n_t)
         assert dtypes == ([np.float64] * n_t * 2 + [np.complex128] * n_t if d else [])
-
-    def test_read_operator_matches_complex_columns(self):
-        # the operator as built from complex unit columns and a complex dark
-        # boundary, keeping the real parts of their (exactly real) steps
-        h, d, n_z = 0.00833, 4.0, 70
-        P = np.empty((n_z, n_z))
-        R = np.empty((dynamics._READ_BLOCK, n_z))
-        for s in range(0, n_z, 32):
-            m = min(32, n_z - s)
-            steps = dynamics._march(np.eye(n_z, m, -s, dtype=complex), np.zeros((2, m), complex),
-                                    h, d, n_z)
-            a = next(steps)[0][-1]       # the marcher's own array: read it before stepping
-            assert not a.imag.any()
-            R[0, s:s + m] = a.real
-            b = next(steps)[1]
-            assert not b.imag.any()
-            P[:, s:s + m] = b.real
-        n = 1
-        while n < dynamics._READ_BLOCK:
-            np.matmul(R[:n], P, out=R[n:2 * n])
-            P = P @ P
-            n *= 2
-        got_R, got_P = dynamics._read_operator(h, d, n_z)
-        assert got_R.dtype == got_P.dtype == np.float64
-        assert np.array_equal(got_R, R) and np.array_equal(got_P, P)
 
 
 class TestWriteBudget:

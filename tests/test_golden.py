@@ -54,7 +54,7 @@ RUNS = [
     ("epr-channel", "channel", "channel_epr.ini", ()),
     ("dynamics", "dynamics", "dynamics.ini", ()),
     ("dynamics-pde", "dynamics", "dynamics.ini", PDE),
-    # the PDE route at d = 30, whose read takes 18001 samples
+    # the PDE route at d = 30, read at the default 6001 samples as at d = 4
     ("dynamics-pde-d30", "dynamics", "dynamics.ini", PDE + ((r"^d = .*", "d = 30"),)),
 ]
 _NUMBER = re.compile(r"[-+]?(?:[0-9.]+(?:e[-+]?[0-9]+)?|nan|inf)")
