@@ -272,4 +272,7 @@ def pulse_capacity(T: float, rep_rate: float) -> int:
         raise PhysicsError("T must be >= 0")
     if rep_rate <= 0.0:
         raise PhysicsError("rep_rate must be positive")
-    return int(round(T * rep_rate))
+    pulses = T * rep_rate
+    if not np.isfinite(pulses):
+        raise PhysicsError(f"T * rep_rate = {pulses} pulses is not finite")
+    return int(round(pulses))

@@ -9,31 +9,35 @@ Two independent routes compute the same physics:
   the core's trailing coefficients vanish) times barycentric interpolation
   matrices for its rows and columns, so no grid-sized J0 table is built;
   row slices of the column matrix give the error estimate;
-* PDE route — a marching integrator for the coupled envelope equations
+* PDE route — the coupled envelope equations
   (d/dt + gamma_s) b = sqrt(d gamma_s) a,  d/dz a = -sqrt(d gamma_s) b,
-  with the decay handled by an exact exponential factor per step and one
+  discretized in z by a cumulative trapezoid: a = a(0, t) - sqrt(d) times
+  the trapezoid prefix sum of b.  ``pde_write`` marches them in time, with
+  the decay handled by an exact exponential factor per step and one
   corrector pass for second-order accuracy.  Each field is a prefix sum:
   ``np.add.accumulate`` down a work array whose row 0 is the boundary
   sample and whose other rows are the scaled pair sums of b, written into
   the field through row views taken once before the march, so a step
-  allocates nothing of grid size.  One stepper yields the fields at every
-  time step, and each caller keeps what it reads: the final b of the probe
-  write, or the traces the energy budget needs (``pde_write``).
+  allocates nothing of grid size.  The stepper yields the fields at every
+  time step, and ``pde_write`` keeps the traces its energy budget needs.
   Every coefficient of the stepper is real, so it marches in float64 when
   its initial state and boundary are real (the write cross-check's constant
   drive) and in complex128 otherwise, with the same bits as the real part
-  of a complex march.
-  No route keeps an (n_z, n_t) history.  Independent runs march together as
-  the columns of (n_z, k) arrays, so all probes of a transfer measurement
-  share one write march and one read.  The read has a dark boundary, so it
-  is linear and time-invariant: db/dtau = A b with A = -I + sqrt(d) times
-  the field's prefix sum.  Its real one-sample propagator M = exp(h A),
-  a Taylor series in that prefix sum, makes every read sample exact for the
-  z-discretized system, and the read advances in blocks of 128 samples,
-  each the rows r M^i (i < 128) times the state and the next state M^128
-  times it, M^128 by seven squarings.  That setup costs O(n_z^3 log 128),
-  about 8 ms at n_z = 300 (d = 4, 2-vCPU x86-64, OpenBLAS 0.3.31).  Both
-  routes read their whole window, 5T unless set.
+  of a complex march.  No route keeps an (n_z, n_t) history.
+  The transfer measurement solves the same z-discretized system exactly in
+  time, with A = -I + sqrt(d) times the field's prefix sum as generator:
+  db/dtau = A b + sqrt(d) a(0, tau).  Its probe write is the Taylor sum
+  b = sqrt(d) sum_k (A^k 1) m_k over the moments m_k of the linearly
+  interpolated probe samples, to degree 7 at most.  Its read has a dark
+  boundary, so it is db/dtau = A b: the real one-sample propagator
+  M = exp(h A), a Taylor series in that prefix sum, makes every read
+  sample exact, and the read advances in blocks of 128 samples, each the
+  rows r M^i (i < 128) times the state and the next state M^128 times it,
+  M^128 by seven squarings.  That setup costs O(n_z^3 log 128), about
+  8 ms at n_z = 300 (d = 4, 2-vCPU x86-64, OpenBLAS 0.3.31).  Probes are
+  the columns of (n_z, k) arrays, so all probes of a measurement share one
+  write sum and one read.  Both routes read their whole window, 5T unless
+  set.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -465,7 +469,10 @@ def _march(b0, boundary, h, d, n_z):
     The state's dtype is ``np.result_type(b0, boundary, float)``: every march
     coefficient is real, so a real b0 and boundary march in float64, with the
     same bits as the real part of a complex march, and anything complex
-    marches in complex128.
+    marches in complex128.  ``pde_write`` is its one caller in the library:
+    the transfer measurement's write and read solve the same z-discretized
+    system exactly in time (``_exact_write``, ``_read_operator``), and the
+    march approaches both at second order in h.
     """
     sq = np.sqrt(d)
     nc = -(0.5 * sq / (n_z - 1))
@@ -568,6 +575,56 @@ def _read_march(b0, n_t, h, d, n_z):
         flat[start:start + _READ_BLOCK] = y[:, :k] + 1j * y[:, k:]
         B = P @ B
     return out
+
+
+def _exact_write(drive, h, d, n_z):
+    """b at the last sample of a write from rest, driven by the linear interpolant of ``drive``.
+
+    The written system is db/dtau = A b + sqrt(d) s(tau) 1, with A the dark
+    read's generator (``_read_operator``) and s the boundary a(0, .), so
+    b = sqrt(d) sum_k (A^k 1) m_k with the moments
+    m_k = int_0^w u^k / k! s(w - u) du over the lag u, w = h (n_t - 1).
+    Each A^k 1 is the previous vector's trapezoid prefix sum, and the m_k
+    of the interpolant are a (K+1, n_t) weight matrix of closed-form hat
+    moments, sums of positive terms, times ``drive`` ((n_t,) or (n_t, k),
+    as ``_march``'s boundary).  Since ||A||_1 <= 1 + d, the degree K is the
+    smallest with theta^{K+1} / (K+1)! <= 1e-17 at theta = w (1 + d).  The
+    series alternates in sign, so it is meant for theta of order 1 or less:
+    the transfer's leakage check keeps theta <= 0.026, and K <= 7 there
+    (Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)).
+    """
+    n_t = np.shape(drive)[0]
+    theta = h * (n_t - 1) * (1.0 + d)
+    degree, remainder = 0, theta  # remainder = theta^(degree+1) / (degree+1)!
+    while remainder > _TAYLOR_TOL:
+        degree += 1
+        remainder *= theta / (degree + 1)
+    # on the lag interval [i h, (i + 1) h], u = h (i + x) and
+    # u^k / k! = h^k sum_j i^(k-j) / (k-j)! x^j / j!, whose products with the
+    # hat functions 1 - x and x integrate to 1 / (j+2)! and (j+1) / (j+2)!
+    i = np.arange(n_t - 1.0)
+    powers = np.cumprod(np.vstack([np.ones_like(i), i / np.arange(1.0, degree + 1)[:, None]]),
+                        axis=0)               # row m is i^m / m!
+    j = np.subtract.outer(np.arange(degree + 1), np.arange(degree + 1))  # k - m
+    # near[k, m] = 1 / (j+2)!; tril drops the wrapped entries above the diagonal
+    near = np.tril(1.0 / np.cumprod(np.arange(1.0, degree + 3))[j + 1])
+    W = np.zeros((degree + 1, n_t))           # columns in lag order: sample n_t - 1 first
+    W[:, :-1] = near @ powers
+    W[:, 1:] += (near * (j + 1)) @ powers
+    W *= (h ** np.arange(1, degree + 2))[:, None]
+    sq = np.sqrt(d)
+    c = -(0.5 * d / (n_z - 1))                 # sqrt(d) nc
+    V = np.empty((n_z, degree + 1))            # column k is A^k 1
+    V[:, 0] = 1.0
+    pairs = np.empty(n_z)
+    pairs[0] = 0.0
+    for k in range(1, degree + 1):
+        v = V[:, k - 1]
+        np.add(v[1:], v[:-1], out=pairs[1:])
+        np.add.accumulate(pairs, out=V[:, k])
+        V[:, k] *= c
+        V[:, k] -= v
+    return sq * (V @ (W[:, ::-1] @ drive))
 
 
 def _scaled_step(h: float) -> float:
@@ -691,9 +748,10 @@ def transfer_function_estimate(
     width 0.002 |K_0| / (d gamma_s) keeps the capture-bias estimate
     d <gamma_s (T - t)> / |K_0| around 0.1%; probes whose estimate exceeds 1%
     raise ProbeDesignError.  ``path`` selects the analytic quadrature route or
-    the PDE marching route.  The analytic route checks its write and read
-    quadratures as ``write_analytic`` checks its own: an estimated relative
-    error above 1e-6 raises ResolutionError.
+    the PDE route, exact in time for the z-discretized equations.  The
+    analytic route checks its write and read quadratures as
+    ``write_analytic`` checks its own: an estimated relative error above
+    1e-6 raises ResolutionError.
 
     The grids default per path.  ``analytic``: n_z = 1200 ensemble positions
     and n_probe = 1601 probe samples; ``pde``: n_z = 300 and n_probe = 401,
@@ -703,12 +761,16 @@ def transfer_function_estimate(
     ``pde`` n_z below 4, n_probe below 3 or n_read below 5; on ``analytic``
     any of the three below 5, since each error estimate takes a stride-2
     Simpson sum over an odd run of samples.  Both paths read the whole
-    window, 5T unless ``T_read`` is set.  A PDE write step gamma_s * dt
-    above 0.1 warns (ResolutionWarning).
+    window, 5T unless ``T_read`` is set.
 
-    The PDE read is the exact propagator of the z-discretized dark read over
-    one sample, advanced in blocks of 128 samples by its 128th power, so
-    its samples carry no time-step error.  Its setup costs
+    The PDE write is the exact solution of the z-discretized write from
+    rest, driven by the linear interpolant of the probe samples: a Taylor
+    sum over the drive's moments, to degree 7 at most, since the
+    capture-bias check bounds the probe width by 0.02 |K_0| / (d gamma_s).
+    It takes about 0.3 ms at the default grids (2-vCPU x86-64).  The PDE
+    read is the exact propagator of the z-discretized dark read over one
+    sample, advanced in blocks of 128 samples by its 128th power, so its
+    samples carry no time-step error either.  Its setup costs
     O(n_z^3 log 128) time and two n_z x n_z float64 matrices: at d = 4 and
     the default n_z = 300 the operator takes about 8 ms (2-vCPU x86-64,
     OpenBLAS 0.3.31).  ``path="pde"`` with n_z above 4096 (128 MiB per
@@ -775,10 +837,8 @@ def transfer_function_estimate(
     probes = env * np.exp(1j * om_hat * tau_p)
     # one write and one read of all probes at once, probes as columns
     if pde:
-        h_w = _scaled_step(tau_p[1] - tau_p[0])
-        # fields vanish before the probe support; start marching at its left edge
-        for _, b in _march(np.zeros((n_z, omegas.size)), probes.T, h_w, params.d, n_z):
-            pass
+        # fields vanish before the probe support: the write starts at its left edge
+        b = _exact_write(probes.T, tau_p[1] - tau_p[0], params.d, n_z)
     else:
         z = np.linspace(0.0, 1.0, n_z)
         b = _checked_quadrature(z, Gamma - tau_p, params.d, probes.T, tau_p[1] - tau_p[0], True)

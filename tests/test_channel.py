@@ -305,3 +305,9 @@ class TestPulseCapacity:
             pulse_capacity(-1.0, 80e6)
         with pytest.raises(PhysicsError):
             pulse_capacity(1e-3, 0.0)
+
+    def test_overflowing_count(self):
+        # 1e307 s at 80 MHz is finite on each side, but the product is inf:
+        # int(round(inf)) raised OverflowError
+        with pytest.raises(PhysicsError, match="not finite"):
+            pulse_capacity(1e307, 80e6)

@@ -438,6 +438,13 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert rc == 2 and "1e999" in err and "Traceback" not in err
 
+    def test_overflowing_pulse_count_is_physics_error(self, tmp_path, capsys):
+        # T = 1e307 s is finite, but T * rep_rate is not: kernel died with an
+        # OverflowError traceback from pulse_capacity
+        rc, _ = run(tmp_path, "kernel", BASE.replace("T = 1 ms", "T = 1e307 s"))
+        err = capsys.readouterr().err
+        assert rc == 3 and "not finite" in err and "Traceback" not in err
+
     def test_physics_error_exit_code(self, tmp_path):
         text = DYNAMICS.replace("probe_omegas = 0", "probe_omegas = 2pi*18kHz")
         rc, _ = run(tmp_path, "dynamics", text)

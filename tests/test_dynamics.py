@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -131,6 +132,27 @@ def exact_read(b0, n_t, h, d, n_z):
         out[j] = r @ b
         b = M @ b
     return out
+
+
+def expm_write(drive, h, d, n_z):
+    """Reference for ``dynamics._exact_write``: expm steps of the augmented system.
+
+    Over each sample interval the drive s is linear, so (b, s, ds/dtau)
+    obeys d/dtau [b; s; s'] = [[A, sqrt(d) 1, 0], [0, 0, 1], [0, 0, 0]] [b; s; s'],
+    which expm(h G) steps exactly from b = 0 at the first sample.
+    """
+    A, _ = dark_read_generator(d, n_z)
+    G = np.zeros((n_z + 2, n_z + 2))
+    G[:n_z, :n_z] = A
+    G[:n_z, n_z] = np.sqrt(d)
+    G[n_z, n_z + 1] = 1.0
+    E = scipy.linalg.expm(h * G)[:n_z]
+    s = np.asarray(drive, dtype=complex)
+    b = np.zeros((n_z,) + s.shape[1:], dtype=complex)
+    for j in range(s.shape[0] - 1):
+        b = (E[:, :n_z] @ b + np.multiply.outer(E[:, n_z], s[j])
+             + np.multiply.outer(E[:, n_z + 1], (s[j + 1] - s[j]) / h))
+    return b
 
 
 class TestBesselJ0:
@@ -516,16 +538,17 @@ class TestPdeTransfer:
 
     @pytest.mark.parametrize("d", [4.0, 12.0])
     def test_stop_lands_near_half_the_window(self, march_calls, read_calls, d):
-        # the default read returns every sample of its window
+        # the default read returns every sample of its window; the write is
+        # the exact one and marches nothing
         p = self.params(d)
         transfer_function_estimate(p, self.OMEGAS, path="pde")
-        assert march_calls == [[(300, 5), 401]]
+        assert march_calls == []
         assert read_calls == [[(300, 5), 6001, 1]]
 
     def test_explicit_window_marches_whole(self, march_calls, read_calls):
         p = self.params(4.0)
         transfer_function_estimate(p, self.OMEGAS, 3.0 * p.T, path="pde")
-        assert march_calls == [[(300, 5), 401]]
+        assert march_calls == []
         assert read_calls == [[(300, 5), 6001, 1]]
 
     def test_defaults_against_refined_grid(self):
@@ -668,6 +691,80 @@ class TestOperatorRead:
             tracemalloc.stop()
         assert R.shape == (dynamics._READ_BLOCK, n_z) and P.shape == (n_z, n_z)
         assert peak < 2.5 * n_z * n_z * 8
+
+
+class TestExactWrite:
+    """The PDE transfer's probe write, the exact sum over the drive's moments."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """[(args, b)] of each ``dynamics._exact_write`` call."""
+        calls = []
+        write = dynamics._exact_write
+
+        def recorded(*args):
+            calls.append((args, write(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dynamics, "_exact_write", recorded)
+        return calls
+
+    @staticmethod
+    def widest(d):
+        """The probe width at the leakage limit: the centroid of the
+        symmetric window is half its width, so d w / (2 K_0) = 1e-2."""
+        return 2.0 * dynamics.LEAKAGE_LIMIT * abs(kernel(TestPdeTransfer.params(d), 0.0)) / (
+            d * GAMMA_S)
+
+    @pytest.mark.parametrize("d, widest", [(4.0, False), (30.0, False), (0.05, True)],
+                             ids=["d4", "d30", "d0.05-widest"])
+    def test_matches_expm_oracle(self, writes, d, widest):
+        # the default grids (300 z points, 401 probe samples); a 401-step
+        # march of the same drive sits 4.1e-10 (d = 4) and 4.1e-9 (d = 30) off
+        width = self.widest(d) * (1.0 - 1e-9) if widest else None
+        transfer_function_estimate(TestPdeTransfer.params(d), TestPdeTransfer.OMEGAS,
+                                   path="pde", probe_width=width)
+        [((drive, h, dd, n_z), got)] = writes
+        assert (drive.shape, n_z, dd) == ((401, 5), 300, d)
+        want = expm_write(drive, h, d, n_z)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_march_converges_at_second_order(self):
+        # the marcher on the same piecewise-linear drive, its samples at
+        # h, h/2, h/4 and h/8 (the midpoints by np.interp): halving h
+        # quarters its distance to the exact write (4.03, 4.01, 4.01)
+        d, n_z = 4.0, 60
+        t = np.linspace(0.0, 0.2, 21)
+        drive = np.cos(20.0 * t) + 2.5j * t
+        want = dynamics._exact_write(drive, t[1] - t[0], d, n_z)
+        errs = []
+        for n in (21, 41, 81, 161):
+            tf = np.linspace(0.0, 0.2, n)
+            fine = np.interp(tf, t, drive.real) + 1j * np.interp(tf, t, drive.imag)
+            for _, b in dynamics._march(np.zeros(n_z), fine, tf[1] - tf[0], d, n_z):
+                pass
+            errs.append(np.abs(b - want).max())
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.5)
+
+    def test_degree_bound_at_widest_probe(self, monkeypatch, writes):
+        # the leakage check runs before the write and bounds its probe width
+        # by 0.02 K_0 / d, so theta = w (1 + d) <= 0.026 (at most 0.02597,
+        # near d = 1.8); theta^8 / 8! <= 1e-17 there, so the Taylor series
+        # stops by degree 7 and needs no scaling and squaring.  The read is
+        # stubbed: only the write's arguments are looked at
+        monkeypatch.setattr(dynamics, "_read_march", lambda b0, n_t, *args: np.zeros(
+            (n_t,) + np.shape(b0)[1:], dtype=complex))
+        for d in np.geomspace(1e-2, 1e3, 41):
+            p, width = TestPdeTransfer.params(d), self.widest(d)
+            with pytest.raises(ProbeDesignError, match="capture-bias"):
+                transfer_function_estimate(p, [0.0], path="pde", probe_width=width * (1.0 + 1e-6))
+            transfer_function_estimate(p, [0.0], path="pde", probe_width=width * (1.0 - 1e-9))
+            (drive, h, _, _), _ = writes[-1]
+            theta = h * (drive.shape[0] - 1) * (1.0 + d)
+            assert theta <= 0.026
+            assert theta**8 / math.factorial(8) <= dynamics._TAYLOR_TOL
+        assert len(writes) == 41
 
 
 class TestBesselTables:
@@ -814,13 +911,13 @@ class TestBatchedMarch:
             assert np.array_equal(a[..., i], a_i) and np.array_equal(b[..., i], b_i)
 
     @pytest.mark.parametrize("n_probes", [1, 3])
-    def test_transfer_marches_twice(self, march_calls, read_calls, n_probes):
-        # one write march and one read of all probes, whose operator is
-        # built once, whatever the probe count
+    def test_transfer_reads_once(self, march_calls, read_calls, n_probes):
+        # one exact write sum and one read of all probes, whose operator is
+        # built once, whatever the probe count; nothing marches
         omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
         transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
         n_z = TestBesselTables.SMALL["n_z"]
-        assert march_calls == [[(n_z, n_probes), 201]]
+        assert march_calls == []
         assert read_calls == [[(n_z, n_probes), TestBesselTables.SMALL["n_read"], 1]]
 
 
