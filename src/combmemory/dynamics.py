@@ -32,9 +32,11 @@ Two independent routes compute the same physics:
   boundary, so it is db/dtau = A b: the real one-sample propagator
   M = exp(h A), a Taylor series in that prefix sum, makes every read
   sample exact, and the read advances in blocks of 128 samples, each the
-  rows r M^i (i < 128) times the state and the next state M^128 times it,
-  M^128 by seven squarings.  That setup costs O(n_z^3 log 128), about
-  8 ms at n_z = 300 (d = 4, 2-vCPU x86-64, OpenBLAS 0.3.31).  Probes are
+  rows r M^i (i < 128) times the state and the next state M^128 times it.
+  Each power of M is its column 0 and one lower-triangular Toeplitz column,
+  so each of the seven squarings is two convolutions of n_z vectors, and
+  the setup costs O(n_z^2) per power, about 1.7 ms at n_z = 300 (d = 4,
+  2-vCPU x86-64).  Probes are
   the columns of (n_z, k) arrays, so all probes of a measurement share one
   write sum and one read.  Both routes read their whole window, 5T unless
   set.
@@ -99,8 +101,8 @@ CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marchin
 MAX_GRID_CELLS = 2**25
 _READ_BLOCK = 128            # PDE read samples per power of the one-sample propagator
 _TAYLOR_TOL = 1e-17          # remainder bound of the propagator's Taylor series
-# Largest PDE transfer n_z: the read holds two n_z x n_z float64 matrices,
-# 128 MiB apiece at the cap.
+# Largest PDE transfer n_z: the read holds an n_z x n_z float64 matrix,
+# 128 MiB at the cap.
 _MAX_READ_N_Z = 4096
 
 
@@ -502,6 +504,15 @@ def _march(b0, boundary, h, d, n_z):
         yield field(b_hi, b_lo, a), b
 
 
+def _taylor_degree(theta):
+    """The smallest K with theta^{K+1} / (K+1)! <= _TAYLOR_TOL."""
+    degree, remainder = 0, theta  # remainder = theta^(degree+1) / (degree+1)!
+    while remainder > _TAYLOR_TOL:
+        degree += 1
+        remainder *= theta / (degree + 1)
+    return degree
+
+
 def _read_operator(h, d, n_z):
     """(R, P) of a dark read: R's rows are r M^i for i < _READ_BLOCK, and P = M^_READ_BLOCK.
 
@@ -510,50 +521,59 @@ def _read_operator(h, d, n_z):
     down z from a zero row 0) and nc = -sqrt(d) / (2 (n_z - 1)).  M is its
     exact real propagator over one sample, e^{-h} exp(G) with
     G = h sqrt(d) nc L, so a read sample carries no time-step error; r is
-    a(1, .) = nc L[-1] = nc [1, 2, ..., 2, 1].  exp(G) is a Taylor series
-    on the unit columns, 32 at a time, with L applied as that prefix sum.
-    Since ||G||_1 <= h d, the degree is the smallest K with
-    (h d)^{K+1} / (K+1)! <= 1e-17; above h d = 1 the series is taken at
-    G / 2^s and squared s times (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
-    The powers come from repeated squaring, each squaring also doubling the
-    rows of R, so at most two n_z x n_z matrices are alive.
+    a(1, .) = nc L[-1] = nc [1, 2, ..., 2, 1].  Every column j >= 1 of L,
+    and so of each power of M, is one lower-triangular Toeplitz column, so
+    a power is carried as its column 0 and that Toeplitz column, and a
+    product of two such matrices is two truncated convolutions (Bini & Pan,
+    Polynomial and Matrix Computations, 1994): O(n_z^2) per product.
+    exp(G) is a Taylor series on the unit columns e0 and e1, with L applied
+    as that prefix sum.  Since ||G||_1 <= h d, the degree is the smallest K
+    with (h d)^{K+1} / (K+1)! <= 1e-17; above h d = 1 the series is taken
+    at G / 2^s and squared s times (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)).  The powers come from repeated squaring, each squaring also
+    doubling the rows of R through the dense power, so at most one
+    n_z x n_z matrix is alive.
     """
     sq = np.sqrt(d)
     nc = -(0.5 * sq / (n_z - 1))
     halvings = math.ceil(math.log2(h * d)) if h * d > 1.0 else 0
-    theta = h * d / 2**halvings
-    degree, remainder = 0, theta  # remainder = theta^(degree+1) / (degree+1)!
-    while remainder > _TAYLOR_TOL:
-        degree += 1
-        remainder *= theta / (degree + 1)
+    degree = _taylor_degree(h * d / 2**halvings)
     c = h / 2**halvings * sq * nc
-    P = np.zeros((n_z, n_z))     # exp(G / 2^s), then squared in its place
+    term, w = np.eye(n_z, 2), np.zeros((n_z, 2))  # w[0] stays 0: the dark boundary
+    col = term.copy()
+    for k in range(1, degree + 1):
+        np.add(term[1:], term[:-1], out=w[1:])
+        w *= c / k
+        np.add.accumulate(w, axis=0, out=term)
+        col += term
+    power = col[:, 0], col[1:, 1]  # column 0 and the Toeplitz column of exp(G / 2^s)
+
+    def square(x):
+        x0, xi = x
+        y0 = x0[0] * x0
+        y0[1:] += np.convolve(xi, x0[1:])[:n_z - 1]
+        return y0, np.convolve(xi, xi)[:n_z - 1]
+
+    def dense(x):
+        X = np.zeros((n_z, n_z))
+        X[:, 0] = x[0]
+        # window i of [0] * (n_z - 2) + xi, reversed, is row i of the Toeplitz block
+        X[1:, 1:] = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((np.zeros(n_z - 2), x[1])), n_z - 1)[:, ::-1]
+        return X
+
+    for _ in range(halvings):
+        power = square(power)
+    power = tuple(math.exp(-h) * v for v in power)
     R = np.empty((_READ_BLOCK, n_z))
     R[0] = 2.0 * nc
     R[0, [0, -1]] = nc
-    pairs, sums = np.empty((n_z, 32)), np.empty((n_z, 32))
-    for s in range(0, n_z, 32):
-        # L is lower triangular, so columns s.. of exp(G) vanish above row s
-        m = min(32, n_z - s)
-        term, w, col = np.eye(n_z - s, m), pairs[s:, :m], sums[s:, :m]
-        col[...] = term
-        for k in range(1, degree + 1):
-            # row s pairs with the zero above it; row 0 is the dark boundary
-            w[0] = term[0] if s else 0.0
-            np.add(term[1:], term[:-1], out=w[1:])
-            w *= c / k
-            np.add.accumulate(w, axis=0, out=term)
-            col += term
-        P[s:, s:s + m] = col
-    for _ in range(halvings):
-        P = P @ P
-    P *= math.exp(-h)
     n = 1
     while n < _READ_BLOCK:
-        np.matmul(R[:n], P, out=R[n:2 * n])
-        P = P @ P
+        np.matmul(R[:n], dense(power), out=R[n:2 * n])
+        power = square(power)
         n *= 2
-    return R, P
+    return R, dense(power)
 
 
 def _read_march(b0, n_t, h, d, n_z):
@@ -594,11 +614,7 @@ def _exact_write(drive, h, d, n_z):
     (Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)).
     """
     n_t = np.shape(drive)[0]
-    theta = h * (n_t - 1) * (1.0 + d)
-    degree, remainder = 0, theta  # remainder = theta^(degree+1) / (degree+1)!
-    while remainder > _TAYLOR_TOL:
-        degree += 1
-        remainder *= theta / (degree + 1)
+    degree = _taylor_degree(h * (n_t - 1) * (1.0 + d))
     # on the lag interval [i h, (i + 1) h], u = h (i + x) and
     # u^k / k! = h^k sum_j i^(k-j) / (k-j)! x^j / j!, whose products with the
     # hat functions 1 - x and x integrate to 1 / (j+2)! and (j+1) / (j+2)!
@@ -770,11 +786,12 @@ def transfer_function_estimate(
     It takes about 0.3 ms at the default grids (2-vCPU x86-64).  The PDE
     read is the exact propagator of the z-discretized dark read over one
     sample, advanced in blocks of 128 samples by its 128th power, so its
-    samples carry no time-step error either.  Its setup costs
-    O(n_z^3 log 128) time and two n_z x n_z float64 matrices: at d = 4 and
-    the default n_z = 300 the operator takes about 8 ms (2-vCPU x86-64,
-    OpenBLAS 0.3.31).  ``path="pde"`` with n_z above 4096 (128 MiB per
-    matrix) raises DimensionError before any march.
+    samples carry no time-step error either.  Its powers are Toeplitz past
+    column 0 and square by convolution, so its setup costs O(n_z^2) time
+    per power and one n_z x n_z float64 matrix: at d = 4 and the default
+    n_z = 300 the operator takes about 1.7 ms (2-vCPU x86-64).
+    ``path="pde"`` with n_z above 4096 (128 MiB per matrix) raises
+    DimensionError before any march.
 
     Both paths check the read clock's Fourier sum: a Richardson estimate
     above 1e-4 raises ResolutionError with an n_read to try (the default

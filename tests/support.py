@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from combmemory import SqueezingSpectrum, apply_mode_unitary, dynamics, squeezed_vacuum
@@ -89,6 +91,47 @@ def stepped_read(b0, n_t, h, d, n_z):
     for j, (a, _) in enumerate(dynamics._march(b0, dark, h, d, n_z)):
         out[j] = a[-1]
     return out
+
+
+def dense_read_operator(h, d, n_z):
+    """Reference for ``dynamics._read_operator``: the same (R, P) from dense n_z x n_z powers.
+
+    The same Taylor series and degree rule, run on every unit column, 32 at
+    a time; each halving and each doubling of R's rows squares the dense
+    power by a matrix product.
+    """
+    sq = np.sqrt(d)
+    nc = -(0.5 * sq / (n_z - 1))
+    halvings = math.ceil(math.log2(h * d)) if h * d > 1.0 else 0
+    degree = dynamics._taylor_degree(h * d / 2**halvings)
+    c = h / 2**halvings * sq * nc
+    P = np.zeros((n_z, n_z))     # exp(G / 2^s), then squared in its place
+    R = np.empty((dynamics._READ_BLOCK, n_z))
+    R[0] = 2.0 * nc
+    R[0, [0, -1]] = nc
+    pairs, sums = np.empty((n_z, 32)), np.empty((n_z, 32))
+    for s in range(0, n_z, 32):
+        # L is lower triangular, so columns s.. of exp(G) vanish above row s
+        m = min(32, n_z - s)
+        term, w, col = np.eye(n_z - s, m), pairs[s:, :m], sums[s:, :m]
+        col[...] = term
+        for k in range(1, degree + 1):
+            # row s pairs with the zero above it; row 0 is the dark boundary
+            w[0] = term[0] if s else 0.0
+            np.add(term[1:], term[:-1], out=w[1:])
+            w *= c / k
+            np.add.accumulate(w, axis=0, out=term)
+            col += term
+        P[s:, s:s + m] = col
+    for _ in range(halvings):
+        P = P @ P
+    P *= math.exp(-h)
+    n = 1
+    while n < dynamics._READ_BLOCK:
+        np.matmul(R[:n], P, out=R[n:2 * n])
+        P = P @ P
+        n *= 2
+    return R, P
 
 
 def grid_budget(z, t, a, b, params, rows=64):

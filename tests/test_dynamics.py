@@ -32,7 +32,7 @@ from combmemory import (
     tukey_window,
     write_analytic,
 )
-from support import grid_budget, grid_write, reference_march, stepped_read
+from support import dense_read_operator, grid_budget, grid_write, reference_march, stepped_read
 
 GAMMA_S = 2.0 * np.pi * 18e3
 T10 = 10.0 / GAMMA_S  # write window spanning ten decay times
@@ -537,7 +537,7 @@ class TestPdeTransfer:
         assert np.array_equal(default, explicit)
 
     @pytest.mark.parametrize("d", [4.0, 12.0])
-    def test_stop_lands_near_half_the_window(self, march_calls, read_calls, d):
+    def test_default_window_reads_whole(self, march_calls, read_calls, d):
         # the default read returns every sample of its window; the write is
         # the exact one and marches nothing
         p = self.params(d)
@@ -545,7 +545,7 @@ class TestPdeTransfer:
         assert march_calls == []
         assert read_calls == [[(300, 5), 6001, 1]]
 
-    def test_explicit_window_marches_whole(self, march_calls, read_calls):
+    def test_explicit_window_reads_whole(self, march_calls, read_calls):
         p = self.params(4.0)
         transfer_function_estimate(p, self.OMEGAS, 3.0 * p.T, path="pde")
         assert march_calls == []
@@ -677,11 +677,30 @@ class TestOperatorRead:
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.5)
 
-    def test_operator_holds_two_matrices(self):
-        # the Taylor series runs on 32 unit columns at a time, and squaring
-        # keeps at most the power and its square: 2.5 n_z x n_z matrices
-        # bound the peak, where a third matrix, a dense generator or a
-        # series on all columns at once would not fit
+    @pytest.mark.parametrize("n_z, hd", [(n_z, hd) for n_z in (4, 5, 300)
+                                         for hd in (0.033, 2.0, 8.0, 20.0)] + [(1200, 0.033)])
+    def test_operator_matches_dense_squarings(self, n_z, hd):
+        # the structured powers against dense matrix squarings of the same
+        # series; above h d = 1 both take it at h / 2^s and square s times.
+        # The dense reference takes about 0.2 s at n_z = 1200: one case there
+        h = hd / 4.0
+        R, P = dynamics._read_operator(h, 4.0, n_z)
+        want_R, want_P = dense_read_operator(h, 4.0, n_z)
+        assert np.abs(R - want_R).max() <= 1e-13 * np.abs(want_R).max()
+        assert np.abs(P - want_P).max() <= 1e-13 * np.abs(want_P).max()
+
+    @pytest.mark.parametrize("d, h", [(4.0, H), (30.0, H), (4.0, 5.0)], ids=["d4", "d30", "hd20"])
+    def test_power_is_toeplitz_past_column_0(self, d, h):
+        # every column j >= 1 of M^128 is one lower-triangular Toeplitz column
+        P = dynamics._read_operator(h, d, 300)[1]
+        assert np.array_equal(P[2:, 2:], P[1:-1, 1:-1])
+        assert not P[0, 1:].any()
+
+    def test_operator_holds_one_matrix(self):
+        # the powers are carried as two n_z vectors, and the one dense power
+        # each doubling of R and the returned P need is built at a time:
+        # 1.5 n_z x n_z matrices bound the peak (R is 0.21 of one at
+        # n_z = 600), where a second dense power would not fit
         n_z = 600
         tracemalloc.start()
         try:
@@ -690,7 +709,7 @@ class TestOperatorRead:
         finally:
             tracemalloc.stop()
         assert R.shape == (dynamics._READ_BLOCK, n_z) and P.shape == (n_z, n_z)
-        assert peak < 2.5 * n_z * n_z * 8
+        assert peak < 1.5 * n_z * n_z * 8
 
 
 class TestExactWrite:
