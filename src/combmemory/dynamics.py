@@ -14,18 +14,16 @@ Two independent routes compute the same physics:
   discretized in z by a cumulative trapezoid: a = a(0, t) - sqrt(d) times
   the trapezoid prefix sum of b.  ``pde_write`` marches them in time, with
   the decay handled by an exact exponential factor per step and one
-  corrector pass for second-order accuracy.  Each field is a prefix sum:
-  ``np.add.accumulate`` down a work array whose row 0 is the boundary
-  sample and whose other rows are the scaled pair sums of b, written into
-  the field through row views taken once before the march, so a step
-  allocates nothing of grid size.  The stepper yields the fields at every
-  time step, and ``pde_write`` keeps the traces its energy budget needs.
+  corrector pass for second-order accuracy; a step allocates nothing of
+  grid size.  The stepper yields the fields at every time step, and
+  ``pde_write`` keeps the traces its energy budget needs.
   Every coefficient of the stepper is real, so it marches in float64 when
   its initial state and boundary are real (the write cross-check's constant
   drive) and in complex128 otherwise, with the same bits as the real part
   of a complex march.  No route keeps an (n_z, n_t) history.
   The transfer measurement solves the same z-discretized system exactly in
-  time, with A = -I + sqrt(d) times the field's prefix sum as generator:
+  time, with A = -I + sqrt(d) times the field's prefix sum as generator
+  (``_prefix_sum``, the one such sum outside the march):
   db/dtau = A b + sqrt(d) a(0, tau).  Its probe write is the Taylor sum
   b = sqrt(d) sum_k (A^k 1) m_k over the moments m_k of the linearly
   interpolated probe samples, to degree 7 at most.  Its read has a dark
@@ -36,10 +34,9 @@ Two independent routes compute the same physics:
   Each power of M is its column 0 and one lower-triangular Toeplitz column,
   so each of the seven squarings is two convolutions of n_z vectors, and
   the setup costs O(n_z^2) per power, about 1.7 ms at n_z = 300 (d = 4,
-  2-vCPU x86-64).  Probes are
-  the columns of (n_z, k) arrays, so all probes of a measurement share one
-  write sum and one read.  Both routes read their whole window, 5T unless
-  set.
+  2-vCPU x86-64).  Probes are the columns of (n_z, k) arrays, so all
+  probes of a measurement share one write sum and one read.  Both routes
+  read their whole window, 5T unless set.
 
 Everything internal runs in scaled units (tau = gamma_s t, z in [0,1]); the
 public API speaks SI seconds.  Only the pump-projected scalar field is
@@ -53,8 +50,10 @@ ratio of output to input spectral amplitudes reproduces the channel kernel.
 Referenced to a read clock that restarts at the end of the write window, the
 measured gain equals -K_omega * exp(i omega T).  The measurement's grids
 default per path: 1200 z points and 1601 probe samples on the analytic
-route, 300 and 401 on the PDE route; both read 6001 samples and check the
-read clock's Fourier sum by one rule.  The PDE route accepts any n_z >= 4,
+route, 300 and 401 on the PDE route; both read 6001 samples.  One
+Richardson rule (``_richardson``) estimates the error of the Bessel
+quadratures and of the read clock's Fourier sum, whose Simpson sum over
+every read sample is the gain's numerator.  The PDE route accepts any n_z >= 4,
 n_probe >= 3 and n_read >= 5; the analytic route's error estimates need 5
 samples per axis, so it accepts any grid of at least 5 on each.
 """
@@ -176,14 +175,9 @@ def bessel_j0(x):
         xb = np.abs(flat[start:start + _J0_BLOCK])
         ob = out[start:start + _J0_BLOCK]
         small = xb < _SERIES_CUT
-        if small.all():
-            _j0_series(xb, ob)
-        elif not small.any():
-            _j0_hankel(xb, ob)
-        else:
-            xs, xl = xb[small], xb[~small]
-            ob[small] = _j0_series(xs, np.empty_like(xs))
-            ob[~small] = _j0_hankel(xl, np.empty_like(xl))
+        xs, xl = xb[small], xb[~small]
+        ob[small] = _j0_series(xs, np.empty_like(xs))
+        ob[~small] = _j0_hankel(xl, np.empty_like(xl))
     return float(out[0]) if scalar else out.reshape(xf.shape)
 
 
@@ -212,6 +206,19 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
         w *= h / 3.0
         w[k - 1:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
     return w
+
+
+def _richardson(simpson, n):
+    """(S, est): S = simpson(n, 1), and Richardson's |S_h - S_2h| / 15 relative to max |S|.
+
+    ``simpson(m, stride)`` sums the first m samples at that stride, so S
+    takes all n samples (a 3/8 tail when n is even) and est the leading odd run.
+    """
+    S = simpson(n, 1)
+    m = n - (n % 2 == 0)
+    fine = S if m == n else simpson(m, 1)
+    est = float(np.abs(fine - simpson(m, 2)).max()) / 15.0 / max(float(np.abs(S).max()), 1e-300)
+    return S, est
 
 
 def tukey_window(n: int, taper: float = 0.1) -> np.ndarray:
@@ -366,10 +373,9 @@ def _bessel_quadrature(rows, cols, d, samples, h, write):
     (2013)), and each A interpolates one axis with the decay factor folded
     in.  p grows as 17, 33, 65, ... until F's trailing Chebyshev
     coefficients are negligible; an axis reached by p keeps its own samples.
-    The error is Richardson's |S_h - S_2h| / 15 over the leading odd run of
-    samples, whose sums read row slices of A_cols: the write kernel depends
-    only on the lag behind the last sample, so the leading samples meet its
-    trailing columns.
+    The error is ``_richardson``'s, whose partial sums read row slices of
+    A_cols: the write kernel depends only on the lag behind the last sample,
+    so the leading samples meet its trailing columns.
     """
     p = _CORE_START
     while True:
@@ -396,11 +402,7 @@ def _bessel_quadrature(rows, cols, d, samples, h, write):
         y = a_rows @ (core @ y)
         return y[:, :k] + 1j * y[:, k:]
 
-    fine = simpson(n, 1)
-    m = n if n % 2 == 1 else n - 1
-    sub_fine = fine if m == n else simpson(m, 1)
-    peak = max(float(np.abs(fine).max()), 1e-300)
-    est = float(np.abs(sub_fine - simpson(m, 2)).max()) / 15.0 / peak
+    fine, est = _richardson(simpson, n)
     return fine.reshape(rows.size, *samples.shape[1:]), est
 
 
@@ -463,7 +465,8 @@ def _march(b0, boundary, h, d, n_z):
     rows 1.. the pair sums of b scaled by -sqrt(d) h_z / 2, and
     ``np.add.accumulate`` writes their running sum into the field, with no
     broadcast over z.  Both fields of a step share the boundary row, which
-    is set once per step, and the row slices are views taken before the loop.
+    is set once per step, and the row slices are views taken before the loop
+    (``_prefix_sum``'s per-call slicing measured slower here).
     Independent runs march together as columns: ``b0`` is (n_z,) or (n_z, k)
     and ``boundary`` (n_t,) or (n_t, k).  Every step works in place on
     preallocated arrays of b0's shape, and the yielded a and b are those
@@ -504,6 +507,17 @@ def _march(b0, boundary, h, d, n_z):
         yield field(b_hi, b_lo, a), b
 
 
+def _prefix_sum(v, scale, out):
+    """``out`` = scale times v's trapezoid prefix sum down axis 0 from a zero row 0.
+
+    The pair sums are scaled before they are accumulated; ``out`` must not overlap v.
+    """
+    out[0] = 0.0
+    np.add(v[1:], v[:-1], out=out[1:])
+    out[1:] *= scale
+    return np.add.accumulate(out, axis=0, out=out)
+
+
 def _taylor_degree(theta):
     """The smallest K with theta^{K+1} / (K+1)! <= _TAYLOR_TOL."""
     degree, remainder = 0, theta  # remainder = theta^(degree+1) / (degree+1)!
@@ -527,7 +541,7 @@ def _read_operator(h, d, n_z):
     product of two such matrices is two truncated convolutions (Bini & Pan,
     Polynomial and Matrix Computations, 1994): O(n_z^2) per product.
     exp(G) is a Taylor series on the unit columns e0 and e1, with L applied
-    as that prefix sum.  Since ||G||_1 <= h d, the degree is the smallest K
+    by ``_prefix_sum``.  Since ||G||_1 <= h d, the degree is the smallest K
     with (h d)^{K+1} / (K+1)! <= 1e-17; above h d = 1 the series is taken
     at G / 2^s and squared s times (Moler & Van Loan, SIAM Rev. 45, 3
     (2003)).  The powers come from repeated squaring, each squaring also
@@ -539,12 +553,10 @@ def _read_operator(h, d, n_z):
     halvings = math.ceil(math.log2(h * d)) if h * d > 1.0 else 0
     degree = _taylor_degree(h * d / 2**halvings)
     c = h / 2**halvings * sq * nc
-    term, w = np.eye(n_z, 2), np.zeros((n_z, 2))  # w[0] stays 0: the dark boundary
+    term, spare = np.eye(n_z, 2), np.empty((n_z, 2))
     col = term.copy()
     for k in range(1, degree + 1):
-        np.add(term[1:], term[:-1], out=w[1:])
-        w *= c / k
-        np.add.accumulate(w, axis=0, out=term)
+        term, spare = _prefix_sum(term, c / k, spare), term
         col += term
     power = col[:, 0], col[1:, 1]  # column 0 and the Toeplitz column of exp(G / 2^s)
 
@@ -632,23 +644,10 @@ def _exact_write(drive, h, d, n_z):
     c = -(0.5 * d / (n_z - 1))                 # sqrt(d) nc
     V = np.empty((n_z, degree + 1))            # column k is A^k 1
     V[:, 0] = 1.0
-    pairs = np.empty(n_z)
-    pairs[0] = 0.0
     for k in range(1, degree + 1):
-        v = V[:, k - 1]
-        np.add(v[1:], v[:-1], out=pairs[1:])
-        np.add.accumulate(pairs, out=V[:, k])
-        V[:, k] *= c
-        V[:, k] -= v
+        _prefix_sum(V[:, k - 1], c, V[:, k])
+        V[:, k] -= V[:, k - 1]
     return sq * (V @ (W[:, ::-1] @ drive))
-
-
-def _scaled_step(h: float) -> float:
-    """The scaled march step h = gamma_s * dt; past CFL_WARN, warns the caller's caller."""
-    if h > CFL_WARN:
-        warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
-                      ResolutionWarning, stacklevel=3)
-    return h
 
 
 def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
@@ -677,9 +676,12 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     t, bound = _write_boundary(a_in, params, n_z, n_t)
     if not bound.imag.any():
         bound = bound.real
-    h = _scaled_step(params.gamma_s * params.T / (n_t - 1))
+    h = params.gamma_s * params.T / (n_t - 1)
+    if h > CFL_WARN:
+        warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
+                      ResolutionWarning, stacklevel=2)
     z = np.linspace(0.0, 1.0, int(n_z))
-    wt = simpson_weights(t.size, _uniform_spacing(t, "t"))
+    wt = simpson_weights(t.size, t[1] - t[0])
     b_sq_dt = np.zeros(int(n_z))
     if params.d == 0.0:
         ends, b = np.stack([bound, bound], axis=1), np.zeros(int(n_z), dtype=complex)
@@ -730,15 +732,6 @@ def expected_gain(params: MemoryParams, omega):
     w = np.asarray(omega, dtype=float)
     g = -kernel(params, w) * np.exp(1j * w * params.T)
     return complex(g) if np.isscalar(omega) or w.ndim == 0 else g
-
-
-def _read_sum_error(terms, h):
-    """Richardson's |S_h - S_2h| / 15 for Simpson sums of ``terms`` along axis 1
-    over the leading odd run of samples, relative to the largest |S_h|."""
-    m = terms.shape[1] - (terms.shape[1] % 2 == 0)
-    fine = np.sum(simpson_weights(m, h) * terms[:, :m], axis=1)
-    coarse = np.sum(simpson_weights((m + 1) // 2, 2.0 * h) * terms[:, :m:2], axis=1)
-    return float(np.abs(fine - coarse).max()) / 15.0 / max(float(np.abs(fine).max()), 1e-300)
 
 
 def transfer_function_estimate(
@@ -802,14 +795,14 @@ def transfer_function_estimate(
     d = 800 raises); an explicit ``n_read`` raises on the first.
     """
     omegas = np.atleast_1d(np.asarray(probe_frequencies, dtype=float))
-    if np.any(np.abs(omegas) > PROBE_BAND_LIMIT * params.gamma_s):
+    if not np.all(np.abs(omegas) <= PROBE_BAND_LIMIT * params.gamma_s):  # NaN fails too
         raise PhysicsError(
             f"probe frequencies must satisfy |omega| <= {PROBE_BAND_LIMIT} gamma_s"
         )
     if path not in ("analytic", "pde"):
         raise PhysicsError(f"unknown dynamics path {path!r}")
-    if T_read is not None and not T_read > 0.0:
-        raise PhysicsError(f"T_read must be positive, got {T_read!r}")
+    if T_read is not None and not 0.0 < T_read < math.inf:
+        raise PhysicsError(f"T_read must be positive and finite, got {T_read!r}")
     pde = path == "pde"
     follow_hint = n_read is None  # a default read retries once at its own hint
     n_z = int(n_z if n_z is not None else 300 if pde else 1200)
@@ -822,8 +815,8 @@ def transfer_function_estimate(
         if n < least:
             raise DimensionError(f"{name} must be at least {least}, got {n}")
     if pde and n_z > _MAX_READ_N_Z:
-        raise DimensionError(f"the PDE read needs n_z <= {_MAX_READ_N_Z} (two n_z x n_z "
-                             f"matrices of 8 n_z^2 bytes), got n_z = {n_z}")
+        raise DimensionError(f"the PDE read needs n_z <= {_MAX_READ_N_Z} (one n_z x n_z "
+                             f"matrix of 8 n_z^2 bytes), got n_z = {n_z}")
     if omegas.size == 0:
         return np.zeros(0, dtype=complex)
     if params.d == 0.0:
@@ -861,12 +854,18 @@ def transfer_function_estimate(
         b = _checked_quadrature(z, Gamma - tau_p, params.d, probes.T, tau_p[1] - tau_p[0], True)
     while True:
         tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
+        h_r = tau_r[1] - tau_r[0]
         if pde:
-            out = _read_march(b, n_read, tau_r[1] - tau_r[0], params.d, n_z).T
+            out = _read_march(b, n_read, h_r, params.d, n_z).T
         else:
             out = _checked_quadrature(tau_r, 1.0 - z, params.d, b, z[1] - z[0], False).T
         phase = np.exp(-1j * om_hat * tau_r)
-        est = _read_sum_error(out * phase, tau_r[1] - tau_r[0])
+
+        def simpson(m, stride):
+            x = out[:, :m:stride]
+            return np.sum(simpson_weights(x.shape[1], stride * h_r) * x * phase[:, :m:stride], 1)
+
+        A_out, est = _richardson(simpson, n_read)  # A_out: the gains' numerator
         if est <= READ_SUM_ERROR_LIMIT:
             break
         # the sum's error falls as h^4; the hint aims at half the limit
@@ -877,7 +876,5 @@ def transfer_function_estimate(
                 f"{READ_SUM_ERROR_LIMIT:g}; try n_read >= {need}"
             )
         n_read, follow_hint = need, False
-    wts_r = simpson_weights(tau_r.size, tau_r[1] - tau_r[0])
     A_in = np.sum(wts_p * probes * np.exp(-1j * om_hat * tau_p), axis=1)
-    A_out = np.sum(wts_r * out * phase, axis=1)
     return A_out / A_in

@@ -229,6 +229,38 @@ class TestSimpsonWeights:
             simpson_weights(2, 0.1)
 
 
+class TestRichardson:
+    def test_even_n_sums_all_samples_and_estimates_the_odd_run(self):
+        # at n = 10 the sum takes Simpson over samples 0..6 and the 3/8 rule
+        # over 6..9; the estimate compares Simpson sums over samples 0..8 at
+        # h and 2h, relative to the larger |S| of the two rows
+        n, h = 10, 0.1
+        x = h * np.arange(n)
+        f = np.stack([np.exp(-x) * np.cos(3.0 * x), 2.0 + np.sin(x)])
+        calls = []
+
+        def simpson(m, stride):
+            calls.append((m, stride))
+            xs = f[:, :m:stride]
+            return np.sum(simpson_weights(xs.shape[1], stride * h) * xs, axis=1)
+
+        S, est = dynamics._richardson(simpson, n)
+        assert calls == [(10, 1), (9, 1), (9, 2)]
+
+        def c(*w):  # sum of w[i] f[:, i] over the leading len(w) samples
+            return f[:, :len(w)] @ np.array(w, dtype=float)
+
+        want_S = (h / 3 * c(1, 4, 2, 4, 2, 4, 1)
+                  + 3 * h / 8 * f[:, 6:] @ np.array([1.0, 3.0, 3.0, 1.0]))
+        fine = h / 3 * c(1, 4, 2, 4, 2, 4, 2, 4, 1)
+        coarse = 2 * h / 3 * c(1, 0, 4, 0, 2, 0, 4, 0, 1)
+        assert S == pytest.approx(want_S, rel=1e-14)
+        want_est = np.abs(fine - coarse).max() / 15.0 / np.abs(want_S).max()
+        assert est == pytest.approx(want_est, rel=1e-9)
+        # the full sum is not the odd run's: the tail's sample 9 counts
+        assert np.abs(S - fine).max() > 1e3 * np.abs(fine - coarse).max() / 15.0
+
+
 class TestTukeyWindow:
     def test_matches_reference(self):
         for n, taper in [(64, 0.1), (65, 0.25), (33, 1.0)]:
@@ -419,6 +451,24 @@ class TestTransferFunction:
         with pytest.raises(PhysicsError, match="T_read"):
             transfer_function_estimate(params10(), [0.0], T_read, path="pde")
 
+    @pytest.mark.parametrize("path", ["analytic", "pde"])
+    @pytest.mark.parametrize("omegas, T_read, match", [
+        ([0.0, np.nan], None, "0.3 gamma_s"), ([0.0], np.inf, "T_read must be positive and finite"),
+    ], ids=["nan-frequency", "inf-window"])
+    def test_non_finite_inputs_checked_first(self, monkeypatch, march_calls, path, omegas,
+                                             T_read, match):
+        # |nan| > limit is False and inf > 0 is True, so both passed their
+        # checks and ended in "cannot convert float NaN to integer" from the
+        # read-sum hint; now they raise before any grid is built
+        writes = []
+        for name in ("_checked_quadrature", "_exact_write"):
+            stage = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *args, stage=stage: (
+                writes.append(args), stage(*args))[1])
+        with pytest.raises(PhysicsError, match=match):
+            transfer_function_estimate(params10(), omegas, T_read, path=path)
+        assert march_calls == [] and writes == []
+
     def test_empty_probe_list(self):
         assert transfer_function_estimate(params10(), []).size == 0
 
@@ -605,7 +655,8 @@ class TestPdeTransfer:
         # check comes before the write march or any grid-sized array
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionError, match="n_z <= 4096"):
+            with pytest.raises(DimensionError,
+                               match=r"n_z <= 4096 \(one n_z x n_z matrix of 8 n_z\^2 bytes\)"):
                 transfer_function_estimate(self.params(4.0), self.OMEGAS, path="pde", n_z=4097)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -695,6 +746,25 @@ class TestOperatorRead:
         P = dynamics._read_operator(h, d, 300)[1]
         assert np.array_equal(P[2:, 2:], P[1:-1, 1:-1])
         assert not P[0, 1:].any()
+
+    @pytest.mark.parametrize("d, n_z", [(4.0, 300), (30.0, 300), (4.0, 1200)])
+    def test_rows_match_laguerre_closed_form(self, d, n_z):
+        # columns j >= 1 of r M^i are nc e^{-tau + t} (L_K(x) + L_{K-1}(x)),
+        # tau = i h, K = n_z - 1 - j, x = d tau / (n_z - 1), t = -x / 2 and
+        # L_{-1} = 0: the Laguerre generating function of the prefix sum's
+        # Toeplitz part (Abramowitz & Stegun ch. 22).  Measured within 1.7e-14
+        # of each row's max
+        h = self.H
+        R = dynamics._read_operator(h, d, n_z)[0]
+        nc = -(0.5 * np.sqrt(d) / (n_z - 1))
+        tau = h * np.arange(dynamics._READ_BLOCK)[:, None]
+        x = d * tau / (n_z - 1)
+        K = n_z - 1 - np.arange(1, n_z)
+        lag = scipy.special.eval_laguerre(K, x)  # column j + 1 holds L_{K-1} of column j
+        lag[:, :-1] += lag[:, 1:]
+        want = nc * np.exp(-tau - 0.5 * x) * lag
+        err = np.abs(R[:, 1:] - want).max(axis=1)
+        assert (err <= 1e-12 * np.abs(R).max(axis=1)).all()
 
     def test_operator_holds_one_matrix(self):
         # the powers are carried as two n_z vectors, and the one dense power
