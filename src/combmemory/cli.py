@@ -35,14 +35,15 @@ from .dynamics import (
     transfer_function_estimate,
     write_analytic,
 )
-from .errors import CombMemoryError, ConfigError, PhysicsError, ResolutionError
+from .errors import CombMemoryError, ConfigError, DimensionError, PhysicsError, ResolutionError
 from .gaussian import (
     CovarianceMatrix,
     SqueezingSpectrum,
     squeezed_vacuum,
     supermode_extraction,
+    zeta_to_db,
 )
-from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieval_table, zeta_to_db
+from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieval_table
 from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
 from .modes import MAX_MODE_COUNT, ModeBasis, unitary_mix
 from .presets import get_preset
@@ -111,8 +112,7 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
     of more modes than teeth exits 2 before any covariance is built."""
     if cfg.state_source == "spectrum":
         _fit_teeth(len(cfg.spectrum_db), teeth)
-        zetas = tuple(10.0 ** (db / 10.0) for db in cfg.spectrum_db)
-        return squeezed_vacuum(SqueezingSpectrum(zetas), angles=cfg.angles)
+        return squeezed_vacuum(SqueezingSpectrum.from_db(cfg.spectrum_db), angles=cfg.angles)
     if cfg.state_source == "file":
         with open(cfg.state_file) as fh:
             try:
@@ -125,7 +125,10 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
                               f"at most {MAX_MODE_COUNT} modes are supported")
         if isinstance(rows, list) and len(rows) % 2 == 0:  # odd sizes fail in from_json
             _fit_teeth(len(rows) // 2, teeth)
-        return CovarianceMatrix.from_json(obj)
+        try:
+            return CovarianceMatrix.from_json(obj)
+        except DimensionError as exc:
+            raise ConfigError(str(exc)) from exc  # malformed: exit 2; unphysical: exit 3
     C = get_preset(cfg.preset)
     _fit_teeth(C.mode_count, teeth)
     return C
@@ -135,9 +138,8 @@ def _state_zetas_db(cfg: ExperimentConfig):
     """Per-supermode input squeezing in dB, extracting when not given directly."""
     if cfg.state_source == "spectrum":
         return list(cfg.spectrum_db)
-    C = _input_state(cfg)
-    _, spectrum, _ = supermode_extraction(C)
-    return [zeta_to_db(z) for z in spectrum.values]
+    _, spectrum, _ = supermode_extraction(_input_state(cfg))
+    return spectrum.db.tolist()
 
 
 def _random_unitary(M: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,8 +183,7 @@ def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
 def cmd_metrics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     """per-supermode retrieval table (squeezing, purity, fidelity)"""
-    zetas_db = _state_zetas_db(cfg)
-    reports = retrieval_table(zetas_db, cfg.memory.d)
+    reports = retrieval_table(_state_zetas_db(cfg), cfg.memory.d)
     F, vec = overall_fidelity(reports)
     header = ["mode_index", "zeta_in_dB", "zeta_out_dB", "purity", "fidelity"]
     columns = [[getattr(r, name) for r in reports]
@@ -219,7 +220,7 @@ def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         C_out = apply_cascade(C_in, supermodes, supermodes, k2)
 
     lam_in = np.linalg.eigvalsh(C_in.entries)[:M]
-    lam_out = 1.0 - k2 * (1.0 - lam_in)  # channel maps quadrature spectra affinely
+    lam_out = _pure_retrieval(lam_in, k2)[0]  # channel maps quadrature spectra affinely
     summary = {
         "modes": M,
         "k2": k2,
@@ -292,14 +293,9 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
             all_ok &= record(f"gain_ratio_at_{w:.6g}", r_err, RATIO_TOL,
                              r_err <= RATIO_TOL)
 
-    gain_rows = [
-        {
-            "omega": float(w),
-            "measured": [float(g.real), float(g.imag)],
-            "expected": [float(expected_gain(p, w).real), float(expected_gain(p, w).imag)],
-        }
-        for w, g in zip(omegas, gains)
-    ]
+    gain_rows = [{"omega": float(w), "measured": [float(g.real), float(g.imag)],
+                  "expected": [float(e.real), float(e.imag)]}
+                 for w, g, e in zip(omegas, gains, (expected_gain(p, w) for w in omegas))]
 
     header = ["check", "value", "tolerance", "status"]
     derived = _derived_base(cfg)
@@ -328,15 +324,14 @@ def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     """efficiency / fidelity / purity curves over optical depth"""
     if not all(d > 0 for d in cfg.sweep_d):
         raise PhysicsError("optical depth must be positive")
-    zetas_db = _state_zetas_db(cfg)
-    zeta_in = _squeezed_zeta(zetas_db)
+    zeta_in = _squeezed_zeta(_state_zetas_db(cfg))
     etas = [efficiency(d) for d in cfg.sweep_d]
     zeta_out, purities, fidelities = _pure_retrieval(zeta_in, np.array(etas)[:, None])
 
     K, M = zeta_out.shape
     curve_header = ["d", "eta", "mode_index", "zeta_in_dB", "zeta_out_dB", "purity", "fidelity"]
     curves = [np.repeat(cfg.sweep_d, M), np.repeat(etas, M), np.tile(np.arange(M), K),
-              np.tile(10.0 * np.log10(zeta_in), K), (10.0 * np.log10(zeta_out)).ravel(),
+              np.tile(zeta_to_db(zeta_in), K), zeta_to_db(zeta_out).ravel(),
               purities.ravel(), fidelities.ravel()]
     overall_header = ["d", "eta", "overall_fidelity"]
     overall = [cfg.sweep_d, etas, np.prod(fidelities, axis=1)]
@@ -351,7 +346,7 @@ def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
             "overall": Records(overall_header, overall),
         })],
     )
-    print(f"sweep: {len(cfg.sweep_d)} depths x {len(zetas_db)} modes")
+    print(f"sweep: {len(cfg.sweep_d)} depths x {M} modes")
     return 0
 
 

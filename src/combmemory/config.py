@@ -24,6 +24,7 @@ from .channel import MAX_KERNEL_POINTS, MemoryParams, PhysicalParams, derive_gam
 from .errors import CombMemoryError, ConfigError
 from .dynamics import MAX_GRID_CELLS
 from .modes import DEFAULT_TOOTH_COUNT, MAX_MODE_COUNT, MAX_TOOTH_COUNT
+from .presets import _check_name as _check_preset
 
 __all__ = ["ExperimentConfig", "parse_quantity", "load_config"]
 
@@ -202,6 +203,7 @@ def load_config(path: str) -> ExperimentConfig:
         sources.append("file")
     if cp.has_option("state", "preset"):
         preset = get("state", "preset")
+        _check_preset(preset)
         sources.append("preset")
     if len(sources) != 1:
         raise ConfigError(

@@ -784,7 +784,7 @@ def transfer_function_estimate(
     per power and one n_z x n_z float64 matrix: at d = 4 and the default
     n_z = 300 the operator takes about 1.7 ms (2-vCPU x86-64).
     ``path="pde"`` with n_z above 4096 (128 MiB per matrix) raises
-    DimensionError before any march.
+    DimensionError before any grid is built.
 
     Both paths check the read clock's Fourier sum: a Richardson estimate
     above 1e-4 raises ResolutionError with an n_read to try (the default

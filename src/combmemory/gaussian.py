@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, PhysicsError
+from .errors import DimensionError, PhysicsError
 from .modes import ModeBasis, _check_unitary
 
 __all__ = [
@@ -54,9 +54,28 @@ SQUEEZED_EIG_TOL = 1e-10  # eigenvalues below 1 - this count as squeezed
 PURITY_TOL = 1e-6        # supermode extraction needs purity >= 1 - this
 
 
+def db_to_zeta(db: float) -> float:
+    """Quadrature variance of one level in dB (negative dB = squeezing), by the scalar power."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise PhysicsError(f"a level of {float(db):g} dB overflows a float variance") from None
+
+
+def zeta_to_db(zeta):
+    """10*log10 of a positive variance, or of an array of them; NaN raises too."""
+    z = np.asarray(zeta, dtype=float)
+    if not np.all(z > 0):
+        raise PhysicsError("variance must be positive")
+    return 10.0 * np.log10(z) if z.ndim else float(10.0 * np.log10(z))
+
+
 @dataclass(frozen=True, eq=False)
 class SqueezingSpectrum:
-    """Squeezed-quadrature variances relative to vacuum (zeta < 1 = squeezed)."""
+    """Squeezed-quadrature variances relative to vacuum (zeta < 1 = squeezed).
+
+    ``from_db`` converts level by level with ``db_to_zeta`` (numpy's vectorized
+    power rounds some levels differently); ``db`` converts by ``zeta_to_db``."""
 
     values: np.ndarray
 
@@ -73,11 +92,11 @@ class SqueezingSpectrum:
     @property
     def db(self) -> np.ndarray:
         """10*log10(zeta); negative values denote squeezing below shot noise."""
-        return 10.0 * np.log10(self.values)
+        return zeta_to_db(self.values)
 
     @classmethod
     def from_db(cls, db_values) -> "SqueezingSpectrum":
-        return cls(10.0 ** (np.atleast_1d(np.asarray(db_values, float)) / 10.0))
+        return cls([db_to_zeta(db) for db in np.ravel(db_values)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +140,16 @@ class CovarianceMatrix:
             C = np.asarray(obj["rows"], dtype=float)
             declared = int(obj["mode_count"]) if "mode_count" in obj else None
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
+            raise DimensionError(
                 "covariance JSON needs 'rows' as a numeric matrix and an integer "
                 f"'mode_count' if given ({type(exc).__name__}: {exc})"
             ) from exc
         try:
             got = cls(C)
-        except DimensionError as exc:  # a file's shape is configuration, not physics
-            raise ConfigError(f"covariance JSON 'rows': {exc}") from None
+        except DimensionError as exc:
+            raise DimensionError(f"covariance JSON 'rows': {exc}") from None
         if declared is not None and declared != got.mode_count:
-            raise ConfigError("covariance JSON 'mode_count' inconsistent with matrix size")
+            raise DimensionError("covariance JSON 'mode_count' inconsistent with matrix size")
         return got
 
 
@@ -200,31 +219,24 @@ def vacuum(M: int) -> CovarianceMatrix:
     return CovarianceMatrix(np.eye(2 * int(M)))
 
 
-def _rot2(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def squeezed_vacuum(spectrum, angles=None) -> CovarianceMatrix:
     """Product of single-mode squeezed vacua.
 
     Block m is rotation(theta_m) . diag(1/zeta_m, zeta_m) . rotation(theta_m)^T:
     squeezed-quadrature variance zeta_m at angle theta_m, pure per mode.
     """
-    if isinstance(spectrum, SqueezingSpectrum):
-        zetas = spectrum.values
-    else:
-        zetas = np.atleast_1d(np.asarray(spectrum, dtype=float))
-    if zetas.size == 0 or zetas.min() <= 0.0:
+    if not isinstance(spectrum, SqueezingSpectrum):
+        spectrum = SqueezingSpectrum(spectrum)  # which checks the variances
+    zetas = spectrum.values
+    if zetas.size == 0:
         raise PhysicsError("squeezing values must be positive variances")
-    if angles is None:
-        angles = np.zeros(zetas.size)
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    angles = np.zeros(zetas.size) if angles is None else np.atleast_1d(np.asarray(angles, float))
     if angles.size != zetas.size:
         raise DimensionError("angles and spectrum must have equal length")
     C = np.zeros((2 * zetas.size, 2 * zetas.size))
     for m, (z, th) in enumerate(zip(zetas, angles)):
-        R = _rot2(th)
+        c, s = np.cos(th), np.sin(th)
+        R = np.array([[c, -s], [s, c]])
         C[2 * m:2 * m + 2, 2 * m:2 * m + 2] = R @ np.diag([1.0 / z, z]) @ R.T
     return CovarianceMatrix(C)
 

@@ -13,10 +13,14 @@ fidelity.  The closed forms are written once, in ``_pure_retrieval``, which
 broadcasts over arrays of zeta_in and eta.  Two entry points lead into it:
 ``retrieval_table`` takes squeezing levels in dB and ``report_from_block``
 takes one pure single-mode covariance block; the CLI's depth sweep calls it
-on arrays.  The closed forms hold for pure inputs only, so an impure block
-is rejected; the general Gaussian-state oracles (covariance_map +
-gaussian_fidelity / purity) cover mixed inputs, and the tests cross-check
-the closed forms against them.
+on arrays, and ``channel`` maps its spectrum through it.  The closed forms
+hold for pure inputs only, so an impure block is rejected; the general
+Gaussian-state oracles (covariance_map + gaussian_fidelity / purity) cover
+mixed inputs, and the tests cross-check the closed forms against them.
+
+dB levels become variances by ``gaussian.db_to_zeta``, one level at a time
+(numpy's vectorized power rounds some levels differently), and variances
+become dB by ``gaussian.zeta_to_db``; this module re-exports both.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .channel import efficiency
 from .errors import DimensionError, PhysicsError
-from .gaussian import CovarianceMatrix
+from .gaussian import CovarianceMatrix, db_to_zeta, zeta_to_db
 
 __all__ = [
     "SupermodeReport",
@@ -39,17 +43,6 @@ __all__ = [
 ]
 
 PURE_DET_TOL = 1e-9  # |det C - 1| above this means the closed forms don't apply
-
-
-def db_to_zeta(db: float) -> float:
-    """Quadrature variance from its dB value (negative dB = squeezing)."""
-    return float(10.0 ** (np.asarray(db, dtype=float) / 10.0))
-
-
-def zeta_to_db(zeta: float) -> float:
-    if not zeta > 0:
-        raise PhysicsError("variance must be positive")
-    return float(10.0 * np.log10(zeta))
 
 
 @dataclass(frozen=True)
@@ -80,11 +73,7 @@ class SupermodeReport:
 
 
 def _squeezed_zeta(zeta_in_db) -> np.ndarray:
-    """Squeezed-quadrature variances 10^(-|dB|/10) for levels in dB.
-
-    Converted one level at a time: numpy's vectorized power rounds some
-    results differently from its scalar power, which would change the tables.
-    """
+    """Squeezed-quadrature variances 10^(-|dB|/10) for levels in dB, one at a time."""
     return np.array([db_to_zeta(-abs(float(db))) for db in zeta_in_db], dtype=float)
 
 

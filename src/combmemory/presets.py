@@ -19,12 +19,13 @@ from .gaussian import (
     SqueezingSpectrum,
     apply_mode_unitary,
     blocked_indices,
+    db_to_zeta,
     squeezed_vacuum,
 )
 
 __all__ = ["epr", "cluster_linear4", "get_preset", "PRESET_NAMES"]
 
-_DB6 = 10.0 ** (-0.6)  # -6 dB quadrature variance
+_DB6 = db_to_zeta(-6.0)  # -6 dB quadrature variance
 
 
 def epr() -> CovarianceMatrix:
@@ -50,11 +51,11 @@ _PRESETS = {"epr": epr, "cluster-linear-4": cluster_linear4}
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
+def _check_name(name: str) -> None:
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+
+
 def get_preset(name: str) -> CovarianceMatrix:
-    try:
-        build = _PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        ) from None
-    return build()
+    _check_name(name)
+    return _PRESETS[name]()

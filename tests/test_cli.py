@@ -380,6 +380,48 @@ class TestStateFile:
         assert len(csv_rows(out / "metrics_table.csv")) == M
 
 
+class TestStateFileErrorLine:
+    """A malformed state file exits 2 (configuration), an unphysical one 3 (physics)."""
+
+    def test_unphysical_file_is_physics_error(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"mode_count": 1, "rows": [[0.5, 0.0], [0.0, 0.5]]}))
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        for command in ("metrics", "channel"):
+            rc, _ = run(tmp_path, command, text)
+            assert rc == 3
+            assert "physics error: unphysical covariance" in capsys.readouterr().err
+
+    def test_malformed_file_keeps_its_message(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"mode_count": 2, "rows": [[1, 0], [0, 1]]}))
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        rc, _ = run(tmp_path, "channel", text)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: covariance JSON 'mode_count' inconsistent with matrix size\n")
+
+
+class TestUnknownPreset:
+    @pytest.mark.parametrize("command", ["kernel", "dynamics", "metrics", "channel", "sweep"])
+    def test_exits_2_at_load(self, tmp_path, capsys, command):
+        # checked when the config loads, as an unknown pump basis or format is,
+        # so commands that never build the state reject it too
+        text = BASE.replace("squeezing_db = -6, -3, -1", "preset = nope")
+        rc, _ = run(tmp_path, command, text)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown preset 'nope'; available: cluster-linear-4, epr\n")
+
+
+class TestOverflowingLevel:
+    def test_channel_exits_3(self, tmp_path, capsys):
+        # 10^(4000/10) overflows a float: a physics error, not a traceback
+        rc, _ = run(tmp_path, "channel", BASE.replace("-6, -3, -1", "4000, -3"))
+        assert rc == 3
+        assert "4000 dB overflows a float variance" in capsys.readouterr().err
+
+
 class TestJsonOutputs:
     """Every JSON file the commands write is the stdlib's own encoding of its content."""
 

@@ -114,6 +114,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="exactly one state source"):
             load_config(write_config(tmp_path, text))
 
+    def test_unknown_preset_rejected_at_load(self, tmp_path):
+        text = BASE.replace("squeezing_db = -6, -3", "preset = nope")
+        with pytest.raises(ConfigError, match="unknown preset 'nope'; available: "):
+            load_config(write_config(tmp_path, text))
+
     def test_state_source_required(self, tmp_path):
         text = BASE.replace("squeezing_db = -6, -3\n", "")
         with pytest.raises(ConfigError, match="exactly one state source"):

@@ -64,6 +64,24 @@ class TestCovarianceMatrix:
         again = CovarianceMatrix.from_json(C.to_json())
         assert np.abs(again.entries - C.entries).max() < 1e-15
 
+    @pytest.mark.parametrize("obj", [
+        {"mode_count": 1},
+        {"rows": [["a", 0], [0, 1]]},
+        {"rows": [[1, 0], [0]]},
+        {"mode_count": "one", "rows": [[1, 0], [0, 1]]},
+        {"rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        {"mode_count": 2, "rows": [[1, 0], [0, 1]]},
+    ], ids=["no-rows", "non-numeric", "ragged", "mode-count", "odd-size",
+            "mode-count-mismatch"])
+    def test_malformed_json_is_dimension_error(self, obj):
+        # the CLI, which reads the file, decides that a malformed one exits 2
+        with pytest.raises(DimensionError, match="covariance JSON"):
+            CovarianceMatrix.from_json(obj)
+
+    def test_unphysical_json_is_physics_error(self):
+        with pytest.raises(PhysicsError, match="unphysical"):
+            CovarianceMatrix.from_json({"rows": [[0.5, 0.0], [0.0, 0.5]]})
+
 
 class TestSymplectic:
     def test_form_squares_to_minus_identity(self):

@@ -21,7 +21,7 @@ from combmemory import (
     supermode_extraction,
     zeta_to_db,
 )
-from combmemory.metrics import _pure_retrieval
+from combmemory.metrics import _pure_retrieval, _squeezed_zeta
 from combmemory.presets import cluster_linear4, epr
 from support import random_pure_state
 
@@ -46,6 +46,27 @@ class TestDecibelConversions:
         for zeta in (0.0, -1.0, float("nan"), np.float64("nan")):
             with pytest.raises(PhysicsError, match="positive"):
                 zeta_to_db(zeta)
+
+    def test_one_rule_bit_for_bit(self):
+        # every dB -> variance conversion is the scalar power, level by level
+        # (numpy's vectorized power rounds some levels differently in the last
+        # bit), and every variance -> dB conversion is one np.log10
+        levels = np.random.default_rng(28).uniform(-12.0, 12.0, 10_000)
+        scalar = np.array([10.0 ** (x / 10.0) for x in levels])  # the channel state's rule
+        assert np.array_equal(SqueezingSpectrum.from_db(levels).values, scalar)
+        assert np.array_equal([db_to_zeta(x) for x in levels], scalar)
+        assert np.array_equal(_squeezed_zeta(levels),
+                              SqueezingSpectrum.from_db(-np.abs(levels)).values)
+        back = zeta_to_db(scalar)
+        assert isinstance(back, np.ndarray) and isinstance(zeta_to_db(scalar[0]), float)
+        assert np.array_equal(back, [zeta_to_db(float(z)) for z in scalar])
+        assert np.array_equal(SqueezingSpectrum(scalar).db, back)
+
+    def test_overflowing_level_is_physics_error(self):
+        with pytest.raises(PhysicsError, match="4000 dB overflows"):
+            db_to_zeta(4000.0)
+        with pytest.raises(PhysicsError, match="positive"):
+            zeta_to_db([0.5, np.nan])
 
 
 class TestClosedForms:
