@@ -81,7 +81,7 @@ class SqueezingSpectrum:
 
     def __post_init__(self):
         v = np.atleast_1d(np.array(self.values, dtype=float))
-        if not np.all(v > 0.0):  # NaN fails too
+        if not np.all((0.0 < v) & (v < np.inf)):  # NaN fails too
             raise PhysicsError("squeezing values must be positive variances")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

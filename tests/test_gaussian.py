@@ -127,7 +127,8 @@ class TestSqueezedVacuum:
         with pytest.raises(DimensionError):
             squeezed_vacuum(SqueezingSpectrum((0.5, 0.5)), angles=(0.1,))
 
-    @pytest.mark.parametrize("values", [(0.5, 0.0), (-0.5,), (0.5, np.nan)])
+    @pytest.mark.parametrize("values", [(0.5, 0.0), (-0.5,), (0.5, np.nan), (np.inf,)],
+                             ids=["zero", "negative", "nan", "inf"])
     def test_spectrum_holds_positive_variances(self, values):
         # one check, in SqueezingSpectrum, serves squeezed_vacuum's plain input too
         for build in (SqueezingSpectrum, squeezed_vacuum):
