@@ -13,6 +13,7 @@ from support import grid_budget, grid_write
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
 EPR = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "channel_epr.ini")
+SHIPPED_DYNAMICS = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "dynamics.ini")
 
 BASE = """\
 [memory]
@@ -298,6 +299,20 @@ class TestDynamicsCommand:
         report = json.loads((out / "dynamics_report.json").read_text())
         assert rc == 0 and report["all_pass"] is True
 
+    def test_tolerance_failure_exits_4(self, tmp_path, capsys):
+        # the shipped working point at n_z = 10 fails two checks: the PDE
+        # profile is 9.6e-3 off (tol 1e-3) and the energy budget 1.0e-2 (tol 1e-4)
+        with open(SHIPPED_DYNAMICS) as fh:
+            text = fh.read().replace("n_z = 2000", "n_z = 10")
+        rc, out = run(tmp_path, "dynamics", text)
+        assert rc == 4
+        report = json.loads((out / "dynamics_report.json").read_text())
+        assert report["all_pass"] is False
+        failed = {c["check"] for c in report["checks"] if c["status"] == "FAIL"}
+        assert failed == {"pde_vs_analytic_l2", "energy_budget_residual"}
+        assert (out / "dynamics_report.csv").exists()
+        assert "dynamics: tolerance failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, codes", [
         ("n_z", 3, (2,)),
         ("n_t", 5, (2,)),
@@ -412,6 +427,31 @@ class TestUnknownPreset:
         assert rc == 2
         assert capsys.readouterr().err == (
             "config error: unknown preset 'nope'; available: cluster-linear-4, epr\n")
+
+
+class TestConfigErrorExits:
+    """Each config fault exits 2, and its message names the key or section at fault."""
+
+    @pytest.mark.parametrize("command, text, name", [
+        ("metrics", BASE.replace("-6, -3, -1", ","), "squeezing_db"),
+        ("dynamics", DYNAMICS.replace("probe_omegas = 0", "probe_omegas = ,"), "probe_omegas"),
+        ("sweep", BASE + "\n[sweep]\nd_values =\n", "d_values"),
+        ("kernel", BASE + "\n[memory]\nd = 5\n", "memory"),
+        ("kernel", BASE.replace("T = 1 ms", "T = 1 ms\nd = 5"), "'d'"),
+        ("kernel", BASE[BASE.index("[state]"):], "[memory]"),
+    ], ids=["empty-squeezing_db", "empty-probe_omegas", "empty-d_values",
+            "duplicate-section", "duplicate-key", "no-memory-section"])
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, command, text, name):
+        rc, out = run(tmp_path, command, text)
+        err = capsys.readouterr().err
+        assert rc == 2 and name in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_missing_state_file(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.json"
+        rc, _ = run(tmp_path, "metrics", BASE.replace("squeezing_db = -6, -3, -1", f"file = {missing}"))
+        assert rc == 2
+        assert f"state file not found: {missing}" in capsys.readouterr().err
 
 
 class TestOverflowingLevel:

@@ -753,9 +753,14 @@ class TestOperatorRead:
         # tau = i h, K = n_z - 1 - j, x = d tau / (n_z - 1), t = -x / 2 and
         # L_{-1} = 0: the Laguerre generating function of the prefix sum's
         # Toeplitz part (Abramowitz & Stegun ch. 22).  Measured within 1.7e-14
-        # of each row's max
+        # of each row's max.  Column 0, the rank-one part, follows from them:
+        # e^{-tau} (r_0 - r[1:] . u) + sum_{j >= 1} u_{j-1} R[j] with
+        # u = [1, -1, 1, ...].  Its alternating sum of n_z - 1 terms loses
+        # about n_z rounding errors: measured 6.7e-14 (d = 4) and 7.3e-14
+        # (d = 30) at n_z = 300, and 4.9e-13 at 1200, so it is held to n_z * 1e-15
         h = self.H
         R = dynamics._read_operator(h, d, n_z)[0]
+        r = dark_read_generator(d, n_z)[1]
         nc = -(0.5 * np.sqrt(d) / (n_z - 1))
         tau = h * np.arange(dynamics._READ_BLOCK)[:, None]
         x = d * tau / (n_z - 1)
@@ -763,8 +768,11 @@ class TestOperatorRead:
         lag = scipy.special.eval_laguerre(K, x)  # column j + 1 holds L_{K-1} of column j
         lag[:, :-1] += lag[:, 1:]
         want = nc * np.exp(-tau - 0.5 * x) * lag
-        err = np.abs(R[:, 1:] - want).max(axis=1)
-        assert (err <= 1e-12 * np.abs(R).max(axis=1)).all()
+        row_max = np.abs(R).max(axis=1)
+        assert (np.abs(R[:, 1:] - want).max(axis=1) <= 1e-12 * row_max).all()
+        u = (-1.0) ** np.arange(n_z - 1)
+        want_0 = np.exp(-tau[:, 0]) * (r[0] - r[1:] @ u) + want @ u
+        assert (np.abs(R[:, 0] - want_0) <= n_z * 1e-15 * row_max).all()
 
     def test_operator_holds_one_matrix(self):
         # the powers are carried as two n_z vectors, and the one dense power

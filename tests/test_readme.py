@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+from combmemory.config import load_config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -35,3 +37,15 @@ def test_examples_run_and_their_claims_hold(capsys):
     k0 = 1.0 - np.exp(-p.d)
     assert abs(abs(gains[0]) - k0) <= 5e-3 * k0
     assert np.abs(pde_gains - gains).max() <= 1e-4
+
+
+def test_config_example_loads(tmp_path):
+    # the one INI block is a working config, and its values are the ones read
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    cfg = load_config(str(path))
+    assert (cfg.n_z, cfg.t_read, cfg.teeth) == (2000, 5e-3, 128)
+    assert cfg.spectrum_db == (-6.0, -3.0, -1.0)
+    assert cfg.sweep_d == (1.0, 2.0, 4.0, 8.0, 14.0, 20.0)
