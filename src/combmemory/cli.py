@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .channel import apply_cascade, efficiency, frequency_response, kernel, pulse_capacity
-from .config import ExperimentConfig, load_config
+from .config import _FORMATS, _TABLE, ExperimentConfig, _value, load_config
 from .dynamics import (
     energy_budget,
     expected_gain,
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--format", choices=["csv", "json", "both"], default=None)
+        sp.add_argument("--format", choices=list(_FORMATS), default=None)
     return parser
 
 
@@ -381,13 +381,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.format is None:
-            args.formats = cfg.formats
-        else:
-            args.formats = ("csv", "json") if args.format == "both" else (args.format,)
-        seed = cfg.seed if args.seed is None else args.seed
-        if seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {seed}")
+        args.formats = cfg.formats if args.format is None else _FORMATS[args.format]
+        seed = cfg.seed if args.seed is None else _value("--seed", str(args.seed),
+                                                         _TABLE["output", "seed"])
         outdir = _resolve_outdir(cfg, args)
         return _COMMANDS[args.command](cfg, args, outdir, seed)
     except ConfigError as exc:

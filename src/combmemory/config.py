@@ -17,6 +17,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,18 +34,6 @@ _UNITS = {
     "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
     "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12,
     "rad/s": 1.0,
-}
-
-# Every section and key a config may name (keys as configparser folds them,
-# to lower case).  ``[output] workers`` is retired and accepted without effect.
-_KEYS = {
-    "memory": {"d", "t", "gamma_s", "gamma", "delta", "omega_p", "rep_rate", "alpha"},
-    "state": {"squeezing_db", "file", "preset", "angles", "teeth"},
-    "pumps": {"basis"},
-    "kernel": {"omega_max", "n_points"},
-    "dynamics": {"n_z", "n_t", "path", "probe_omegas", "t_read"},
-    "sweep": {"d_values"},
-    "output": {"dir", "format", "seed", "workers"},
 }
 
 # Largest `[state] file`, checked before it is read: 64 bytes for each entry of
@@ -80,28 +69,95 @@ def parse_quantity(text: str) -> float:
     return _finite(value * scale, text)
 
 
-def _float_list(text: str, what: str) -> tuple:
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"{what} list is empty")
+def _number(text: str) -> float:
     try:
-        return tuple(_finite(float(p), p) for p in items)
-    except ValueError as exc:  # ConfigError is a ValueError too
-        raise ConfigError(f"bad {what} list: {exc}") from None
-
-
-def _quantity_list(text: str, what: str) -> tuple:
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"{what} list is empty")
-    return tuple(parse_quantity(p) for p in items)
-
-
-def _int(value, what: str) -> int:
-    try:
-        return int(str(value))
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+        raise ConfigError(f"cannot parse number {text!r}") from None
+    return _finite(value, text)
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"must be an integer, got {text!r}") from None
+
+
+def _list(parse):
+    """Parser of a comma-separated list of at least one ``parse`` value."""
+    def parse_list(text: str) -> tuple:
+        items = [p.strip() for p in text.split(",") if p.strip()]
+        if not items:
+            raise ConfigError("list is empty")
+        return tuple(parse(p) for p in items)
+    return parse_list
+
+
+def _choice(*names, fold=str):
+    """Parser of one of ``names``, compared after ``fold``."""
+    def parse_choice(text: str) -> str:
+        if fold(text) not in names:
+            raise ConfigError(f"must be one of {', '.join(names)}; got {text!r}")
+        return fold(text)
+    return parse_choice
+
+
+# The files each output format writes, by the name a config or --format gives.
+_FORMATS = {"csv": ("csv",), "json": ("json",), "both": ("csv", "json")}
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str], object]
+    default: object = None          # None: unset unless the config gives it
+    bounds: tuple = (None, None)    # inclusive (low, high); None is open
+
+
+# Every section and key a config may name, in their documented spelling
+# (configparser compares keys in lower case), with each key's parser, default
+# and bounds.  ``[output] workers`` is retired: accepted, and never read.
+_TABLE = {
+    ("memory", "d"): _Key(_number),
+    ("memory", "T"): _Key(parse_quantity),
+    ("memory", "gamma_s"): _Key(parse_quantity),
+    ("memory", "gamma"): _Key(parse_quantity),
+    ("memory", "Delta"): _Key(parse_quantity),
+    ("memory", "Omega_p"): _Key(parse_quantity),
+    ("memory", "rep_rate"): _Key(parse_quantity),
+    ("memory", "alpha"): _Key(_number),
+    ("state", "squeezing_db"): _Key(_list(_number)),
+    ("state", "file"): _Key(str),
+    ("state", "preset"): _Key(str),
+    ("state", "angles"): _Key(_list(_number)),
+    ("state", "teeth"): _Key(_integer, DEFAULT_TOOTH_COUNT, (1, MAX_TOOTH_COUNT)),
+    ("pumps", "basis"): _Key(_choice("supermodes", "random-unitary"), "supermodes"),
+    ("kernel", "omega_max"): _Key(parse_quantity, None, (0, None)),  # unset: 0.1 gamma_s
+    ("kernel", "n_points"): _Key(_integer, 201, (2, MAX_KERNEL_POINTS)),
+    ("dynamics", "n_z"): _Key(_integer, 2000, (4, None)),
+    ("dynamics", "n_t"): _Key(_integer, 2000, (9, None)),  # the write quadrature's floor
+    ("dynamics", "path"): _Key(_choice("analytic", "pde"), "analytic"),
+    ("dynamics", "probe_omegas"): _Key(_list(parse_quantity)),  # unset: 0 and 0.1 gamma_s
+    ("dynamics", "t_read"): _Key(parse_quantity),  # positive; unset: 5 T
+    ("sweep", "d_values"): _Key(_list(_number), tuple(float(k) for k in range(1, 21))),
+    ("output", "dir"): _Key(str),
+    ("output", "format"): _Key(_choice(*_FORMATS, fold=str.lower), "both"),
+    ("output", "seed"): _Key(_integer, 0, (0, None)),  # numpy's generators take no negative seed
+    ("output", "workers"): _Key(str),
+}
+
+
+def _value(name: str, text: str, key: _Key):
+    """``text`` parsed as ``key`` and held to its bounds; each error starts with ``name``."""
+    try:
+        value = key.parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    low, high = key.bounds
+    if low is not None and value < low:
+        raise ConfigError(f"{name}: must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{name}: must be at most {high}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -140,71 +196,59 @@ def load_config(path: str) -> ExperimentConfig:
         cp.read_string(raw)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
+    sections = {section for section, _ in _TABLE}
+    keys = {(section, cp.optionxform(key)) for section, key in _TABLE}
     defaults = cp.defaults()  # [DEFAULT] keys, which every section would inherit
-    unknown = [f"[{name}]" for name in cp.sections() if name not in _KEYS]
+    unknown = [f"[{name}]" for name in cp.sections() if name not in sections]
     unknown += [f"[{cp.default_section}] {key}" for key in defaults]
-    unknown += [f"[{name}] {key}" for name in cp.sections() if name in _KEYS
-                for key in cp.options(name) if key not in _KEYS[name] and key not in defaults]
+    unknown += [f"[{name}] {key}" for name in cp.sections() if name in sections
+                for key in cp.options(name) if (name, key) not in keys and key not in defaults]
     if unknown:
         raise ConfigError(f"unknown config names: {', '.join(unknown)}")
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
+    def read(section, key):
+        """``[section] key`` by the table, or its default when the config omits it."""
+        if not cp.has_option(section, key):
+            return _TABLE[section, key].default
+        name = f"[{section}] {key}"
+        try:
+            text = cp.get(section, key)
+        except configparser.Error as exc:  # a bad %-interpolation
+            raise ConfigError(f"{name}: {exc}") from None
+        return _value(name, text, _TABLE[section, key])
 
     # --- memory -------------------------------------------------------------
     if not cp.has_section("memory"):
         raise ConfigError("missing [memory] section")
-    d_text = get("memory", "d")
-    T_text = get("memory", "T")
-    if d_text is None or T_text is None:
+    if not (cp.has_option("memory", "d") and cp.has_option("memory", "T")):
         raise ConfigError("[memory] needs both d and T")
-    gamma_s_text = get("memory", "gamma_s")
-    trio = [get("memory", k) for k in ("gamma", "Delta", "Omega_p")]
-    have_trio = all(v is not None for v in trio)
-    if gamma_s_text is not None and any(v is not None for v in trio):
-        raise ConfigError("[memory] gives both gamma_s and Raman parameters; choose one")
-    if gamma_s_text is not None:
-        gamma_s = parse_quantity(gamma_s_text)
-    elif have_trio:
-        phys = PhysicalParams(
-            gamma=parse_quantity(trio[0]),
-            Delta=parse_quantity(trio[1]),
-            Omega_p=parse_quantity(trio[2]),
-        )
-        gamma_s = derive_gamma_s(phys)
+    raman = [key for key in ("gamma", "Delta", "Omega_p") if cp.has_option("memory", key)]
+    if cp.has_option("memory", "gamma_s"):
+        if raman:
+            raise ConfigError("[memory] gives both gamma_s and Raman parameters; choose one")
+        gamma_s = read("memory", "gamma_s")
+    elif len(raman) == 3:
+        gamma_s = derive_gamma_s(PhysicalParams(**{key: read("memory", key) for key in raman}))
     else:
         raise ConfigError("[memory] needs gamma_s or all of gamma, Delta, Omega_p")
-    rep_text = get("memory", "rep_rate")
-    alpha_text = get("memory", "alpha")
+    given = {key: read("memory", key) for key in ("d", "T", "rep_rate", "alpha")}
     try:
-        memory = MemoryParams(
-            d=_finite(float(d_text), d_text),
-            gamma_s=gamma_s,
-            T=parse_quantity(T_text),
-            rep_rate=None if rep_text is None else parse_quantity(rep_text),
-            alpha=None if alpha_text is None else _finite(float(alpha_text), alpha_text),
-        )
-    except (CombMemoryError, ValueError) as exc:
+        memory = MemoryParams(gamma_s=gamma_s, **given)
+    except CombMemoryError as exc:
         raise ConfigError(f"invalid [memory] parameters: {exc}") from None
 
     # --- state --------------------------------------------------------------
-    spectrum_db = angles = state_file = preset = None
-    sources = []
-    if cp.has_option("state", "squeezing_db"):
-        spectrum_db = _float_list(get("state", "squeezing_db"), "squeezing_db")
-        if len(spectrum_db) > MAX_MODE_COUNT:
-            raise ConfigError(f"[state] squeezing_db lists {len(spectrum_db)} modes; "
-                              f"at most {MAX_MODE_COUNT} are supported")
-        sources.append("spectrum")
-    if cp.has_option("state", "file"):
-        state_file = get("state", "file")
-        sources.append("file")
-    if cp.has_option("state", "preset"):
-        preset = get("state", "preset")
+    spectrum_db = read("state", "squeezing_db")
+    if spectrum_db is not None and len(spectrum_db) > MAX_MODE_COUNT:
+        raise ConfigError(f"[state] squeezing_db lists {len(spectrum_db)} modes; "
+                          f"at most {MAX_MODE_COUNT} are supported")
+    state_file = read("state", "file")
+    preset = read("state", "preset")
+    if preset is not None:
         _check_preset(preset)
-        sources.append("preset")
+    sources = [source for source, value in
+               (("spectrum", spectrum_db), ("file", state_file), ("preset", preset))
+               if value is not None]
     if len(sources) != 1:
         raise ConfigError(
             f"exactly one state source required (squeezing_db, file, or preset); got {sources or 'none'}"
@@ -216,78 +260,27 @@ def load_config(path: str) -> ExperimentConfig:
         if size > MAX_STATE_FILE_BYTES:
             raise ConfigError(f"[state] file {state_file} is {size} bytes; a state of at most "
                               f"{MAX_MODE_COUNT} modes takes at most {MAX_STATE_FILE_BYTES}")
-    if cp.has_option("state", "angles"):
-        angles = _float_list(get("state", "angles"), "angles")
+    angles = read("state", "angles")
+    if angles is not None:
         if spectrum_db is None:
             raise ConfigError("angles only apply to an explicit squeezing spectrum")
         if len(angles) != len(spectrum_db):
             raise ConfigError("angles and squeezing_db must have the same length")
-    teeth = _int(get("state", "teeth", DEFAULT_TOOTH_COUNT), "teeth")
-    if teeth < 1:
-        raise ConfigError("teeth must be positive")
-    if teeth > MAX_TOOTH_COUNT:
-        raise ConfigError(f"[state] teeth must be at most {MAX_TOOTH_COUNT}, got {teeth}")
 
-    # --- pumps --------------------------------------------------------------
-    pump_basis = get("pumps", "basis", "supermodes")
-    if pump_basis not in ("supermodes", "random-unitary"):
-        raise ConfigError(f"unknown pump basis {pump_basis!r}")
-
-    # --- kernel -------------------------------------------------------------
-    omega_max_text = get("kernel", "omega_max")
-    omega_max = (
-        0.1 * memory.gamma_s if omega_max_text is None else parse_quantity(omega_max_text)
-    )
-    if omega_max < 0.0:
-        raise ConfigError(f"[kernel] omega_max must be >= 0, got {omega_max_text!r}")
-    n_points = _int(get("kernel", "n_points", 201), "n_points")
-    if n_points < 2:
-        raise ConfigError(f"[kernel] n_points must be at least 2, got {n_points}")
-    if n_points > MAX_KERNEL_POINTS:
-        raise ConfigError(f"[kernel] n_points must be at most {MAX_KERNEL_POINTS}, got {n_points}")
-
-    # --- dynamics -----------------------------------------------------------
-    n_z = _int(get("dynamics", "n_z", 2000), "n_z")
-    n_t = _int(get("dynamics", "n_t", 2000), "n_t")
-    if n_z < 4:
-        raise ConfigError(f"[dynamics] n_z must be at least 4, got {n_z}")
-    if n_t < 9:  # the write quadrature's floor on input samples
-        raise ConfigError(f"[dynamics] n_t must be at least 9, got {n_t}")
+    # --- kernel and dynamics: the defaults taken from gamma_s ----------------
+    omega_max = read("kernel", "omega_max")
+    if omega_max is None:
+        omega_max = 0.1 * memory.gamma_s
+    n_z, n_t = read("dynamics", "n_z"), read("dynamics", "n_t")
     if n_z * n_t > MAX_GRID_CELLS:  # march work, not memory; per-cell cost in dynamics
         raise ConfigError(f"[dynamics] n_z * n_t must be at most {MAX_GRID_CELLS}, "
                           f"got {n_z} * {n_t} = {n_z * n_t}")
-    dynamics_path = get("dynamics", "path", "analytic")
-    if dynamics_path not in ("analytic", "pde"):
-        raise ConfigError(f"unknown dynamics path {dynamics_path!r}")
-    probe_text = get("dynamics", "probe_omegas")
-    probe_omegas = (
-        (0.0, 0.1 * memory.gamma_s)
-        if probe_text is None
-        else _quantity_list(probe_text, "probe_omegas")
-    )
-    t_read_text = get("dynamics", "t_read")
-    t_read = None if t_read_text is None else parse_quantity(t_read_text)
+    probe_omegas = read("dynamics", "probe_omegas")
+    if probe_omegas is None:
+        probe_omegas = (0.0, 0.1 * memory.gamma_s)
+    t_read = read("dynamics", "t_read")
     if t_read is not None and t_read <= 0.0:
-        raise ConfigError(f"[dynamics] t_read must be positive, got {t_read_text!r}")
-
-    # --- sweep --------------------------------------------------------------
-    if cp.has_option("sweep", "d_values"):
-        sweep_d = _float_list(get("sweep", "d_values"), "d_values")
-    else:
-        sweep_d = tuple(float(k) for k in range(1, 21))
-
-    # --- output -------------------------------------------------------------
-    outdir = get("output", "dir")
-    fmt = get("output", "format", "both").lower()
-    if fmt == "both":
-        formats = ("csv", "json")
-    elif fmt in ("csv", "json"):
-        formats = (fmt,)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    seed = _int(get("output", "seed", 0), "seed")
-    if seed < 0:  # numpy's generators take only non-negative seeds
-        raise ConfigError(f"[output] seed must be non-negative, got {seed}")
+        raise ConfigError(f"[dynamics] t_read: must be positive, got {t_read}")
 
     return ExperimentConfig(
         memory=memory,
@@ -296,18 +289,18 @@ def load_config(path: str) -> ExperimentConfig:
         angles=angles,
         state_file=state_file,
         preset=preset,
-        teeth=teeth,
-        pump_basis=pump_basis,
+        teeth=read("state", "teeth"),
+        pump_basis=read("pumps", "basis"),
         omega_max=omega_max,
-        n_points=n_points,
+        n_points=read("kernel", "n_points"),
         n_z=n_z,
         n_t=n_t,
-        dynamics_path=dynamics_path,
+        dynamics_path=read("dynamics", "path"),
         probe_omegas=probe_omegas,
         t_read=t_read,
-        sweep_d=sweep_d,
-        outdir=outdir,
-        formats=formats,
-        seed=seed,
+        sweep_d=read("sweep", "d_values"),
+        outdir=read("output", "dir"),
+        formats=_FORMATS[read("output", "format")],
+        seed=read("output", "seed"),
         raw_text=raw,
     )

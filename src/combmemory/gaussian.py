@@ -229,7 +229,7 @@ def squeezed_vacuum(spectrum, angles=None) -> CovarianceMatrix:
         spectrum = SqueezingSpectrum(spectrum)  # which checks the variances
     zetas = spectrum.values
     if zetas.size == 0:
-        raise PhysicsError("squeezing values must be positive variances")
+        raise DimensionError("need at least one squeezing level")
     angles = np.zeros(zetas.size) if angles is None else np.atleast_1d(np.asarray(angles, float))
     if angles.size != zetas.size:
         raise DimensionError("angles and spectrum must have equal length")

@@ -5,7 +5,7 @@ import pytest
 
 from combmemory import ConfigError
 from combmemory.channel import MAX_KERNEL_POINTS
-from combmemory.config import MAX_STATE_FILE_BYTES, load_config, parse_quantity
+from combmemory.config import _TABLE, MAX_STATE_FILE_BYTES, load_config, parse_quantity
 from combmemory.dynamics import MAX_GRID_CELLS
 from combmemory.modes import MAX_MODE_COUNT
 
@@ -26,6 +26,17 @@ def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def config_with(section, key, value):
+    """A valid config of two squeezed modes with ``[section] key = value`` set."""
+    raman = key in ("gamma", "Delta", "Omega_p")
+    rate = ({"gamma": "2pi*20 MHz", "Delta": "2pi*9 THz", "Omega_p": "2pi*0.27 THz"} if raman
+            else {"gamma_s": "2pi*18 kHz"})
+    sections = {"memory": {"d": "4", "T": "1 ms", **rate}, "state": {"squeezing_db": "-6, -3"}}
+    sections.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for name, keys in sections.items())
 
 
 class TestParseQuantity:
@@ -155,10 +166,10 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, text))
 
     @pytest.mark.parametrize("teeth, message", [
-        ("0", "positive"),
-        ("65537", "teeth"),
-        ("1000000000000", "teeth"),
-    ])
+        ("0", r"\[state\] teeth: must be at least 1, got 0$"),
+        ("65537", r"\[state\] teeth: must be at most 65536, got 65537$"),
+        ("1000000000000", r"\[state\] teeth: must be at most 65536"),
+    ], ids=["0-positive", "65537-teeth", "1000000000000-teeth"])
     def test_teeth_bounds(self, tmp_path, teeth, message):
         # rejected at load, before anything is allocated for the teeth
         with pytest.raises(ConfigError, match=message):
@@ -166,14 +177,14 @@ class TestLoadConfig:
 
     def test_kernel_point_bound(self, tmp_path):
         kernel = "\n[kernel]\nn_points = {}\n"
-        with pytest.raises(ConfigError, match=r"\[kernel\] n_points must be at most"):
+        with pytest.raises(ConfigError, match=r"\[kernel\] n_points: must be at most"):
             load_config(write_config(tmp_path, BASE + kernel.format(MAX_KERNEL_POINTS + 1)))
         cfg = load_config(write_config(tmp_path, BASE + kernel.format(MAX_KERNEL_POINTS)))
         assert cfg.n_points == MAX_KERNEL_POINTS
 
     @pytest.mark.parametrize("seed", ["-1", "-5"])
     def test_negative_seed_rejected(self, tmp_path, seed):
-        with pytest.raises(ConfigError, match=r"\[output\] seed must be non-negative"):
+        with pytest.raises(ConfigError, match=r"\[output\] seed: must be at least 0, got -"):
             load_config(write_config(tmp_path, BASE + f"\n[output]\nseed = {seed}\n"))
 
     def test_largest_teeth_accepted(self, tmp_path):
@@ -223,17 +234,17 @@ class TestLoadConfig:
 
     def test_unknown_pump_basis(self, tmp_path):
         text = BASE + "\n[pumps]\nbasis = diagonal\n"
-        with pytest.raises(ConfigError, match="pump basis"):
+        with pytest.raises(ConfigError, match=r"\[pumps\] basis: must be one of supermodes, random-unitary; got 'diagonal'$"):
             load_config(write_config(tmp_path, text))
 
     def test_unknown_dynamics_path(self, tmp_path):
         text = BASE + "\n[dynamics]\npath = exact\n"
-        with pytest.raises(ConfigError, match="dynamics path"):
+        with pytest.raises(ConfigError, match=r"\[dynamics\] path: must be one of analytic, pde; got 'exact'$"):
             load_config(write_config(tmp_path, text))
 
     def test_unknown_format(self, tmp_path):
         text = BASE + "\n[output]\nformat = yaml\n"
-        with pytest.raises(ConfigError, match="output format"):
+        with pytest.raises(ConfigError, match=r"\[output\] format: must be one of csv, json, both; got 'yaml'$"):
             load_config(write_config(tmp_path, text))
 
     @pytest.mark.parametrize("extra, names", [
@@ -242,7 +253,9 @@ class TestLoadConfig:
         ("\n[kernal]\nomega_max = -5\n\n[kernel]\nn_pionts = 1\n", "[kernal], [kernel] n_pionts"),
         ("gamma_S = 1 kHz\nteeth = 4\n", "[state] gamma_s"),
         ("\n[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
-    ], ids=["misspelt-key", "misspelt-section", "both", "key-in-wrong-section", "default-section"])
+        ("teeth = many\nteeh = 3\n", "[state] teeh"),
+    ], ids=["misspelt-key", "misspelt-section", "both", "key-in-wrong-section", "default-section",
+            "before-any-value"])
     def test_unknown_names_rejected(self, tmp_path, extra, names):
         # a misspelt name used to run silently with the default it meant to replace
         with pytest.raises(ConfigError, match=f"unknown config names: {re.escape(names)}$"):
@@ -283,3 +296,47 @@ class TestLoadConfig:
     def test_raw_text_retained(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE))
         assert cfg.raw_text == BASE
+
+
+class TestKeyTable:
+    """Every key is read through one table: its parser, default and bounds."""
+
+    @pytest.mark.parametrize("section, key", [name for name, spec in _TABLE.items()
+                                              if spec.parse is not str])
+    def test_each_parse_error_names_its_key(self, tmp_path, section, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'[{section}] {key}: ')}"):
+            load_config(write_config(tmp_path, config_with(section, key, "nonsense")))
+
+    @pytest.mark.parametrize("section, key", [name for name, spec in _TABLE.items()
+                                              if spec.bounds != (None, None)])
+    def test_bounds_are_inclusive(self, tmp_path, section, key):
+        low, high = _TABLE[section, key].bounds
+        for value in (low, high):
+            if value is not None:
+                cfg = load_config(write_config(tmp_path, config_with(section, key, value)))
+                assert getattr(cfg, key) == value  # each bounded key names its field
+        for value, word in ((low, "least"), (high, "most")):
+            if value is not None:
+                outside = value - 1 if word == "least" else value + 1
+                text = config_with(section, key, outside)
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"[{section}] {key}: must be at {word} {value}, got {outside}")):
+                    load_config(write_config(tmp_path, text))
+
+    def test_choices(self, tmp_path):
+        # format folds case; basis and path are exact
+        assert load_config(write_config(tmp_path, config_with("output", "format", "CSV"))).formats \
+            == ("csv",)
+        assert load_config(write_config(tmp_path, config_with("output", "format", "Both"))).formats \
+            == ("csv", "json")
+        for section, key, value in (("pumps", "basis", "Supermodes"), ("dynamics", "path", "PDE")):
+            with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: must be one of")):
+                load_config(write_config(tmp_path, config_with(section, key, value)))
+
+    def test_bad_interpolation_is_config_error(self, tmp_path):
+        # configparser's %-interpolation error escaped as a traceback
+        text = BASE.replace("T = 1 ms", "T = 1 ms %")
+        with pytest.raises(ConfigError, match=re.escape("[memory] T: '%' must be followed by")):
+            load_config(write_config(tmp_path, text))
+        cfg = load_config(write_config(tmp_path, BASE.replace("T = 1 ms", "T = %(d)s ms")))
+        assert cfg.memory.T == 4e-3  # a well-formed interpolation still reads

@@ -136,6 +136,18 @@ class TestSqueezedVacuum:
                 build(values)
 
 
+    def test_empty_spectrum_is_dimension_error(self):
+        # a size fault, not a value fault; still a PhysicsError to its callers
+        for spectrum in ((), SqueezingSpectrum(())):
+            with pytest.raises(DimensionError, match="^need at least one squeezing level$"):
+                squeezed_vacuum(spectrum)
+
+    def test_empty_spectrum_is_legal(self):
+        # squeezing_spectrum returns it for an unsqueezed state
+        assert len(SqueezingSpectrum(())) == 0
+        assert len(squeezing_spectrum(vacuum(2))) == 0
+
+
 class TestPurityAndSpectrum:
     def test_pure_states_have_unit_purity(self):
         rng = np.random.default_rng(23)
