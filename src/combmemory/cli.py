@@ -47,7 +47,7 @@ from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieva
 from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
 from .modes import MAX_MODE_COUNT, ModeBasis, unitary_mix
 from .presets import get_preset
-from .tables import Records, write_csv, write_json
+from .tables import Records, SymmetricMatrix, write_csv, write_json
 
 OUTDIR_ENV = "COMBMEMORY_OUTDIR"
 
@@ -221,13 +221,14 @@ def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
     lam_in = np.linalg.eigvalsh(C_in.entries)[:M]
     lam_out = _pure_retrieval(lam_in, k2)[0]  # channel maps quadrature spectra affinely
+    c_in, c_out = SymmetricMatrix(C_in.entries), SymmetricMatrix(C_out.entries)
     summary = {
         "modes": M,
         "k2": k2,
         "pump_basis": cfg.pump_basis,
         "basis_independence_max_abs": basis_check,
-        "c_in": C_in.to_json(),
-        "c_out": C_out.to_json(),
+        "c_in": {"mode_count": M, "rows": c_in},
+        "c_out": {"mode_count": M, "rows": c_out},
         "zeta_in": lam_in.tolist(),
         "zeta_out": lam_out.tolist(),
     }
@@ -236,8 +237,8 @@ def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
     derived["basis_independence_max_abs"] = basis_check
     _write_outputs(
         "channel", cfg, args, outdir, seed, derived,
-        tables=[("channel_c_in.csv", matrix_header, C_in.entries.T),
-                ("channel_c_out.csv", matrix_header, C_out.entries.T),
+        tables=[("channel_c_in.csv", matrix_header, c_in),
+                ("channel_c_out.csv", matrix_header, c_out),
                 ("channel_spectra.csv", ["index", "zeta_in", "zeta_out"],
                  [np.arange(M), lam_in, lam_out])],
         documents=[("channel_summary.json", summary)],

@@ -10,6 +10,11 @@ JSON (``write_json``): exactly the bytes of
 C encoder when ``indent`` is set, so the bulk shapes -- record tables, float
 lists and float matrices -- are printed here with ``%`` templates and joins,
 and only the rest is left to the stdlib.
+
+A ``SymmetricMatrix`` is printed in both formats from its formatted upper
+triangle: each entry on or above the diagonal is formatted once and mirrored
+below it, so an n x n matrix costs n(n + 1)/2 strings and the bytes are those
+of the full matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +38,17 @@ def _columns(header, columns):
 
 
 def write_csv(path, header, columns):
-    """Write equal-length ``columns``, one per ``header`` name, to ``path``; return ``path``."""
+    """Write equal-length ``columns``, one per ``header`` name, to ``path``; return ``path``.
+
+    ``columns`` may be a ``SymmetricMatrix``, whose columns are its rows.
+    """
+    if isinstance(columns, SymmetricMatrix):
+        _columns(header, columns.entries)  # one header name per row, as per column
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for row in _mirrored_rows(columns, "%.15g"):
+                fh.write(",".join(row) + "\r\n")
+        return path
     cols, n = _columns(header, columns)
     row = ",".join("%.15g" if c.dtype.kind == "f" else "%s" for c in cols) + "\r\n"
     with open(path, "w", newline="") as fh:
@@ -59,6 +74,53 @@ class Records:
         if len(set(header)) != len(header) or not all(isinstance(h, str) for h in header):
             raise ValueError("record names must be distinct strings")
         self.header = list(header)
+
+
+class SymmetricMatrix:
+    """A square float64 matrix equal to its transpose bit for bit.
+
+    ``write_json`` prints it as its list of row lists and ``write_csv`` takes
+    it as its columns.  Construction raises ``ValueError`` unless the matrix
+    is square and each entry has the bits of its mirror (so ``0.0`` against
+    ``-0.0`` fails), which is what lets the writers format the upper triangle
+    alone.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        A = np.asarray(entries, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("a symmetric matrix must be square")
+        bits = A.view(np.int64)
+        if not np.array_equal(bits, bits.T):
+            raise ValueError("matrix is not equal to its transpose bit for bit")
+        self.entries = A
+
+
+def _mirrored_rows(matrix, conv, respell=None):
+    """Yield ``matrix``'s rows as lists of strings.
+
+    Each upper-triangle entry is formatted once, by the ``%`` conversion
+    ``conv`` (which prints no comma), and an index array mirrors it below the
+    diagonal.  When an entry is not finite, ``respell`` (if given) rewrites the
+    comma-joined triangle once.
+    """
+    A = matrix.entries
+    upper = np.triu_indices(len(A))
+    size = len(upper[0])
+    if not size:
+        return
+    text = ",".join([conv] * size) % tuple(A[upper].tolist())
+    if respell is not None and not np.isfinite(A).all():
+        text = respell(text)
+    strings = np.empty(size, dtype=object)
+    strings[:] = text.split(",")
+    del text  # the strings alone are kept: half the matrix, not all of it
+    where = np.empty(A.shape, dtype=np.intp)
+    where[upper] = where[upper[::-1]] = np.arange(size)
+    for row in where:
+        yield strings[row].tolist()
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -87,6 +149,10 @@ def _scalar(obj, nl):
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
+def _spell_non_finite(text):
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def _float_list(values, nl):
     """``values`` as a JSON array, or ``None`` unless every item is a ``float``.
 
@@ -101,7 +167,7 @@ def _float_list(values, nl):
     except TypeError:
         return None
     if "n" in body:
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        body = _spell_non_finite(body)
     return "[" + inner + body + nl + "]"
 
 
@@ -136,9 +202,23 @@ def _write_records(rec, nl, write):
     write(nl + "]")
 
 
+def _write_matrix(matrix, nl, write):
+    if not matrix.entries.size:
+        write("[]")
+        return
+    inner, field = nl + "  ", nl + "    "
+    sep = "[" + inner
+    for row in _mirrored_rows(matrix, "%r", _spell_non_finite):
+        write(sep + "[" + field + ("," + field).join(row) + inner + "]")
+        sep = "," + inner
+    write(nl + "]")
+
+
 def _write_value(obj, nl, write):
     if isinstance(obj, Records):
         _write_records(obj, nl, write)
+    elif isinstance(obj, SymmetricMatrix):
+        _write_matrix(obj, nl, write)
     elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         inner = nl + "  "
         sep = "{"
@@ -168,7 +248,8 @@ def write_json(path, obj):
     plus a final newline; return ``path``.
 
     ``obj`` may hold ``Records`` tables, which print as the lists of records
-    they stand for.
+    they stand for, and ``SymmetricMatrix`` values, which print as their lists
+    of rows.
     """
     with open(path, "w") as fh:
         _write_value(obj, "\n", fh.write)

@@ -134,6 +134,21 @@ def dense_read_operator(h, d, n_z):
     return R, P
 
 
+def laguerre_table(n, x):
+    """L_0(x) .. L_{n-1}(x) along a last axis, by the difference form of the
+    three-term recurrence that ``scipy.special.eval_laguerre`` runs for each
+    degree alone (the same float64 steps, so the same bits): O(n) per x, where
+    the per-degree calls cost O(n^2)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (n,))
+    p, step = np.ones_like(x), np.zeros_like(x)
+    for k in range(n):
+        out[..., k] = p
+        step = (-x / (k + 1)) * p + (k / (k + 1)) * step
+        p = p + step
+    return out
+
+
 def grid_budget(z, t, a, b, params, rows=64):
     """Reference for ``energy_budget`` from full histories: |b|^2 summed over t in row blocks."""
     wt = dynamics.simpson_weights(t.size, t[1] - t[0])

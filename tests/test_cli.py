@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from combmemory import StoredProfile, cli
+from combmemory import CovarianceMatrix, StoredProfile, cli
 from combmemory.channel import MAX_KERNEL_POINTS
 from combmemory.cli import main
-from support import grid_budget, grid_write
+from combmemory.tables import write_csv
+from support import grid_budget, grid_write, random_pure_state
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
 EPR = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "channel_epr.ini")
@@ -473,12 +474,20 @@ class TestJsonOutputs:
         ("channel", "demo.ini"),
         ("sweep", "demo.ini"),
         ("channel", "channel_epr.ini"),
+        ("channel", "haar-128"),
         ("dynamics", None),
     ])
     def test_stdlib_round_trip(self, tmp_path, command, config):
         if config is None:  # the PDE route of a small dynamics run
             small = DYNAMICS.replace("n_z = 600", "n_z = 300").replace("n_t = 600", "n_t = 400")
             config = write_config(tmp_path, small + "path = pde\n")
+        elif config == "haar-128":  # a seeded pure 128-mode state under a Haar mixer
+            state = tmp_path / "state.json"
+            C = random_pure_state(128, np.random.default_rng(128))
+            state.write_text(json.dumps(C.to_json()))
+            text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}").replace(
+                "teeth = 32", "teeth = 128").replace("seed = 0", "seed = 128\nformat = both")
+            config = write_config(tmp_path, text + "\n[pumps]\nbasis = random-unitary\n")
         else:
             config = os.path.join(self.CONFIGS, config)
         out = tmp_path / "out"
@@ -488,6 +497,14 @@ class TestJsonOutputs:
         for path in written:
             body = path.read_bytes()
             assert body == (json.dumps(json.loads(body), indent=2, sort_keys=True) + "\n").encode()
+        if command == "channel":  # the matrices, each printed from its upper triangle
+            summary = json.loads((out / "channel_summary.json").read_bytes())
+            for name in ("c_in", "c_out"):
+                rows = np.array(summary[name]["rows"])
+                assert summary[name] == CovarianceMatrix(rows).to_json()
+                header = [f"c{k}" for k in range(len(rows))]
+                want = write_csv(tmp_path / f"{name}.csv", header, rows.T)
+                assert (out / f"channel_{name}.csv").read_bytes() == want.read_bytes()
 
 
 class TestCliPlumbing:

@@ -32,7 +32,8 @@ from combmemory import (
     tukey_window,
     write_analytic,
 )
-from support import dense_read_operator, grid_budget, grid_write, reference_march, stepped_read
+from support import (dense_read_operator, grid_budget, grid_write, laguerre_table, reference_march,
+                     stepped_read)
 
 GAMMA_S = 2.0 * np.pi * 18e3
 T10 = 10.0 / GAMMA_S  # write window spanning ten decay times
@@ -752,27 +753,34 @@ class TestOperatorRead:
         # columns j >= 1 of r M^i are nc e^{-tau + t} (L_K(x) + L_{K-1}(x)),
         # tau = i h, K = n_z - 1 - j, x = d tau / (n_z - 1), t = -x / 2 and
         # L_{-1} = 0: the Laguerre generating function of the prefix sum's
-        # Toeplitz part (Abramowitz & Stegun ch. 22).  Measured within 1.7e-14
-        # of each row's max.  Column 0, the rank-one part, follows from them:
-        # e^{-tau} (r_0 - r[1:] . u) + sum_{j >= 1} u_{j-1} R[j] with
-        # u = [1, -1, 1, ...].  Its alternating sum of n_z - 1 terms loses
-        # about n_z rounding errors: measured 6.7e-14 (d = 4) and 7.3e-14
-        # (d = 30) at n_z = 300, and 4.9e-13 at 1200, so it is held to n_z * 1e-15
+        # Toeplitz part (Abramowitz & Stegun ch. 22).  Rows 0-127 are R's own;
+        # rows 128-255 are R P, the next block of the read through P = M^128.
+        # Measured off by at most 4.6e-15 / 8.8e-15 (R / R P; d = 4, n_z = 300),
+        # 8.8e-15 / 1.7e-14 (d = 30) and 1.7e-14 / 3.1e-14 (n_z = 1200) of each
+        # row's max, and held to about four times that.  Column 0, the
+        # rank-one part, follows from them: e^{-tau} (r_0 - r[1:] . u) +
+        # sum_{j >= 1} u_{j-1} R[j] with u = [1, -1, 1, ...].  Its alternating
+        # sum of n_z - 1 terms loses about n_z rounding errors: measured at
+        # most 7.3e-14 at n_z = 300 and 4.9e-13 at 1200, so it is held to
+        # n_z * 1e-15
+        tol = {(4.0, 300): 4e-14, (30.0, 300): 7e-14, (4.0, 1200): 1.2e-13}[d, n_z]
         h = self.H
-        R = dynamics._read_operator(h, d, n_z)[0]
+        R, P = dynamics._read_operator(h, d, n_z)
+        rows = np.vstack([R, R @ P])
         r = dark_read_generator(d, n_z)[1]
         nc = -(0.5 * np.sqrt(d) / (n_z - 1))
-        tau = h * np.arange(dynamics._READ_BLOCK)[:, None]
+        tau = h * np.arange(2 * dynamics._READ_BLOCK)[:, None]
         x = d * tau / (n_z - 1)
-        K = n_z - 1 - np.arange(1, n_z)
-        lag = scipy.special.eval_laguerre(K, x)  # column j + 1 holds L_{K-1} of column j
+        lag = laguerre_table(n_z - 1, x[:, 0])[:, ::-1]  # column j - 1 holds L_K of column j
+        K = np.arange(0, n_z - 1, 97)
+        assert np.array_equal(lag[:, -1 - K], scipy.special.eval_laguerre(K, x))
         lag[:, :-1] += lag[:, 1:]
         want = nc * np.exp(-tau - 0.5 * x) * lag
-        row_max = np.abs(R).max(axis=1)
-        assert (np.abs(R[:, 1:] - want).max(axis=1) <= 1e-12 * row_max).all()
+        row_max = np.abs(rows).max(axis=1)
+        assert (np.abs(rows[:, 1:] - want).max(axis=1) <= tol * row_max).all()
         u = (-1.0) ** np.arange(n_z - 1)
         want_0 = np.exp(-tau[:, 0]) * (r[0] - r[1:] @ u) + want @ u
-        assert (np.abs(R[:, 0] - want_0) <= n_z * 1e-15 * row_max).all()
+        assert (np.abs(rows[:, 0] - want_0) <= n_z * 1e-15 * row_max).all()
 
     def test_operator_holds_one_matrix(self):
         # the powers are carried as two n_z vectors, and the one dense power

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combmemory.tables import BLOCK_ROWS, Records, write_csv, write_json
+from combmemory.tables import BLOCK_ROWS, Records, SymmetricMatrix, write_csv, write_json
 
 
 def reference_bytes(header, columns):
@@ -175,3 +175,66 @@ def test_record_tables_match_stdlib(tmp_path_factory, table, rest):
     obj = {"table": Records(list(table), list(table.values())), "rest": rest}
     path = write_json(tmp_path_factory.getbasetemp() / "records.json", obj)
     assert path.read_bytes() == stdlib_bytes(as_rows(obj))
+
+
+# ----------------------------------------------------------------------------
+# SymmetricMatrix: the bytes of the full matrix, from its formatted upper triangle
+
+def mirrored(n, upper):
+    """The n x n matrix whose upper triangle, row by row, is ``upper``."""
+    A = np.empty((n, n))
+    iu = np.triu_indices(n)
+    A[iu] = upper
+    A[iu[::-1]] = upper
+    return A
+
+
+def assert_matrix_bytes(tmp_path, A):
+    header = [f"c{k}" for k in range(len(A))]
+    full, half = tmp_path / "full.csv", tmp_path / "half.csv"
+    write_csv(full, header, A.T)
+    assert write_csv(half, header, SymmetricMatrix(A)) == half
+    assert half.read_bytes() == full.read_bytes() == reference_bytes(header, A.T)
+    path = tmp_path / "m.json"
+    assert write_json(path, SymmetricMatrix(A)) == path
+    assert path.read_bytes() == stdlib_bytes(A.tolist())
+    obj = {"c": {"mode_count": len(A) // 2, "rows": SymmetricMatrix(A)}, "n": [1.0]}
+    write_json(path, obj)
+    assert path.read_bytes() == stdlib_bytes({"c": {"mode_count": len(A) // 2,
+                                                     "rows": A.tolist()}, "n": [1.0]})
+
+
+MATRIX_VALUES = st.sampled_from(EDGE + [-f for f in EDGE] + NON_FINITE) | st.floats()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(0, 16))
+def test_symmetric_matrix_bytes_match_full_matrix(tmp_path_factory, data, n):
+    upper = data.draw(st.lists(MATRIX_VALUES, min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2))
+    assert_matrix_bytes(tmp_path_factory.mktemp("matrix"), mirrored(n, upper))
+
+
+@pytest.mark.parametrize("A", [
+    np.zeros((0, 0)), np.array([[-0.0]]), np.array([[math.nan]]), np.array([[1e-300]]),
+    mirrored(3, [1.0, -0.0, 2.5, 0.0, -math.inf, 3.0]),
+    mirrored(40, np.random.default_rng(1).standard_normal(820)),
+], ids=["0x0", "1x1-neg-zero", "1x1-nan", "1x1-tiny", "signed-zeros", "40x40"])
+def test_symmetric_matrix_cases(tmp_path, A):
+    assert_matrix_bytes(tmp_path, A)
+
+
+@pytest.mark.parametrize("A", [
+    np.zeros((2, 3)),
+    np.zeros(4),
+    np.array([[1.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]]),
+    np.array([[1.0, 0.0], [-0.0, 1.0]]),
+], ids=["not-square", "1-d", "one-ulp", "signed-zero-mirror"])
+def test_asymmetric_matrix_rejected(A):
+    with pytest.raises(ValueError, match="square|transpose"):
+        SymmetricMatrix(A)
+
+
+def test_matrix_header_length_checked(tmp_path):
+    with pytest.raises(ValueError, match="column"):
+        write_csv(tmp_path / "t.csv", ["c0", "c1"], SymmetricMatrix(np.eye(3)))
