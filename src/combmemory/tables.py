@@ -43,7 +43,8 @@ def write_csv(path, header, columns):
     ``columns`` may be a ``SymmetricMatrix``, whose columns are its rows.
     """
     if isinstance(columns, SymmetricMatrix):
-        _columns(header, columns.entries)  # one header name per row, as per column
+        if len(header) != len(columns.entries):
+            raise ValueError("a matrix table needs one header name per column")
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             for row in _mirrored_rows(columns, "%.15g"):
