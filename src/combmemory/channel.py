@@ -118,8 +118,15 @@ def derive_gamma_s(p: PhysicalParams) -> float:
 def kernel(params: MemoryParams, omega):
     """Complex memory kernel K = 1 - exp(-d*gamma_s/(gamma_s + i*omega)).
 
-    ``omega`` (rad/s) may be a scalar or an array; the return matches.
+    ``omega`` (rad/s) may be a scalar or an array; the return matches.  A
+    working point whose exponent cannot be formed raises ``PhysicsError``:
+    d * gamma_s overflows, or a subnormal gamma_s overflows the complex
+    division (its reciprocal is not finite).
     """
+    if not params.d * params.gamma_s < np.inf:
+        raise PhysicsError(f"d * gamma_s = {params.d!r} * {params.gamma_s!r} overflows a float")
+    if params.gamma_s < np.finfo(float).tiny:
+        raise PhysicsError(f"gamma_s = {params.gamma_s!r} is subnormal; the kernel overflows")
     w = np.asarray(omega, dtype=float)
     K = 1.0 - np.exp(-params.d * params.gamma_s / (params.gamma_s + 1j * w))
     return complex(K) if np.isscalar(omega) or w.ndim == 0 else K
@@ -163,12 +170,15 @@ class KernelResponse:
 def frequency_response(params: MemoryParams, omega_max: float, n_points: int) -> KernelResponse:
     """Sample K on a symmetric grid over [-omega_max, omega_max].
 
-    A zero band collapses to the single point omega = 0 (flatness 0).
+    A zero band collapses to the single point omega = 0 (flatness 0).  A band
+    whose width 2 omega_max overflows a float raises ``PhysicsError``.
     """
     if n_points < 2:
         raise PhysicsError("n_points must be >= 2")
     if omega_max < 0.0:
         raise PhysicsError("omega_max must be >= 0")
+    if not 2.0 * omega_max < np.inf:
+        raise PhysicsError(f"omega_max = {omega_max!r}: the grid width 2 omega_max overflows a float")
     if omega_max == 0.0:
         grid = np.zeros(1)
     else:

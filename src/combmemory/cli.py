@@ -47,7 +47,7 @@ from .metrics import _pure_retrieval, _squeezed_zeta, overall_fidelity, retrieva
 from .metrics import report_from_block  # noqa: F401  (bench/tracer.py wraps cli.report_from_block)
 from .modes import MAX_MODE_COUNT, ModeBasis, unitary_mix
 from .presets import get_preset
-from .tables import Records, SymmetricMatrix, write_csv, write_json
+from .tables import Gathered, Records, SymmetricMatrix, write_csv, write_json
 
 OUTDIR_ENV = "COMBMEMORY_OUTDIR"
 
@@ -331,9 +331,10 @@ def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
 
     K, M = zeta_out.shape
     curve_header = ["d", "eta", "mode_index", "zeta_in_dB", "zeta_out_dB", "purity", "fidelity"]
-    curves = [np.repeat(cfg.sweep_d, M), np.repeat(etas, M), np.tile(np.arange(M), K),
-              np.tile(zeta_to_db(zeta_in), K), zeta_to_db(zeta_out).ravel(),
-              purities.ravel(), fidelities.ravel()]
+    # the first four columns repeat K or M values: each is formatted once
+    curves = [Gathered.repeat(cfg.sweep_d, M), Gathered.repeat(etas, M),
+              Gathered.tile(np.arange(M), K), Gathered.tile(zeta_to_db(zeta_in), K),
+              zeta_to_db(zeta_out).ravel(), purities.ravel(), fidelities.ravel()]
     overall_header = ["d", "eta", "overall_fidelity"]
     overall = [cfg.sweep_d, etas, np.prod(fidelities, axis=1)]
     derived = _derived_base(cfg)

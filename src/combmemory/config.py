@@ -41,6 +41,12 @@ _UNITS = {
 # of a state takes at most 34: 8 spaces, a 24-character float and ",\n".
 MAX_STATE_FILE_BYTES = 64 * (2 * MAX_MODE_COUNT) ** 2
 
+# Largest `[sweep] d_values` list.  `sweep` writes one table row per depth and
+# mode: at MAX_MODE_COUNT modes and this many depths (2**19 rows, format = both)
+# it took about 4 s and 70 MB peak RSS and wrote 184 MiB (2-vCPU x86-64,
+# numpy 2.4).
+MAX_SWEEP_DEPTHS = 1024
+
 _QUANTITY_RE = re.compile(r"^\s*(?:([-+]?)(2pi\*))?\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z/]*)\s*$")
 
 
@@ -84,12 +90,15 @@ def _integer(text: str) -> int:
         raise ConfigError(f"must be an integer, got {text!r}") from None
 
 
-def _list(parse):
-    """Parser of a comma-separated list of at least one ``parse`` value."""
+def _list(parse, most=None):
+    """Parser of a comma-separated list of at least one ``parse`` value, and
+    at most ``most`` (None: no bound), counted before any is parsed."""
     def parse_list(text: str) -> tuple:
         items = [p.strip() for p in text.split(",") if p.strip()]
         if not items:
             raise ConfigError("list is empty")
+        if most is not None and len(items) > most:
+            raise ConfigError(f"lists {len(items)} values; at most {most} are supported")
         return tuple(parse(p) for p in items)
     return parse_list
 
@@ -138,7 +147,8 @@ _TABLE = {
     ("dynamics", "path"): _Key(_choice("analytic", "pde"), "analytic"),
     ("dynamics", "probe_omegas"): _Key(_list(parse_quantity)),  # unset: 0 and 0.1 gamma_s
     ("dynamics", "t_read"): _Key(parse_quantity),  # positive; unset: 5 T
-    ("sweep", "d_values"): _Key(_list(_number), tuple(float(k) for k in range(1, 21))),
+    ("sweep", "d_values"): _Key(_list(_number, MAX_SWEEP_DEPTHS),
+                                tuple(float(k) for k in range(1, 21))),
     ("output", "dir"): _Key(str),
     ("output", "format"): _Key(_choice(*_FORMATS, fold=str.lower), "both"),
     ("output", "seed"): _Key(_integer, 0, (0, None)),  # numpy's generators take no negative seed

@@ -11,10 +11,12 @@ C encoder when ``indent`` is set, so the bulk shapes -- record tables, float
 lists and float matrices -- are printed here with ``%`` templates and joins,
 and only the rest is left to the stdlib.
 
-A ``SymmetricMatrix`` is printed in both formats from its formatted upper
-triangle: each entry on or above the diagonal is formatted once and mirrored
-below it, so an n x n matrix costs n(n + 1)/2 strings and the bytes are those
-of the full matrix.
+Repeated values are formatted once.  A ``Gathered`` column stands for
+``values[index]``: both writers format each of its distinct ``values`` once
+and gather the strings by ``index``.  A ``SymmetricMatrix`` is printed the
+same way, from its formatted upper triangle and an index that mirrors it below
+the diagonal, so an n x n matrix costs n(n + 1)/2 strings.  Either way the
+bytes are those of the expanded column or the full matrix.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ BLOCK_ROWS = 4096  # rows %-formatted per write; bounds the per-block Python obj
 
 
 def _columns(header, columns):
-    """``columns`` as equal-length 1-d arrays, one per ``header`` name."""
-    cols = [np.asarray(c) for c in columns]
+    """``columns`` as equal-length 1-d arrays or ``Gathered`` columns, one per ``header`` name."""
+    cols = [c if isinstance(c, Gathered) else np.asarray(c) for c in columns]
     n = len(cols[0]) if cols else 0
     if len(cols) != len(header) or any(c.ndim != 1 or len(c) != n for c in cols):
         raise ValueError("a table needs one 1-d column per header name, all of one length")
@@ -40,7 +42,8 @@ def _columns(header, columns):
 def write_csv(path, header, columns):
     """Write equal-length ``columns``, one per ``header`` name, to ``path``; return ``path``.
 
-    ``columns`` may be a ``SymmetricMatrix``, whose columns are its rows.
+    A column may be ``Gathered``, and ``columns`` may be a ``SymmetricMatrix``,
+    whose columns are its rows.
     """
     if isinstance(columns, SymmetricMatrix):
         if len(header) != len(columns.entries):
@@ -51,13 +54,66 @@ def write_csv(path, header, columns):
                 fh.write(",".join(row) + "\r\n")
         return path
     cols, n = _columns(header, columns)
-    row = ",".join("%.15g" if c.dtype.kind == "f" else "%s" for c in cols) + "\r\n"
+    fields = [_csv_field(c) for c in cols]
+    row = ",".join(conv for conv, _, _ in fields) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, n, BLOCK_ROWS):
-            block = [c[i:i + BLOCK_ROWS].tolist() for c in cols]
+            block = [_block(values, index, i) for _, values, index in fields]
             fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
     return path
+
+
+def _csv_field(col):
+    """One CSV column as ``(conv, values, index)``: floats print by ``%.15g``
+    and the rest by ``str``; a ``Gathered`` column's values are its strings."""
+    if isinstance(col, Gathered):
+        conv = "%.15g" if col.values.dtype.kind == "f" else "%s"
+        return "%s", _format_once(col.values, conv), col.index
+    return ("%.15g" if col.dtype.kind == "f" else "%s"), col, None
+
+
+def _block(values, index, i):
+    """Rows ``i`` to ``i + BLOCK_ROWS`` of ``values``, or of ``values[index]``, as a list."""
+    rows = slice(i, i + BLOCK_ROWS)
+    return (values[rows] if index is None else values[index[rows]]).tolist()
+
+
+class Gathered:
+    """A table column that stands for ``values[index]``.
+
+    ``write_csv`` and ``Records`` format each of ``values`` once and gather
+    the strings by ``index``, so a column that repeats a few values costs one
+    string per value; the bytes are those of the expanded column.
+    ``Gathered.repeat`` and ``Gathered.tile`` stand for ``np.repeat`` and
+    ``np.tile``.  Construction raises ``ValueError`` unless ``values`` and
+    ``index`` are 1-d and every index is an integer in ``[0, len(values))``.
+    """
+
+    __slots__ = ("values", "index")
+    ndim = 1
+
+    def __init__(self, values, index):
+        values, index = np.asarray(values), np.asarray(index)
+        if values.ndim != 1 or index.ndim != 1:
+            raise ValueError("a gathered column needs 1-d values and a 1-d index")
+        if index.size and (index.dtype.kind not in "iu"
+                           or index.min() < 0 or index.max() >= len(values)):
+            raise ValueError("a gathered column's index must hold integers in [0, len(values))")
+        self.values, self.index = values, index.astype(np.intp, copy=False)
+
+    @classmethod
+    def repeat(cls, values, count):
+        """``np.repeat(values, count)``: each value ``count`` times in turn."""
+        return cls(values, np.repeat(np.arange(len(values)), count))
+
+    @classmethod
+    def tile(cls, values, count):
+        """``np.tile(values, count)``: all of ``values``, ``count`` times over."""
+        return cls(values, np.tile(np.arange(len(values)), count))
+
+    def __len__(self):
+        return len(self.index)
 
 
 class Records:
@@ -65,7 +121,7 @@ class Records:
 
     Each column goes through ``np.asarray(c).tolist()``, as in ``write_csv``,
     so record ``i`` is ``dict(zip(header, (c[i] for c in columns)))`` in plain
-    Python values.  No per-row dict is ever built.
+    Python values; a column may be ``Gathered``.  No per-row dict is ever built.
     """
 
     __slots__ = ("header", "columns")
@@ -99,27 +155,35 @@ class SymmetricMatrix:
         self.entries = A
 
 
+def _format_once(values, conv, respell=None):
+    """The items of the 1-d array ``values``, each printed once by the ``%``
+    conversion ``conv``, as an object array of strings.
+
+    One ``%`` prints them all, comma-joined, and the text is split back at the
+    commas, so ``conv`` must print no comma.  ``respell``, if given, rewrites
+    the joined text first.
+    """
+    strings = np.empty(len(values), dtype=object)
+    if len(values):
+        text = ",".join([conv] * len(values)) % tuple(values.tolist())
+        if respell is not None:
+            text = respell(text)
+        strings[:] = text.split(",")
+    return strings
+
+
 def _mirrored_rows(matrix, conv, respell=None):
     """Yield ``matrix``'s rows as lists of strings.
 
-    Each upper-triangle entry is formatted once, by the ``%`` conversion
-    ``conv`` (which prints no comma), and an index array mirrors it below the
-    diagonal.  When an entry is not finite, ``respell`` (if given) rewrites the
-    comma-joined triangle once.
+    Each upper-triangle entry is printed once by ``_format_once``, and an
+    index array gathers the strings into every row, mirrored below the
+    diagonal; only the triangle's strings are held.
     """
     A = matrix.entries
     upper = np.triu_indices(len(A))
-    size = len(upper[0])
-    if not size:
-        return
-    text = ",".join([conv] * size) % tuple(A[upper].tolist())
-    if respell is not None and not np.isfinite(A).all():
-        text = respell(text)
-    strings = np.empty(size, dtype=object)
-    strings[:] = text.split(",")
-    del text  # the strings alone are kept: half the matrix, not all of it
+    strings = _format_once(A[upper], conv, respell)
     where = np.empty(A.shape, dtype=np.intp)
-    where[upper] = where[upper[::-1]] = np.arange(size)
+    where[upper] = where[upper[::-1]] = np.arange(len(strings))
     for row in where:
         yield strings[row].tolist()
 
@@ -151,6 +215,9 @@ def _scalar(obj, nl):
 
 
 def _spell_non_finite(text):
+    """``text``, comma-joined float reprs, with nan and inf spelt as the stdlib spells them."""
+    if "n" not in text:  # finite reprs hold no n
+        return text
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
@@ -159,28 +226,38 @@ def _float_list(values, nl):
 
     ``float.__repr__`` is what the stdlib prints (also for ``np.float64``, a
     ``float`` subclass whose own repr is not JSON); it raises ``TypeError`` on
-    anything else.  Finite reprs hold no ``n``, and the non-finite ones are
-    respelt as the stdlib spells them.
+    anything else.  The non-finite reprs are respelt as the stdlib spells them.
     """
     inner = nl + "  "
     try:
         body = ("," + inner).join(map(float.__repr__, values))
     except TypeError:
         return None
-    if "n" in body:
-        body = _spell_non_finite(body)
-    return "[" + inner + body + nl + "]"
+    return "[" + inner + _spell_non_finite(body) + nl + "]"
 
 
-def _record_fields(col, nl):
-    """The ``%`` conversion of one record column and the values it formats."""
-    values = col.tolist()
+def _json_strings(values, nl):
+    """Each of ``values`` printed once as the stdlib prints it, as an object array."""
+    kind = values.dtype.kind
+    if kind == "f":
+        return _format_once(values, "%r", _spell_non_finite)
+    if kind in "iu":
+        return _format_once(values, "%d")
+    return np.array([_scalar(v, nl) for v in values.tolist()], dtype=object)
+
+
+def _record_field(col, nl):
+    """One record column as ``(conv, values, index)``: the ``%`` conversion of
+    its field, the values it formats and, for a ``Gathered`` column, the index
+    that gathers its strings."""
+    if isinstance(col, Gathered):
+        return "%s", _json_strings(col.values, nl), col.index
     kind = col.dtype.kind
     if kind == "f" and np.isfinite(col).all():
-        return "%r", values
+        return "%r", col, None
     if kind in "iu":
-        return "%d", values
-    return "%s", [_scalar(v, nl) for v in values]  # str, bool, None, NaN/inf, mixed
+        return "%d", col, None
+    return "%s", _json_strings(col, nl), None  # str, bool, None, NaN/inf, mixed
 
 
 def _write_records(rec, nl, write):
@@ -190,13 +267,13 @@ def _write_records(rec, nl, write):
         return
     inner, field = nl + "  ", nl + "    "
     order = sorted(range(len(rec.header)), key=rec.header.__getitem__)
-    fields = [_record_fields(rec.columns[k], field) for k in order]
+    fields = [_record_field(rec.columns[k], field) for k in order]
     template = "{" + ",".join(
         f"{field}{encode_basestring_ascii(rec.header[k]).replace('%', '%%')}: {conv}"
-        for k, (conv, _) in zip(order, fields)) + inner + "}"
+        for k, (conv, _, _) in zip(order, fields)) + inner + "}"
     sep = "[" + inner
     for i in range(0, n, BLOCK_ROWS):
-        block = [values[i:i + BLOCK_ROWS] for _, values in fields]
+        block = [_block(values, index, i) for _, values, index in fields]
         write(sep + ("," + inner).join([template] * len(block[0]))
               % tuple(chain.from_iterable(zip(*block))))
         sep = "," + inner

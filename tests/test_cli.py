@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from combmemory import CovarianceMatrix, StoredProfile, cli
 from combmemory.channel import MAX_KERNEL_POINTS
 from combmemory.cli import main
+from combmemory.config import MAX_SWEEP_DEPTHS
 from combmemory.tables import write_csv
 from support import grid_budget, grid_write, random_pure_state
 
@@ -461,6 +463,50 @@ class TestOverflowingLevel:
         rc, _ = run(tmp_path, "channel", BASE.replace("-6, -3, -1", "4000, -3"))
         assert rc == 3
         assert "4000 dB overflows a float variance" in capsys.readouterr().err
+
+
+class TestKernelOverflow:
+    """A kernel whose grid or exponent overflows exits 3: before, each case
+    exited 0 after a RuntimeWarning, and omega_max = 1e308 wrote nan rows."""
+
+    @staticmethod
+    def run_kernel(tmp_path, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out = run(tmp_path, "kernel", text)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return rc, out
+
+    @pytest.mark.parametrize("text, message", [
+        (BASE + "\n[kernel]\nomega_max = 1e308\n", "grid width 2 omega_max overflows"),
+        (BASE.replace("d = 4", "d = 1e308"), "d * gamma_s = 1e+308 * "),
+        (BASE.replace("gamma_s = 2pi*18 kHz", "gamma_s = 1e308"), "d * gamma_s = 4.0 * 1e+308"),
+        (BASE.replace("gamma_s = 2pi*18 kHz", "gamma_s = 5e-324"), "gamma_s = 5e-324 is subnormal"),
+    ], ids=["omega_max-1e308", "d-1e308", "gamma_s-1e308", "gamma_s-5e-324"])
+    def test_exits_3_before_writing(self, tmp_path, capsys, text, message):
+        rc, out = self.run_kernel(tmp_path, text)
+        err = capsys.readouterr().err
+        assert rc == 3 and message in err and "Traceback" not in err
+        assert not any(out.iterdir())  # no data file, so no nan in one
+
+    @pytest.mark.parametrize("text", [
+        BASE + "\n[kernel]\nomega_max = 8.9e307\n",
+        BASE.replace("gamma_s = 2pi*18 kHz", "gamma_s = 2.3e-308"),
+    ], ids=["widest-grid", "smallest-normal-gamma_s"])
+    def test_edge_runs_finite(self, tmp_path, text):
+        rc, out = self.run_kernel(tmp_path, text)
+        assert rc == 0
+        table = np.loadtxt(out / "kernel_response.csv", delimiter=",", skiprows=1)
+        assert table.shape == (201, 4) and np.isfinite(table).all()
+
+
+class TestSweepDepthBound:
+    def test_too_many_depths_exit_2(self, tmp_path, capsys):
+        depths = ", ".join(["1"] * (MAX_SWEEP_DEPTHS + 1))
+        rc, out = run(tmp_path, "sweep", BASE + f"\n[sweep]\nd_values = {depths}\n")
+        err = capsys.readouterr().err
+        assert rc == 2 and "[sweep] d_values: lists" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestJsonOutputs:

@@ -5,7 +5,13 @@ import pytest
 
 from combmemory import ConfigError
 from combmemory.channel import MAX_KERNEL_POINTS
-from combmemory.config import _TABLE, MAX_STATE_FILE_BYTES, load_config, parse_quantity
+from combmemory.config import (
+    _TABLE,
+    MAX_STATE_FILE_BYTES,
+    MAX_SWEEP_DEPTHS,
+    load_config,
+    parse_quantity,
+)
 from combmemory.dynamics import MAX_GRID_CELLS
 from combmemory.modes import MAX_MODE_COUNT
 
@@ -199,6 +205,17 @@ class TestLoadConfig:
         db = ", ".join(["-3"] * MAX_MODE_COUNT)
         cfg = load_config(write_config(tmp_path, BASE.replace("-6, -3", db)))
         assert len(cfg.spectrum_db) == MAX_MODE_COUNT
+
+    def test_sweep_depth_bound(self, tmp_path):
+        # the K x M sweep table is bounded at load, before any depth is parsed
+        depths = "\n[sweep]\nd_values = {}\n"
+        over = MAX_SWEEP_DEPTHS + 1
+        message = rf"\[sweep\] d_values: lists {over} values; at most {MAX_SWEEP_DEPTHS} "
+        for item in ("1", "x"):  # counted before any item is parsed
+            with pytest.raises(ConfigError, match=message):
+                load_config(write_config(tmp_path, BASE + depths.format(", ".join([item] * over))))
+        text = BASE + depths.format(", ".join(["2.5"] * MAX_SWEEP_DEPTHS))
+        assert load_config(write_config(tmp_path, text)).sweep_d == (2.5,) * MAX_SWEEP_DEPTHS
 
     def test_state_file_size_bound(self, tmp_path):
         # a sparse file one byte over the bound: its size is read, never its bytes

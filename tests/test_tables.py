@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combmemory.tables import BLOCK_ROWS, Records, SymmetricMatrix, write_csv, write_json
+from combmemory.tables import BLOCK_ROWS, Gathered, Records, SymmetricMatrix, write_csv, write_json
 
 
 def reference_bytes(header, columns):
@@ -64,10 +64,16 @@ def stdlib_bytes(obj):
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
+def expanded(column):
+    """The array a ``Gathered`` column stands for; any other column as it is."""
+    return column.values[column.index] if isinstance(column, Gathered) else column
+
+
 def as_rows(obj):
     """``obj`` with every ``Records`` table spelt out as the dicts it stands for."""
     if isinstance(obj, Records):
-        return [dict(zip(obj.header, row)) for row in zip(*(c.tolist() for c in obj.columns))]
+        columns = (expanded(c).tolist() for c in obj.columns)
+        return [dict(zip(obj.header, row)) for row in zip(*columns)]
     if isinstance(obj, dict):
         return {k: as_rows(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -238,3 +244,84 @@ def test_asymmetric_matrix_rejected(A):
 def test_matrix_header_length_checked(tmp_path):
     with pytest.raises(ValueError, match="column"):
         write_csv(tmp_path / "t.csv", ["c0", "c1"], SymmetricMatrix(np.eye(3)))
+
+
+# ----------------------------------------------------------------------------
+# Gathered: the bytes of the expanded column, from each distinct value formatted once
+
+def assert_gathered_bytes(tmp_path, header, columns):
+    """``columns``, some ``Gathered``, print as their expanded arrays in both formats."""
+    plain = [expanded(c) for c in columns]
+    gathered, full = tmp_path / "gathered.csv", tmp_path / "full.csv"
+    assert write_csv(gathered, header, columns) == gathered
+    write_csv(full, header, plain)
+    assert gathered.read_bytes() == full.read_bytes() == reference_bytes(header, plain)
+    gathered, full = tmp_path / "gathered.json", tmp_path / "full.json"
+    write_json(gathered, {"rows": Records(header, columns), "n": [1.0]})
+    write_json(full, {"rows": Records(header, plain), "n": [1.0]})
+    assert gathered.read_bytes() == full.read_bytes() == stdlib_bytes(
+        {"rows": as_rows(Records(header, plain)), "n": [1.0]})
+
+
+GATHERED_VALUES = st.one_of(
+    st.lists(st.sampled_from(EDGE + [-f for f in EDGE] + NON_FINITE) | st.floats(),
+             min_size=1, max_size=8).map(np.array),
+    st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=8).map(np.array),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), values=GATHERED_VALUES)
+def test_gathered_bytes_match_expanded_column(tmp_path_factory, data, values):
+    index = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=24))
+    count = data.draw(st.integers(0, 4))
+    n = len(index)
+    columns = [Gathered(values, index), np.arange(n) * 0.5, Gathered(values[::-1], index[::-1])]
+    assert_gathered_bytes(tmp_path_factory.mktemp("gathered"), ["g", "x", "h"], columns)
+    repeat, tile = Gathered.repeat(values, count), Gathered.tile(values, count)
+    assert np.array_equal(expanded(repeat), np.repeat(values, count), equal_nan=True)
+    assert np.array_equal(expanded(tile), np.tile(values, count), equal_nan=True)
+    assert_gathered_bytes(tmp_path_factory.mktemp("gathered"), ["r", "t"], [repeat, tile])
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["g", "x"], [Gathered([1.5, -0.0], []), np.array([])]),
+    (["g", "x"], [Gathered([1e-300], [0]), [2.0]]),
+    (["g"], [Gathered([-0.0, math.nan, -math.inf], [2, 1, 0, 1])]),
+    (["n", "s"], [Gathered.repeat([0, -7, 2**40], 3), Gathered.tile(["pass", "FAIL", ""], 3)]),
+    (["flag", "maybe"], [Gathered([True, False], [1, 0, 0]), Gathered([None, 1.5, "x"], [2, 0, 1])]),
+    (["d", "i", "v"], [Gathered.repeat(np.linspace(1, 2, 3), BLOCK_ROWS),
+                       Gathered.tile(np.arange(BLOCK_ROWS), 3),
+                       np.random.default_rng(2).standard_normal(3 * BLOCK_ROWS)]),
+], ids=["empty-index", "single-value", "non-finite", "ints-and-strings", "bools-and-objects",
+        "block-seams"])
+def test_gathered_cases(tmp_path, header, columns):
+    assert_gathered_bytes(tmp_path, header, columns)
+
+
+def test_gathered_json_strings_may_hold_commas(tmp_path):
+    # only CSV forbids a comma in a value; a JSON string prints as the stdlib prints it
+    assert_stdlib_bytes(tmp_path, Records(["s"], [Gathered(['a,b', 'say "hi"'], [1, 0, 0])]))
+
+
+@pytest.mark.parametrize("values, index", [
+    ([1.0, 2.0], [0, 2]),
+    ([1.0, 2.0], [-1, 0]),
+    ([1.0, 2.0], [[0, 1]]),
+    ([[1.0, 2.0]], [0]),
+    ([1.0, 2.0], [0.0, 1.0]),
+    ([1.0, 2.0], [True, False]),
+    ([], [0]),
+], ids=["past-the-end", "negative", "2-d-index", "2-d-values", "float-index", "bool-index",
+        "no-values"])
+def test_malformed_gathered_rejected(values, index):
+    with pytest.raises(ValueError, match="gathered column"):
+        Gathered(values, index)
+
+
+def test_gathered_length_checked(tmp_path):
+    columns = [Gathered([1.0], [0, 0, 0]), [1.0, 2.0]]
+    with pytest.raises(ValueError, match="column"):
+        write_csv(tmp_path / "t.csv", ["g", "x"], columns)
+    with pytest.raises(ValueError, match="column"):
+        Records(["g", "x"], columns)
