@@ -163,12 +163,19 @@ def _format_once(values, conv, respell=None):
     commas, so ``conv`` must print no comma.  ``respell``, if given, rewrites
     the joined text first.
     """
-    strings = np.empty(len(values), dtype=object)
-    if len(values):
-        text = ",".join([conv] * len(values)) % tuple(values.tolist())
-        if respell is not None:
-            text = respell(text)
-        strings[:] = text.split(",")
+    n = len(values)
+    if not n:
+        return np.empty(0, dtype=object)
+    # each stage's input is dropped once used, so the peak holds the text and
+    # the strings split from it, not also the array and its Python values
+    items = tuple(values.tolist())
+    del values
+    text = ",".join([conv] * n) % items
+    del items
+    if respell is not None:
+        text = respell(text)
+    strings = np.empty(n, dtype=object)
+    strings[:] = text.split(",")
     return strings
 
 
