@@ -302,6 +302,22 @@ def _uniform_spacing(x: np.ndarray, name: str) -> float:
     return float(dx[0])
 
 
+def _scaled_span(name, value, d):
+    """``value``, a span of scaled time (tau = gamma_s t), checked where it is formed.
+
+    PhysicsError names it unless it is a positive normal float (a zero step
+    divides the march by zero) and 4 d value, the kernel's J0 argument squared,
+    is finite.
+    """
+    if not np.finfo(float).tiny <= value < math.inf:
+        state = "overflows a float" if value > 1.0 else "is below the smallest normal float"
+        raise PhysicsError(f"{name} = {value!r} {state}")
+    if not 4.0 * d * value < math.inf:
+        raise PhysicsError(f"d * {name} = {d!r} * {value!r}: the kernel's J0 argument "
+                           "overflows a float")
+    return value
+
+
 # ----------------------------------------------------------------------------
 # analytic route
 
@@ -332,7 +348,9 @@ def _interpolation(x, p):
     w = np.ones(p)
     w[1::2] = -1.0
     w[[0, -1]] *= 0.5
-    diff = np.subtract.outer(x, _core_nodes(x, p))
+    # differences scaled by a power of two to unit size, so none overflows its reciprocal
+    k = -np.frexp(np.abs(x).max())[1]
+    diff = np.subtract.outer(np.ldexp(x, k), np.ldexp(_core_nodes(x, p), k))
     hit = diff == 0.0
     on_node = hit.any(axis=1)
     diff[hit] = 1.0
@@ -435,14 +453,16 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
 
     The profile matches the PDE route: b = sqrt(d gamma_s) * int e^{-gamma_s u}
     J0(2 sqrt(d gamma_s z u)) a(T-u) du, evaluated in scaled time with the
-    input amplitude carried as a / sqrt(gamma_s).
+    input amplitude carried as a / sqrt(gamma_s).  A scaled window gamma_s T
+    or step gamma_s dt out of float range raises PhysicsError naming it.
     """
     a = np.asarray(a_in, dtype=complex) / np.sqrt(params.gamma_s)
     if a.ndim != 1 or a.size < 9:
         raise DimensionError("a_in must be a 1-d envelope with at least 9 samples")
     if n_z < 4:
         raise DimensionError("n_z must be at least 4")
-    Gamma = params.gamma_s * params.T
+    Gamma = _scaled_span("gamma_s * T", params.gamma_s * params.T, params.d)
+    _scaled_span("gamma_s * dt", Gamma / (a.size - 1), params.d)
     tau = np.linspace(0.0, Gamma, a.size)
     z = np.linspace(0.0, 1.0, int(n_z))
     if params.d == 0.0:
@@ -671,12 +691,14 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     A non-finite field anywhere reaches a(1, .), that sum or b(., T), and
     raises PhysicsError.  A drive whose imaginary part is all zero marches as
     its real part, in float64 (``_march``'s dtype rule), with the same bits;
-    the record's fields are complex either way.
+    the record's fields are complex either way.  Its scaled window and step
+    are checked as ``write_analytic`` checks them.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
     if not bound.imag.any():
         bound = bound.real
-    h = params.gamma_s * params.T / (n_t - 1)
+    Gamma = _scaled_span("gamma_s * T", params.gamma_s * params.T, params.d)
+    h = _scaled_span("gamma_s * dt", Gamma / (n_t - 1), params.d)
     if h > CFL_WARN:
         warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
                       ResolutionWarning, stacklevel=2)
@@ -792,7 +814,9 @@ def transfer_function_estimate(
     d = 100).  When the estimate fails at the default n_read, the read is
     taken once more at the hinted n_read, and only a second failure raises
     (d = 100 passes on both paths; on the analytic path d = 400 passes and
-    d = 800 raises); an explicit ``n_read`` raises on the first.
+    d = 800 raises); an explicit ``n_read`` raises on the first.  A scaled
+    window gamma_s T or read horizon gamma_s T_read out of float range raises
+    PhysicsError naming it before any probe is written.
     """
     omegas = np.atleast_1d(np.asarray(probe_frequencies, dtype=float))
     if not np.all(np.abs(omegas) <= PROBE_BAND_LIMIT * params.gamma_s):  # NaN fails too
@@ -822,7 +846,9 @@ def transfer_function_estimate(
     if params.d == 0.0:
         return np.zeros(omegas.size, dtype=complex)
 
-    Gamma = params.gamma_s * params.T
+    Gamma = _scaled_span("gamma_s * T", params.gamma_s * params.T, params.d)
+    horizon = 5.0 * params.T if T_read is None else float(T_read)
+    span_r = _scaled_span("gamma_s * T_read", params.gamma_s * horizon, params.d)
     K0 = abs(kernel(params, 0.0))
     if probe_width is None:
         probe_width = 0.002 * K0 / (params.d * params.gamma_s)
@@ -842,7 +868,6 @@ def transfer_function_estimate(
             "narrow the probe or raise the optical depth"
         )
 
-    horizon = 5.0 * params.T if T_read is None else float(T_read)
     om_hat = omegas[:, None] / params.gamma_s
     probes = env * np.exp(1j * om_hat * tau_p)
     # one write and one read of all probes at once, probes as columns
@@ -853,7 +878,7 @@ def transfer_function_estimate(
         z = np.linspace(0.0, 1.0, n_z)
         b = _checked_quadrature(z, Gamma - tau_p, params.d, probes.T, tau_p[1] - tau_p[0], True)
     while True:
-        tau_r = np.linspace(0.0, params.gamma_s * horizon, n_read)
+        tau_r = np.linspace(0.0, span_r, n_read)
         h_r = tau_r[1] - tau_r[0]
         if pde:
             out = _read_march(b, n_read, h_r, params.d, n_z).T

@@ -6,10 +6,11 @@ print as ``%.15g`` and every other field as ``str``; fields are joined by
 value may contain a comma, a quote or a line break.
 
 JSON (``write_json``): exactly the bytes of
-``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  The stdlib drops its
-C encoder when ``indent`` is set, so the bulk shapes -- record tables, float
-lists and float matrices -- are printed here with ``%`` templates and joins,
-and only the rest is left to the stdlib.
+``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  Every value is the
+stdlib's own output but for two shapes printed here with ``%`` templates and
+joins: ``Records`` tables and ``SymmetricMatrix`` values.  They are the bulk
+of the files the benchmark measures (the sweep and retrieval tables, the comb
+covariances), and the stdlib drops its C encoder when ``indent`` is set.
 
 Repeated values are formatted once.  A ``Gathered`` column stands for
 ``values[index]``: both writers format each of its distinct ``values`` once
@@ -195,52 +196,11 @@ def _mirrored_rows(matrix, conv, respell=None):
         yield strings[row].tolist()
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _scalar(obj, nl):
-    """The stdlib's bytes for a scalar ``obj``; any other value is left to the
-    stdlib itself, re-indented to sit after ``nl``.
-
-    ``True`` and ``False`` are tested before ``int``, their base class, and
-    floats print by ``float.__repr__`` (``np.float64``'s own repr is not JSON).
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NON_FINITE.get(text, text)
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
-
-
 def _spell_non_finite(text):
     """``text``, comma-joined float reprs, with nan and inf spelt as the stdlib spells them."""
     if "n" not in text:  # finite reprs hold no n
         return text
     return text.replace("nan", "NaN").replace("inf", "Infinity")
-
-
-def _float_list(values, nl):
-    """``values`` as a JSON array, or ``None`` unless every item is a ``float``.
-
-    ``float.__repr__`` is what the stdlib prints (also for ``np.float64``, a
-    ``float`` subclass whose own repr is not JSON); it raises ``TypeError`` on
-    anything else.  The non-finite reprs are respelt as the stdlib spells them.
-    """
-    inner = nl + "  "
-    try:
-        body = ("," + inner).join(map(float.__repr__, values))
-    except TypeError:
-        return None
-    return "[" + inner + _spell_non_finite(body) + nl + "]"
 
 
 def _json_strings(values, nl):
@@ -250,7 +210,7 @@ def _json_strings(values, nl):
         return _format_once(values, "%r", _spell_non_finite)
     if kind in "iu":
         return _format_once(values, "%d")
-    return np.array([_scalar(v, nl) for v in values.tolist()], dtype=object)
+    return np.array([_stdlib(v, nl) for v in values.tolist()], dtype=object)
 
 
 def _record_field(col, nl):
@@ -299,12 +259,29 @@ def _write_matrix(matrix, nl, write):
     write(nl + "]")
 
 
+def _holds_bulk(obj):
+    """Whether ``obj`` is a ``Records`` or ``SymmetricMatrix`` value, or a list,
+    tuple or string-keyed dict that holds one at any depth."""
+    if isinstance(obj, (Records, SymmetricMatrix)):
+        return True
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) for k in obj) and any(map(_holds_bulk, obj.values()))
+    return isinstance(obj, (list, tuple)) and any(map(_holds_bulk, obj))
+
+
+def _stdlib(obj, nl):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, re-indented to sit after ``nl``."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
 def _write_value(obj, nl, write):
     if isinstance(obj, Records):
         _write_records(obj, nl, write)
     elif isinstance(obj, SymmetricMatrix):
         _write_matrix(obj, nl, write)
-    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+    elif not _holds_bulk(obj):
+        write(_stdlib(obj, nl))
+    elif isinstance(obj, dict):
         inner = nl + "  "
         sep = "{"
         for key in sorted(obj):
@@ -312,11 +289,7 @@ def _write_value(obj, nl, write):
             _write_value(obj[key], inner, write)
             sep = ","
         write(nl + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        text = _float_list(obj, nl)
-        if text is not None:
-            write(text)
-            return
+    else:
         inner = nl + "  "
         sep = "["
         for item in obj:
@@ -324,8 +297,6 @@ def _write_value(obj, nl, write):
             _write_value(item, inner, write)
             sep = ","
         write(nl + "]")
-    else:  # scalars, empty containers, dicts with non-string keys
-        write(_scalar(obj, nl))
 
 
 def write_json(path, obj):
@@ -334,7 +305,9 @@ def write_json(path, obj):
 
     ``obj`` may hold ``Records`` tables, which print as the lists of records
     they stand for, and ``SymmetricMatrix`` values, which print as their lists
-    of rows.
+    of rows, at any depth of its lists, tuples and string-keyed dicts.  Any
+    value the stdlib cannot encode raises its ``TypeError``, as does a bulk
+    value under a dict with a key that is not a string.
     """
     with open(path, "w") as fh:
         _write_value(obj, "\n", fh.write)

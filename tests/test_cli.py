@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -465,17 +466,18 @@ class TestOverflowingLevel:
         assert "4000 dB overflows a float variance" in capsys.readouterr().err
 
 
+def run_without_runtime_warning(tmp_path, command, text):
+    """``run``, asserting that no RuntimeWarning (numpy overflow, invalid value) was raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(tmp_path, command, text)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return rc, out
+
+
 class TestKernelOverflow:
     """A kernel whose grid or exponent overflows exits 3: before, each case
     exited 0 after a RuntimeWarning, and omega_max = 1e308 wrote nan rows."""
-
-    @staticmethod
-    def run_kernel(tmp_path, text):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc, out = run(tmp_path, "kernel", text)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        return rc, out
 
     @pytest.mark.parametrize("text, message", [
         (BASE + "\n[kernel]\nomega_max = 1e308\n", "grid width 2 omega_max overflows"),
@@ -484,7 +486,7 @@ class TestKernelOverflow:
         (BASE.replace("gamma_s = 2pi*18 kHz", "gamma_s = 5e-324"), "gamma_s = 5e-324 is subnormal"),
     ], ids=["omega_max-1e308", "d-1e308", "gamma_s-1e308", "gamma_s-5e-324"])
     def test_exits_3_before_writing(self, tmp_path, capsys, text, message):
-        rc, out = self.run_kernel(tmp_path, text)
+        rc, out = run_without_runtime_warning(tmp_path, "kernel", text)
         err = capsys.readouterr().err
         assert rc == 3 and message in err and "Traceback" not in err
         assert not any(out.iterdir())  # no data file, so no nan in one
@@ -494,10 +496,33 @@ class TestKernelOverflow:
         BASE.replace("gamma_s = 2pi*18 kHz", "gamma_s = 2.3e-308"),
     ], ids=["widest-grid", "smallest-normal-gamma_s"])
     def test_edge_runs_finite(self, tmp_path, text):
-        rc, out = self.run_kernel(tmp_path, text)
+        rc, out = run_without_runtime_warning(tmp_path, "kernel", text)
         assert rc == 0
         table = np.loadtxt(out / "kernel_response.csv", delimiter=",", skiprows=1)
         assert table.shape == (201, 4) and np.isfinite(table).all()
+
+
+class TestDynamicsOverflow:
+    """A dynamics working point whose scaled window gamma_s T or its kernel
+    argument d gamma_s T leaves the float range exits 3 before any data file
+    is written: before, each case computed with inf or nan, and under
+    -W error::RuntimeWarning ended in a traceback."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("d", "1e308", "d * gamma_s * T = 1e+308 * 10.0000"),
+        ("T", "1e308 s", "gamma_s * T = inf overflows a float"),
+        ("T", "5e-324 s", "gamma_s * T = 5.58773e-319 is below the smallest normal float"),
+        ("gamma_s", "1e-308", "gamma_s * T = 8.842e-313 is below the smallest normal float"),
+        ("gamma_s", "5e-324", "gamma_s * T = 0.0 is below the smallest normal float"),
+    ], ids=["d-1e308", "T-1e308", "T-5e-324", "gamma_s-1e-308", "gamma_s-5e-324"])
+    def test_exits_3_before_writing(self, tmp_path, capsys, key, value, message):
+        with open(SHIPPED_DYNAMICS) as fh:
+            text = fh.read().replace("n_z = 2000", "n_z = 40").replace("n_t = 2000", "n_t = 40")
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        rc, out = run_without_runtime_warning(tmp_path, "dynamics", text)
+        err = capsys.readouterr().err
+        assert rc == 3 and message in err and "Traceback" not in err
+        assert not any(out.iterdir())
 
 
 class TestSweepDepthBound:

@@ -417,6 +417,43 @@ class TestPdeMarch:
             "residual": abs(e_in - e_out - e_stored - e_decay) / e_in,
         }
 
+class TestScaledSpans:
+    """Both writes check the scaled window gamma_s T, the step gamma_s dt and
+    the kernel argument 4 d gamma_s T where each is formed."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("path", ["analytic", "pde"])
+    @pytest.mark.parametrize("params, match", [
+        (MemoryParams(d=1e308, gamma_s=GAMMA_S, T=T10), r"d \* gamma_s \* T = 1e\+308 \* 10"),
+        (MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1e308), r"gamma_s \* T = inf overflows"),
+        (MemoryParams(d=4.0, gamma_s=5e-324, T=T10), r"gamma_s \* T = 0.0 is below"),
+        (MemoryParams(d=4.0, gamma_s=1e-308, T=T10), r"gamma_s \* T = \S+e-313 is below"),
+        (MemoryParams(d=4.0, gamma_s=GAMMA_S, T=1e-307 / GAMMA_S), r"gamma_s \* dt = \S+ is below"),
+    ], ids=["kernel-argument", "window-inf", "window-zero", "window-subnormal", "step-subnormal"])
+    def test_out_of_range_span_raises(self, path, params, match):
+        with pytest.raises(PhysicsError, match=match):
+            if path == "pde":
+                pde_write(np.ones(40, dtype=complex), params, 40, 40)
+            else:
+                write_analytic(np.ones(40, dtype=complex), params, 40)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("Gamma", [1e-306, 3.4e-306])
+    def test_tiny_window_writes_without_overflow(self, Gamma):
+        # 1 / (x - node) in the barycentric weights overflowed for windows
+        # below about 1e-292 before the differences were scaled to unit size
+        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=Gamma / GAMMA_S)
+        assert write_analytic(np.ones(40, dtype=complex), p, 40).b_T.shape == (40,)
+
+    def test_interpolation_is_scale_free(self):
+        x = np.linspace(0.0, 10.0, 2000)
+        A = dynamics._interpolation(x, 33)
+        for e in (-1010, 1000):  # the nodes scale exactly: the same bits
+            assert np.array_equal(dynamics._interpolation(x * 2.0**e, 33), A)
+        # nodes near 1e-307 lose bits to subnormal products, but no weight overflows
+        np.testing.assert_allclose(dynamics._interpolation(x * 2.0**-1018, 33), A, atol=1e-15)
+
+
 class TestTransferFunction:
     def test_read_clock_gain_identity(self):
         p = params10()
@@ -455,7 +492,9 @@ class TestTransferFunction:
     @pytest.mark.parametrize("path", ["analytic", "pde"])
     @pytest.mark.parametrize("omegas, T_read, match", [
         ([0.0, np.nan], None, "0.3 gamma_s"), ([0.0], np.inf, "T_read must be positive and finite"),
-    ], ids=["nan-frequency", "inf-window"])
+        ([0.0], 1e302, r"d \* gamma_s \* T_read = 4.0 \* "),
+        ([0.0], 1e-320, r"gamma_s \* T_read = \S+ is below the smallest normal float"),
+    ], ids=["nan-frequency", "inf-window", "read-kernel-argument", "read-window-subnormal"])
     def test_non_finite_inputs_checked_first(self, monkeypatch, march_calls, path, omegas,
                                              T_read, match):
         # |nan| > limit is False and inf > 0 is True, so both passed their

@@ -70,10 +70,13 @@ def expanded(column):
 
 
 def as_rows(obj):
-    """``obj`` with every ``Records`` table spelt out as the dicts it stands for."""
+    """``obj`` with every ``Records`` table spelt out as the dicts it stands
+    for and every ``SymmetricMatrix`` as its list of rows."""
     if isinstance(obj, Records):
         columns = (expanded(c).tolist() for c in obj.columns)
         return [dict(zip(obj.header, row)) for row in zip(*columns)]
+    if isinstance(obj, SymmetricMatrix):
+        return obj.entries.tolist()
     if isinstance(obj, dict):
         return {k: as_rows(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -325,3 +328,45 @@ def test_gathered_length_checked(tmp_path):
         write_csv(tmp_path / "t.csv", ["g", "x"], columns)
     with pytest.raises(ValueError, match="column"):
         Records(["g", "x"], columns)
+
+
+# ----------------------------------------------------------------------------
+# bulk values inside lists and dicts: the container walk around the two hand-printed shapes
+
+@st.composite
+def bulk_values(draw):
+    """A ``SymmetricMatrix`` of up to 3 x 3, or a 3-row ``Records`` table with a ``Gathered`` column."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 3))
+        upper = draw(st.lists(MATRIX_VALUES, min_size=n * (n + 1) // 2,
+                              max_size=n * (n + 1) // 2))
+        return SymmetricMatrix(mirrored(n, upper))
+    header = draw(st.lists(st.text(max_size=4), min_size=2, max_size=2, unique=True))
+    values = draw(GATHERED_VALUES)
+    index = draw(st.lists(st.integers(0, len(values) - 1), min_size=3, max_size=3))
+    return Records(header, [Gathered(values, index), draw(RECORD_COLUMNS)])
+
+
+NESTED_BULK = st.recursive(
+    bulk_values() | JSON_VALUES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(obj=NESTED_BULK)
+def test_bulk_values_at_any_depth_match_stdlib(tmp_path_factory, obj):
+    path = write_json(tmp_path_factory.getbasetemp() / "bulk.json", obj)
+    assert path.read_bytes() == stdlib_bytes(as_rows(obj))
+
+
+def test_bulk_value_under_non_string_key_raises_like_the_stdlib(tmp_path):
+    # the walk keeps string-keyed dicts only; the stdlib cannot encode the value itself
+    table = Records(["g", "x"], [Gathered([1.5], [0, 0]), [1, 2]])
+    for obj in ({1: table}, [{"a": {2.5: table}}], {None: SymmetricMatrix(np.eye(2))}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "t.json", obj)
