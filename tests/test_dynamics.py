@@ -417,6 +417,7 @@ class TestPdeMarch:
             "residual": abs(e_in - e_out - e_stored - e_decay) / e_in,
         }
 
+
 class TestScaledSpans:
     """Both writes check the scaled window gamma_s T, the step gamma_s dt and
     the kernel argument 4 d gamma_s T where each is formed."""
@@ -445,6 +446,7 @@ class TestScaledSpans:
         p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=Gamma / GAMMA_S)
         assert write_analytic(np.ones(40, dtype=complex), p, 40).b_T.shape == (40,)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_interpolation_is_scale_free(self):
         x = np.linspace(0.0, 10.0, 2000)
         A = dynamics._interpolation(x, 33)
