@@ -57,6 +57,10 @@ GAIN0_TOL = 5e-3       # measured |gain(0)| vs |K_0|, relative
 RATIO_TOL = 1e-3       # measured |gain(w)/gain(0)| vs kernel ratio, relative
 BUDGET_TOL = 1e-4      # write-stage energy bookkeeping residual
 
+# CSV values from which format = both writes the CSV tables in a forked child,
+# beside the JSON documents; below it the fork costs more than it saves
+FORK_MIN_VALUES = 1 << 14
+
 
 # ----------------------------------------------------------------------------
 # output helpers
@@ -69,13 +73,30 @@ def _resolve_outdir(cfg: ExperimentConfig, args) -> str:
 
 def _write_outputs(command, cfg, args, outdir, seed, derived, tables=(), documents=()):
     """Write the ``(name, header, columns)`` CSV tables and ``(name, body)`` JSON
-    documents that ``args.formats`` selects, then ``manifest.json`` naming them."""
-    files = []
-    if "csv" in args.formats:
-        files += [write_csv(os.path.join(outdir, name), header, columns)
-                  for name, header, columns in tables]
-    if "json" in args.formats:
-        files += [write_json(os.path.join(outdir, name), body) for name, body in documents]
+    documents that ``args.formats`` selects, then ``manifest.json`` naming them.
+
+    With both formats and at least ``FORK_MIN_VALUES`` CSV values, a forked
+    child writes the tables while this process writes the documents.
+    """
+    csv_jobs = [(os.path.join(outdir, name), header, columns)
+                for name, header, columns in tables] if "csv" in args.formats else []
+    json_jobs = [(os.path.join(outdir, name), body)
+                 for name, body in documents] if "json" in args.formats else []
+
+    def write_tables():
+        for job in csv_jobs:
+            write_csv(*job)
+
+    def write_documents():
+        for job in json_jobs:
+            write_json(*job)
+
+    if (csv_jobs and json_jobs and hasattr(os, "fork")
+            and _csv_values(tables) >= FORK_MIN_VALUES):
+        _fork_beside(write_tables, write_documents)
+    else:
+        write_tables()
+        write_documents()
     digest = hashlib.sha256(
         cfg.raw_text.encode() + f"\nseed={seed}".encode()
     ).hexdigest()
@@ -87,8 +108,47 @@ def _write_outputs(command, cfg, args, outdir, seed, derived, tables=(), documen
         "config_sha256": digest,
         "config": cfg.raw_text,
         "derived": derived,
-        "files": sorted(os.path.basename(f) for f in files),
+        "files": sorted(os.path.basename(job[0]) for job in csv_jobs + json_jobs),
     })
+
+
+def _csv_values(tables) -> int:
+    """The number of fields in the ``(name, header, columns)`` CSV tables."""
+    return sum(len(header) * (len(columns.entries) if isinstance(columns, SymmetricMatrix)
+                              else len(columns[0]) if len(columns) else 0)
+               for _, header, columns in tables)
+
+
+def _fork_beside(child_work, own_work) -> None:
+    """Run ``child_work()`` in a forked child while this process runs ``own_work()``.
+
+    The child may only format and write files: it calls no BLAS routine,
+    whose thread pool did not survive the fork.  It always ends in
+    ``os._exit``, so it never returns into the caller's stack, runs no exit
+    handler and flushes no inherited stdio buffer.  The child is reaped on
+    every path.  If it exits nonzero, ``child_work()`` runs again here, so a
+    failure raises what the serial path raises.
+    """
+    import warnings  # loaded at interpreter start-up: no import cost
+
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on any fork of a process with threads, here
+        # OpenBLAS's idle pool; the child never enters BLAS
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child_work()
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        own_work()
+    finally:
+        if os.waitpid(pid, 0)[1]:
+            child_work()
 
 
 def _derived_base(cfg: ExperimentConfig) -> dict:

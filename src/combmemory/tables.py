@@ -259,14 +259,25 @@ def _write_matrix(matrix, nl, write):
     write(nl + "]")
 
 
-def _holds_bulk(obj):
+def _holds_bulk(obj, path=()):
     """Whether ``obj`` is a ``Records`` or ``SymmetricMatrix`` value, or a list,
-    tuple or string-keyed dict that holds one at any depth."""
+    tuple or string-keyed dict that holds one at any depth.
+
+    ``path`` holds the ids of the containers being searched around ``obj``; a
+    container met again on it is a cycle and adds nothing to the search.
+    """
     if isinstance(obj, (Records, SymmetricMatrix)):
         return True
     if isinstance(obj, dict):
-        return all(isinstance(k, str) for k in obj) and any(map(_holds_bulk, obj.values()))
-    return isinstance(obj, (list, tuple)) and any(map(_holds_bulk, obj))
+        items = obj.values() if all(isinstance(k, str) for k in obj) else ()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        return False
+    if id(obj) in path:
+        return False
+    path = (*path, id(obj))
+    return any(_holds_bulk(item, path) for item in items)
 
 
 def _stdlib(obj, nl):
@@ -274,27 +285,30 @@ def _stdlib(obj, nl):
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
-def _write_value(obj, nl, write):
+def _write_value(obj, nl, write, path=()):
+    """Write ``obj`` after ``nl``; ``path`` holds the ids of the containers around it."""
     if isinstance(obj, Records):
         _write_records(obj, nl, write)
     elif isinstance(obj, SymmetricMatrix):
         _write_matrix(obj, nl, write)
     elif not _holds_bulk(obj):
         write(_stdlib(obj, nl))
+    elif id(obj) in path:
+        raise ValueError("Circular reference detected")  # the stdlib encoder's error
     elif isinstance(obj, dict):
-        inner = nl + "  "
+        inner, path = nl + "  ", (*path, id(obj))
         sep = "{"
         for key in sorted(obj):
             write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _write_value(obj[key], inner, write)
+            _write_value(obj[key], inner, write, path)
             sep = ","
         write(nl + "}")
     else:
-        inner = nl + "  "
+        inner, path = nl + "  ", (*path, id(obj))
         sep = "["
         for item in obj:
             write(sep + inner)
-            _write_value(item, inner, write)
+            _write_value(item, inner, write, path)
             sep = ","
         write(nl + "]")
 
@@ -307,7 +321,8 @@ def write_json(path, obj):
     they stand for, and ``SymmetricMatrix`` values, which print as their lists
     of rows, at any depth of its lists, tuples and string-keyed dicts.  Any
     value the stdlib cannot encode raises its ``TypeError``, as does a bulk
-    value under a dict with a key that is not a string.
+    value under a dict with a key that is not a string, and a container that
+    holds itself raises its ``ValueError``.
     """
     with open(path, "w") as fh:
         _write_value(obj, "\n", fh.write)

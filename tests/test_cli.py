@@ -578,6 +578,156 @@ class TestJsonOutputs:
                 assert (out / f"channel_{name}.csv").read_bytes() == want.read_bytes()
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def written(out):
+    """The files in ``out`` as bytes, with the manifest parsed and its timestamp dropped."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    manifest.pop("timestamp")
+    return files, manifest
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that records every ``os.fork`` the run makes; the fork itself is real."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+class TestForkedWrites:
+    """With format = both and at least cli.FORK_MIN_VALUES CSV values, a forked
+    child writes the CSV tables while the parent writes the JSON documents."""
+
+    @staticmethod
+    def config(tmp_path, name):
+        if name == "haar-128":  # a seeded pure 128-mode state under a Haar mixer
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(random_pure_state(128, np.random.default_rng(7)).to_json()))
+            text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}").replace(
+                "teeth = 32", "teeth = 128")
+            return write_config(tmp_path, text + "\n[pumps]\nbasis = random-unitary\n")
+        if name == "sweep-64x100":  # 64 levels over 100 depths: 6400 curve rows
+            rng = np.random.default_rng(64)
+            levels = ", ".join(repr(x) for x in rng.uniform(-12.0, -0.5, 64).tolist())
+            depths = ", ".join(repr(x) for x in np.sort(rng.uniform(0.25, 20.0, 100)).tolist())
+            text = BASE.replace("squeezing_db = -6, -3, -1", f"squeezing_db = {levels}").replace(
+                "teeth = 32", "teeth = 64")
+            return write_config(tmp_path, text + f"\n[sweep]\nd_values = {depths}\n")
+        if name == "dynamics-small":
+            return write_config(tmp_path, DYNAMICS.replace("n_z = 600", "n_z = 300")
+                                .replace("n_t = 600", "n_t = 400") + "path = pde\n")
+        return os.path.join(os.path.dirname(DEMO), name)
+
+    @pytest.mark.parametrize("command, name", [
+        ("kernel", "demo.ini"),
+        ("metrics", "demo.ini"),
+        ("channel", "demo.ini"),
+        ("sweep", "demo.ini"),
+        ("channel", "channel_epr.ini"),
+        ("metrics", "channel_epr.ini"),
+        ("sweep", "channel_epr.ini"),
+        ("dynamics", "dynamics-small"),
+        ("channel", "haar-128"),
+        ("sweep", "sweep-64x100"),
+    ])
+    def test_same_bytes_on_both_paths(self, tmp_path, monkeypatch, forks, command, name):
+        config = self.config(tmp_path, name)
+        pid, runs = os.getpid(), []
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(cli, "FORK_MIN_VALUES", threshold)
+            out = tmp_path / f"out-{threshold}"
+            before = len(forks)
+            rc = main([command, "--config", config, "--out", str(out), "--format", "both"])
+            assert rc == 0 and os.getpid() == pid
+            assert len(forks) - before == (threshold == 0)
+            assert_no_child_left()
+            runs.append(written(out))
+        assert runs[0] == runs[1]
+        assert any(n.endswith(".csv") for n in runs[0][0])
+        assert any(n.endswith(".json") for n in runs[0][0])
+
+    def test_without_fork_the_writes_run_in_order(self, tmp_path, monkeypatch):
+        config = self.config(tmp_path, "sweep-64x100")
+        runs = []
+        for has_fork in (True, False):
+            if not has_fork:
+                monkeypatch.delattr(os, "fork")
+            monkeypatch.setattr(cli, "FORK_MIN_VALUES", 0)
+            out = tmp_path / f"out-{has_fork}"
+            assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+            runs.append(written(out))
+        assert runs[0] == runs[1]
+
+    def test_child_failure_raises_like_the_serial_path(self, tmp_path, monkeypatch, forks):
+        # a directory where the first CSV table goes: the child fails, and the
+        # parent's in-process rewrite raises the serial path's own error
+        config = write_config(tmp_path, BASE)
+        out = tmp_path / "out"
+        (out / "sweep_curves.csv").mkdir(parents=True)
+        pid, errors = os.getpid(), []
+        for threshold in (1 << 62, 0):
+            monkeypatch.setattr(cli, "FORK_MIN_VALUES", threshold)
+            with pytest.raises(OSError) as caught:
+                main(["sweep", "--config", config, "--out", str(out)])
+            errors.append((type(caught.value), str(caught.value)))
+            assert os.getpid() == pid
+            assert_no_child_left()
+            assert not (out / "manifest.json").exists()
+        assert len(forks) == 1
+        assert errors[0] == errors[1] and errors[0][0] is IsADirectoryError
+
+    def test_own_failure_still_reaps_the_child(self, tmp_path):
+        # the parent's writes raise: the child is reaped, its writes are whole,
+        # and the parent's error propagates
+        target = tmp_path / "child.txt"
+
+        def fail():
+            raise OSError("parent write failed")
+
+        with pytest.raises(OSError, match="parent write failed"):
+            cli._fork_beside(lambda: target.write_text("x" * 100000), fail)
+        assert_no_child_left()
+        assert target.read_text() == "x" * 100000
+
+    def test_both_failing_raise_the_child_error(self, tmp_path):
+        # the serial path writes the CSV tables first, so their error wins
+        def child():
+            raise IsADirectoryError("csv write failed")
+
+        def own():
+            raise OSError("json write failed")
+
+        with pytest.raises(IsADirectoryError, match="csv write failed"):
+            cli._fork_beside(child, own)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("config", ["shipped", "pde-five-probes"])
+    def test_dynamics_never_forks(self, tmp_path, forks, config):
+        # the dynamics report is one row per check, far below the threshold
+        if config == "shipped":
+            config = SHIPPED_DYNAMICS
+        else:
+            gamma_s = 2 * np.pi * 18e3
+            probes = ", ".join(repr(w * gamma_s) for w in (-0.3, -0.1, 0.2, 0.3))
+            text = DYNAMICS.replace("n_z = 600", "n_z = 300").replace("n_t = 600", "n_t = 400")
+            text = text.replace("probe_omegas = 0", f"probe_omegas = 0, {probes}")
+            config = write_config(tmp_path, text + "path = pde\n")
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", config, "--out", str(out), "--format", "both"]) == 0
+        assert forks == []
+        assert {p.suffix for p in out.iterdir()} == {".csv", ".json"}
+
+
 class TestCliPlumbing:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["kernel", "--config", str(tmp_path / "nope.ini")]) == 2

@@ -151,6 +151,41 @@ def test_unserialisable_value_raises_like_the_stdlib(tmp_path):
             write_json(tmp_path / "t.json", {"a": [1.0, value]})
 
 
+def self_holding(bulk):
+    """Containers that hold themselves, each with ``bulk`` beside the cycle if given."""
+    extra = [] if bulk is None else [bulk]
+    a = [*extra]
+    a.append(a)
+    d = {"m": bulk} if bulk is not None else {}
+    d["self"] = d
+    deep = {"a": [1.0, {}], "z": extra}
+    deep["a"][1]["up"] = [deep]
+    return [a, d, deep, (a,), [[a]]]
+
+
+@pytest.mark.parametrize("bulk", [None, SymmetricMatrix(np.eye(2)), Records(["x"], [[1.0]])],
+                         ids=["plain", "matrix", "records"])
+def test_self_holding_container_raises_like_the_stdlib(tmp_path, bulk):
+    # the stdlib raises ValueError("Circular reference detected"); the bulk
+    # search and the walk once recursed without end into a RecursionError
+    for obj in self_holding(bulk):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            write_json(tmp_path / "t.json", obj)
+        if bulk is None:
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_cycle_beside_unserialisable_value_raises_like_the_stdlib(tmp_path):
+    # the stdlib meets "a" first, in sorted key order, and raises its TypeError
+    d = {"a": object()}
+    d["b"] = d
+    for write in (lambda: json.dumps(d, indent=2, sort_keys=True),
+                  lambda: write_json(tmp_path / "t.json", d)):
+        with pytest.raises(TypeError):
+            write()
+
+
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
                 | st.floats() | st.text())
 JSON_VALUES = st.recursive(
