@@ -114,8 +114,8 @@ def _write_outputs(command, cfg, args, outdir, seed, derived, tables=(), documen
 
 def _csv_values(tables) -> int:
     """The number of fields in the ``(name, header, columns)`` CSV tables."""
-    return sum(len(header) * (len(columns.entries) if isinstance(columns, SymmetricMatrix)
-                              else len(columns[0]) if len(columns) else 0)
+    return sum(len(header) * len(columns.entries if isinstance(columns, SymmetricMatrix)
+                                 else columns[0])
                for _, header, columns in tables)
 
 
@@ -127,7 +127,8 @@ def _fork_beside(child_work, own_work) -> None:
     ``os._exit``, so it never returns into the caller's stack, runs no exit
     handler and flushes no inherited stdio buffer.  The child is reaped on
     every path.  If it exits nonzero, ``child_work()`` runs again here, so a
-    failure raises what the serial path raises.
+    failure raises what running the two in turn raises; an interrupt of
+    ``own_work()`` (``KeyboardInterrupt``, ``SystemExit``) only waits for it.
     """
     import warnings  # loaded at interpreter start-up: no import cost
 
@@ -146,9 +147,12 @@ def _fork_beside(child_work, own_work) -> None:
             os._exit(code)
     try:
         own_work()
-    finally:
-        if os.waitpid(pid, 0)[1]:
-            child_work()
+    except BaseException as exc:
+        if os.waitpid(pid, 0)[1] and isinstance(exc, Exception):
+            child_work()  # written in turn, the tables would fail first
+        raise
+    if os.waitpid(pid, 0)[1]:
+        child_work()
 
 
 def _derived_base(cfg: ExperimentConfig) -> dict:

@@ -636,6 +636,7 @@ class TestForkedWrites:
         ("channel", "channel_epr.ini"),
         ("metrics", "channel_epr.ini"),
         ("sweep", "channel_epr.ini"),
+        ("dynamics", "dynamics.ini"),
         ("dynamics", "dynamics-small"),
         ("channel", "haar-128"),
         ("sweep", "sweep-64x100"),
@@ -710,6 +711,24 @@ class TestForkedWrites:
         with pytest.raises(IsADirectoryError, match="csv write failed"):
             cli._fork_beside(child, own)
         assert_no_child_left()
+
+    def test_interrupt_waits_for_the_child_and_writes_no_more(self):
+        # on an interrupt the child is reaped, and its failed work is not redone
+        redone = []
+
+        def child():
+            if os.getpid() == parent:
+                redone.append(True)
+            raise OSError("csv write failed")
+
+        def own():
+            raise KeyboardInterrupt
+
+        parent = os.getpid()
+        with pytest.raises(KeyboardInterrupt):
+            cli._fork_beside(child, own)
+        assert_no_child_left()
+        assert redone == []
 
     @pytest.mark.parametrize("config", ["shipped", "pde-five-probes"])
     def test_dynamics_never_forks(self, tmp_path, forks, config):
