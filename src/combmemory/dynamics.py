@@ -689,10 +689,11 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     kept: per step the march keeps a(0, t) and a(1, t) and adds w_t |b|^2
     (Simpson weights in t) into one n_z vector, so memory is O(n_z + n_t).
     A non-finite field anywhere reaches a(1, .), that sum or b(., T), and
-    raises PhysicsError.  A drive whose imaginary part is all zero marches as
-    its real part, in float64 (``_march``'s dtype rule), with the same bits;
-    the record's fields are complex either way.  Its scaled window and step
-    are checked as ``write_analytic`` checks them.
+    raises PhysicsError, as does a sum that overflows a float in SI units
+    while every field is finite.  A drive whose imaginary part is all zero
+    marches as its real part, in float64 (``_march``'s dtype rule), with the
+    same bits; the record's fields are complex either way.  Its scaled window
+    and step are checked as ``write_analytic`` checks them.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
     if not bound.imag.any():
@@ -713,13 +714,21 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
         sg = np.sqrt(params.gamma_s)
         ends = np.empty((int(n_t), 2), dtype=complex)
         b2 = np.empty(int(n_z))
-        for j, (a, b) in enumerate(_march(np.zeros(int(n_z)), bound / sg, h, params.d, int(n_z))):
-            ends[j, 0], ends[j, 1] = a[0], a[-1]
-            np.abs(b, out=b2)
-            b2 *= b2
-            b2 *= wt[j]
-            b_sq_dt += b2
+        # |b|^2 carries 1 / gamma_s and wt is in seconds, so the sum can
+        # overflow in SI units while every field is finite; an overflow is
+        # found from the finished sum and fields, not warned of per step
+        with np.errstate(over="ignore"):
+            for j, (a, b) in enumerate(_march(np.zeros(int(n_z)), bound / sg, h, params.d,
+                                              int(n_z))):
+                ends[j, 0], ends[j, 1] = a[0], a[-1]
+                np.abs(b, out=b2)
+                b2 *= b2
+                b2 *= wt[j]
+                b_sq_dt += b2
         ends *= sg
+        if not np.isfinite(b_sq_dt).all() and np.isfinite(ends).all() and np.isfinite(b).all():
+            raise PhysicsError("the SI integral of |b|^2 dt over the write window overflows "
+                               f"a float (gamma_s = {params.gamma_s:g}, T = {params.T:g} s)")
     return WriteRecord(StoredProfile(z, b), t, ends[:, 0], ends[:, 1], b_sq_dt)
 
 

@@ -318,26 +318,20 @@ def supermode_extraction(C: CovarianceMatrix):
     lam, vec = np.linalg.eigh(C.entries)
 
     sq = lam < 1.0 - SQUEEZED_EIG_TOL
-    order = np.argsort(lam[sq], kind="stable")
-    vs = vec[:, sq][:, order]
-    ls = lam[sq][order]
-    # deterministic tie-break and sign fix on the squeezed eigenvectors
-    groups = []
-    i = 0
-    while i < ls.size:
-        j = i
-        while j + 1 < ls.size and abs(ls[j + 1] - ls[i]) <= 1e-10 * max(1.0, ls[i]):
-            j += 1
-        groups.append((i, j + 1))
-        i = j + 1
-    cols = []
-    for lo, hi in groups:
-        block = sorted(range(lo, hi), key=lambda k: int(np.argmax(np.abs(vs[:, k]))))
-        cols.extend(block)
-    vs = vs[:, cols]
-    ls = ls[cols]
-    lead = vs[np.argmax(np.abs(vs), axis=0), np.arange(ls.size)]
-    P = (vs * np.where(lead < 0, -1.0, 1.0)).T
+    vs, ls = vec[:, sq], lam[sq]  # eigh returns lam ascending
+    # deterministic tie-break and sign fix on the squeezed eigenvectors: a tie
+    # group runs while zeta is within 1e-10 of the group's first, and one
+    # stable sort orders by (group, index of the largest-magnitude component)
+    group = np.empty(ls.size, dtype=np.intp)
+    start = 0
+    for k in range(ls.size):
+        if abs(ls[k] - ls[start]) > 1e-10 * max(1.0, ls[start]):
+            start = k
+        group[k] = start
+    peak = np.argmax(np.abs(vs), axis=0)
+    cols = np.argsort(group * len(vs) + peak, kind="stable")
+    vs, ls, peak = vs[:, cols], ls[cols], peak[cols]
+    P = (vs * np.where(vs[peak, np.arange(ls.size)] < 0, -1.0, 1.0)).T
 
     vac = np.abs(lam - 1.0) <= SQUEEZED_EIG_TOL
     if vac.any():

@@ -7,10 +7,19 @@ value may contain a comma, a quote or a line break.
 
 JSON (``write_json``): exactly the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.  Every value is the
-stdlib's own output but for two shapes printed here with ``%`` templates and
-joins: ``Records`` tables and ``SymmetricMatrix`` values.  They are the bulk
-of the files the benchmark measures (the sweep and retrieval tables, the comb
-covariances), and the stdlib drops its C encoder when ``indent`` is set.
+stdlib's own output but for two bulk shapes: ``Records`` tables and
+``SymmetricMatrix`` values.  They are the bulk of the files the benchmark
+measures (the sweep and retrieval tables, the comb covariances), and the
+stdlib drops its C encoder when ``indent`` is set.  Each value goes to the
+stdlib whole; a list, tuple or dict is walked item by item only when the
+stdlib raises ``TypeError`` on it, as it does on a bulk value inside.
+
+One renderer prints the bulk shapes in both formats.  Each becomes a stream
+of row texts from one of two sources: ``%`` templates filled ``BLOCK_ROWS``
+rows at a time for a column table, or mirrored rows for a
+``SymmetricMatrix``.  The formats differ only in how they spell a value
+(``_spell_csv``, ``_spell_json``) and how they frame the rows: CSV writes
+them after its header, JSON frames them as the stdlib frames a list.
 
 Repeated values are formatted once.  A ``Gathered`` column stands for
 ``values[index]``: both writers format each of its distinct ``values`` once
@@ -49,35 +58,34 @@ def write_csv(path, header, columns):
     if isinstance(columns, SymmetricMatrix):
         if len(header) != len(columns.entries):
             raise ValueError("a matrix table needs one header name per column")
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for row in _mirrored_rows(columns, "%.15g"):
-                fh.write(",".join(row) + "\r\n")
-        return path
-    cols, n = _columns(header, columns)
-    fields = [_csv_field(c) for c in cols]
-    row = ",".join(conv for conv, _, _ in fields) + "\r\n"
+        rows = _mirrored_rows(columns, _spell_csv, "", ",", "\r\n")
+    else:
+        cols, n = _columns(header, columns)
+        fields = [_field(c, _spell_csv) for c in cols]
+        rows = _blocks(fields, n, ",".join(conv for conv, _, _ in fields) + "\r\n", "")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i in range(0, n, BLOCK_ROWS):
-            block = [_block(values, index, i) for _, values, index in fields]
-            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        fh.writelines(rows)
     return path
 
 
-def _csv_field(col):
-    """One CSV column as ``(conv, values, index)``: floats print by ``%.15g``
-    and the rest by ``str``; a ``Gathered`` column's values are its strings."""
-    if isinstance(col, Gathered):
-        conv = "%.15g" if col.values.dtype.kind == "f" else "%s"
-        return "%s", _format_once(col.values, conv), col.index
-    return ("%.15g" if col.dtype.kind == "f" else "%s"), col, None
+def _spell_csv(values):
+    """CSV's spelling of an array's items as ``(conv, respell)``: ``%.15g``
+    for floats and ``str`` for the rest, with no rewrite."""
+    return ("%.15g" if values.dtype.kind == "f" else "%s"), None
 
 
-def _block(values, index, i):
-    """Rows ``i`` to ``i + BLOCK_ROWS`` of ``values``, or of ``values[index]``, as a list."""
-    rows = slice(i, i + BLOCK_ROWS)
-    return (values[rows] if index is None else values[index[rows]]).tolist()
+def _blocks(fields, n, template, sep):
+    """Yield the ``n`` rows of a column table as text, ``BLOCK_ROWS`` rows at a time.
+
+    ``fields`` holds one ``_field`` per column.  Each block is ``template``
+    repeated once per row and joined by ``sep``, filled by one ``%``.
+    """
+    for i in range(0, n, BLOCK_ROWS):
+        rows = slice(i, i + BLOCK_ROWS)
+        block = [(values[rows] if index is None else values[index[rows]]).tolist()
+                 for _, values, index in fields]
+        yield sep.join([template] * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
 class Gathered:
@@ -180,104 +188,67 @@ def _format_once(values, conv, respell=None):
     return strings
 
 
-def _mirrored_rows(matrix, conv, respell=None):
-    """Yield ``matrix``'s rows as lists of strings.
+def _mirrored_rows(matrix, spell, start, sep, end):
+    """Yield ``matrix``'s rows as text: ``start``, the row's entries joined by
+    ``sep``, then ``end``.
 
-    Each upper-triangle entry is printed once by ``_format_once``, and an
-    index array gathers the strings into every row, mirrored below the
-    diagonal; only the triangle's strings are held.
+    Each upper-triangle entry is printed once by ``_format_once`` in the
+    spelling ``spell``, and an index array gathers the strings into every row,
+    mirrored below the diagonal; only the triangle's strings are held.
     """
     A = matrix.entries
     upper = np.triu_indices(len(A))
-    strings = _format_once(A[upper], conv, respell)
+    strings = _format_once(A[upper], *spell(A))
     where = np.empty(A.shape, dtype=np.intp)
     where[upper] = where[upper[::-1]] = np.arange(len(strings))
     for row in where:
-        yield strings[row].tolist()
+        yield start + sep.join(strings[row].tolist()) + end
 
 
-def _spell_non_finite(text):
-    """``text``, comma-joined float reprs, with nan and inf spelt as the stdlib spells them."""
-    if "n" not in text:  # finite reprs hold no n
-        return text
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
+def _spell_json(values):
+    """The stdlib's spelling of an array's items as ``(conv, respell)``.
 
-
-def _json_strings(values, nl):
-    """Each of ``values`` printed once as the stdlib prints it, as an object array."""
+    Floats print by ``repr``, rewritten to the stdlib's ``NaN`` and
+    ``Infinity`` if any is not finite, and integers by ``%d``; ``conv`` is
+    None for any other item, which the stdlib prints one by one.
+    """
     kind = values.dtype.kind
     if kind == "f":
-        return _format_once(values, "%r", _spell_non_finite)
-    if kind in "iu":
-        return _format_once(values, "%d")
-    return np.array([_stdlib(v, nl) for v in values.tolist()], dtype=object)
+        finite = np.isfinite(values).all()
+        return "%r", None if finite else (
+            lambda text: text.replace("nan", "NaN").replace("inf", "Infinity"))
+    return ("%d" if kind in "iu" else None), None
 
 
-def _record_field(col, nl):
-    """One record column as ``(conv, values, index)``: the ``%`` conversion of
-    its field, the values it formats and, for a ``Gathered`` column, the index
-    that gathers its strings."""
-    if isinstance(col, Gathered):
-        return "%s", _json_strings(col.values, nl), col.index
-    kind = col.dtype.kind
-    if kind == "f" and np.isfinite(col).all():
-        return "%r", col, None
-    if kind in "iu":
-        return "%d", col, None
-    return "%s", _json_strings(col, nl), None  # str, bool, None, NaN/inf, mixed
+def _field(col, spell, nl=None):
+    """One table column as ``(conv, values, index)``: the ``%`` conversion of
+    its field, the values that fill it and the index that gathers them, or None.
 
-
-def _write_records(rec, nl, write):
-    n = len(rec.columns[0]) if rec.columns else 0
-    if n == 0:
-        write("[]")
-        return
-    inner, field = nl + "  ", nl + "    "
-    order = sorted(range(len(rec.header)), key=rec.header.__getitem__)
-    fields = [_record_field(rec.columns[k], field) for k in order]
-    template = "{" + ",".join(
-        f"{field}{encode_basestring_ascii(rec.header[k]).replace('%', '%%')}: {conv}"
-        for k, (conv, _, _) in zip(order, fields)) + inner + "}"
-    sep = "[" + inner
-    for i in range(0, n, BLOCK_ROWS):
-        block = [_block(values, index, i) for _, values, index in fields]
-        write(sep + ("," + inner).join([template] * len(block[0]))
-              % tuple(chain.from_iterable(zip(*block))))
-        sep = "," + inner
-    write(nl + "]")
-
-
-def _write_matrix(matrix, nl, write):
-    if not matrix.entries.size:
-        write("[]")
-        return
-    inner, field = nl + "  ", nl + "    "
-    sep = "[" + inner
-    for row in _mirrored_rows(matrix, "%r", _spell_non_finite):
-        write(sep + "[" + field + ("," + field).join(row) + inner + "]")
-        sep = "," + inner
-    write(nl + "]")
-
-
-def _holds_bulk(obj, path=()):
-    """Whether ``obj`` is a ``Records`` or ``SymmetricMatrix`` value, or a list,
-    tuple or string-keyed dict that holds one at any depth.
-
-    ``path`` holds the ids of the containers being searched around ``obj``; a
-    container met again on it is a cycle and adds nothing to the search.
+    ``spell`` is the format's spelling.  A plain column that needs no rewrite
+    fills its field in place; any other column's values are printed once to
+    strings, by ``_format_once`` or, where ``conv`` is None, by the stdlib
+    re-indented to sit after ``nl``.
     """
-    if isinstance(obj, (Records, SymmetricMatrix)):
-        return True
-    if isinstance(obj, dict):
-        items = obj.values() if all(isinstance(k, str) for k in obj) else ()
-    elif isinstance(obj, (list, tuple)):
-        items = obj
+    values, index = (col.values, col.index) if isinstance(col, Gathered) else (col, None)
+    conv, respell = spell(values)
+    if conv is None:
+        values = np.array([_stdlib(v, nl) for v in values.tolist()], dtype=object)
+    elif index is not None or respell is not None:
+        values = _format_once(values, conv, respell)
     else:
-        return False
-    if id(obj) in path:
-        return False
-    path = (*path, id(obj))
-    return any(_holds_bulk(item, path) for item in items)
+        return conv, values, None
+    return "%s", values, index
+
+
+def _write_list(texts, nl, write):
+    """Write the item texts ``texts`` after ``nl`` as the stdlib frames a list."""
+    inner = nl + "  "
+    sep = "[" + inner
+    for text in texts:
+        write(sep)
+        write(text)  # not sep + text: a copy of the block would raise the peak
+        sep = "," + inner
+    write(nl + "]" if sep[0] == "," else "[]")
 
 
 def _stdlib(obj, nl):
@@ -287,30 +258,43 @@ def _stdlib(obj, nl):
 
 def _write_value(obj, nl, write, path=()):
     """Write ``obj`` after ``nl``; ``path`` holds the ids of the containers around it."""
+    inner, field = nl + "  ", nl + "    "
     if isinstance(obj, Records):
-        _write_records(obj, nl, write)
-    elif isinstance(obj, SymmetricMatrix):
-        _write_matrix(obj, nl, write)
-    elif not _holds_bulk(obj):
-        write(_stdlib(obj, nl))
-    elif id(obj) in path:
-        raise ValueError("Circular reference detected")  # the stdlib encoder's error
-    elif isinstance(obj, dict):
-        inner, path = nl + "  ", (*path, id(obj))
-        sep = "{"
-        for key in sorted(obj):
-            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _write_value(obj[key], inner, write, path)
-            sep = ","
-        write(nl + "}")
+        order = sorted(range(len(obj.header)), key=obj.header.__getitem__)
+        fields = [_field(obj.columns[k], _spell_json, field) for k in order]
+        template = "{" + ",".join(
+            f"{field}{encode_basestring_ascii(obj.header[k]).replace('%', '%%')}: {conv}"
+            for k, (conv, _, _) in zip(order, fields)) + inner + "}"
+        n = len(obj.columns[0]) if obj.columns else 0
+        _write_list(_blocks(fields, n, template, "," + inner), nl, write)
+        return
+    if isinstance(obj, SymmetricMatrix):
+        _write_list(_mirrored_rows(obj, _spell_json, "[" + field, "," + field, inner + "]"),
+                    nl, write)
+        return
+    try:
+        text = _stdlib(obj, nl)
+    except TypeError:
+        # a bulk value inside, or a value nothing encodes, met again on the walk
+        if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+            items = [(f"{inner}{encode_basestring_ascii(k)}: ", obj[k]) for k in sorted(obj)]
+            ends = "{}"
+        elif isinstance(obj, (list, tuple)):
+            items, ends = [(inner, item) for item in obj], "[]"
+        else:
+            raise
     else:
-        inner, path = nl + "  ", (*path, id(obj))
-        sep = "["
-        for item in obj:
-            write(sep + inner)
-            _write_value(item, inner, write, path)
-            sep = ","
-        write(nl + "]")
+        write(text)
+        return
+    if id(obj) in path:
+        raise ValueError("Circular reference detected")  # the stdlib encoder's error
+    path = (*path, id(obj))
+    sep = ends[0]
+    for head, item in items:
+        write(sep + head)
+        _write_value(item, inner, write, path)
+        sep = ","
+    write(nl + ends[1])
 
 
 def write_json(path, obj):

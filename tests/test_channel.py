@@ -6,6 +6,7 @@ import pytest
 from combmemory import (
     CovarianceMatrix,
     DimensionError,
+    KernelResponse,
     MemoryParams,
     ModeBasis,
     PhysicalParams,
@@ -79,6 +80,15 @@ class TestPhysicalParams:
         with pytest.raises(PhysicsError, match="detuning"):
             PhysicalParams(Delta=0.0, gamma=1.0, Omega_p=0.1)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+    def test_nonpositive_gamma_rejected(self, gamma):
+        with pytest.raises(PhysicsError, match="gamma must be positive"):
+            PhysicalParams(Delta=1.0, gamma=gamma, Omega_p=0.01)
+
+    def test_negative_pump_rejected(self):
+        with pytest.raises(PhysicsError, match="Omega_p must be >= 0"):
+            PhysicalParams(Delta=1.0, gamma=1.0, Omega_p=-0.01)
+
 
 class TestKernel:
     def test_dc_value(self):
@@ -148,6 +158,14 @@ class TestFrequencyResponse:
             frequency_response(params_for(4.0), 0.1 * GAMMA_S, 1)
         with pytest.raises(PhysicsError):
             frequency_response(params_for(4.0), -1.0, 201)
+
+    @pytest.mark.parametrize("frequencies, values", [
+        (np.zeros(3), np.zeros(2)),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+    ], ids=["length-mismatch", "2-d"])
+    def test_mismatched_response_rejected(self, frequencies, values):
+        with pytest.raises(DimensionError, match="equal 1-d arrays"):
+            KernelResponse(frequencies, values, 0.0)
 
 
 class TestCovarianceMap:

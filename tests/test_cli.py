@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from combmemory import CovarianceMatrix, StoredProfile, cli
+from combmemory import CombMemoryError, CovarianceMatrix, StoredProfile, cli
 from combmemory.channel import MAX_KERNEL_POINTS
 from combmemory.cli import main
 from combmemory.config import MAX_SWEEP_DEPTHS
@@ -85,6 +85,13 @@ class TestKernelCommand:
         assert summary["flatness"] <= 2e-3
         assert summary["narrowband"] is True
         assert len(summary["response"]) == 201
+
+    def test_zero_depth_is_flat(self, tmp_path):
+        # at d = 0 nothing is retrieved at any frequency, so no band is uneven
+        rc, out = run(tmp_path, "kernel", BASE.replace("d = 4", "d = 0"))
+        assert rc == 0
+        summary = json.loads((out / "kernel_summary.json").read_text())
+        assert summary["flatness"] == 0.0 and summary["efficiency"] == 0.0
 
     @pytest.mark.parametrize("line, key, code", [
         ("n_points = 0", "n_points", 2),
@@ -411,6 +418,14 @@ class TestStateFileErrorLine:
             assert rc == 3
             assert "physics error: unphysical covariance" in capsys.readouterr().err
 
+    def test_non_finite_file_is_physics_error(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"mode_count": 1, "rows": [[np.nan, 0.0], [0.0, 1.0]]}))
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        rc, _ = run(tmp_path, "metrics", text)
+        assert rc == 3
+        assert "physics error: covariance entries must be finite" in capsys.readouterr().err
+
     def test_malformed_file_keeps_its_message(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"mode_count": 2, "rows": [[1, 0], [0, 1]]}))
@@ -522,6 +537,19 @@ class TestDynamicsOverflow:
         rc, out = run_without_runtime_warning(tmp_path, "dynamics", text)
         err = capsys.readouterr().err
         assert rc == 3 and message in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_si_integral_overflow_exits_3(self, tmp_path, capsys):
+        # gamma_s T = 0.1 is in range, but |b|^2 carries 1 / gamma_s = 1e200 and
+        # the Simpson weights in seconds are about 2.6e197, so the write's SI
+        # integral of |b|^2 dt overflows; before, it warned in the sum
+        with open(SHIPPED_DYNAMICS) as fh:
+            text = fh.read().replace("n_z = 2000", "n_z = 40").replace("n_t = 2000", "n_t = 40")
+        for key, value in (("gamma_s", "1e-200"), ("T", "1e199 s"), ("probe_omegas", "0")):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        rc, out = run_without_runtime_warning(tmp_path, "dynamics", text)
+        err = capsys.readouterr().err
+        assert rc == 3 and "SI integral of |b|^2 dt" in err and "Traceback" not in err
         assert not any(out.iterdir())
 
 
@@ -750,6 +778,16 @@ class TestForkedWrites:
 class TestCliPlumbing:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["kernel", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    def test_package_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # an error of this package that is none of the three named kinds
+        def failing(*args):
+            raise CombMemoryError("no such thing")
+
+        monkeypatch.setitem(cli._COMMANDS, "kernel", failing)
+        rc, _ = run(tmp_path, "kernel")
+        assert rc == 3
+        assert capsys.readouterr().err == "error: no such thing\n"
 
     def test_bad_config_is_usage_error(self, tmp_path):
         # two state sources in [state]

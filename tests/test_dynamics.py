@@ -299,6 +299,22 @@ class TestContainers:
         with pytest.raises(DimensionError, match="matching"):
             StoredProfile(np.linspace(0, 1, 5), np.zeros(4, dtype=complex))
 
+    @pytest.mark.parametrize("z", [np.linspace(1, 0, 4), np.array([0.0, 0.5, 0.5, 1.0])],
+                             ids=["descending", "repeated"])
+    def test_stored_profile_grid_must_ascend(self, z):
+        with pytest.raises(PhysicsError, match="strictly ascending"):
+            StoredProfile(z, np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("t, message", [
+        (np.zeros(1), "t grid needs at least 2 samples"),
+        (np.array([0.0, 1e-4, 3e-4, 4e-4]), "t grid must be uniform"),
+    ], ids=["one-sample", "non-uniform"])
+    def test_energy_budget_needs_uniform_t_grid(self, t, message):
+        prof = StoredProfile(np.linspace(0, 1, 4), np.zeros(4, dtype=complex))
+        a = np.ones(t.size, dtype=complex)
+        with pytest.raises(DimensionError, match=message):
+            energy_budget(WriteRecord(prof, t, a, a, np.zeros(4)), params10())
+
 
 class TestWriteAnalytic:
     def test_stored_fraction_flat_input(self):
@@ -332,6 +348,10 @@ class TestWriteAnalytic:
     def test_input_length_floor(self):
         with pytest.raises(DimensionError, match="9 samples"):
             write_analytic(np.ones(5, dtype=complex), params10(), 16)
+
+    def test_grid_floor(self):
+        with pytest.raises(DimensionError, match="n_z must be at least 4"):
+            write_analytic(np.ones(9, dtype=complex), params10(), 3)
 
 
 class TestPdeMarch:

@@ -34,6 +34,10 @@ class TestCovarianceMatrix:
         assert C.mode_count == 3
         assert purity(C) == pytest.approx(1.0)
 
+    def test_vacuum_needs_a_mode(self):
+        with pytest.raises(PhysicsError, match="mode count must be >= 1"):
+            vacuum(0)
+
     def test_rejects_odd_dimension(self):
         with pytest.raises(DimensionError):
             CovarianceMatrix(np.eye(3))
@@ -230,6 +234,26 @@ class TestSupermodeExtraction:
         assert np.allclose(spectrum.values, [0.3, 0.3], atol=1e-10)
         D = apply_mode_unitary(C, basis.matrix)
         assert np.abs(D.entries - np.kron(np.eye(2), np.diag([1 / 0.3, 0.3]))).max() < 1e-8
+
+    def test_ties_ordered_by_peak_index_with_positive_peak(self):
+        # a degenerate pair beside a lone mode: within the tie, rows follow the
+        # index of their eigenvector's largest-magnitude component, which is
+        # positive; for some seeds eigh's own order breaks that rule
+        reordered = 0
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            C = apply_mode_unitary(squeezed_vacuum(SqueezingSpectrum((0.3, 0.3, 0.5))),
+                                   random_unitary(3, rng))
+            basis, spectrum, _ = supermode_extraction(C)
+            assert spectrum.values[1] - spectrum.values[0] <= 1e-10
+            v = np.empty((3, 6))  # row m of V is v_m[1::2] + i v_m[0::2]
+            v[:, 1::2], v[:, 0::2] = basis.matrix.real, basis.matrix.imag
+            peaks = np.argmax(np.abs(v), axis=1)
+            assert peaks[0] <= peaks[1]
+            assert np.all(v[np.arange(3), peaks] > 0)
+            vec = np.linalg.eigh(C.entries)[1]
+            reordered += np.argmax(np.abs(vec[:, 0])) > np.argmax(np.abs(vec[:, 1]))
+        assert reordered
 
     @staticmethod
     def _assert_round_trip(C, expected_zetas):

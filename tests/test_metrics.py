@@ -182,6 +182,14 @@ class TestReportFromBlock:
             with pytest.raises(PhysicsError, match="positive"):
                 SupermodeReport(0, zeta_in, zeta_out, 0.9, 0.9)
 
+    @pytest.mark.parametrize("purity_out, fidelity, name", [
+        (0.9, 0.0, "fidelity"), (0.9, 1.1, "fidelity"), (0.9, np.nan, "fidelity"),
+        (0.0, 0.9, "purity"), (1.1, 0.9, "purity"), (np.nan, 0.9, "purity"),
+    ])
+    def test_report_rejects_out_of_range_fidelity_and_purity(self, purity_out, fidelity, name):
+        with pytest.raises(PhysicsError, match=rf"{name} must lie in \(0, 1\]"):
+            SupermodeReport(0, 0.5, 0.6, purity_out, fidelity)
+
 
 class TestOverallFidelity:
     def test_product_and_vector(self):

@@ -95,6 +95,14 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 STRINGS = ['say "hi"', "back\\slash", "tab\tnew\nline", "caf\u00e9 \u00b5s \U0001d11e", "50% off", ""]
 
 
+def objects(*values):
+    """A 1-d object array of ``values``, which may be lists and dicts."""
+    column = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        column[i] = value
+    return column
+
+
 @pytest.mark.parametrize("obj", [
     FLOATS, [-f for f in FLOATS], [[1.0, -0.0], [5e-324, 1e16]],
     2**70, -(2**70), [2**70, 1, -1, 0], None, True, False, [None, True, False, 0, 1],
@@ -122,8 +130,11 @@ def test_json_values(tmp_path, obj):
     (["100%", "%d", "%(x)s"], [[1.0], [2], ["%s"]]),
     (["z", "a", "m"], [np.linspace(0, 1, 2 * BLOCK_ROWS + 3), np.arange(2 * BLOCK_ROWS + 3),
                        np.random.default_rng(0).standard_normal(2 * BLOCK_ROWS + 3)]),
+    # a list or dict value spans lines, each indented to its record's depth
+    (["nest", "i"], [objects({"b": [1.0, {"c": None}], "a": "x"}, [1, [2.0, "y"]], {}, []),
+                     np.arange(4)]),
 ], ids=["mixed", "edge-floats", "large-ints", "none-and-bools", "object-column", "non-finite",
-        "float32", "zero-rows", "no-columns", "percent-names", "block-seams"])
+        "float32", "zero-rows", "no-columns", "percent-names", "block-seams", "nested-values"])
 def test_records_match_stdlib_dicts(tmp_path, header, columns):
     assert_stdlib_bytes(tmp_path, {"rows": Records(header, columns), "n": 1})
     assert_stdlib_bytes(tmp_path, [Records(header, columns)])
@@ -331,8 +342,11 @@ def test_gathered_bytes_match_expanded_column(tmp_path_factory, data, values):
     (["d", "i", "v"], [Gathered.repeat(np.linspace(1, 2, 3), BLOCK_ROWS),
                        Gathered.tile(np.arange(BLOCK_ROWS), 3),
                        np.random.default_rng(2).standard_normal(3 * BLOCK_ROWS)]),
+    # values with no comma in their str, which a CSV field may not hold
+    (["obj", "x"], [Gathered(objects({"k": [1.5]}, [[]], {}, [{"z": None}]), [3, 0, 1, 0, 2]),
+                    np.arange(5) * 0.5]),
 ], ids=["empty-index", "single-value", "non-finite", "ints-and-strings", "bools-and-objects",
-        "block-seams"])
+        "block-seams", "nested-values"])
 def test_gathered_cases(tmp_path, header, columns):
     assert_gathered_bytes(tmp_path, header, columns)
 
