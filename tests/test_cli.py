@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -8,10 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from combmemory import CombMemoryError, CovarianceMatrix, StoredProfile, cli
-from combmemory.channel import MAX_KERNEL_POINTS
+from combmemory import CombMemoryError, CovarianceMatrix, StoredProfile, __version__, cli
+from combmemory.channel import MAX_KERNEL_POINTS, efficiency, pulse_capacity
 from combmemory.cli import main
-from combmemory.config import MAX_SWEEP_DEPTHS
+from combmemory.config import MAX_SWEEP_DEPTHS, load_config
 from combmemory.tables import write_csv
 from support import grid_budget, grid_write, random_pure_state
 
@@ -773,6 +774,88 @@ class TestForkedWrites:
         assert main(["dynamics", "--config", config, "--out", str(out), "--format", "both"]) == 0
         assert forks == []
         assert {p.suffix for p in out.iterdir()} == {".csv", ".json"}
+
+
+class TestRunProtocol:
+    """Each subcommand on its shipped config: the exit code, the exact stdout and
+    stderr lines, and every manifest field but the timestamp."""
+
+    DEMO_LINES = {
+        "kernel": ["kernel: flatness 0.00155416 over |omega| <= 11309.7 rad/s"],
+        "metrics": ["metrics: 6 supermodes at d = 4, overall fidelity 0.953759"],
+        "channel": ["channel: 6 modes through k2 = 0.963704"],
+        "sweep": ["sweep: 20 depths x 6 modes"],
+    }
+    DYNAMICS_LINES = [
+        "dynamics: pde_vs_analytic_l2 = 2.342e-07 (tol 0.001) pass",
+        "dynamics: energy_budget_residual = 6.242e-07 (tol 0.0001) pass",
+        "dynamics: efficiency_measured = 1.998e-03 (tol 0.005) pass",
+        "dynamics: gain_zero_magnitude = 9.995e-04 (tol 0.005) pass",
+        "dynamics: gain_ratio_at_11309.7 = 8.045e-07 (tol 0.001) pass",
+    ]
+
+    @staticmethod
+    def derived(command, cfg, out):
+        """The manifest's ``derived`` block, from the config and the run's data files."""
+        p = cfg.memory
+        want = {"eta": efficiency(p.d), "alpha": p.alpha, "flatness": None}
+        if p.rep_rate is not None:
+            want["pulse_capacity"] = pulse_capacity(p.T, p.rep_rate)
+        if command == "kernel":
+            want["flatness"] = json.loads((out / "kernel_summary.json").read_text())["flatness"]
+        elif command == "metrics":
+            doc = json.loads((out / "metrics_table.json").read_text())
+            want["overall_fidelity"] = doc["overall_fidelity"]
+        elif command == "channel":
+            doc = json.loads((out / "channel_summary.json").read_text())
+            want["basis_independence_max_abs"] = doc["basis_independence_max_abs"]
+        elif command == "dynamics":
+            doc = json.loads((out / "dynamics_report.json").read_text())
+            want["eta_measured"] = doc["eta_measured"]
+        else:
+            want["sweep_points"] = len(cfg.sweep_d)
+        return want
+
+    def check(self, tmp_path, capsys, command, config, rc, stdout, stderr):
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == stdout
+        assert captured.err.splitlines() == stderr
+        with open(config) as fh:
+            text = fh.read()
+        cfg = load_config(config)
+        manifest = json.loads((out / "manifest.json").read_text())
+        timestamp = manifest.pop("timestamp")
+        assert timestamp.endswith("+00:00")
+        assert manifest == {
+            "command": command,
+            "version": __version__,
+            "seed": cfg.seed,
+            "config_sha256": hashlib.sha256(f"{text}\nseed={cfg.seed}".encode()).hexdigest(),
+            "config": text,
+            "derived": self.derived(command, cfg, out),
+            "files": sorted(set(os.listdir(out)) - {"manifest.json"}),
+        }
+        assert manifest["files"]
+
+    @pytest.mark.parametrize("command", ["kernel", "metrics", "channel", "sweep"])
+    def test_demo(self, tmp_path, capsys, command):
+        self.check(tmp_path, capsys, command, DEMO, 0, self.DEMO_LINES[command], [])
+
+    def test_dynamics(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "dynamics", SHIPPED_DYNAMICS, 0, self.DYNAMICS_LINES, [])
+
+    def test_dynamics_tolerance_failure(self, tmp_path, capsys):
+        # at n_z = 10 the profile and the energy budget fail: every file is
+        # still written, the manifest last, and the run exits 4
+        with open(SHIPPED_DYNAMICS) as fh:
+            config = write_config(tmp_path, fh.read().replace("n_z = 2000", "n_z = 10"))
+        stdout = ["dynamics: pde_vs_analytic_l2 = 9.583e-03 (tol 0.001) FAIL",
+                  "dynamics: energy_budget_residual = 1.015e-02 (tol 0.0001) FAIL",
+                  *self.DYNAMICS_LINES[2:]]
+        self.check(tmp_path, capsys, "dynamics", config, 4, stdout,
+                   ["dynamics: tolerance failure"])
 
 
 class TestCliPlumbing:

@@ -52,6 +52,9 @@ RUNS = [
     ("demo-channel", "channel", "demo.ini", ()),
     ("demo-sweep", "sweep", "demo.ini", ()),
     ("epr-channel", "channel", "channel_epr.ini", ()),
+    # the preset's supermodes reach the closed forms through supermode_extraction
+    ("epr-metrics", "metrics", "channel_epr.ini", ()),
+    ("epr-sweep", "sweep", "channel_epr.ini", ()),
     ("dynamics", "dynamics", "dynamics.ini", ()),
     ("dynamics-pde", "dynamics", "dynamics.ini", PDE),
     # the PDE route at d = 30, read at the default 6001 samples as at d = 4
