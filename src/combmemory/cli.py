@@ -8,10 +8,13 @@ Subcommands::
     dynamics  space-time integrators validated against the closed forms
     sweep     efficiency / fidelity / purity curves over optical depth
 
-Every run writes a ``manifest.json`` naming the outputs, the tool version,
-the seed, and a hash of the configuration text; identical config + seed give
-byte-identical CSV files.  Exit codes: 0 success, 2 configuration error,
-3 physics/precondition error, 4 resolution or tolerance failure.
+Run protocol: ``main`` picks the seed, the formats and the output directory,
+then calls ``cmd_<name>(cfg, seed)``, which only computes and returns its
+``Outputs``.  ``main`` alone writes the data files and, last, a
+``manifest.json`` naming them, the tool version, the seed and a hash of the
+configuration text; it prints the summary lines and returns the exit code:
+0 success, 2 configuration error, 3 physics/precondition error, 4 resolution
+or tolerance failure.  Identical config + seed give byte-identical data files.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,23 +69,27 @@ FORK_MIN_VALUES = 1 << 14
 # ----------------------------------------------------------------------------
 # output helpers
 
-def _resolve_outdir(cfg: ExperimentConfig, args) -> str:
-    outdir = args.out or cfg.outdir or os.environ.get(OUTDIR_ENV) or "combmemory-out"
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+class Outputs(NamedTuple):
+    """What a subcommand computed, for ``main`` to write, print and exit on."""
+
+    derived: dict         # manifest values beside eta, alpha, flatness, pulse_capacity
+    tables: list          # (name, header, columns) CSV tables
+    documents: list       # (name, body) JSON documents
+    lines: list           # the summary printed to stdout
+    failed: bool = False  # a tolerance check failed: exit 4
 
 
-def _write_outputs(command, cfg, args, outdir, seed, derived, tables=(), documents=()):
+def _write_outputs(command, cfg, outdir, seed, formats, derived, tables, documents):
     """Write the ``(name, header, columns)`` CSV tables and ``(name, body)`` JSON
-    documents that ``args.formats`` selects, then ``manifest.json`` naming them.
+    documents that ``formats`` selects, then ``manifest.json`` naming them.
 
     With both formats and at least ``FORK_MIN_VALUES`` CSV values, a forked
     child writes the tables while this process writes the documents.
     """
     csv_jobs = [(os.path.join(outdir, name), header, columns)
-                for name, header, columns in tables] if "csv" in args.formats else []
+                for name, header, columns in tables] if "csv" in formats else []
     json_jobs = [(os.path.join(outdir, name), body)
-                 for name, body in documents] if "json" in args.formats else []
+                 for name, body in documents] if "json" in formats else []
 
     def write_tables():
         for job in csv_jobs:
@@ -155,14 +163,6 @@ def _fork_beside(child_work, own_work) -> None:
         child_work()
 
 
-def _derived_base(cfg: ExperimentConfig) -> dict:
-    p = cfg.memory
-    out = {"eta": efficiency(p.d), "alpha": p.alpha, "flatness": None}
-    if p.rep_rate is not None:
-        out["pulse_capacity"] = pulse_capacity(p.T, p.rep_rate)
-    return out
-
-
 # ----------------------------------------------------------------------------
 # state and basis assembly
 
@@ -217,7 +217,7 @@ def _random_unitary(M: int, rng: np.random.Generator) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # subcommands
 
-def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+def cmd_kernel(cfg: ExperimentConfig, seed: int) -> Outputs:
     """frequency response and flatness of the memory kernel"""
     resp = frequency_response(cfg.memory, cfg.omega_max, cfg.n_points)
     w, K = resp.frequencies, resp.values
@@ -231,57 +231,48 @@ def cmd_kernel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         "narrowband": resp.narrowband,
         "response": Records(["omega", "re", "im"], [w, K.real, K.imag]),
     }
-    derived = _derived_base(cfg)
-    derived["flatness"] = resp.flatness
-    _write_outputs(
-        "kernel", cfg, args, outdir, seed, derived,
+    return Outputs(
+        {"flatness": resp.flatness},
         # |K| by hypot, as complex scalars compute it; the array np.abs can
         # differ in the last bit
-        tables=[("kernel_response.csv", ["omega_rad_s", "re_K", "im_K", "absK2"],
-                 [w, K.real, K.imag, np.hypot(K.real, K.imag) ** 2])],
-        documents=[("kernel_summary.json", summary)],
+        [("kernel_response.csv", ["omega_rad_s", "re_K", "im_K", "absK2"],
+          [w, K.real, K.imag, np.hypot(K.real, K.imag) ** 2])],
+        [("kernel_summary.json", summary)],
+        [f"kernel: flatness {resp.flatness:.6g} over |omega| <= {cfg.omega_max:.6g} rad/s"],
     )
-    print(f"kernel: flatness {resp.flatness:.6g} over |omega| <= {cfg.omega_max:.6g} rad/s")
-    return 0
 
 
-def cmd_metrics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+def cmd_metrics(cfg: ExperimentConfig, seed: int) -> Outputs:
     """per-supermode retrieval table (squeezing, purity, fidelity)"""
     reports = retrieval_table(_state_zetas_db(cfg), cfg.memory.d)
     F, vec = overall_fidelity(reports)
     header = ["mode_index", "zeta_in_dB", "zeta_out_dB", "purity", "fidelity"]
     columns = [[getattr(r, name) for r in reports]
                for name in ("index", "zeta_in_db", "zeta_out_db", "purity_out", "fidelity")]
-    derived = _derived_base(cfg)
-    derived["overall_fidelity"] = F
-    _write_outputs(
-        "metrics", cfg, args, outdir, seed, derived,
-        tables=[("metrics_table.csv", header, columns)],
-        documents=[("metrics_table.json", {
+    return Outputs(
+        {"overall_fidelity": F},
+        [("metrics_table.csv", header, columns)],
+        [("metrics_table.json", {
             "rows": Records(header, columns),
             "overall_fidelity": F,
             "fidelity_vector": vec.tolist(),
         })],
+        [f"metrics: {len(reports)} supermodes at d = {cfg.memory.d:g}, overall fidelity {F:.6f}"],
     )
-    print(f"metrics: {len(reports)} supermodes at d = {cfg.memory.d:g}, overall fidelity {F:.6f}")
-    return 0
 
 
-def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+def cmd_channel(cfg: ExperimentConfig, seed: int) -> Outputs:
     """stored/retrieved covariance matrices through the pump cascade"""
     C_in = _input_state(cfg, teeth=cfg.teeth)
     M = C_in.mode_count
     k2 = efficiency(cfg.memory.d)
     supermodes = ModeBasis(np.eye(M, cfg.teeth, dtype=complex))
+    C_out = C_ref = apply_cascade(C_in, supermodes, supermodes, k2)
     basis_check = None
     if cfg.pump_basis == "random-unitary":
-        rng = np.random.default_rng(seed)
-        pumps = unitary_mix(supermodes, _random_unitary(M, rng))
+        pumps = unitary_mix(supermodes, _random_unitary(M, np.random.default_rng(seed)))
         C_out = apply_cascade(C_in, supermodes, pumps, k2)
-        C_ref = apply_cascade(C_in, supermodes, supermodes, k2)
         basis_check = float(np.abs(C_out.entries - C_ref.entries).max())
-    else:
-        C_out = apply_cascade(C_in, supermodes, supermodes, k2)
 
     lam_in = np.linalg.eigvalsh(C_in.entries)[:M]
     lam_out = _pure_retrieval(lam_in, k2)[0]  # channel maps quadrature spectra affinely
@@ -297,24 +288,21 @@ def cmd_channel(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
         "zeta_out": lam_out.tolist(),
     }
     matrix_header = [f"c{k}" for k in range(2 * M)]
-    derived = _derived_base(cfg)
-    derived["basis_independence_max_abs"] = basis_check
-    _write_outputs(
-        "channel", cfg, args, outdir, seed, derived,
-        tables=[("channel_c_in.csv", matrix_header, c_in),
-                ("channel_c_out.csv", matrix_header, c_out),
-                ("channel_spectra.csv", ["index", "zeta_in", "zeta_out"],
-                 [np.arange(M), lam_in, lam_out])],
-        documents=[("channel_summary.json", summary)],
-    )
     msg = f"channel: {M} modes through k2 = {k2:.6f}"
     if basis_check is not None:
         msg += f", basis-independence deviation {basis_check:.3e}"
-    print(msg)
-    return 0
+    return Outputs(
+        {"basis_independence_max_abs": basis_check},
+        [("channel_c_in.csv", matrix_header, c_in),
+         ("channel_c_out.csv", matrix_header, c_out),
+         ("channel_spectra.csv", ["index", "zeta_in", "zeta_out"],
+          [np.arange(M), lam_in, lam_out])],
+        [("channel_summary.json", summary)],
+        [msg],
+    )
 
 
-def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+def cmd_dynamics(cfg: ExperimentConfig, seed: int) -> Outputs:
     """space-time integrators validated against the closed forms"""
     p = cfg.memory
     checks = []
@@ -363,12 +351,10 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
                  for w, g, e in zip(omegas, gains, (expected_gain(p, w) for w in omegas))]
 
     header = ["check", "value", "tolerance", "status"]
-    derived = _derived_base(cfg)
-    derived["eta_measured"] = eta_meas
-    _write_outputs(
-        "dynamics", cfg, args, outdir, seed, derived,
-        tables=[("dynamics_report.csv", header, [[c[h] for c in checks] for h in header])],
-        documents=[("dynamics_report.json", {
+    return Outputs(
+        {"eta_measured": eta_meas},
+        [("dynamics_report.csv", header, [[c[h] for c in checks] for h in header])],
+        [("dynamics_report.json", {
             "checks": checks,
             "gains": gain_rows,
             "energy_budget": budget,
@@ -376,16 +362,13 @@ def cmd_dynamics(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
             "eta_formula": eta,
             "all_pass": bool(all_ok),
         })],
+        [f"dynamics: {c['check']} = {c['value']:.3e} (tol {c['tolerance']:g}) {c['status']}"
+         for c in checks],
+        failed=not all_ok,
     )
-    for c in checks:
-        print(f"dynamics: {c['check']} = {c['value']:.3e} (tol {c['tolerance']:g}) {c['status']}")
-    if not all_ok:
-        print("dynamics: tolerance failure", file=sys.stderr)
-        return 4
-    return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, seed: int) -> Outputs:
     """efficiency / fidelity / purity curves over optical depth"""
     if not all(d > 0 for d in cfg.sweep_d):
         raise PhysicsError("optical depth must be positive")
@@ -401,19 +384,16 @@ def cmd_sweep(cfg: ExperimentConfig, args, outdir: str, seed: int) -> int:
               zeta_to_db(zeta_out).ravel(), purities.ravel(), fidelities.ravel()]
     overall_header = ["d", "eta", "overall_fidelity"]
     overall = [cfg.sweep_d, etas, np.prod(fidelities, axis=1)]
-    derived = _derived_base(cfg)
-    derived["sweep_points"] = len(cfg.sweep_d)
-    _write_outputs(
-        "sweep", cfg, args, outdir, seed, derived,
-        tables=[("sweep_curves.csv", curve_header, curves),
-                ("sweep_overall.csv", overall_header, overall)],
-        documents=[("sweep_curves.json", {
+    return Outputs(
+        {"sweep_points": len(cfg.sweep_d)},
+        [("sweep_curves.csv", curve_header, curves),
+         ("sweep_overall.csv", overall_header, overall)],
+        [("sweep_curves.json", {
             "curves": Records(curve_header, curves),
             "overall": Records(overall_header, overall),
         })],
+        [f"sweep: {len(cfg.sweep_d)} depths x {M} modes"],
     )
-    print(f"sweep: {len(cfg.sweep_d)} depths x {M} modes")
-    return 0
 
 
 _COMMANDS = {
@@ -447,11 +427,24 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        args.formats = cfg.formats if args.format is None else _FORMATS[args.format]
+        formats = cfg.formats if args.format is None else _FORMATS[args.format]
         seed = cfg.seed if args.seed is None else _value("--seed", str(args.seed),
                                                          _TABLE["output", "seed"])
-        outdir = _resolve_outdir(cfg, args)
-        return _COMMANDS[args.command](cfg, args, outdir, seed)
+        outdir = args.out or cfg.outdir or os.environ.get(OUTDIR_ENV) or "combmemory-out"
+        os.makedirs(outdir, exist_ok=True)
+        run = _COMMANDS[args.command](cfg, seed)
+        p = cfg.memory
+        derived = {"eta": efficiency(p.d), "alpha": p.alpha, "flatness": None}
+        if p.rep_rate is not None:
+            derived["pulse_capacity"] = pulse_capacity(p.T, p.rep_rate)
+        derived.update(run.derived)
+        _write_outputs(args.command, cfg, outdir, seed, formats, derived,
+                       run.tables, run.documents)
+        print(*run.lines, sep="\n")
+        if run.failed:
+            print(f"{args.command}: tolerance failure", file=sys.stderr)
+            return 4
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
