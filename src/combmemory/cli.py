@@ -181,7 +181,8 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
         with open(cfg.state_file) as fh:
             try:
                 obj = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary input
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+                # on binary input, or nesting past the parser's recursion limit
                 raise ConfigError(f"state file {cfg.state_file} is not JSON: {exc}") from exc
         rows = obj.get("rows") if isinstance(obj, dict) else None
         if isinstance(rows, list) and len(rows) > 2 * MAX_MODE_COUNT:
@@ -193,6 +194,9 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
             return CovarianceMatrix.from_json(obj)
         except DimensionError as exc:
             raise ConfigError(str(exc)) from exc  # malformed: exit 2; unphysical: exit 3
+        except OverflowError as exc:  # an integer past the float range, or an infinite mode_count
+            raise ConfigError(f"state file {cfg.state_file} holds a number beyond the float "
+                              f"range: {exc}") from exc
     C = get_preset(cfg.preset)
     _fit_teeth(C.mode_count, teeth)
     return C

@@ -25,7 +25,7 @@ from .channel import MAX_KERNEL_POINTS, MemoryParams, PhysicalParams, derive_gam
 from .errors import CombMemoryError, ConfigError
 from .dynamics import MAX_GRID_CELLS
 from .modes import DEFAULT_TOOTH_COUNT, MAX_MODE_COUNT, MAX_TOOTH_COUNT
-from .presets import _check_name as _check_preset
+from .presets import PRESET_NAMES
 
 __all__ = ["ExperimentConfig", "parse_quantity", "load_config"]
 
@@ -103,6 +103,17 @@ def _list(parse, most=None):
     return parse_list
 
 
+def _state_file(text: str) -> str:
+    """A path to an existing file of at most ``MAX_STATE_FILE_BYTES``, sized before it is read."""
+    if not os.path.isfile(text):
+        raise ConfigError(f"not found: {text}")
+    size = os.path.getsize(text)
+    if size > MAX_STATE_FILE_BYTES:
+        raise ConfigError(f"{text} is {size} bytes; a state of at most {MAX_MODE_COUNT} "
+                          f"modes takes at most {MAX_STATE_FILE_BYTES}")
+    return text
+
+
 def _choice(*names, fold=str):
     """Parser of one of ``names``, compared after ``fold``."""
     def parse_choice(text: str) -> str:
@@ -134,9 +145,9 @@ _TABLE = {
     ("memory", "Omega_p"): _Key(parse_quantity),
     ("memory", "rep_rate"): _Key(parse_quantity),
     ("memory", "alpha"): _Key(_number),
-    ("state", "squeezing_db"): _Key(_list(_number)),
-    ("state", "file"): _Key(str),
-    ("state", "preset"): _Key(str),
+    ("state", "squeezing_db"): _Key(_list(_number, MAX_MODE_COUNT)),
+    ("state", "file"): _Key(_state_file),
+    ("state", "preset"): _Key(_choice(*PRESET_NAMES)),
     ("state", "angles"): _Key(_list(_number)),
     ("state", "teeth"): _Key(_integer, DEFAULT_TOOTH_COUNT, (1, MAX_TOOTH_COUNT)),
     ("pumps", "basis"): _Key(_choice("supermodes", "random-unitary"), "supermodes"),
@@ -249,13 +260,8 @@ def load_config(path: str) -> ExperimentConfig:
 
     # --- state --------------------------------------------------------------
     spectrum_db = read("state", "squeezing_db")
-    if spectrum_db is not None and len(spectrum_db) > MAX_MODE_COUNT:
-        raise ConfigError(f"[state] squeezing_db lists {len(spectrum_db)} modes; "
-                          f"at most {MAX_MODE_COUNT} are supported")
     state_file = read("state", "file")
     preset = read("state", "preset")
-    if preset is not None:
-        _check_preset(preset)
     sources = [source for source, value in
                (("spectrum", spectrum_db), ("file", state_file), ("preset", preset))
                if value is not None]
@@ -263,13 +269,6 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"exactly one state source required (squeezing_db, file, or preset); got {sources or 'none'}"
         )
-    if state_file is not None:
-        if not os.path.isfile(state_file):
-            raise ConfigError(f"state file not found: {state_file}")
-        size = os.path.getsize(state_file)
-        if size > MAX_STATE_FILE_BYTES:
-            raise ConfigError(f"[state] file {state_file} is {size} bytes; a state of at most "
-                              f"{MAX_MODE_COUNT} modes takes at most {MAX_STATE_FILE_BYTES}")
     angles = read("state", "angles")
     if angles is not None:
         if spectrum_db is None:

@@ -11,9 +11,9 @@ maps a squeezed eigenvector (eigenvalue zeta < 1) to its antisqueezed partner
 Physicality is the uncertainty relation C + i Omega >= 0 (Weedbrook et al.,
 RMP 84, 621 (2012)), i.e. every symplectic eigenvalue nu >= 1.  The
 Hermitian C + i lam Omega is positive semidefinite exactly when
-nu_min >= lam, so (1 + delta) C + i Omega, with 1 + delta =
-1 / (1 - PHYSICALITY_TOL), is positive definite exactly when
-nu_min > 1 - PHYSICALITY_TOL.  One complex Cholesky of it accepts a state;
+nu_min >= lam, so with lam = 1 - PHYSICALITY_TOL it is positive definite
+exactly when nu_min > 1 - PHYSICALITY_TOL.  One complex Cholesky of it, which
+scales no entry of C and so cannot overflow, accepts a state;
 only when it fails do the symplectic eigenvalues decide, and they write the
 rejection message, so near the boundary the eigenvalues have the last word.
 """
@@ -44,12 +44,10 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
-# Symplectic eigenvalues must be >= 1 - PHYSICALITY_TOL.  With 1 + delta =
-# 1 / (1 - PHYSICALITY_TOL), i.e. delta = tol / (1 - tol), the matrix
-# (1 + delta) C + i Omega is positive definite exactly when
+# Symplectic eigenvalues must be >= 1 - PHYSICALITY_TOL: the matrix
+# C + i (1 - PHYSICALITY_TOL) Omega is positive definite exactly when
 # nu_min > 1 - PHYSICALITY_TOL, which one complex Cholesky decides.
 PHYSICALITY_TOL = 1e-9
-_PHYSICALITY_SCALE = 1.0 / (1.0 - PHYSICALITY_TOL)  # 1 + delta
 SQUEEZED_EIG_TOL = 1e-10  # eigenvalues below 1 - this count as squeezed
 PURITY_TOL = 1e-6        # supermode extraction needs purity >= 1 - this
 
@@ -111,9 +109,14 @@ class CovarianceMatrix:
             raise DimensionError("covariance must be a square 2M x 2M matrix")
         if not np.all(np.isfinite(C)):
             raise PhysicsError("covariance entries must be finite")
-        if np.abs(C - C.T).max() > SYMMETRY_TOL * max(1.0, np.abs(C).max()):
+        with np.errstate(over="ignore"):  # an overflowing difference is inf: asymmetric
+            asymmetry = np.abs(C - C.T).max()
+            S = 0.5 * (C + C.T)
+        if asymmetry > SYMMETRY_TOL * max(1.0, np.abs(C).max()):
             raise PhysicsError("covariance is not symmetric within 1e-12")
-        C = 0.5 * (C + C.T)
+        if not np.all(np.isfinite(S)):  # the sum overflowed: halving first is exact there
+            S = 0.5 * C + 0.5 * C.T
+        C = S
         if not _certainly_physical(C):
             nu = _symplectic_eigenvalues(C)
             if nu.min() < 1.0 - PHYSICALITY_TOL:
@@ -196,10 +199,10 @@ def _symplectic_eigenvalues(C: np.ndarray) -> np.ndarray:
 
 
 def _certainly_physical(C: np.ndarray) -> bool:
-    """True when a Cholesky of (1 + delta) C + i Omega succeeds: nu_min > 1 - tol."""
+    """True when a Cholesky of C + i (1 - tol) Omega succeeds: nu_min > 1 - tol."""
     A = np.empty(C.shape, dtype=complex)  # filled by parts: no complex temporaries
-    A.real = _PHYSICALITY_SCALE * C
-    A.imag = symplectic_form(C.shape[0] // 2)
+    A.real = C
+    A.imag = (1.0 - PHYSICALITY_TOL) * symplectic_form(C.shape[0] // 2)
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:

@@ -360,8 +360,13 @@ class TestStateFile:
         '{"mode_count": "one", "rows": [[1, 0], [0, 1]]}',
         '{"rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
         '{"mode_count": 2, "rows": [[1, 0], [0, 1]]}',
+        # each of these three ended in a traceback, exit 1
+        '{"rows": [[1, 0], [0, 1' + "0" * 400 + ']]}',  # an integer past the float range
+        '{"mode_count": Infinity, "rows": [[1, 0], [0, 1]]}',
+        "[\n" * 100000,                                 # 200 KB, nested past the parser's limit
     ], ids=["invalid-json", "no-rows", "non-numeric", "ragged", "mode-count",
-            "odd-size", "mode-count-mismatch"])
+            "odd-size", "mode-count-mismatch", "huge-integer", "infinite-mode-count",
+            "deep-nesting"])
     def test_malformed_file_is_config_error(self, tmp_path, capsys, body):
         state = tmp_path / "state.json"
         state.write_text(body)
@@ -427,6 +432,27 @@ class TestStateFileErrorLine:
         assert rc == 3
         assert "physics error: covariance entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, codes, message", [
+        # C + C.T overflowed to inf with a RuntimeWarning: channel then failed
+        # on the inf it stored, and metrics on its purity.  The state is a
+        # physical thermal one: channel runs it, and metrics rejects it as mixed
+        ([[1e308, 0.0], [0.0, 1e308]], (0, 3), "state is not pure"),
+        # C - C.T overflowed with a RuntimeWarning in the symmetry check
+        ([[1.0, 1e308], [-1e308, 1.0]], (3, 3), "covariance is not symmetric"),
+    ], ids=["huge-diagonal", "huge-antisymmetric"])
+    def test_huge_entries_raise_no_runtime_warning(self, tmp_path, capsys, rows, codes, message):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"mode_count": 1, "rows": rows}))
+        text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # as -W error::RuntimeWarning
+            rcs = tuple(run(tmp_path, command, text)[0] for command in ("channel", "metrics"))
+        assert rcs == codes
+        assert f"physics error: {message}" in capsys.readouterr().err
+        if codes[0] == 0:
+            summary = json.loads((tmp_path / "out" / "channel_summary.json").read_text())
+            assert summary["c_in"]["rows"] == rows
+
     def test_malformed_file_keeps_its_message(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"mode_count": 2, "rows": [[1, 0], [0, 1]]}))
@@ -446,7 +472,7 @@ class TestUnknownPreset:
         rc, _ = run(tmp_path, command, text)
         assert rc == 2
         assert capsys.readouterr().err == (
-            "config error: unknown preset 'nope'; available: cluster-linear-4, epr\n")
+            "config error: [state] preset: must be one of cluster-linear-4, epr; got 'nope'\n")
 
 
 class TestConfigErrorExits:
@@ -471,7 +497,7 @@ class TestConfigErrorExits:
         missing = tmp_path / "nowhere.json"
         rc, _ = run(tmp_path, "metrics", BASE.replace("squeezing_db = -6, -3, -1", f"file = {missing}"))
         assert rc == 2
-        assert f"state file not found: {missing}" in capsys.readouterr().err
+        assert f"[state] file: not found: {missing}" in capsys.readouterr().err
 
 
 class TestOverflowingLevel:

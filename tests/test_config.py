@@ -133,7 +133,8 @@ class TestLoadConfig:
 
     def test_unknown_preset_rejected_at_load(self, tmp_path):
         text = BASE.replace("squeezing_db = -6, -3", "preset = nope")
-        with pytest.raises(ConfigError, match="unknown preset 'nope'; available: "):
+        with pytest.raises(ConfigError,
+                           match=r"\[state\] preset: must be one of cluster-linear-4, epr; got 'nope'"):
             load_config(write_config(tmp_path, text))
 
     def test_state_source_required(self, tmp_path):
@@ -200,7 +201,7 @@ class TestLoadConfig:
     def test_mode_count_bound(self, tmp_path):
         # a spectrum of MAX_MODE_COUNT + 1 modes exits at load, before any covariance
         db = ", ".join(["-3"] * (MAX_MODE_COUNT + 1))
-        with pytest.raises(ConfigError, match=r"\[state\] squeezing_db lists 513 modes"):
+        with pytest.raises(ConfigError, match=r"\[state\] squeezing_db: lists 513 values; at most 512 "):
             load_config(write_config(tmp_path, BASE.replace("-6, -3", db)))
         db = ", ".join(["-3"] * MAX_MODE_COUNT)
         cfg = load_config(write_config(tmp_path, BASE.replace("-6, -3", db)))
@@ -223,7 +224,7 @@ class TestLoadConfig:
         with open(state, "wb") as fh:
             fh.truncate(MAX_STATE_FILE_BYTES + 1)
         text = BASE.replace("squeezing_db = -6, -3", f"file = {state}")
-        with pytest.raises(ConfigError, match=r"\[state\] file .* bytes"):
+        with pytest.raises(ConfigError, match=r"\[state\] file: .* bytes"):
             load_config(write_config(tmp_path, text))
         with open(state, "wb") as fh:
             fh.truncate(MAX_STATE_FILE_BYTES)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +60,25 @@ class TestCovarianceMatrix:
         M[0, 1] = 1e-14
         C = CovarianceMatrix(M)
         assert C.entries[0, 1] == C.entries[1, 0]
+        assert C.entries.tobytes() == (0.5 * (M + M.T)).tobytes()
+
+    @pytest.mark.parametrize("big", [1e308, np.finfo(float).max])
+    def test_huge_entries_stored_without_overflow(self, big):
+        # C + C.T overflowed to inf, which was stored after a RuntimeWarning
+        M = np.diag([big, big, 1.0, 1.0])
+        M[0, 1], M[1, 0] = 0.5 * big, 0.5 * big * (1 + 2**-52)  # symmetric within 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            C = CovarianceMatrix(M)
+        assert np.all(np.isfinite(C.entries)) and np.array_equal(C.entries, C.entries.T)
+        assert C.entries[0, 0] == big and C.entries[0, 1] == 0.5 * M[0, 1] + 0.5 * M[1, 0]
+
+    def test_huge_asymmetry_rejected_without_overflow(self):
+        # C - C.T overflowed with a RuntimeWarning; inf is no symmetry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PhysicsError, match="symmetric"):
+                CovarianceMatrix(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
     def test_block_view(self):
         C = squeezed_vacuum(SqueezingSpectrum((0.5, 0.25)))
