@@ -192,8 +192,8 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
             _fit_teeth(len(rows) // 2, teeth)
         try:
             return CovarianceMatrix.from_json(obj)
-        except DimensionError as exc:
-            raise ConfigError(str(exc)) from exc  # malformed: exit 2; unphysical: exit 3
+        except DimensionError as exc:  # malformed: exit 2; unphysical: exit 3
+            raise ConfigError(f"state file {cfg.state_file} is malformed: {exc}") from exc
         except OverflowError as exc:  # an integer past the float range, or an infinite mode_count
             raise ConfigError(f"state file {cfg.state_file} holds a number beyond the float "
                               f"range: {exc}") from exc

@@ -459,8 +459,9 @@ class TestStateFileErrorLine:
         text = BASE.replace("squeezing_db = -6, -3, -1", f"file = {state}")
         rc, _ = run(tmp_path, "channel", text)
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "config error: covariance JSON 'mode_count' inconsistent with matrix size\n")
+        assert capsys.readouterr().err == (f"config error: state file {state} is malformed: "
+                                           "covariance JSON 'mode_count' inconsistent with "
+                                           "matrix size\n")
 
 
 class TestUnknownPreset:
