@@ -14,13 +14,13 @@ Two independent routes compute the same physics:
   discretized in z by a cumulative trapezoid: a = a(0, t) - sqrt(d) times
   the trapezoid prefix sum of b.  ``pde_write`` marches them in time, with
   the decay handled by an exact exponential factor per step and one
-  corrector pass for second-order accuracy; a step allocates nothing of
-  grid size.  The stepper yields the fields at every time step, and
-  ``pde_write`` keeps the traces its energy budget needs.
-  Every coefficient of the stepper is real, so it marches in float64 when
-  its initial state and boundary are real (the write cross-check's constant
-  drive) and in complex128 otherwise, with the same bits as the real part
-  of a complex march.  No route keeps an (n_z, n_t) history.
+  corrector pass for second-order accuracy, in six numpy calls a step that
+  allocate nothing.  The stepper yields its fields in blocks of steps, and
+  ``pde_write`` takes the traces its energy budget needs from each block.
+  It marches in float64 when its initial state and boundary are real (the
+  write cross-check's constant drive) and in complex128 otherwise, with the
+  same bits as the real part of a complex march.  No route keeps an
+  (n_z, n_t) history.
   The transfer measurement solves the same z-discretized system exactly in
   time, with A = -I + sqrt(d) times the field's prefix sum as generator
   (``_prefix_sum``, the one such sum outside the march):
@@ -48,14 +48,11 @@ last ~1/gamma_s of the window is stored.  A probe placed at the end of the
 window has its whole composite response captured in the read record, and the
 ratio of output to input spectral amplitudes reproduces the channel kernel.
 Referenced to a read clock that restarts at the end of the write window, the
-measured gain equals -K_omega * exp(i omega T).  The measurement's grids
-default per path: 1200 z points and 1601 probe samples on the analytic
-route, 300 and 401 on the PDE route; both read 6001 samples.  One
-Richardson rule (``_richardson``) estimates the error of the Bessel
-quadratures and of the read clock's Fourier sum, whose Simpson sum over
-every read sample is the gain's numerator.  The PDE route accepts any n_z >= 4,
-n_probe >= 3 and n_read >= 5; the analytic route's error estimates need 5
-samples per axis, so it accepts any grid of at least 5 on each.
+measured gain equals -K_omega * exp(i omega T); its grid defaults and
+floors are ``transfer_function_estimate``'s.  One Richardson rule
+(``_richardson``) estimates the error of the Bessel quadratures and of the
+read clock's Fourier sum, whose Simpson sum over every read sample is the
+gain's numerator.
 """
 
 from __future__ import annotations
@@ -94,11 +91,13 @@ PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
 READ_SUM_ERROR_LIMIT = 1e-4  # estimated relative error of the read clock's Fourier sum
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
 # Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory
-# (``pde_write`` keeps O(n_z + n_t) values).  The float64 march of a real
-# drive takes 12-21 ns a cell (4096 x 8192 and 1024 x 32768, 2-vCPU x86-64,
-# numpy 2.4), 0.4-0.7 s at the cap.
+# (``pde_write`` holds a march block of 32 steps, fewer past 1 MiB, one at
+# least, and O(n_z + n_t) values).  The float64 march of a real drive takes
+# 14-18 ns a cell at 4096 x 8192, 18-21 at 1024 x 32768 (2-vCPU x86-64), 0.6 s at the cap.
 MAX_GRID_CELLS = 2**25
 _READ_BLOCK = 128            # PDE read samples per power of the one-sample propagator
+_MARCH_BLOCK = 32            # write-march steps per block, fewer when a block of
+_MARCH_BLOCK_BYTES = 2**20   # 16 n_z bytes a step per real column would pass this
 _TAYLOR_TOL = 1e-17          # remainder bound of the propagator's Taylor series
 # Largest PDE transfer n_z: the read holds an n_z x n_z float64 matrix,
 # 128 MiB at the cap.
@@ -474,57 +473,65 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
 # ----------------------------------------------------------------------------
 # PDE route
 
+def _field_scale(d, n_z):
+    """nc = -sqrt(d) / (2 (n_z - 1)): the field a is nc times the trapezoid prefix sum of b."""
+    return -(0.5 * np.sqrt(d) / (n_z - 1))
+
+
 def _march(b0, boundary, h, d, n_z):
-    """Yield the coupled pair (a, b) at every scaled boundary sample, from sample 0.
+    """Yield the pair (b, a / nc) at every scaled boundary sample from sample 0, in blocks.
 
     Exponential integrator in tau (exact decay factor, predictor-corrector
     source weights I0 = 1-e^{-h}, I1 = (h-1+e^{-h})/h) with the field slaved
     to the coherence through a cumulative trapezoid in z at every stage:
-    a = a(0) - sqrt(d) * cumulative trapezoid of b.  Each field is a prefix
-    sum down the rows of one work array: row 0 holds the boundary sample,
-    rows 1.. the pair sums of b scaled by -sqrt(d) h_z / 2, and
-    ``np.add.accumulate`` writes their running sum into the field, with no
-    broadcast over z.  Both fields of a step share the boundary row, which
-    is set once per step, and the row slices are views taken before the loop
-    (``_prefix_sum``'s per-call slicing measured slower here).
-    Independent runs march together as columns: ``b0`` is (n_z,) or (n_z, k)
-    and ``boundary`` (n_t,) or (n_t, k).  Every step works in place on
-    preallocated arrays of b0's shape, and the yielded a and b are those
-    arrays: a caller copies what it keeps before asking for the next step.
-    The state's dtype is ``np.result_type(b0, boundary, float)``: every march
-    coefficient is real, so a real b0 and boundary march in float64, with the
-    same bits as the real part of a complex march, and anything complex
-    marches in complex128.  ``pde_write`` is its one caller in the library:
-    the transfer measurement's write and read solve the same z-discretized
-    system exactly in time (``_exact_write``, ``_read_operator``), and the
-    march approaches both at second order in h.
+    a = a(0) - sqrt(d) * cumulative trapezoid of b, stored as f = a / nc
+    (``_field_scale``) so that nc folds into the coefficients.  A step is a
+    (2 x 2) product of [b; f] for the predictor and the corrector's first
+    terms, a field, a (2 x 2) product adding w1 a* (two equal rows: OpenBLAS
+    gives a one-row product bits that depend on the column), and a field:
+    a pair add of b under the boundary sample over nc, set once per step,
+    and one ``np.add.accumulate`` down z.  Runs march together as columns:
+    ``b0`` is (n_z,) or (n_z, k), ``boundary`` (n_t,) or (n_t, k).  Steps
+    fill blocks of _MARCH_BLOCK rows, fewer past _MARCH_BLOCK_BYTES (one at
+    least), each yielded as an (m, 2) + b0.shape array that the next block
+    reuses.  The dtype is ``np.result_type(b0, boundary, float)``; the
+    products run on the real view, so a real march has the bits of a complex
+    march's real part.  ``pde_write`` is its one library caller: the
+    transfer solves the same z-discretized system exactly in time
+    (``_exact_write``, ``_read_operator``), which the march approaches at
+    second order in h.
     """
-    sq = np.sqrt(d)
-    nc = -(0.5 * sq / (n_z - 1))
-    e = np.exp(-h)
-    I0 = 1.0 - e
-    I1 = (h - 1.0 + e) / h
-    w0, w01, w1 = sq * I0, sq * (I0 - I1), sq * I1
-    b = np.array(b0, dtype=np.result_type(b0, boundary, float))
-    a, a_star, b_star, s = (np.empty_like(b) for _ in range(4))
-    b_hi, b_lo, bs_hi, bs_lo, pairs = b[1:], b[:-1], b_star[1:], b_star[:-1], s[1:]
-
-    def field(hi, lo, out):
+    sq, nc, e = np.sqrt(d), _field_scale(d, n_z), np.exp(-h)
+    I0, I1 = 1.0 - e, (h - 1.0 + e) / h
+    predict = np.array([[e, nc * sq * I0], [e, nc * sq * (I0 - I1)]])
+    correct = np.array([[nc * sq * I1, 1.0]] * 2)
+    dtype = np.result_type(b0, boundary, float)
+    s = np.ascontiguousarray(boundary, dtype).view(float).reshape(len(boundary), -1) / nc
+    n_t, cols = s.shape
+    K = max(1, min(_MARCH_BLOCK, _MARCH_BLOCK_BYTES // (16 * n_z * cols)))
+    y, p, w = np.empty((K, 2, n_z, cols)), np.empty((2, n_z, cols)), np.empty((n_z, cols))
+    blocks = y.view(dtype).reshape((K, 2) + np.shape(b0))
+    y2, p2, pairs = y.reshape(K, 2, -1), p.reshape(2, -1), w[1:]
+    rows = [(y2[i - 1], y2[i], y[i, 0, 1:], y[i, 0, :-1], y[i, 1]) for i in range(K)]
+    p_hi, p_lo, p_f = p[0, 1:], p[0, :-1], p[0]
+    blocks[0, 0] = b0
+    del b0  # a caller's fresh b0 is freed here, not held for the whole march
+    w[0] = s[0]
+    np.add(y[0, 0, 1:], y[0, 0, :-1], out=pairs)
+    np.add.accumulate(w, axis=0, out=y[0, 1])
+    for r in range(1, n_t):
+        i = r % K
+        if not i:
+            yield blocks
+        prev, new, hi, lo, f = rows[i]
+        w[0] = s[r]
+        np.matmul(predict, prev, out=p2)        # [b*; e b + w01 a]
+        np.add(p_hi, p_lo, out=pairs)
+        np.add.accumulate(w, axis=0, out=p_f)   # [f*; e b + w01 a]: b* is spent
+        np.matmul(correct, p2, out=new)         # [b; b]
         np.add(hi, lo, out=pairs)
-        np.multiply(pairs, nc, out=pairs)
-        return np.add.accumulate(s, axis=0, out=out)
-
-    s[0] = boundary[0]
-    yield field(b_hi, b_lo, a), b
-    for bj in boundary[1:]:
-        s[0] = bj
-        b *= e
-        np.multiply(a, w0, out=b_star)
-        b_star += b
-        field(bs_hi, bs_lo, a_star)
-        b += np.multiply(a, w01, out=b_star)    # b_star is spent: it holds the terms
-        b += np.multiply(a_star, w1, out=b_star)
-        yield field(b_hi, b_lo, a), b
+        np.add.accumulate(w, axis=0, out=f)     # [b; f]
+    yield blocks[:(n_t - 1) % K + 1]
 
 
 def _prefix_sum(v, scale, out):
@@ -568,8 +575,7 @@ def _read_operator(h, d, n_z):
     doubling the rows of R through the dense power, so at most one
     n_z x n_z matrix is alive.
     """
-    sq = np.sqrt(d)
-    nc = -(0.5 * sq / (n_z - 1))
+    sq, nc = np.sqrt(d), _field_scale(d, n_z)
     halvings = math.ceil(math.log2(h * d)) if h * d > 1.0 else 0
     degree = _taylor_degree(h * d / 2**halvings)
     c = h / 2**halvings * sq * nc
@@ -686,14 +692,14 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
 
     ``a_in`` is the boundary envelope a(0, t) as n_t uniform samples on
     [0, T].  Warns when gamma_s * dt exceeds 0.1.  No (n_z, n_t) history is
-    kept: per step the march keeps a(0, t) and a(1, t) and adds w_t |b|^2
-    (Simpson weights in t) into one n_z vector, so memory is O(n_z + n_t).
-    A non-finite field anywhere reaches a(1, .), that sum or b(., T), and
-    raises PhysicsError, as does a sum that overflows a float in SI units
-    while every field is finite.  A drive whose imaginary part is all zero
-    marches as its real part, in float64 (``_march``'s dtype rule), with the
-    same bits; the record's fields are complex either way.  Its scaled window
-    and step are checked as ``write_analytic`` checks them.
+    kept: per ``_march`` block one product adds the Simpson-weighted |b|^2
+    into an n_z vector, and a(1, t) is the last field column, scaled once:
+    it holds one block and O(n_z + n_t) values.  A non-finite field anywhere
+    reaches a(1, .), that sum or b(., T), and raises PhysicsError, as does a
+    sum that overflows a float in SI units while every field is finite.  A
+    drive whose imaginary part is all zero marches as its real part, in
+    float64, with the same bits; the record's fields are complex either
+    way.  Its scaled window and step are checked as ``write_analytic`` does.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
     if not bound.imag.any():
@@ -703,33 +709,33 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     if h > CFL_WARN:
         warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
                       ResolutionWarning, stacklevel=2)
-    z = np.linspace(0.0, 1.0, int(n_z))
     wt = simpson_weights(t.size, t[1] - t[0])
     b_sq_dt = np.zeros(int(n_z))
     if params.d == 0.0:
-        ends, b = np.stack([bound, bound], axis=1), np.zeros(int(n_z), dtype=complex)
+        a_0, a_1, b = bound, bound, np.zeros(int(n_z), dtype=complex)
     else:
         # scaled field: a_tilde = a / sqrt(gamma_s); ratio-free quantities are
         # unaffected, b matches the analytic-kernel normalization
         sg = np.sqrt(params.gamma_s)
-        ends = np.empty((int(n_t), 2), dtype=complex)
-        b2 = np.empty(int(n_z))
+        drive = bound / sg
+        a_0, a_1, j = drive * sg, np.empty(int(n_t), dtype=drive.dtype), 0
         # |b|^2 carries 1 / gamma_s and wt is in seconds, so the sum can
         # overflow in SI units while every field is finite; an overflow is
-        # found from the finished sum and fields, not warned of per step
+        # found from the finished sum and fields, not warned of per block
         with np.errstate(over="ignore"):
-            for j, (a, b) in enumerate(_march(np.zeros(int(n_z)), bound / sg, h, params.d,
-                                              int(n_z))):
-                ends[j, 0], ends[j, 1] = a[0], a[-1]
-                np.abs(b, out=b2)
-                b2 *= b2
-                b2 *= wt[j]
-                b_sq_dt += b2
-        ends *= sg
-        if not np.isfinite(b_sq_dt).all() and np.isfinite(ends).all() and np.isfinite(b).all():
+            for block in _march(np.zeros(int(n_z)), drive, h, params.d, int(n_z)):
+                b, m = block[:, 0], len(block)
+                a_1[j:j + m] = block[:, 1, -1]
+                b_sq_dt += wt[j:j + m] @ (np.square(b) if b.dtype.kind == "f"
+                                          else np.square(b.real) + np.square(b.imag))
+                j += m
+        a_1 *= _field_scale(params.d, n_z) * sg
+        b = b[-1]
+        if not np.isfinite(b_sq_dt).all() and all(np.isfinite(x).all() for x in (a_0, a_1, b)):
             raise PhysicsError("the SI integral of |b|^2 dt over the write window overflows "
                                f"a float (gamma_s = {params.gamma_s:g}, T = {params.T:g} s)")
-    return WriteRecord(StoredProfile(z, b), t, ends[:, 0], ends[:, 1], b_sq_dt)
+    z = np.linspace(0.0, 1.0, int(n_z))
+    return WriteRecord(StoredProfile(z, b), t, a_0, a_1, b_sq_dt)
 
 
 def energy_budget(record: WriteRecord, params: MemoryParams) -> dict:
@@ -804,18 +810,12 @@ def transfer_function_estimate(
     window, 5T unless ``T_read`` is set.
 
     The PDE write is the exact solution of the z-discretized write from
-    rest, driven by the linear interpolant of the probe samples: a Taylor
-    sum over the drive's moments, to degree 7 at most, since the
-    capture-bias check bounds the probe width by 0.02 |K_0| / (d gamma_s).
-    It takes about 0.3 ms at the default grids (2-vCPU x86-64).  The PDE
-    read is the exact propagator of the z-discretized dark read over one
-    sample, advanced in blocks of 128 samples by its 128th power, so its
-    samples carry no time-step error either.  Its powers are Toeplitz past
-    column 0 and square by convolution, so its setup costs O(n_z^2) time
-    per power and one n_z x n_z float64 matrix: at d = 4 and the default
-    n_z = 300 the operator takes about 1.7 ms (2-vCPU x86-64).
-    ``path="pde"`` with n_z above 4096 (128 MiB per matrix) raises
-    DimensionError before any grid is built.
+    rest, driven by the linear interpolant of the probe samples (about
+    0.3 ms at the default grids, 2-vCPU x86-64), and the PDE read the exact
+    one-sample propagator of the dark read, advanced in blocks of 128
+    samples (both as the module docstring says), so no sample carries a
+    time-step error.  ``path="pde"`` with n_z above 4096 (128 MiB per
+    matrix) raises DimensionError before any grid is built.
 
     Both paths check the read clock's Fourier sum: a Richardson estimate
     above 1e-4 raises ResolutionError with an n_read to try (the default

@@ -27,7 +27,7 @@ def random_pure_state(M, rng, r_max=1.5):
 def grid_write(a_in, params, n_z, n_t):
     """Reference for ``pde_write``: (z, t, a, b) with the full (n_z, n_t) SI histories.
 
-    The same march as ``pde_write``, with every step's fields copied into
+    The same march as ``pde_write``, with every block's fields copied into
     the history arrays.
     """
     t, bound = dynamics._write_boundary(a_in, params, n_z, n_t)
@@ -39,45 +39,53 @@ def grid_write(a_in, params, n_z, n_t):
     sg = np.sqrt(params.gamma_s)
     a = np.empty((n_z, n_t), dtype=complex)
     b = np.empty_like(a)
-    for j, (aj, bj) in enumerate(dynamics._march(np.zeros(n_z), bound / sg, h, params.d, n_z)):
-        a[:, j] = aj
-        b[:, j] = bj
-    a *= sg
+    j = 0
+    for block in dynamics._march(np.zeros(n_z), bound / sg, h, params.d, n_z):
+        b[:, j:j + len(block)] = block[:, 0].T
+        a[:, j:j + len(block)] = block[:, 1].T
+        j += len(block)
+    a *= dynamics._field_scale(params.d, n_z) * sg
     return z, t, a, b
 
 
-def _reference_field(boundary, b, c, out):
-    """a = boundary - sqrt(d) * cumulative trapezoid of b along z, into ``out``."""
-    np.add(b[1:], b[:-1], out=out[1:])
-    out[1:] *= -c
-    out[0] = boundary
-    return np.cumsum(out, axis=0, out=out)
-
-
 def reference_march(b0, boundary, h, d, n_z):
-    """Reference for ``dynamics._march``: the same step with an in-place ``np.cumsum`` per field.
+    """Reference for ``dynamics._march``: its step in plain form, one [b; a / nc] per sample.
 
-    Each field is built in its own output array and summed there, and every
-    stage multiplies into a separate temporary.  It yields its own live
-    arrays, as ``_march`` does.
+    Every stage makes fresh arrays: each field is an ``np.cumsum`` of the
+    boundary sample over nc and the pair sums, and each (2 x 2) product is
+    an explicit ``coef @ np.stack(...)`` on the real view of the stacked
+    rows.  It yields one (2,) + b0.shape array per sample, from sample 0.
     """
-    sq = np.sqrt(d)
-    c = 0.5 * sq / (n_z - 1)
+    sq, nc = np.sqrt(d), dynamics._field_scale(d, n_z)
     e = np.exp(-h)
     I0 = 1.0 - e
     I1 = (h - 1.0 + e) / h
-    w0, w01, w1 = sq * I0, sq * (I0 - I1), sq * I1
-    b = np.array(b0, dtype=np.result_type(b0, boundary, float))
-    a, a_star, b_star, tmp = (np.empty_like(b) for _ in range(4))
-    yield _reference_field(boundary[0], b, c, a), b
-    for bj in boundary[1:]:
-        b *= e
-        np.multiply(a, w0, out=b_star)
-        b_star += b
-        _reference_field(bj, b_star, c, a_star)
-        b += np.multiply(a, w01, out=tmp)
-        b += np.multiply(a_star, w1, out=tmp)
-        yield _reference_field(bj, b, c, a), b
+    predict = np.array([[e, nc * sq * I0], [e, nc * sq * (I0 - I1)]])
+    correct = np.array([[nc * sq * I1, 1.0], [nc * sq * I1, 1.0]])
+    dtype = np.result_type(b0, boundary, float)
+    s = (np.array(boundary, dtype).view(float) / nc).view(dtype)
+
+    def product(coef, rows):
+        x = np.stack(rows)
+        real = x.view(float)
+        return (coef @ real.reshape(2, -1)).reshape(real.shape).view(dtype).reshape(x.shape)
+
+    def field(j, b):
+        return np.cumsum(np.concatenate([s[j:j + 1], b[1:] + b[:-1]]), axis=0)
+
+    b = np.array(b0, dtype)
+    f = field(0, b)
+    yield np.stack([b, f])
+    for j in range(1, len(s)):
+        b_star, partial = product(predict, [b, f])
+        b = product(correct, [field(j, b_star), partial])[0]
+        f = field(j, b)
+        yield np.stack([b, f])
+
+
+def march_rows(b0, boundary, h, d, n_z):
+    """Every block of ``dynamics._march`` copied into one (n_t, 2) + b0.shape array."""
+    return np.concatenate([block.copy() for block in dynamics._march(b0, boundary, h, d, n_z)])
 
 
 def stepped_read(b0, n_t, h, d, n_z):
@@ -87,10 +95,11 @@ def stepped_read(b0, n_t, h, d, n_z):
     approaches ``dynamics._read_march``, the exact read, at second order in h.
     """
     dark = np.zeros((n_t,) + np.shape(b0)[1:], dtype=complex)
-    out = np.empty_like(dark)
-    for j, (a, _) in enumerate(dynamics._march(b0, dark, h, d, n_z)):
-        out[j] = a[-1]
-    return out
+    out, j = np.empty_like(dark), 0
+    for block in dynamics._march(b0, dark, h, d, n_z):
+        out[j:j + len(block)] = block[:, 1, -1]
+        j += len(block)
+    return out * dynamics._field_scale(d, n_z)
 
 
 def dense_read_operator(h, d, n_z):

@@ -32,8 +32,8 @@ from combmemory import (
     tukey_window,
     write_analytic,
 )
-from support import (dense_read_operator, grid_budget, grid_write, laguerre_table, reference_march,
-                     stepped_read)
+from support import (dense_read_operator, grid_budget, grid_write, laguerre_table, march_rows,
+                     reference_march, stepped_read)
 
 GAMMA_S = 2.0 * np.pi * 18e3
 T10 = 10.0 / GAMMA_S  # write window spanning ten decay times
@@ -72,16 +72,16 @@ def table_quadrature(rows, cols, d, samples, h, write):
 
 @pytest.fixture
 def march_calls(monkeypatch):
-    """[b0 shape, yields taken] of each ``dynamics._march`` call, in call order."""
+    """[b0 shape, blocks taken] of each ``dynamics._march`` call, in call order."""
     calls = []
     march = dynamics._march
 
     def counted(b0, *args, **kwargs):
         calls.append([np.shape(b0), 0])
         call = calls[-1]
-        for step in march(b0, *args, **kwargs):
+        for block in march(b0, *args, **kwargs):
             call[1] += 1
-            yield step
+            yield block
 
     monkeypatch.setattr(dynamics, "_march", counted)
     return calls
@@ -380,23 +380,62 @@ class TestPdeMarch:
             pde_write(np.ones(51, dtype=complex), params10(), 16, 51)
         assert caught[0].filename == __file__
 
+    @staticmethod
+    def check_record(run, p, drive, rows):
+        """``run`` against the march's (n_t, 2, n_z) rows [b; a / nc] of ``drive``: exact
+        a(0, .) (the drive in SI units), a(1, .) and b(., T), and b_sq_dt to 1e-13."""
+        n_t, _, n_z = rows.shape
+        sg = np.sqrt(p.gamma_s)
+        assert np.array_equal(run.a_in, drive / sg * sg)
+        assert np.array_equal(run.a_out, rows[:, 1, -1] * (dynamics._field_scale(p.d, n_z) * sg))
+        assert np.array_equal(run.profile.b_T, rows[-1, 0])
+        assert np.array_equal(run.t_points, np.linspace(0.0, p.T, n_t))
+        want = np.abs(rows[:, 0].T) ** 2 @ simpson_weights(n_t, p.T / (n_t - 1))
+        assert np.abs(run.b_sq_dt - want).max() <= 1e-13 * want.max()
+
     def test_write_record_is_the_stepper_output(self):
         p = params10()
         n_z, n_t = 40, 120
         a_in = np.exp(1j * np.linspace(0.0, 3.0, n_t))
-        run = pde_write(a_in, p, n_z, n_t)
+        h = p.gamma_s * p.T / (n_t - 1)
+        rows = march_rows(np.zeros(n_z), a_in / np.sqrt(p.gamma_s), h, p.d, n_z)
+        assert rows.shape == (n_t, 2, n_z)
+        self.check_record(pde_write(a_in, p, n_z, n_t), p, a_in, rows)
+
+    @pytest.mark.parametrize("n_t", [4, dynamics._MARCH_BLOCK - 1, dynamics._MARCH_BLOCK,
+                                     dynamics._MARCH_BLOCK + 1, 2 * dynamics._MARCH_BLOCK + 1])
+    @pytest.mark.parametrize("n_z", [4, 5, 40])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_block_seams_match_the_reference(self, n_t, n_z, real):
+        # records ending before, at and just past a block's last row, against
+        # the per-step plain form of the march; gamma_s T = 0.3 keeps
+        # gamma_s dt <= 0.1 at n_t = 4
+        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=0.3 / GAMMA_S)
+        t = np.linspace(0.0, 1.0, n_t)
+        drive = np.exp(-((t - 0.6) ** 2) / 0.05) * (1.0 if real else np.exp(3j * t))
+        run = pde_write(drive, p, n_z, n_t)
         sg = np.sqrt(p.gamma_s)
         h = p.gamma_s * p.T / (n_t - 1)
-        steps = dynamics._march(np.zeros(n_z), a_in / sg, h, p.d, n_z)
-        b_sq = np.empty((n_z, n_t))
-        for j, (a, b) in enumerate(steps):
-            assert run.a_in[j] == a[0] * sg and run.a_out[j] == a[-1] * sg
-            b_sq[:, j] = np.abs(b) ** 2
-        assert j == n_t - 1
-        assert np.array_equal(run.profile.b_T, b)
-        assert np.array_equal(run.t_points, np.linspace(0.0, p.T, n_t))
-        want = b_sq @ simpson_weights(n_t, p.T / (n_t - 1))
-        assert np.abs(run.b_sq_dt - want).max() <= 1e-13 * want.max()
+        rows = np.stack(list(reference_march(np.zeros(n_z), drive / sg, h, p.d, n_z)))
+        assert rows.dtype == (np.float64 if real else np.complex128)
+        self.check_record(run, p, drive, rows)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_corner_peak_is_the_step_by_step_one(self, real):
+        # at n_t = 9 a march block is one row, as at the MAX_GRID_CELLS
+        # corner (n_z = 2**25 // 9).  The step-by-step march and its traces
+        # peaked at 9.13 (real drive) and 14.00 (complex) n_z-long float64
+        # arrays, here and at the corner; the block march peaks at 8.13 and 13.01
+        n_z, n_t = 2**17, 9
+        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=0.8 / GAMMA_S)
+        drive = np.ones(n_t) if real else np.exp(1j * np.linspace(0.0, 1.0, n_t))
+        tracemalloc.start()
+        try:
+            pde_write(drive, p, n_z, n_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (9.13 if real else 14.0) * 8 * n_z
 
     def test_energy_budget_closes(self):
         p = params10()
@@ -907,9 +946,9 @@ class TestExactWrite:
         for n in (21, 41, 81, 161):
             tf = np.linspace(0.0, 0.2, n)
             fine = np.interp(tf, t, drive.real) + 1j * np.interp(tf, t, drive.imag)
-            for _, b in dynamics._march(np.zeros(n_z), fine, tf[1] - tf[0], d, n_z):
+            for block in dynamics._march(np.zeros(n_z), fine, tf[1] - tf[0], d, n_z):
                 pass
-            errs.append(np.abs(b - want).max())
+            errs.append(np.abs(block[-1, 0] - want).max())
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.5)
 
@@ -1066,15 +1105,10 @@ class TestBatchedMarch:
             b0 = rng.standard_normal((n_z, k)) + 1j * rng.standard_normal((n_z, k))
             bound = np.zeros((n_t, k), dtype=complex)
 
-        def history(b0, bound):
-            steps = [(a.copy(), b.copy()) for a, b in dynamics._march(b0, bound, 0.01, 4.0, n_z)]
-            return np.array([a for a, _ in steps]), np.array([b for _, b in steps])
-
-        a, b = history(b0, bound)
-        assert a.shape == b.shape == (n_t, n_z, k)
+        rows = march_rows(b0, bound, 0.01, 4.0, n_z)
+        assert rows.shape == (n_t, 2, n_z, k)
         for i in range(k):
-            a_i, b_i = history(b0[:, i], bound[:, i])
-            assert np.array_equal(a[..., i], a_i) and np.array_equal(b[..., i], b_i)
+            assert np.array_equal(rows[..., i], march_rows(b0[:, i], bound[:, i], 0.01, 4.0, n_z))
 
     @pytest.mark.parametrize("n_probes", [1, 3])
     def test_transfer_reads_once(self, march_calls, read_calls, n_probes):
@@ -1088,7 +1122,7 @@ class TestBatchedMarch:
 
 
 class TestMarchReference:
-    """``_march`` against ``support.reference_march``, its step with an in-place ``np.cumsum``."""
+    """``_march`` against ``support.reference_march``, its step in plain form."""
 
     @pytest.mark.parametrize("n_z", [4, 5, 40])
     @pytest.mark.parametrize("k", [None, 3], ids=["1-d", "columns"])
@@ -1097,7 +1131,7 @@ class TestMarchReference:
     def test_every_yield_is_bit_identical(self, n_z, k, driven, real):
         rng = np.random.default_rng(22)
         shape = () if k is None else (k,)
-        n_t = 60
+        n_t = 60  # one full block and a part
 
         def draw(n):
             x = rng.standard_normal((n,) + shape)
@@ -1107,26 +1141,25 @@ class TestMarchReference:
             b0, bound = np.zeros((n_z,) + shape), draw(n_t)
         else:
             b0, bound = draw(n_z), np.zeros((n_t,) + shape)
-        got, want = ([(a.copy(), b.copy()) for a, b in march(b0, bound, 0.01, 4.0, n_z)]
-                     for march in (dynamics._march, reference_march))
-        assert len(got) == len(want) == n_t
-        for (a, b), (a_ref, b_ref) in zip(got, want):
-            assert a.dtype == b.dtype == a_ref.dtype == (np.float64 if real else np.complex128)
-            assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+        got = march_rows(b0, bound, 0.01, 4.0, n_z)
+        want = np.stack(list(reference_march(b0, bound, 0.01, 4.0, n_z)))
+        assert got.shape == want.shape == (n_t, 2, n_z) + shape
+        assert got.dtype == want.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(got, want)
 
     def test_steps_allocate_no_field_sized_array(self):
-        # after the first yield every step works in place: a stray product
+        # after the first block every step works in place: a stray product
         # or a prefix sum without out= would allocate an n_z array
         n_z, n_t = 2000, 400
-        steps = dynamics._march(np.zeros(n_z), np.ones(n_t), 0.01, 4.0, n_z)
-        next(steps)
+        blocks = dynamics._march(np.zeros(n_z), np.ones(n_t), 0.01, 4.0, n_z)
+        first = len(next(blocks))
         tracemalloc.start()
         try:
-            taken = sum(1 for _ in steps)
+            taken = sum(len(block) for block in blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert taken == n_t - 1
+        assert (first, taken) == (dynamics._MARCH_BLOCK, n_t - dynamics._MARCH_BLOCK)
         assert peak < n_z * 8
 
 
@@ -1134,9 +1167,9 @@ class TestRealMarch:
     """A real state and boundary march in float64, with the bits of a complex march's parts."""
 
     @staticmethod
-    def steps(b0, bound):
-        """Copies of every (a, b) the marcher yields, at a small grid."""
-        return [(a.copy(), b.copy()) for a, b in dynamics._march(b0, bound, 0.01, 4.0, 40)]
+    def rows(b0, bound):
+        """Every row [b; a / nc] the marcher yields, at a small grid."""
+        return march_rows(b0, bound, 0.01, 4.0, 40)
 
     @pytest.mark.parametrize("real_b0, real_bound, dtype", [
         (True, True, np.float64), (False, True, np.complex128),
@@ -1145,14 +1178,14 @@ class TestRealMarch:
     def test_dtype_rule(self, real_b0, real_bound, dtype):
         b0 = np.zeros(40, dtype=float if real_b0 else complex)
         bound = np.ones(6, dtype=float if real_bound else complex)
-        for a, b in self.steps(b0, bound):
-            assert a.dtype == b.dtype == dtype
+        assert self.rows(b0, bound).dtype == dtype
 
     @pytest.mark.parametrize("k", [None, 3], ids=["1-d", "columns"])
     @pytest.mark.parametrize("driven", [True, False], ids=["driven", "dark"])
     def test_complex_march_is_two_real_marches(self, driven, k):
-        # every coefficient is real, so the real and imaginary parts of a
-        # complex march are the float64 marches of those parts, bit for bit
+        # every coefficient is real and each product runs on the real view,
+        # so the real and imaginary parts of a complex march are the float64
+        # marches of those parts, bit for bit
         rng = np.random.default_rng(21)
         shape = () if k is None else (k,)
         n_z, n_t = 40, 120
@@ -1164,13 +1197,11 @@ class TestRealMarch:
             b0, bound = np.zeros((n_z,) + shape), draw(n_t)
         else:
             b0, bound = draw(n_z), np.zeros((n_t,) + shape)
-        both = self.steps(b0, bound)
-        parts = [self.steps(part(b0), part(bound)) for part in (np.real, np.imag)]
-        assert len(both) == len(parts[0]) == len(parts[1]) == n_t
-        for (a, b), (a_x, b_x), (a_y, b_y) in zip(both, *parts):
-            assert a.dtype == np.complex128 and a_x.dtype == a_y.dtype == np.float64
-            assert np.array_equal(a.real, a_x) and np.array_equal(a.imag, a_y)
-            assert np.array_equal(b.real, b_x) and np.array_equal(b.imag, b_y)
+        both = self.rows(b0, bound)
+        x, y = (self.rows(part(b0), part(bound)) for part in (np.real, np.imag))
+        assert both.shape == x.shape == y.shape == (n_t, 2, n_z) + shape
+        assert both.dtype == np.complex128 and x.dtype == y.dtype == np.float64
+        assert np.array_equal(both.real, x) and np.array_equal(both.imag, y)
 
     @pytest.mark.parametrize("d", [4.0, 0.0])
     def test_zero_imaginary_drive_gives_the_same_record(self, monkeypatch, d):
@@ -1182,9 +1213,9 @@ class TestRealMarch:
         march = dynamics._march
 
         def recorded(*args):
-            for a, b in march(*args):
-                dtypes.append(b.dtype)
-                yield a, b
+            for block in march(*args):
+                dtypes.append(block.dtype)
+                yield block
 
         def fields(run):
             return run.profile.b_T, run.t_points, run.a_in, run.a_out, run.b_sq_dt
@@ -1198,7 +1229,8 @@ class TestRealMarch:
         assert real.profile.b_T.dtype == real.a_in.dtype == real.a_out.dtype == np.complex128
         # both drives march in float64; one with an imaginary part marches complex
         pde_write(drive + 1e-3j, p, n_z, n_t)
-        assert dtypes == ([np.float64] * n_t * 2 + [np.complex128] * n_t if d else [])
+        blocks = -(-n_t // dynamics._MARCH_BLOCK)
+        assert dtypes == ([np.float64] * blocks * 2 + [np.complex128] * blocks if d else [])
 
 
 class TestWriteBudget:
