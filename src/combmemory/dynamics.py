@@ -14,13 +14,14 @@ Two independent routes compute the same physics:
   discretized in z by a cumulative trapezoid: a = a(0, t) - sqrt(d) times
   the trapezoid prefix sum of b.  ``pde_write`` marches them in time, with
   the decay handled by an exact exponential factor per step and one
-  corrector pass for second-order accuracy, in six numpy calls a step that
-  allocate nothing.  The stepper yields its fields in blocks of steps, and
-  ``pde_write`` takes the traces its energy budget needs from each block.
-  It marches in float64 when its initial state and boundary are real (the
-  write cross-check's constant drive) and in complex128 otherwise, with the
-  same bits as the real part of a complex march.  No route keeps an
-  (n_z, n_t) history.
+  corrector pass for second-order accuracy.  The march runs on a wavefront:
+  z is cut into chunks of 4 cells, chunk j advances to sample q - j at
+  macro step q, and a macro step is one product of the active chunks with
+  a fixed (16 x 16) step matrix, with no prefix sum (time grids shorter
+  than the chunk count step down all of z instead).  It hands back the
+  traces the energy budget needs, taken once per ring of steps, and it
+  marches a complex drive as two float64 marches, its real and imaginary
+  parts.  No route keeps an (n_z, n_t) history.
   The transfer measurement solves the same z-discretized system exactly in
   time, with A = -I + sqrt(d) times the field's prefix sum as generator
   (``_prefix_sum``, the one such sum outside the march):
@@ -91,13 +92,14 @@ PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
 READ_SUM_ERROR_LIMIT = 1e-4  # estimated relative error of the read clock's Fourier sum
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
 # Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory
-# (``pde_write`` holds a march block of 32 steps, fewer past 1 MiB, one at
-# least, and O(n_z + n_t) values).  The float64 march of a real drive takes
-# 14-18 ns a cell at 4096 x 8192, 18-21 at 1024 x 32768 (2-vCPU x86-64), 0.6 s at the cap.
+# (``pde_write`` holds a ring of march steps of about 1 MiB and O(n_z + n_t)
+# values).  A real drive marches at 8 ns a cell at 4096 x 8192 and 9-10 at
+# 1024 x 32768 (skewed), 9-13 at 8192 x 1024 and 131072 x 256 (full z;
+# 2-vCPU x86-64), so 0.3-0.45 s at the cap.
 MAX_GRID_CELLS = 2**25
 _READ_BLOCK = 128            # PDE read samples per power of the one-sample propagator
-_MARCH_BLOCK = 32            # write-march steps per block, fewer when a block of
-_MARCH_BLOCK_BYTES = 2**20   # 16 n_z bytes a step per real column would pass this
+_CHUNK = 4                   # z cells per chunk of the skewed write march
+_MARCH_BYTES = 2**20         # size of a write march's ring of steps, its traces taken per ring
 _TAYLOR_TOL = 1e-17          # remainder bound of the propagator's Taylor series
 # Largest PDE transfer n_z: the read holds an n_z x n_z float64 matrix,
 # 128 MiB at the cap.
@@ -474,64 +476,229 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
 # PDE route
 
 def _field_scale(d, n_z):
-    """nc = -sqrt(d) / (2 (n_z - 1)): the field a is nc times the trapezoid prefix sum of b."""
+    """nc = -sqrt(d) / (2 (n_z - 1)): the field a is a(0) plus nc times b's trapezoid prefix sum."""
     return -(0.5 * np.sqrt(d) / (n_z - 1))
 
 
-def _march(b0, boundary, h, d, n_z):
-    """Yield the pair (b, a / nc) at every scaled boundary sample from sample 0, in blocks.
-
-    Exponential integrator in tau (exact decay factor, predictor-corrector
-    source weights I0 = 1-e^{-h}, I1 = (h-1+e^{-h})/h) with the field slaved
-    to the coherence through a cumulative trapezoid in z at every stage:
-    a = a(0) - sqrt(d) * cumulative trapezoid of b, stored as f = a / nc
-    (``_field_scale``) so that nc folds into the coefficients.  A step is a
-    (2 x 2) product of [b; f] for the predictor and the corrector's first
-    terms, a field, a (2 x 2) product adding w1 a* (two equal rows: OpenBLAS
-    gives a one-row product bits that depend on the column), and a field:
-    a pair add of b under the boundary sample over nc, set once per step,
-    and one ``np.add.accumulate`` down z.  Runs march together as columns:
-    ``b0`` is (n_z,) or (n_z, k), ``boundary`` (n_t,) or (n_t, k).  Steps
-    fill blocks of _MARCH_BLOCK rows, fewer past _MARCH_BLOCK_BYTES (one at
-    least), each yielded as an (m, 2) + b0.shape array that the next block
-    reuses.  The dtype is ``np.result_type(b0, boundary, float)``; the
-    products run on the real view, so a real march has the bits of a complex
-    march's real part.  ``pde_write`` is its one library caller: the
-    transfer solves the same z-discretized system exactly in time
-    (``_exact_write``, ``_read_operator``), which the march approaches at
-    second order in h.
-    """
-    sq, nc, e = np.sqrt(d), _field_scale(d, n_z), np.exp(-h)
+def _step_weights(h, d):
+    """(e, sqrt(d) I0, sqrt(d) (I0 - I1), sqrt(d) I1) of one march step of scaled length h."""
+    sq, e = np.sqrt(d), np.exp(-h)
     I0, I1 = 1.0 - e, (h - 1.0 + e) / h
-    predict = np.array([[e, nc * sq * I0], [e, nc * sq * (I0 - I1)]])
-    correct = np.array([[nc * sq * I1, 1.0]] * 2)
-    dtype = np.result_type(b0, boundary, float)
-    s = np.ascontiguousarray(boundary, dtype).view(float).reshape(len(boundary), -1) / nc
-    n_t, cols = s.shape
-    K = max(1, min(_MARCH_BLOCK, _MARCH_BLOCK_BYTES // (16 * n_z * cols)))
-    y, p, w = np.empty((K, 2, n_z, cols)), np.empty((2, n_z, cols)), np.empty((n_z, cols))
-    blocks = y.view(dtype).reshape((K, 2) + np.shape(b0))
-    y2, p2, pairs = y.reshape(K, 2, -1), p.reshape(2, -1), w[1:]
-    rows = [(y2[i - 1], y2[i], y[i, 0, 1:], y[i, 0, :-1], y[i, 1]) for i in range(K)]
-    p_hi, p_lo, p_f = p[0, 1:], p[0, :-1], p[0]
-    blocks[0, 0] = b0
-    del b0  # a caller's fresh b0 is freed here, not held for the whole march
+    return e, sq * I0, sq * (I0 - I1), sq * I1
+
+
+def _chunk_matrix(h, d, n_z):
+    """The (3L + 4)-square float64 matrix of one march step of one chunk of L = _CHUNK cells.
+
+    A row of inputs is the chunk's [b (for e b only), b, a] at the last
+    sample and then the carries [b*, a*, b, a] of the cell above it at the
+    new sample; the columns give the carries of the chunk's last cell and
+    then [b, b, a] at the new sample, so a product's carries land in the
+    next chunk's slots (see ``_skewed_march``).  The coefficients are
+    composed in long double and rounded once, except e: it stays the exact
+    float64 decay factor on its own input column, where a fused e + O(h)
+    coefficient would round the dominant term of every step.
+    """
+    L, ld = _CHUNK, np.longdouble
+    e, w0, w01, w1 = (ld(c) for c in _step_weights(h, d))
+    nc = ld(_field_scale(d, n_z))
+    x = np.eye(3 * L + 4, dtype=ld)  # row m: input m in terms of the inputs
+    b_e, b, a = x[:L], x[L:2 * L], x[2 * L:3 * L]
+    carry_b_star, carry_a_star, carry_b, carry_a = x[3 * L:]
+
+    def field(a_above, b_above, b):
+        # a_k = a_above + nc (b_above + 2 (b_0 + ... + b_{k-1}) + b_k)
+        return a_above + nc * np.cumsum(np.vstack([b_above, b[:-1]]) + b, axis=0)
+
+    b_star = e * b + w0 * a
+    a_star = field(carry_a_star, carry_b_star, b_star)
+    rest = w01 * a + w1 * a_star  # b at the new sample, less e b
+    a_new = field(carry_a, carry_b, e * b + rest)
+    b_new = e * b_e + rest
+    return np.vstack([e * b_e[-1] + w0 * a[-1], a_star[-1], b_new[-1], a_new[-1],
+                      b_new, b_new, a_new]).T.astype(float)
+
+
+def _cell0(b0, s, h, d):
+    """Cell 0's carries [b*, a*, b, a] at every sample (b* from sample 1).
+
+    Its field is the drive s, so its b is a scalar recurrence.
+    """
+    e, w0, w01, w1 = _step_weights(h, d)
+    b = [float(b0)]
+    for u in (w01 * s[:-1] + w1 * s[1:]).tolist():
+        b.append(float(e) * b[-1] + u)
+    carries = np.stack([np.zeros(len(s)), s, b, s], axis=1)
+    carries[1:, 0] = e * carries[:-1, 2] + w0 * s[:-1]
+    return carries
+
+
+def _skewed_march(b0, s, weights, h, d, n_z):
+    """``_march`` of one real run on a time grid at least as long as its chunk count.
+
+    Cells 1 .. n_z - 1 are cut into P chunks of L = _CHUNK cells (the last
+    padded with cells past z = 1, which no real cell reads).  The march is
+    Lamport's hyperplane schedule (CACM 17, 83 (1974)): at macro step q,
+    chunk j advances to sample q - j with the carries chunk j - 1 left at
+    macro step q - 1, so a macro step is one product of the active chunks'
+    rows with ``_chunk_matrix`` and no prefix sum.  The rows sit in chunk
+    order reversed, so each output row, written 4 entries before its input
+    row, leaves its carries in the next chunk's slots; cell 0 is
+    ``_cell0``'s.  Macro steps fill a ring of K row sets (2 at least, about
+    _MARCH_BYTES), and the traces are taken once per ring: a(1, .) and
+    b(., T) by index, and the weighted |b|^2 sums on the chunks active in it.
+    """
+    L, n_t = _CHUNK, len(s)
+    P, W = -(-(n_z - 1) // L), 3 * L + 4
+    K = max(2, min(n_t + P - 2, _MARCH_BYTES // (8 * (P * W + 4))))
+    ring = np.zeros((K, P * W + 4))
+    rows = ring[:, 4:].reshape(K, P, W)  # row P - 1 - j: chunk j
+    outs = ring[:, :-4].reshape(K, P, W)
+    cells = np.zeros(P * L + 1)
+    cells[:n_z] = b0
+    a0 = np.zeros_like(cells)
+    np.add(cells[1:], cells[:-1], out=a0[1:])
+    a0 = s[0] + _field_scale(d, n_z) * np.cumsum(a0)
+    start = rows[0, ::-1, :3 * L].reshape(P, 3, L)
+    start[:, 0] = start[:, 1] = cells[1:].reshape(P, L)
+    start[:, 2] = a0[1:].reshape(P, L)
+    rows[1:] = rows[0]
+    carry0 = _cell0(b0[0], s, h, d)
+    b_cell0 = carry0[:, 2]
+    a_1, b_end, b_T, b_sq_out = np.empty(n_t), np.empty((P, L)), np.empty(n_z), np.empty(n_z)
+    a_1[0] = a0[n_z - 1]
+    last = 2 * L + (n_z - 2) % L  # cell n_z - 1's a in row 0
+    b_sq, acc = weights[0] * np.square(rows[0, :, L:2 * L]), np.empty((P, L))  # rows' order
+    # weight of row p at ring slot i of the ring starting at macro step q: w_at[q + i][p]
+    wz = np.zeros(n_t + 3 * P + K)
+    wz[P:P + n_t - 1] = weights[1:]
+    w_at = np.lib.stride_tricks.sliding_window_view(wz, P)
+    del cells, a0, start
+    M = _chunk_matrix(h, d, n_z)  # built last: the loop allocates nothing field-sized
+    q_end = n_t + P - 2
+    for q0 in range(1, q_end + 1, K):
+        k = min(K, q_end + 1 - q0)
+        for i in range(k):
+            q = q0 + i
+            lo, hi = P - min(P, q), P - max(1, q - n_t + 2)  # rows of chunks q - n_t + 1 .. q - 1
+            if hi == P - 1:
+                rows[i - 1, P - 1, 3 * L:] = carry0[q]
+            np.matmul(rows[i - 1, lo:hi + 1], M, out=outs[i, lo:hi + 1])
+        t_lo, t_hi = max(1, q0 - P + 1), min(n_t - 1, q0 + k - P)
+        if t_lo <= t_hi:  # chunk P - 1 at sample q - P + 1
+            a_1[t_lo:t_hi + 1] = rows[t_lo + P - 1 - q0:t_hi + P - q0, 0, last]
+        j = np.arange(max(0, q0 - n_t + 1), min(P, q0 + k - n_t + 1))
+        b_end[j] = rows[j + n_t - 1 - q0, P - 1 - j, L:2 * L]  # chunks at sample n_t - 1
+        lo, hi = P - min(P, q0 + k - 1), P - max(1, q0 - n_t + 2)
+        n = hi + 1 - lo
+        b = rows[:k, lo:hi + 1, L:2 * L]
+        np.einsum("ip,ipl,ipl->pl", w_at[q0 + lo:q0 + lo + k, :n], b, b, out=acc[:n])
+        np.add(b_sq[lo:hi + 1], acc[:n], out=b_sq[lo:hi + 1])
+    del ring, rows, outs, b, acc
+    b_T[0], b_T[1:] = b_cell0[-1], b_end.ravel()[:n_z - 1]
+    # numpy's own sum: a BLAS dot of n_t terms would take its order from the thread count
+    b_sq_out[0], b_sq_out[1:] = np.sum(weights * np.square(b_cell0)), b_sq[::-1].ravel()[:n_z - 1]
+    return a_1, b_T, b_sq_out
+
+
+def _prefix_matrices(h, d, n_z):
+    """``_prefix_march``'s (2 x 2) products: [nc b*; e b + w01 a] from [b; a], then
+    [b; nc b] from [a*; e b + w01 a], with (e, w0, w01, w1) = ``_step_weights``."""
+    e, w0, w01, w1 = _step_weights(h, d)
+    nc = _field_scale(d, n_z)
+    return np.array([[nc * e, nc * w0], [e, w01]]), np.array([[w1, 1.0], [nc * w1, nc]])
+
+
+def _prefix_march(b0, s, weights, h, d, n_z):
+    """``_march`` of one real run on a time grid shorter than its chunk count.
+
+    Each step runs over all n_z cells: a (2 x 2) product for b* (times nc)
+    and e b + sqrt(d) (I0 - I1) a, a field, a (2 x 2) product for b and
+    nc b, and a field, each field one ``np.add.accumulate`` of the drive
+    sample and the pair sums.  Steps fill a ring of K [b; a; nc b] rows
+    (one at least; the b and a rows about _MARCH_BYTES), whose traces are
+    taken per ring.
+    """
+    n_t = len(s)
+    K = max(1, min(n_t, _MARCH_BYTES // (16 * n_z)))  # the nc b rows ride beyond the budget
+    ring, p, w = np.empty((K, 3, n_z)), np.empty((2, n_z)), np.empty(n_z)
+    a_1, b_T, b_sq = np.empty(n_t), np.empty(n_z), np.zeros(n_z)
+    ring[0, 0] = b0
+    np.multiply(b0, _field_scale(d, n_z), out=ring[0, 2])
     w[0] = s[0]
-    np.add(y[0, 0, 1:], y[0, 0, :-1], out=pairs)
-    np.add.accumulate(w, axis=0, out=y[0, 1])
-    for r in range(1, n_t):
+    np.add(ring[0, 2, 1:], ring[0, 2, :-1], out=w[1:])
+    np.add.accumulate(w, out=ring[0, 1])
+    predict, correct = _prefix_matrices(h, d, n_z)  # built last, as in _skewed_march
+    for r in range(1, n_t + 1):
         i = r % K
-        if not i:
-            yield blocks
-        prev, new, hi, lo, f = rows[i]
+        if not i or r == n_t:  # the traces of samples r - m .. r - 1
+            m = i or K
+            a_1[r - m:r] = ring[:m, 1, -1]
+            np.square(ring[:m, 0], out=ring[:m, 2])
+            np.matmul(weights[r - m:r], ring[:m, 2], out=w)
+            b_sq += w
+            if r == n_t:
+                break
+        prev, new = ring[i - 1], ring[i]
         w[0] = s[r]
-        np.matmul(predict, prev, out=p2)        # [b*; e b + w01 a]
-        np.add(p_hi, p_lo, out=pairs)
-        np.add.accumulate(w, axis=0, out=p_f)   # [f*; e b + w01 a]: b* is spent
-        np.matmul(correct, p2, out=new)         # [b; b]
-        np.add(hi, lo, out=pairs)
-        np.add.accumulate(w, axis=0, out=f)     # [b; f]
-    yield blocks[:(n_t - 1) % K + 1]
+        np.matmul(predict, prev[:2], out=p)        # [nc b*; e b + w01 a]
+        np.add(p[0, 1:], p[0, :-1], out=w[1:])
+        np.add.accumulate(w, out=p[0])             # [a*; e b + w01 a]
+        np.matmul(correct, p, out=new[::2])        # [b; a; nc b] less a
+        np.add(new[2, 1:], new[2, :-1], out=w[1:])
+        np.add.accumulate(w, out=new[1])
+    b_T[...] = ring[(n_t - 1) % K, 0]
+    return a_1, b_T, b_sq
+
+
+def _march(b0, boundary, h, d, n_z, weights):
+    """(a(1, .), b(., T), sum_t weights[t] |b(., t)|^2) of a march from b0 at every boundary sample.
+
+    Exponential integrator in tau (exact decay factor e = e^{-h},
+    predictor-corrector source weights I0 = 1-e^{-h}, I1 = (h-1+e^{-h})/h)
+    with the field slaved to the coherence through a cumulative trapezoid
+    in z at every stage: a = a(0) + nc * (pair sums of b accumulated down
+    z), nc = ``_field_scale``.  Runs march as columns, one after another:
+    ``b0`` is (n_z,) or (n_z, k), ``boundary`` (n_t,) or (n_t, k), and the
+    traces come back in those shapes with the dtype
+    ``np.result_type(b0, boundary, float)``; a complex run marches as its
+    real and imaginary parts, two float64 marches, so a real march has the
+    bits of a complex march's real part.  The kernel is chosen by grid
+    shape: ``_skewed_march`` when n_t reaches the chunk count
+    ceil((n_z - 1) / _CHUNK), else ``_prefix_march``, whose steps run down
+    all of z.  A shorter grid leaves the wavefront a band of at most n_t
+    chunks for n_t + P macro steps: at 131072 x 9 it took 234 ns a cell
+    against the full-z step's 13, at 131072 x 256 21 against 13 (2-vCPU
+    x86-64).  Each kernel holds a ring of about _MARCH_BYTES and
+    O(n_z + n_t) values, and no (n_z, n_t) history.  ``pde_write`` is its
+    one library caller: the transfer solves the same z-discretized system
+    exactly in time (``_exact_write``, ``_read_operator``), which the march
+    approaches at second order in h.
+    """
+    b0, boundary = np.asarray(b0), np.asarray(boundary)
+    cplx = np.result_type(b0, boundary, float).kind == "c"
+    n_t = boundary.shape[0]
+    kernel = _skewed_march if n_t >= -(-(n_z - 1) // _CHUNK) else _prefix_march
+    runs = []
+    for col in np.ndindex(b0.shape[1:]):
+        at = (slice(None),) + col
+        x = [kernel(np.asarray(part(b0[at]), float), np.asarray(part(boundary[at]), float),
+                    weights, h, d, n_z) for part in ((np.real, np.imag) if cplx else (np.real,))]
+        if cplx:
+            (a_re, b_re, sq_re), (a_im, b_im, sq_im) = x
+            x = [(_join(a_re, a_im), _join(b_re, b_im), sq_re + sq_im)]
+        runs.append(x[0])
+    if b0.ndim == 1:
+        return tuple(runs[0])
+    return tuple(np.stack(trace, axis=-1).reshape(trace[0].shape + b0.shape[1:])
+                 for trace in zip(*runs))
+
+
+def _join(re, im):
+    """The complex array re + i im, with the bits of both parts."""
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def _prefix_sum(v, scale, out):
@@ -692,14 +859,14 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
 
     ``a_in`` is the boundary envelope a(0, t) as n_t uniform samples on
     [0, T].  Warns when gamma_s * dt exceeds 0.1.  No (n_z, n_t) history is
-    kept: per ``_march`` block one product adds the Simpson-weighted |b|^2
-    into an n_z vector, and a(1, t) is the last field column, scaled once:
-    it holds one block and O(n_z + n_t) values.  A non-finite field anywhere
-    reaches a(1, .), that sum or b(., T), and raises PhysicsError, as does a
-    sum that overflows a float in SI units while every field is finite.  A
-    drive whose imaginary part is all zero marches as its real part, in
-    float64, with the same bits; the record's fields are complex either
-    way.  Its scaled window and step are checked as ``write_analytic`` does.
+    kept: ``_march`` returns a(1, .), b(., T) and the Simpson-weighted |b|^2
+    sums, each taken once per ring of steps, so the write holds one ring
+    and O(n_z + n_t) values.  A non-finite field anywhere reaches a(1, .),
+    that sum or b(., T), and raises PhysicsError, as does a sum that
+    overflows a float in SI units while every field is finite.  A drive
+    whose imaginary part is all zero marches as its real part, in float64,
+    with the same bits; the record's fields are complex either way.  Its
+    scaled window and step are checked as ``write_analytic`` does.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
     if not bound.imag.any():
@@ -710,27 +877,19 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
         warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
                       ResolutionWarning, stacklevel=2)
     wt = simpson_weights(t.size, t[1] - t[0])
-    b_sq_dt = np.zeros(int(n_z))
     if params.d == 0.0:
-        a_0, a_1, b = bound, bound, np.zeros(int(n_z), dtype=complex)
+        a_0, a_1, b, b_sq_dt = bound, bound, np.zeros(int(n_z), dtype=complex), np.zeros(int(n_z))
     else:
         # scaled field: a_tilde = a / sqrt(gamma_s); ratio-free quantities are
         # unaffected, b matches the analytic-kernel normalization
         sg = np.sqrt(params.gamma_s)
         drive = bound / sg
-        a_0, a_1, j = drive * sg, np.empty(int(n_t), dtype=drive.dtype), 0
         # |b|^2 carries 1 / gamma_s and wt is in seconds, so the sum can
         # overflow in SI units while every field is finite; an overflow is
-        # found from the finished sum and fields, not warned of per block
+        # found from the finished sum and fields, not warned of per ring
         with np.errstate(over="ignore"):
-            for block in _march(np.zeros(int(n_z)), drive, h, params.d, int(n_z)):
-                b, m = block[:, 0], len(block)
-                a_1[j:j + m] = block[:, 1, -1]
-                b_sq_dt += wt[j:j + m] @ (np.square(b) if b.dtype.kind == "f"
-                                          else np.square(b.real) + np.square(b.imag))
-                j += m
-        a_1 *= _field_scale(params.d, n_z) * sg
-        b = b[-1]
+            a_1, b, b_sq_dt = _march(np.zeros(int(n_z)), drive, h, params.d, int(n_z), wt)
+        a_0, a_1 = drive * sg, a_1 * sg
         if not np.isfinite(b_sq_dt).all() and all(np.isfinite(x).all() for x in (a_0, a_1, b)):
             raise PhysicsError("the SI integral of |b|^2 dt over the write window overflows "
                                f"a float (gamma_s = {params.gamma_s:g}, T = {params.T:g} s)")

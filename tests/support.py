@@ -24,11 +24,70 @@ def random_pure_state(M, rng, r_max=1.5):
     return apply_mode_unitary(C, random_unitary(M, rng))
 
 
+def oracle_march(b0, boundary, h, d, n_z):
+    """The write march's scheme in plain per-step form: (b, a) at every sample, from sample 0.
+
+    The accuracy oracle for ``dynamics._march``: every coefficient and field
+    is computed in long double, each stage as the scheme states it, with
+    fresh arrays: b* = e b + sqrt(d) I0 a, then
+    a* = a(0) + nc * cumsum of the pair sums of b*, then
+    b = e b + sqrt(d) ((I0 - I1) a + I1 a*) and its field, with
+    nc = -sqrt(d) / (2 (n_z - 1)).  ``b0`` is (n_z,) or (n_z, k) and
+    ``boundary`` (n_t,) or (n_t, k), real or complex.
+    """
+    real = np.longdouble
+    cplx = np.iscomplexobj(b0) or np.iscomplexobj(boundary)
+    kind = np.result_type(real, complex) if cplx else np.dtype(real)
+    h, sq = real(h), np.sqrt(real(d))
+    nc = -sq / (2 * (n_z - 1))
+    e = np.exp(-h)
+    I0 = 1 - e
+    I1 = (h - 1 + e) / h
+    s = np.asarray(boundary).astype(kind)
+
+    def field(j, b):
+        pairs = np.concatenate([np.zeros((1,) + b.shape[1:], kind), b[1:] + b[:-1]])
+        return s[j] + nc * np.cumsum(pairs, axis=0)
+
+    b = np.asarray(b0).astype(kind)
+    a = field(0, b)
+    yield b, a
+    for j in range(1, len(s)):
+        b_star = e * b + sq * I0 * a
+        a_star = field(j, b_star)
+        b = e * b + sq * ((I0 - I1) * a + I1 * a_star)
+        a = field(j, b)
+        yield b, a
+
+
+def oracle_traces(b0, boundary, h, d, n_z, weights):
+    """``dynamics._march``'s traces (a(1, .), b(., T), sum_t weights[t] |b(., t)|^2) from
+    ``oracle_march`` in long double."""
+    a_1, b_sq = [], 0
+    for w, (b, a) in zip(np.asarray(weights, np.longdouble), oracle_march(b0, boundary, h, d, n_z)):
+        a_1.append(a[-1])
+        b_sq = b_sq + w * np.abs(b) ** 2
+    return np.array(a_1), b, b_sq
+
+
+def oracle_write(a_in, params, n_z, n_t):
+    """A ``WriteRecord`` of ``pde_write``'s inputs from the long-double oracle, rounded once."""
+    t, bound = dynamics._write_boundary(a_in, params, n_z, n_t)
+    sg = np.sqrt(np.longdouble(params.gamma_s))
+    h = params.gamma_s * params.T / (n_t - 1)
+    wt = dynamics.simpson_weights(n_t, t[1] - t[0])
+    a_1, b_T, b_sq = oracle_traces(np.zeros(n_z), bound.astype(np.clongdouble) / sg, h, params.d,
+                                   n_z, wt)
+    z = np.linspace(0.0, 1.0, n_z)
+    return dynamics.WriteRecord(dynamics.StoredProfile(z, b_T.astype(complex)), t, bound,
+                                (a_1 * sg).astype(complex), b_sq.astype(float))
+
+
 def grid_write(a_in, params, n_z, n_t):
     """Reference for ``pde_write``: (z, t, a, b) with the full (n_z, n_t) SI histories.
 
-    The same march as ``pde_write``, with every block's fields copied into
-    the history arrays.
+    The march's scheme from ``oracle_march`` in long double, every sample
+    rounded to complex128 into the history arrays.
     """
     t, bound = dynamics._write_boundary(a_in, params, n_z, n_t)
     h = params.gamma_s * params.T / (n_t - 1)
@@ -36,70 +95,24 @@ def grid_write(a_in, params, n_z, n_t):
     if params.d == 0.0:
         a = np.broadcast_to(bound, (n_z, n_t)).copy()
         return z, t, a, np.zeros_like(a)
-    sg = np.sqrt(params.gamma_s)
+    sg = np.sqrt(np.longdouble(params.gamma_s))
     a = np.empty((n_z, n_t), dtype=complex)
     b = np.empty_like(a)
-    j = 0
-    for block in dynamics._march(np.zeros(n_z), bound / sg, h, params.d, n_z):
-        b[:, j:j + len(block)] = block[:, 0].T
-        a[:, j:j + len(block)] = block[:, 1].T
-        j += len(block)
-    a *= dynamics._field_scale(params.d, n_z) * sg
+    for j, (b_j, a_j) in enumerate(oracle_march(np.zeros(n_z), bound.astype(np.clongdouble) / sg,
+                                                h, params.d, n_z)):
+        b[:, j] = b_j
+        a[:, j] = a_j * sg
     return z, t, a, b
-
-
-def reference_march(b0, boundary, h, d, n_z):
-    """Reference for ``dynamics._march``: its step in plain form, one [b; a / nc] per sample.
-
-    Every stage makes fresh arrays: each field is an ``np.cumsum`` of the
-    boundary sample over nc and the pair sums, and each (2 x 2) product is
-    an explicit ``coef @ np.stack(...)`` on the real view of the stacked
-    rows.  It yields one (2,) + b0.shape array per sample, from sample 0.
-    """
-    sq, nc = np.sqrt(d), dynamics._field_scale(d, n_z)
-    e = np.exp(-h)
-    I0 = 1.0 - e
-    I1 = (h - 1.0 + e) / h
-    predict = np.array([[e, nc * sq * I0], [e, nc * sq * (I0 - I1)]])
-    correct = np.array([[nc * sq * I1, 1.0], [nc * sq * I1, 1.0]])
-    dtype = np.result_type(b0, boundary, float)
-    s = (np.array(boundary, dtype).view(float) / nc).view(dtype)
-
-    def product(coef, rows):
-        x = np.stack(rows)
-        real = x.view(float)
-        return (coef @ real.reshape(2, -1)).reshape(real.shape).view(dtype).reshape(x.shape)
-
-    def field(j, b):
-        return np.cumsum(np.concatenate([s[j:j + 1], b[1:] + b[:-1]]), axis=0)
-
-    b = np.array(b0, dtype)
-    f = field(0, b)
-    yield np.stack([b, f])
-    for j in range(1, len(s)):
-        b_star, partial = product(predict, [b, f])
-        b = product(correct, [field(j, b_star), partial])[0]
-        f = field(j, b)
-        yield np.stack([b, f])
-
-
-def march_rows(b0, boundary, h, d, n_z):
-    """Every block of ``dynamics._march`` copied into one (n_t, 2) + b0.shape array."""
-    return np.concatenate([block.copy() for block in dynamics._march(b0, boundary, h, d, n_z)])
 
 
 def stepped_read(b0, n_t, h, d, n_z):
     """a(1, .) of a dark read stepped one sample at a time by the marcher.
 
-    Every step of ``_march`` with a dark boundary, over the whole window: it
+    ``dynamics._march`` with a dark boundary over the whole window: it
     approaches ``dynamics._read_march``, the exact read, at second order in h.
     """
     dark = np.zeros((n_t,) + np.shape(b0)[1:], dtype=complex)
-    out, j = np.empty_like(dark), 0
-    for block in dynamics._march(b0, dark, h, d, n_z):
-        out[j:j + len(block)] = block[:, 1, -1]
-        j += len(block)
-    return out * dynamics._field_scale(d, n_z)
+    return dynamics._march(b0, dark, h, d, n_z, np.zeros(n_t))[0]
 
 
 def dense_read_operator(h, d, n_z):

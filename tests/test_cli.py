@@ -282,7 +282,12 @@ class TestDynamicsCommand:
         assert report["gains"] == ref["gains"]
         checks = {c["check"]: c for c in report["checks"]}
         ref_checks = {c["check"]: c for c in ref["checks"]}
-        assert checks["pde_vs_analytic_l2"] == ref_checks["pde_vs_analytic_l2"]
+        # the grid route's b(., T) is the long-double oracle's, within 3.5e-14 of
+        # the march's largest |b| at each point (TestWriteBudget in
+        # tests/test_dynamics.py); the l2 value moves by that over rms |b| at most
+        l2, ref_l2 = checks["pde_vs_analytic_l2"], ref_checks["pde_vs_analytic_l2"]
+        assert l2["value"] == pytest.approx(ref_l2["value"], rel=0.0, abs=1e-12)
+        assert {**l2, "value": 0} == {**ref_l2, "value": 0}
         bud, ref_bud = report["energy_budget"], ref["energy_budget"]
         for key in ("input", "transmitted", "stored", "decayed"):
             assert bud[key] == pytest.approx(ref_bud[key], rel=1e-12, abs=0.0)
