@@ -100,6 +100,8 @@ MAX_GRID_CELLS = 2**25
 _READ_BLOCK = 128            # PDE read samples per power of the one-sample propagator
 _CHUNK = 4                   # z cells per chunk of the skewed write march
 _MARCH_BYTES = 2**20         # size of a write march's ring of steps, its traces taken per ring
+_MARCH_RING = 16             # fewest macro steps in a skewed ring: over 4 or fewer, its |b|^2
+                             # einsum ran 8-9 ns a cell, against 2-3 over 16 (2-vCPU x86-64)
 _TAYLOR_TOL = 1e-17          # remainder bound of the propagator's Taylor series
 # Largest PDE transfer n_z: the read holds an n_z x n_z float64 matrix,
 # 128 MiB at the cap.
@@ -544,13 +546,14 @@ def _skewed_march(b0, s, weights, h, d, n_z):
     rows with ``_chunk_matrix`` and no prefix sum.  The rows sit in chunk
     order reversed, so each output row, written 4 entries before its input
     row, leaves its carries in the next chunk's slots; cell 0 is
-    ``_cell0``'s.  Macro steps fill a ring of K row sets (2 at least, about
-    _MARCH_BYTES), and the traces are taken once per ring: a(1, .) and
+    ``_cell0``'s.  Macro steps fill a ring of K row sets (about _MARCH_BYTES,
+    _MARCH_RING at least: 6 MB at most, at P = 2896, the most chunks under
+    MAX_GRID_CELLS), and the traces are taken once per ring: a(1, .) and
     b(., T) by index, and the weighted |b|^2 sums on the chunks active in it.
     """
     L, n_t = _CHUNK, len(s)
     P, W = -(-(n_z - 1) // L), 3 * L + 4
-    K = max(2, min(n_t + P - 2, _MARCH_BYTES // (8 * (P * W + 4))))
+    K = max(2, min(n_t + P - 2, max(_MARCH_RING, _MARCH_BYTES // (8 * (P * W + 4)))))
     ring = np.zeros((K, P * W + 4))
     rows = ring[:, 4:].reshape(K, P, W)  # row P - 1 - j: chunk j
     outs = ring[:, :-4].reshape(K, P, W)

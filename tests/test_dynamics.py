@@ -91,6 +91,12 @@ def march(b0, boundary, h=0.01, d=4.0, weights=None):
     return dynamics._march(b0, boundary, h, d, np.shape(b0)[0], w)
 
 
+def smallest_ring(monkeypatch):
+    """Make every ``_march`` ring its smallest: 2 skewed macro steps, or 1 full-z step."""
+    monkeypatch.setattr(dynamics, "_MARCH_BYTES", 1)
+    monkeypatch.setattr(dynamics, "_MARCH_RING", 2)
+
+
 def assert_near_oracle(got, b0, boundary, h, d, weights, tol):
     """``_march``'s traces within tol (a(1, .), b(., T), the |b|^2 sums), relative to each
     trace's largest value, of ``support.oracle_traces``."""
@@ -424,7 +430,7 @@ class TestPdeMarch:
                              ids=["ramps", "chunks-fill-z", "one-chunk", "one-chunk-padded",
                                   "chunks-above-n_t", "n_t-9", "chunks-equal-n_t", "tall-t"])
     @pytest.mark.parametrize("kind", ["real", "complex", "dark"])
-    @pytest.mark.parametrize("ring", [None, 1], ids=["ring", "smallest-ring"])
+    @pytest.mark.parametrize("ring", [False, True], ids=["ring", "smallest-ring"])
     def test_seams_match_the_oracle(self, monkeypatch, n_z, n_t, kind, ring):
         # the skewed march's ramp-up and ramp-down (macro steps before every
         # chunk is active and after the first has finished), one chunk,
@@ -443,7 +449,7 @@ class TestPdeMarch:
         w = simpson_weights(n_t, h)
         got = march(b0, bound, h, d, w)
         if ring:
-            monkeypatch.setattr(dynamics, "_MARCH_BYTES", ring)
+            smallest_ring(monkeypatch)
             small = march(b0, bound, h, d, w)
             assert np.array_equal(small[0], got[0]) and np.array_equal(small[1], got[1])
             assert np.abs(small[2] - got[2]).max() <= 1e-13 * np.abs(got[2]).max()
@@ -471,7 +477,7 @@ class TestPdeMarch:
         for x, y, bound in zip((run.a_out, run.profile.b_T, run.b_sq_dt),
                                (ref.a_out, ref.profile.b_T, ref.b_sq_dt), self.SEAM_TOL):
             assert np.abs(x - y).max() <= bound * np.abs(y).max()
-        monkeypatch.setattr(dynamics, "_MARCH_BYTES", 1)
+        smallest_ring(monkeypatch)
         small = pde_write(drive, p, n_z, n_t)
         assert np.array_equal(small.a_out, run.a_out)
         assert np.array_equal(small.profile.b_T, run.profile.b_T)
@@ -1221,7 +1227,7 @@ class TestMarchReference:
         # before the skewed schedule was 2.6e-14, 1.6e-13 and 1.1e-13
         assert_near_oracle(got, b0, bound, 0.01, 4.0, simpson_weights(n_t, 0.01),
                            (1.1e-13, 6.2e-13, 4.5e-13))
-        monkeypatch.setattr(dynamics, "_MARCH_BYTES", 1)
+        smallest_ring(monkeypatch)
         small = march(b0, bound)
         assert np.array_equal(small[0], got[0]) and np.array_equal(small[1], got[1])
         assert np.abs(small[2] - got[2]).max() <= 1e-13 * np.abs(got[2]).max()
