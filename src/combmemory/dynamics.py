@@ -92,10 +92,10 @@ PROBE_BAND_LIMIT = 0.3       # |omega| / gamma_s supported by the probe protocol
 READ_SUM_ERROR_LIMIT = 1e-4  # estimated relative error of the read clock's Fourier sum
 CFL_WARN = 0.1               # gamma_s * dt above this is under-resolved marching
 # Largest [dynamics] n_z * n_t: a bound on write-march work, not on memory
-# (``pde_write`` holds a ring of march steps of about 1 MiB and O(n_z + n_t)
-# values).  A real drive marches at 8 ns a cell at 4096 x 8192 and 9-10 at
-# 1024 x 32768 (skewed), 9-13 at 8192 x 1024 and 131072 x 256 (full z;
-# 2-vCPU x86-64), so 0.3-0.45 s at the cap.
+# (``pde_write`` holds a ring of march steps, 1 MiB at n_z = 2000 and 6 MB at
+# most, and O(n_z + n_t) values).  A real drive marches at 9-10 ns a cell at
+# 4096 x 8192 and 1024 x 32768 (skewed), 10-14 at 8192 x 1024 and
+# 131072 x 256 (full z; 2-vCPU x86-64), so 0.3-0.5 s at the cap.
 MAX_GRID_CELLS = 2**25
 _READ_BLOCK = 128            # PDE read samples per power of the one-sample propagator
 _CHUNK = 4                   # z cells per chunk of the skewed write march
@@ -670,13 +670,14 @@ def _march(b0, boundary, h, d, n_z, weights):
     shape: ``_skewed_march`` when n_t reaches the chunk count
     ceil((n_z - 1) / _CHUNK), else ``_prefix_march``, whose steps run down
     all of z.  A shorter grid leaves the wavefront a band of at most n_t
-    chunks for n_t + P macro steps: at 131072 x 9 it took 234 ns a cell
-    against the full-z step's 13, at 131072 x 256 21 against 13 (2-vCPU
-    x86-64).  Each kernel holds a ring of about _MARCH_BYTES and
-    O(n_z + n_t) values, and no (n_z, n_t) history.  ``pde_write`` is its
-    one library caller: the transfer solves the same z-discretized system
-    exactly in time (``_exact_write``, ``_read_operator``), which the march
-    approaches at second order in h.
+    chunks for n_t + P macro steps, and a ring that grows with P: at
+    131072 x 9 it took 222 ns a cell against the full-z step's 17-22, and
+    at 131072 x 256 it would hold 67 MB of ring (2-vCPU x86-64).  Each
+    kernel holds a ring of about _MARCH_BYTES (at least _MARCH_RING skewed
+    macro steps) and O(n_z + n_t) values, and no (n_z, n_t) history.
+    ``pde_write`` is its one library caller: the transfer solves the same
+    z-discretized system exactly in time (``_exact_write``,
+    ``_read_operator``), which the march approaches at second order in h.
     """
     b0, boundary = np.asarray(b0), np.asarray(boundary)
     cplx = np.result_type(b0, boundary, float).kind == "c"
