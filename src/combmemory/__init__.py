@@ -19,7 +19,6 @@ from .errors import (
     ResolutionWarning,
 )
 from .modes import (
-    DEFAULT_TOOTH_COUNT,
     ModeBasis,
     gram_schmidt,
     unitary_mix,
@@ -31,7 +30,6 @@ from .gaussian import (
     gaussian_fidelity,
     purity,
     squeezed_vacuum,
-    squeezing_spectrum,
     supermode_extraction,
     symplectic_eigenvalues,
     symplectic_embedding,
@@ -43,7 +41,6 @@ from .channel import (
     MemoryParams,
     PhysicalParams,
     apply_cascade,
-    apply_single,
     covariance_map,
     derive_gamma_s,
     efficiency,
@@ -60,7 +57,6 @@ from .dynamics import (
     pde_write,
     simpson_weights,
     transfer_function_estimate,
-    tukey_window,
     write_analytic,
 )
 from .metrics import (
@@ -81,19 +77,19 @@ __all__ = [
     "CombMemoryError", "ConfigError", "DimensionError", "PhysicsError",
     "ProbeDesignError", "ResolutionError", "ResolutionWarning",
     # modes
-    "DEFAULT_TOOTH_COUNT", "ModeBasis", "gram_schmidt", "unitary_mix",
+    "ModeBasis", "gram_schmidt", "unitary_mix",
     # gaussian
     "CovarianceMatrix", "SqueezingSpectrum", "vacuum", "squeezed_vacuum",
-    "apply_mode_unitary", "purity", "squeezing_spectrum",
-    "supermode_extraction", "gaussian_fidelity", "symplectic_form",
-    "symplectic_embedding", "symplectic_eigenvalues",
+    "apply_mode_unitary", "purity", "supermode_extraction",
+    "gaussian_fidelity", "symplectic_form", "symplectic_embedding",
+    "symplectic_eigenvalues",
     # channel
     "MemoryParams", "PhysicalParams", "KernelResponse", "derive_gamma_s",
-    "kernel", "efficiency", "covariance_map", "apply_single", "apply_cascade",
+    "kernel", "efficiency", "covariance_map", "apply_cascade",
     "frequency_response", "pulse_capacity",
     # dynamics
     "StoredProfile", "WriteRecord", "bessel_j0", "simpson_weights",
-    "tukey_window", "write_analytic", "pde_write", "energy_budget",
+    "write_analytic", "pde_write", "energy_budget",
     "transfer_function_estimate", "expected_gain",
     # metrics
     "SupermodeReport", "db_to_zeta", "zeta_to_db", "overall_fidelity",

@@ -4,9 +4,9 @@ The write->read cycle acts on the stored comb subspace as multiplication by
 the complex kernel K_omega = 1 - exp(-d*gamma_s/(gamma_s + i*omega)); its
 zero-frequency squared magnitude is the retrieval efficiency
 eta = (1 - e^{-d})^2.  On covariance matrices the cycle is the affine
-contraction C_out = (1 - k2) I + k2 C_in with k2 = |K_omega|^2, applied either
-to a single pumped mode or, for a cascade of ensembles whose pumps span the
-signal subspace, to the full state at once.
+contraction C_out = (1 - k2) I + k2 C_in with k2 = |K_omega|^2, applied to the
+full state at once by a cascade of ensembles whose pumps span the signal
+subspace.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "kernel",
     "efficiency",
     "covariance_map",
-    "apply_single",
     "apply_cascade",
     "frequency_response",
     "pulse_capacity",
@@ -212,26 +211,6 @@ def covariance_map(C_in: CovarianceMatrix, k2: float) -> CovarianceMatrix:
     k2 = _check_k2(k2)
     n = C_in.entries.shape[0]
     return CovarianceMatrix((1.0 - k2) * np.eye(n) + k2 * C_in.entries)
-
-
-def apply_single(C_in: CovarianceMatrix, pump_index: int, k2: float) -> CovarianceMatrix:
-    """Single ensemble pumped along one analysis-basis mode.
-
-    Only the pumped mode is stored and retrieved: its 2x2 block maps through
-    ``covariance_map``; every other mode exits as an independent vacuum at
-    readout, so the remaining diagonal blocks become the identity and all
-    cross-blocks vanish.
-    """
-    k2 = _check_k2(k2)
-    M = C_in.mode_count
-    if not (0 <= pump_index < M):
-        raise DimensionError(
-            f"pump index {pump_index} outside the {M}-mode analysis basis"
-        )
-    out = np.eye(2 * M)
-    s = slice(2 * pump_index, 2 * pump_index + 2)
-    out[s, s] = (1.0 - k2) * np.eye(2) + k2 * C_in.entries[s, s]
-    return CovarianceMatrix(out)
 
 
 def apply_cascade(

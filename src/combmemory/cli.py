@@ -270,7 +270,7 @@ def cmd_channel(cfg: ExperimentConfig, seed: int) -> Outputs:
     C_in = _input_state(cfg, teeth=cfg.teeth)
     M = C_in.mode_count
     k2 = efficiency(cfg.memory.d)
-    supermodes = ModeBasis(np.eye(M, cfg.teeth, dtype=complex))
+    supermodes = ModeBasis(np.eye(M))  # teeth past M would carry zero amplitude
     C_out = C_ref = apply_cascade(C_in, supermodes, supermodes, k2)
     basis_check = None
     if cfg.pump_basis == "random-unitary":

@@ -78,7 +78,6 @@ __all__ = [
     "WriteRecord",
     "bessel_j0",
     "simpson_weights",
-    "tukey_window",
     "write_analytic",
     "pde_write",
     "energy_budget",

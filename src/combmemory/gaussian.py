@@ -32,13 +32,11 @@ __all__ = [
     "SqueezingSpectrum",
     "symplectic_form",
     "symplectic_embedding",
-    "blocked_indices",
     "vacuum",
     "squeezed_vacuum",
     "apply_mode_unitary",
     "purity",
     "symplectic_eigenvalues",
-    "squeezing_spectrum",
     "supermode_extraction",
     "gaussian_fidelity",
 ]
@@ -257,16 +255,6 @@ def purity(C: CovarianceMatrix) -> float:
     if sign <= 0:
         raise PhysicsError("covariance has nonpositive determinant")
     return float(np.exp(-0.5 * logdet))
-
-
-def squeezing_spectrum(C: CovarianceMatrix) -> SqueezingSpectrum:
-    """Squeezed directions of the state: eigenvalues of C below one, ascending.
-
-    Empty when nothing is squeezed.  For pure states the reported values pair
-    with reciprocal eigenvalues 1/zeta (the antisqueezed partners).
-    """
-    lam = np.linalg.eigvalsh(C.entries)
-    return SqueezingSpectrum(np.sort(lam[lam < 1.0 - SQUEEZED_EIG_TOL]))
 
 
 def _vacuum_pairs(E: np.ndarray, Om: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from combmemory import (
     PhysicsError,
     SqueezingSpectrum,
     apply_cascade,
-    apply_single,
     covariance_map,
     derive_gamma_s,
     efficiency,
@@ -195,24 +194,6 @@ class TestCovarianceMap:
             covariance_map(vacuum(1), 1.01)
         with pytest.raises(PhysicsError, match="outside"):
             covariance_map(vacuum(1), -0.01)
-
-
-class TestApplySingle:
-    def test_only_pumped_mode_survives(self):
-        rng = np.random.default_rng(9)
-        C_in = random_pure_state(3, rng)
-        eta = efficiency(4.0)
-        out = apply_single(C_in, 1, eta)
-        s = slice(2, 4)
-        expect = (1 - eta) * np.eye(2) + eta * C_in.entries[s, s]
-        assert np.allclose(out.entries[s, s], expect, atol=1e-14)
-        mask = np.ones(6, bool)
-        mask[s] = False
-        assert np.array_equal(out.entries[np.ix_(mask, mask)], np.eye(4))
-
-    def test_pump_index_bounds(self):
-        with pytest.raises(DimensionError, match="pump index"):
-            apply_single(vacuum(2), 2, 0.5)
 
 
 class TestApplyCascade:

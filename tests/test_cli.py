@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from combmemory import CombMemoryError, CovarianceMatrix, StoredProfile, __version__, cli
+from combmemory import (CombMemoryError, CovarianceMatrix, ModeBasis, StoredProfile,
+                        __version__, cli)
 from combmemory.channel import MAX_KERNEL_POINTS, efficiency, pulse_capacity
 from combmemory.cli import main
 from combmemory.config import MAX_SWEEP_DEPTHS, load_config
@@ -188,6 +189,29 @@ class TestChannelCommand:
         rc, _ = run(tmp_path, "channel", text)
         assert rc == 2
         assert "state has 2 modes but only 1 teeth configured" in capsys.readouterr().err
+
+    def test_teeth_only_bound_the_mode_count(self, tmp_path, monkeypatch):
+        # every tooth past M would be zero in both bases, so the cascade runs
+        # on M teeth whatever `teeth` is, and no data file depends on it
+        shapes, post_init = [], ModeBasis.__post_init__
+
+        def recorded(basis):
+            post_init(basis)
+            shapes.append(basis.matrix.shape)
+
+        monkeypatch.setattr(ModeBasis, "__post_init__", recorded)
+        levels = ", ".join(str(-0.75 * (k + 1)) for k in range(8))
+        text = BASE.replace("-6, -3, -1", levels).replace("seed = 0", "seed = 3\nformat = both")
+        text += "\n[pumps]\nbasis = random-unitary\n"
+        files = {}
+        for teeth in (8, 65536):
+            cfg = write_config(tmp_path, text.replace("teeth = 32", f"teeth = {teeth}"))
+            out = tmp_path / str(teeth)
+            assert main(["channel", "--config", cfg, "--out", str(out)]) == 0
+            files[teeth] = written(out)[0]
+        assert files[8] == files[65536]
+        assert len(files[8]) == 4
+        assert shapes == [(8, 8)] * 4  # supermodes and pumps, per run
 
 
 class TestSweepCommand:

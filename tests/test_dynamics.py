@@ -29,9 +29,9 @@ from combmemory import (
     pde_write,
     simpson_weights,
     transfer_function_estimate,
-    tukey_window,
     write_analytic,
 )
+from combmemory.dynamics import tukey_window
 from support import (dense_read_operator, grid_budget, grid_write, laguerre_table, oracle_traces,
                      oracle_write, stepped_read)
 

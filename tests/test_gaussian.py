@@ -17,7 +17,6 @@ from combmemory import (
     gaussian_fidelity,
     purity,
     squeezed_vacuum,
-    squeezing_spectrum,
     supermode_extraction,
     symplectic_eigenvalues,
     symplectic_embedding,
@@ -168,9 +167,8 @@ class TestSqueezedVacuum:
                 squeezed_vacuum(spectrum)
 
     def test_empty_spectrum_is_legal(self):
-        # squeezing_spectrum returns it for an unsqueezed state
+        # the value type holds no levels; only squeezed_vacuum needs one
         assert len(SqueezingSpectrum(())) == 0
-        assert len(squeezing_spectrum(vacuum(2))) == 0
 
 
 class TestPurityAndSpectrum:
@@ -183,22 +181,6 @@ class TestPurityAndSpectrum:
         # purity = 1/sqrt(det C); an n=0.5 thermal mode has det = 4
         C = CovarianceMatrix(np.diag([2.0, 2.0]))
         assert purity(C) == pytest.approx(0.5)
-
-    def test_spectrum_recovers_inputs_sorted(self):
-        C = squeezed_vacuum(SqueezingSpectrum((0.7, 0.2)), angles=(0.3, 1.0))
-        got = squeezing_spectrum(C).values
-        assert np.allclose(got, [0.2, 0.7], atol=1e-12)
-
-    def test_spectrum_empty_for_vacuum(self):
-        assert len(squeezing_spectrum(vacuum(3))) == 0
-
-    def test_spectrum_invariant_under_mode_mixing(self):
-        rng = np.random.default_rng(31)
-        C = squeezed_vacuum(SqueezingSpectrum((0.4, 0.9)))
-        mixed = apply_mode_unitary(C, random_unitary(2, rng))
-        assert np.allclose(
-            squeezing_spectrum(mixed).values, squeezing_spectrum(C).values, atol=1e-10
-        )
 
     def test_db_view(self):
         s = SqueezingSpectrum((0.1,))
