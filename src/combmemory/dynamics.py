@@ -18,10 +18,11 @@ Two independent routes compute the same physics:
   z is cut into chunks of 4 cells, chunk j advances to sample q - j at
   macro step q, and a macro step is one product of the active chunks with
   a fixed (16 x 16) step matrix, with no prefix sum (time grids shorter
-  than the chunk count step down all of z instead).  It hands back the
-  traces the energy budget needs, taken once per ring of steps, and it
-  marches a complex drive as two float64 marches, its real and imaginary
-  parts.  No route keeps an (n_z, n_t) history.
+  than the chunk count step down all of z instead).  It marches one real
+  drive from rest and hands back the traces the energy budget needs, taken
+  once per ring of steps; ``pde_write`` marches a complex drive as two such
+  marches, its real and imaginary parts.  No route keeps an (n_z, n_t)
+  history.
   The transfer measurement solves the same z-discretized system exactly in
   time, with A = -I + sqrt(d) times the field's prefix sum as generator
   (``_prefix_sum``, the one such sum outside the march):
@@ -455,12 +456,15 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
 
     The profile matches the PDE route: b = sqrt(d gamma_s) * int e^{-gamma_s u}
     J0(2 sqrt(d gamma_s z u)) a(T-u) du, evaluated in scaled time with the
-    input amplitude carried as a / sqrt(gamma_s).  A scaled window gamma_s T
-    or step gamma_s dt out of float range raises PhysicsError naming it.
+    input amplitude carried as a / sqrt(gamma_s).  A non-finite sample of
+    ``a_in``, or a scaled window gamma_s T or step gamma_s dt out of float
+    range, raises PhysicsError naming it before any quadrature.
     """
-    a = np.asarray(a_in, dtype=complex) / np.sqrt(params.gamma_s)
+    a = np.asarray(a_in, dtype=complex)
     if a.ndim != 1 or a.size < 9:
         raise DimensionError("a_in must be a 1-d envelope with at least 9 samples")
+    if not np.isfinite(a).all():
+        raise PhysicsError("a_in must be finite at every sample")
     if n_z < 4:
         raise DimensionError("n_z must be at least 4")
     Gamma = _scaled_span("gamma_s * T", params.gamma_s * params.T, params.d)
@@ -469,7 +473,8 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
     z = np.linspace(0.0, 1.0, int(n_z))
     if params.d == 0.0:
         return StoredProfile(z, np.zeros(int(n_z), dtype=complex))
-    b = _checked_quadrature(z, Gamma - tau, params.d, a, tau[1] - tau[0], write=True)
+    b = _checked_quadrature(z, Gamma - tau, params.d, a / np.sqrt(params.gamma_s), tau[1] - tau[0],
+                            write=True)
     return StoredProfile(z, b)
 
 
@@ -520,13 +525,13 @@ def _chunk_matrix(h, d, n_z):
                       b_new, b_new, a_new]).T.astype(float)
 
 
-def _cell0(b0, s, h, d):
-    """Cell 0's carries [b*, a*, b, a] at every sample (b* from sample 1).
+def _cell0(s, h, d):
+    """Cell 0's carries [b*, a*, b, a] at every sample (b* from sample 1), from rest.
 
     Its field is the drive s, so its b is a scalar recurrence.
     """
     e, w0, w01, w1 = _step_weights(h, d)
-    b = [float(b0)]
+    b = [0.0]
     for u in (w01 * s[:-1] + w1 * s[1:]).tolist():
         b.append(float(e) * b[-1] + u)
     carries = np.stack([np.zeros(len(s)), s, b, s], axis=1)
@@ -534,8 +539,8 @@ def _cell0(b0, s, h, d):
     return carries
 
 
-def _skewed_march(b0, s, weights, h, d, n_z):
-    """``_march`` of one real run on a time grid at least as long as its chunk count.
+def _skewed_march(s, weights, h, d, n_z):
+    """``_march`` on a time grid at least as long as its chunk count.
 
     Cells 1 .. n_z - 1 are cut into P chunks of L = _CHUNK cells (the last
     padded with cells past z = 1, which no real cell reads).  The march is
@@ -556,26 +561,17 @@ def _skewed_march(b0, s, weights, h, d, n_z):
     ring = np.zeros((K, P * W + 4))
     rows = ring[:, 4:].reshape(K, P, W)  # row P - 1 - j: chunk j
     outs = ring[:, :-4].reshape(K, P, W)
-    cells = np.zeros(P * L + 1)
-    cells[:n_z] = b0
-    a0 = np.zeros_like(cells)
-    np.add(cells[1:], cells[:-1], out=a0[1:])
-    a0 = s[0] + _field_scale(d, n_z) * np.cumsum(a0)
-    start = rows[0, ::-1, :3 * L].reshape(P, 3, L)
-    start[:, 0] = start[:, 1] = cells[1:].reshape(P, L)
-    start[:, 2] = a0[1:].reshape(P, L)
-    rows[1:] = rows[0]
-    carry0 = _cell0(b0[0], s, h, d)
+    rows[:, :, 2 * L:3 * L] = s[0]  # at rest: b = 0 and a = s[0] in every cell
+    carry0 = _cell0(s, h, d)
     b_cell0 = carry0[:, 2]
     a_1, b_end, b_T, b_sq_out = np.empty(n_t), np.empty((P, L)), np.empty(n_z), np.empty(n_z)
-    a_1[0] = a0[n_z - 1]
+    a_1[0] = s[0]
     last = 2 * L + (n_z - 2) % L  # cell n_z - 1's a in row 0
-    b_sq, acc = weights[0] * np.square(rows[0, :, L:2 * L]), np.empty((P, L))  # rows' order
+    b_sq, acc = np.zeros((P, L)), np.empty((P, L))  # rows' order
     # weight of row p at ring slot i of the ring starting at macro step q: w_at[q + i][p]
     wz = np.zeros(n_t + 3 * P + K)
     wz[P:P + n_t - 1] = weights[1:]
     w_at = np.lib.stride_tricks.sliding_window_view(wz, P)
-    del cells, a0, start
     M = _chunk_matrix(h, d, n_z)  # built last: the loop allocates nothing field-sized
     q_end = n_t + P - 2
     for q0 in range(1, q_end + 1, K):
@@ -611,8 +607,8 @@ def _prefix_matrices(h, d, n_z):
     return np.array([[nc * e, nc * w0], [e, w01]]), np.array([[w1, 1.0], [nc * w1, nc]])
 
 
-def _prefix_march(b0, s, weights, h, d, n_z):
-    """``_march`` of one real run on a time grid shorter than its chunk count.
+def _prefix_march(s, weights, h, d, n_z):
+    """``_march`` on a time grid shorter than its chunk count.
 
     Each step runs over all n_z cells: a (2 x 2) product for b* (times nc)
     and e b + sqrt(d) (I0 - I1) a, a field, a (2 x 2) product for b and
@@ -625,11 +621,7 @@ def _prefix_march(b0, s, weights, h, d, n_z):
     K = max(1, min(n_t, _MARCH_BYTES // (16 * n_z)))  # the nc b rows ride beyond the budget
     ring, p, w = np.empty((K, 3, n_z)), np.empty((2, n_z)), np.empty(n_z)
     a_1, b_T, b_sq = np.empty(n_t), np.empty(n_z), np.zeros(n_z)
-    ring[0, 0] = b0
-    np.multiply(b0, _field_scale(d, n_z), out=ring[0, 2])
-    w[0] = s[0]
-    np.add(ring[0, 2, 1:], ring[0, 2, :-1], out=w[1:])
-    np.add.accumulate(w, out=ring[0, 1])
+    ring[0, 0], ring[0, 1] = 0.0, s[0]  # at rest
     predict, correct = _prefix_matrices(h, d, n_z)  # built last, as in _skewed_march
     for r in range(1, n_t + 1):
         i = r % K
@@ -653,19 +645,15 @@ def _prefix_march(b0, s, weights, h, d, n_z):
     return a_1, b_T, b_sq
 
 
-def _march(b0, boundary, h, d, n_z, weights):
-    """(a(1, .), b(., T), sum_t weights[t] |b(., t)|^2) of a march from b0 at every boundary sample.
+def _march(s, h, d, n_z, weights):
+    """(a(1, .), b(., T), sum_t weights[t] |b(., t)|^2) of a march from rest driven by s.
 
     Exponential integrator in tau (exact decay factor e = e^{-h},
     predictor-corrector source weights I0 = 1-e^{-h}, I1 = (h-1+e^{-h})/h)
     with the field slaved to the coherence through a cumulative trapezoid
     in z at every stage: a = a(0) + nc * (pair sums of b accumulated down
-    z), nc = ``_field_scale``.  Runs march as columns, one after another:
-    ``b0`` is (n_z,) or (n_z, k), ``boundary`` (n_t,) or (n_t, k), and the
-    traces come back in those shapes with the dtype
-    ``np.result_type(b0, boundary, float)``; a complex run marches as its
-    real and imaginary parts, two float64 marches, so a real march has the
-    bits of a complex march's real part.  The kernel is chosen by grid
+    z), nc = ``_field_scale``.  ``s`` is the real boundary a(0, .) at every
+    sample, and b = 0 before the first.  The kernel is chosen by grid
     shape: ``_skewed_march`` when n_t reaches the chunk count
     ceil((n_z - 1) / _CHUNK), else ``_prefix_march``, whose steps run down
     all of z.  A shorter grid leaves the wavefront a band of at most n_t
@@ -674,34 +662,26 @@ def _march(b0, boundary, h, d, n_z, weights):
     at 131072 x 256 it would hold 67 MB of ring (2-vCPU x86-64).  Each
     kernel holds a ring of about _MARCH_BYTES (at least _MARCH_RING skewed
     macro steps) and O(n_z + n_t) values, and no (n_z, n_t) history.
-    ``pde_write`` is its one library caller: the transfer solves the same
+    ``pde_write`` is its one caller: the transfer solves the same
     z-discretized system exactly in time (``_exact_write``,
     ``_read_operator``), which the march approaches at second order in h.
     """
-    b0, boundary = np.asarray(b0), np.asarray(boundary)
-    cplx = np.result_type(b0, boundary, float).kind == "c"
-    n_t = boundary.shape[0]
-    kernel = _skewed_march if n_t >= -(-(n_z - 1) // _CHUNK) else _prefix_march
-    runs = []
-    for col in np.ndindex(b0.shape[1:]):
-        at = (slice(None),) + col
-        x = [kernel(np.asarray(part(b0[at]), float), np.asarray(part(boundary[at]), float),
-                    weights, h, d, n_z) for part in ((np.real, np.imag) if cplx else (np.real,))]
-        if cplx:
-            (a_re, b_re, sq_re), (a_im, b_im, sq_im) = x
-            x = [(_join(a_re, a_im), _join(b_re, b_im), sq_re + sq_im)]
-        runs.append(x[0])
-    if b0.ndim == 1:
-        return tuple(runs[0])
-    return tuple(np.stack(trace, axis=-1).reshape(trace[0].shape + b0.shape[1:])
-                 for trace in zip(*runs))
+    kernel = _skewed_march if len(s) >= -(-(n_z - 1) // _CHUNK) else _prefix_march
+    return kernel(s, weights, h, d, n_z)
 
 
-def _join(re, im):
-    """The complex array re + i im, with the bits of both parts."""
-    z = np.empty(re.shape, complex)
-    z.real, z.imag = re, im
-    return z
+def _join(re, im=None):
+    """The traces of a drive from ``_march``'s traces of its real part and of its imaginary part.
+
+    a(1, .) and b(., T) are complex with the bits of both parts, and the
+    |b|^2 sums add; a real drive has no ``im`` and keeps its float64 traces.
+    """
+    if im is None:
+        return re
+    joined = [np.empty(x.shape, complex) for x in re[:2]]
+    for z, x, y in zip(joined, re, im):
+        z.real, z.imag = x, y
+    return joined[0], joined[1], re[2] + im[2]
 
 
 def _prefix_sum(v, scale, out):
@@ -847,13 +827,15 @@ def _exact_write(drive, h, d, n_z):
 
 
 def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
-    """(t, a(0, t)) of a write stage: ``a_in`` as n_t samples on [0, T]."""
+    """(t, a(0, t)) of a write stage: ``a_in`` as n_t finite samples on [0, T]."""
     if n_z < 4 or n_t < 4:
         raise DimensionError("n_z and n_t must be at least 4")
     t = np.linspace(0.0, params.T, int(n_t))
     bound = np.asarray(a_in, dtype=complex)
     if bound.shape != t.shape:
         raise DimensionError(f"a_in must provide exactly n_t = {n_t} samples")
+    if not np.isfinite(bound).all():
+        raise PhysicsError("a_in must be finite at every sample")
     return t, bound
 
 
@@ -864,12 +846,15 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     [0, T].  Warns when gamma_s * dt exceeds 0.1.  No (n_z, n_t) history is
     kept: ``_march`` returns a(1, .), b(., T) and the Simpson-weighted |b|^2
     sums, each taken once per ring of steps, so the write holds one ring
-    and O(n_z + n_t) values.  A non-finite field anywhere reaches a(1, .),
-    that sum or b(., T), and raises PhysicsError, as does a sum that
-    overflows a float in SI units while every field is finite.  A drive
-    whose imaginary part is all zero marches as its real part, in float64,
-    with the same bits; the record's fields are complex either way.  Its
-    scaled window and step are checked as ``write_analytic`` does.
+    and O(n_z + n_t) values.  A non-finite sample of ``a_in`` raises
+    PhysicsError naming it before anything is marched.  A field that
+    overflows reaches a(1, .), that sum or b(., T), and raises PhysicsError,
+    as does a sum that overflows a float in SI units while every field is
+    finite.  A complex drive marches as its real and imaginary parts, two
+    float64 marches joined; one whose imaginary part is all zero marches as
+    its real part alone, with the same bits, and the record's fields are
+    complex either way.  Its scaled window and step are checked as
+    ``write_analytic`` does.
     """
     t, bound = _write_boundary(a_in, params, n_z, n_t)
     if not bound.imag.any():
@@ -887,11 +872,12 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
         # unaffected, b matches the analytic-kernel normalization
         sg = np.sqrt(params.gamma_s)
         drive = bound / sg
+        parts = (drive.real, drive.imag) if np.iscomplexobj(drive) else (drive,)
         # |b|^2 carries 1 / gamma_s and wt is in seconds, so the sum can
         # overflow in SI units while every field is finite; an overflow is
         # found from the finished sum and fields, not warned of per ring
         with np.errstate(over="ignore"):
-            a_1, b, b_sq_dt = _march(np.zeros(int(n_z)), drive, h, params.d, int(n_z), wt)
+            a_1, b, b_sq_dt = _join(*(_march(x, h, params.d, int(n_z), wt) for x in parts))
         a_0, a_1 = drive * sg, a_1 * sg
         if not np.isfinite(b_sq_dt).all() and all(np.isfinite(x).all() for x in (a_0, a_1, b)):
             raise PhysicsError("the SI integral of |b|^2 dt over the write window overflows "

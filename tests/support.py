@@ -106,13 +106,14 @@ def grid_write(a_in, params, n_z, n_t):
 
 
 def stepped_read(b0, n_t, h, d, n_z):
-    """a(1, .) of a dark read stepped one sample at a time by the marcher.
+    """a(1, .) of a dark read from b0 stepped one sample at a time by the march's scheme.
 
-    ``dynamics._march`` with a dark boundary over the whole window: it
-    approaches ``dynamics._read_march``, the exact read, at second order in h.
+    ``oracle_march`` with a dark boundary over the whole window, each sample
+    rounded once: it approaches ``dynamics._read_march``, the exact read, at
+    second order in h.
     """
-    dark = np.zeros((n_t,) + np.shape(b0)[1:], dtype=complex)
-    return dynamics._march(b0, dark, h, d, n_z, np.zeros(n_t))[0]
+    dark = np.zeros(n_t, dtype=complex)
+    return np.array([a[-1] for _, a in oracle_march(b0, dark, h, d, n_z)]).astype(complex)
 
 
 def dense_read_operator(h, d, n_z):

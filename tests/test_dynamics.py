@@ -72,23 +72,25 @@ def table_quadrature(rows, cols, d, samples, h, write):
 
 @pytest.fixture
 def march_calls(monkeypatch):
-    """[b0 shape, boundary samples] of each ``dynamics._march`` call, in call order."""
+    """The drive's sample count of each ``dynamics._march`` call, in call order."""
     calls = []
     march = dynamics._march
 
-    def counted(b0, boundary, *args, **kwargs):
-        calls.append([np.shape(b0), np.shape(boundary)[0]])
-        return march(b0, boundary, *args, **kwargs)
+    def counted(s, *args, **kwargs):
+        calls.append(len(s))
+        return march(s, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_march", counted)
     return calls
 
 
-def march(b0, boundary, h=0.01, d=4.0, weights=None):
-    """``dynamics._march``'s traces, its weights the Simpson weights of the boundary's samples."""
-    n_t = np.shape(boundary)[0]
-    w = simpson_weights(n_t, h) if weights is None else weights
-    return dynamics._march(b0, boundary, h, d, np.shape(b0)[0], w)
+def march(drive, n_z, h=0.01, d=4.0, weights=None):
+    """The traces of ``pde_write``'s march of ``drive`` from rest: ``dynamics._march`` of its
+    real part and of any imaginary part, joined by ``dynamics._join``, its weights the
+    Simpson weights of the drive's samples."""
+    w = simpson_weights(len(drive), h) if weights is None else weights
+    parts = (drive.real, drive.imag) if np.iscomplexobj(drive) else (drive,)
+    return dynamics._join(*(dynamics._march(x, h, d, n_z, w) for x in parts))
 
 
 def smallest_ring(monkeypatch):
@@ -97,10 +99,11 @@ def smallest_ring(monkeypatch):
     monkeypatch.setattr(dynamics, "_MARCH_RING", 2)
 
 
-def assert_near_oracle(got, b0, boundary, h, d, weights, tol):
-    """``_march``'s traces within tol (a(1, .), b(., T), the |b|^2 sums), relative to each
-    trace's largest value, of ``support.oracle_traces``."""
-    want = oracle_traces(b0, boundary, h, d, np.shape(b0)[0], weights)
+def assert_near_oracle(got, drive, h, d, weights, tol):
+    """A march's traces from rest within tol (a(1, .), b(., T), the |b|^2 sums), relative
+    to each trace's largest value, of ``support.oracle_traces``."""
+    n_z = len(got[1])
+    want = oracle_traces(np.zeros(n_z), drive, h, d, n_z, weights)
     for x, y, bound in zip(got, want, tol):
         assert x.shape == y.shape
         assert np.abs(x - y).max() <= bound * np.abs(y).max()
@@ -406,7 +409,7 @@ class TestPdeMarch:
         n_t, n_z = len(drive), len(run.profile.b_T)
         sg = np.sqrt(p.gamma_s)
         t = np.linspace(0.0, p.T, n_t)
-        a_1, b_T, b_sq = march(np.zeros(n_z), drive / sg, p.gamma_s * p.T / (n_t - 1), p.d,
+        a_1, b_T, b_sq = march(drive / sg, n_z, p.gamma_s * p.T / (n_t - 1), p.d,
                                simpson_weights(n_t, t[1] - t[0]))
         assert np.array_equal(run.a_in, drive / sg * sg)
         assert np.array_equal(run.a_out, a_1 * sg)
@@ -414,7 +417,7 @@ class TestPdeMarch:
         assert np.array_equal(run.b_sq_dt, b_sq)
         assert np.array_equal(run.t_points, t)
 
-    def test_write_record_is_the_stepper_output(self):
+    def test_write_record_is_the_march_output(self):
         p = params10()
         self.check_record(pde_write(np.exp(1j * np.linspace(0.0, 3.0, 120)), p, 40, 120), p,
                           np.exp(1j * np.linspace(0.0, 3.0, 120)))
@@ -429,7 +432,7 @@ class TestPdeMarch:
                                           (33, 9), (37, 9), (9, 200)],
                              ids=["ramps", "chunks-fill-z", "one-chunk", "one-chunk-padded",
                                   "chunks-above-n_t", "n_t-9", "chunks-equal-n_t", "tall-t"])
-    @pytest.mark.parametrize("kind", ["real", "complex", "dark"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("ring", [False, True], ids=["ring", "smallest-ring"])
     def test_seams_match_the_oracle(self, monkeypatch, n_z, n_t, kind, ring):
         # the skewed march's ramp-up and ramp-down (macro steps before every
@@ -440,22 +443,18 @@ class TestPdeMarch:
         # 1 full-z step), and a(1, .) and b(., T) keep their bits.
         # gamma_s T = 0.3 keeps gamma_s dt <= 0.1 at n_t = 4
         h, d = 0.3 / (n_t - 1), 4.0
-        t, z = np.linspace(0.0, 1.0, n_t), np.linspace(0.0, 1.0, n_z)
-        if kind == "dark":
-            b0, bound = np.cos(3.0 * z) + 0.5j * z, np.zeros(n_t, dtype=complex)
-        else:
-            b0 = np.zeros(n_z)
-            bound = np.exp(-((t - 0.6) ** 2) / 0.05) * (1.0 if kind == "real" else np.exp(3j * t))
+        t = np.linspace(0.0, 1.0, n_t)
+        bound = np.exp(-((t - 0.6) ** 2) / 0.05) * (1.0 if kind == "real" else np.exp(3j * t))
         w = simpson_weights(n_t, h)
-        got = march(b0, bound, h, d, w)
+        got = march(bound, n_z, h, d, w)
         if ring:
             smallest_ring(monkeypatch)
-            small = march(b0, bound, h, d, w)
+            small = march(bound, n_z, h, d, w)
             assert np.array_equal(small[0], got[0]) and np.array_equal(small[1], got[1])
             assert np.abs(small[2] - got[2]).max() <= 1e-13 * np.abs(got[2]).max()
             got = small
         assert got[0].dtype == got[1].dtype == (np.float64 if kind == "real" else np.complex128)
-        assert_near_oracle(got, b0, bound, h, d, w, self.SEAM_TOL)
+        assert_near_oracle(got, bound, h, d, w, self.SEAM_TOL)
 
     @pytest.mark.parametrize("n_t", [4, 31, 32, 33, 65])
     @pytest.mark.parametrize("n_z", [4, 5, 40])
@@ -826,6 +825,16 @@ class TestPdeTransfer:
         transfer_function_estimate(self.params(d), self.OMEGAS[:2], path="pde")
         assert not [w for w in recwarn if issubclass(w.category, ResolutionWarning)]
 
+    @pytest.mark.parametrize("n_probes", [1, 3])
+    def test_transfer_reads_once(self, march_calls, read_calls, n_probes):
+        # one exact write sum and one read of all probes, whose operator is
+        # built once, whatever the probe count; nothing marches
+        omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
+        transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
+        n_z = TestBesselTables.SMALL["n_z"]
+        assert march_calls == []
+        assert read_calls == [[(n_z, n_probes), TestBesselTables.SMALL["n_read"], 1]]
+
     def test_read_operator_size_checked_first(self):
         # past n_z = 4096 one n_z x n_z operator would exceed 128 MiB; the
         # check comes before the write march or any grid-sized array
@@ -890,8 +899,8 @@ class TestOperatorRead:
         self.check(4.0, 5, n_t)
 
     def test_stepped_read_converges_at_second_order(self):
-        # the marcher's read (support.stepped_read) reaches the exact read
-        # with its second-order step error: halving h quarters it (4.07 and
+        # the march's scheme on a dark read (support.stepped_read) reaches
+        # the exact read with its second-order step error: halving h quarters it (4.07 and
         # 4.03 for h = 0.04, 0.02, 0.01)
         d, n_z = 4.0, 60
         z = np.linspace(0.0, 1.0, n_z)
@@ -1021,7 +1030,7 @@ class TestExactWrite:
         for n in (21, 41, 81, 161):
             tf = np.linspace(0.0, 0.2, n)
             fine = np.interp(tf, t, drive.real) + 1j * np.interp(tf, t, drive.imag)
-            b_T = march(np.zeros(n_z), fine, tf[1] - tf[0], d)[1]
+            b_T = march(fine, n_z, tf[1] - tf[0], d)[1]
             errs.append(np.abs(b_T - want).max())
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.5)
@@ -1165,70 +1174,30 @@ class TestBesselCore:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-class TestBatchedMarch:
-    """Independent runs march together as the columns of one marcher."""
-
-    @pytest.mark.parametrize("driven", [True, False], ids=["write", "read"])
-    def test_columns_match_single_runs(self, driven):
-        rng = np.random.default_rng(5)
-        n_z, n_t, k = 40, 120, 3
-        if driven:
-            b0 = np.zeros((n_z, k))
-            bound = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
-        else:
-            b0 = rng.standard_normal((n_z, k)) + 1j * rng.standard_normal((n_z, k))
-            bound = np.zeros((n_t, k), dtype=complex)
-
-        traces = march(b0, bound)
-        assert [x.shape for x in traces] == [(n_t, k), (n_z, k), (n_z, k)]
-        for i in range(k):
-            for x, y in zip(traces, march(b0[:, i], bound[:, i])):
-                assert np.array_equal(x[..., i], y)
-
-    @pytest.mark.parametrize("n_probes", [1, 3])
-    def test_transfer_reads_once(self, march_calls, read_calls, n_probes):
-        # one exact write sum and one read of all probes, whose operator is
-        # built once, whatever the probe count; nothing marches
-        omegas = np.linspace(-0.1, 0.1, n_probes) * GAMMA_S
-        transfer_function_estimate(params10(), omegas, path="pde", **TestBesselTables.SMALL)
-        n_z = TestBesselTables.SMALL["n_z"]
-        assert march_calls == []
-        assert read_calls == [[(n_z, n_probes), TestBesselTables.SMALL["n_read"], 1]]
-
-
 class TestMarchReference:
     """``_march`` against ``support.oracle_traces``, its scheme in plain form in long double."""
 
     @pytest.mark.parametrize("n_z", [4, 5, 40])
-    @pytest.mark.parametrize("k", [None, 3], ids=["1-d", "columns"])
-    @pytest.mark.parametrize("driven", [True, False], ids=["driven", "dark"])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_every_yield_is_bit_identical(self, monkeypatch, n_z, k, driven, real):
-        # each ring of macro steps yields its traces: a(1, .) and b(., T) keep
-        # their bits whatever the ring size (the smallest ring: 2 macro
-        # steps), and every trace lies within the oracle's bounds
+    def test_traces_keep_their_bits_at_every_ring_size(self, monkeypatch, n_z, real):
+        # the traces are taken once per ring of macro steps: a(1, .) and
+        # b(., T) keep their bits whatever the ring size (the smallest ring:
+        # 2 macro steps), and every trace lies within the oracle's bounds
         rng = np.random.default_rng(22)
-        shape = () if k is None else (k,)
         n_t = 60
-
-        def draw(n):
-            x = rng.standard_normal((n,) + shape)
-            return x if real else x + 1j * rng.standard_normal((n,) + shape)
-
-        if driven:
-            b0, bound = np.zeros((n_z,) + shape), draw(n_t)
-        else:
-            b0, bound = draw(n_z), np.zeros((n_t,) + shape)
-        got = march(b0, bound)
-        assert [x.shape for x in got] == [(n_t,) + shape, (n_z,) + shape, (n_z,) + shape]
+        bound = rng.standard_normal(n_t)
+        if not real:
+            bound = bound + 1j * rng.standard_normal(n_t)
+        got = march(bound, n_z)
+        assert [x.shape for x in got] == [(n_t,), (n_z,), (n_z,)]
         assert got[0].dtype == got[1].dtype == (np.float64 if real else np.complex128)
         assert got[2].dtype == np.float64
         # random drives: the worst case over these runs for the march
         # before the skewed schedule was 2.6e-14, 1.6e-13 and 1.1e-13
-        assert_near_oracle(got, b0, bound, 0.01, 4.0, simpson_weights(n_t, 0.01),
+        assert_near_oracle(got, bound, 0.01, 4.0, simpson_weights(n_t, 0.01),
                            (1.1e-13, 6.2e-13, 4.5e-13))
         smallest_ring(monkeypatch)
-        small = march(b0, bound)
+        small = march(bound, n_z)
         assert np.array_equal(small[0], got[0]) and np.array_equal(small[1], got[1])
         assert np.abs(small[2] - got[2]).max() <= 1e-13 * np.abs(got[2]).max()
 
@@ -1246,7 +1215,7 @@ class TestMarchReference:
         monkeypatch.setattr(dynamics, "_MARCH_BYTES", 2**16)  # several rings
         tracemalloc.start()
         try:
-            march(np.zeros(n_z), np.ones(n_t))
+            march(np.ones(n_t), n_z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1298,40 +1267,33 @@ class TestMarchOracle:
 
 
 class TestRealMarch:
-    """A real state and boundary march in float64, with the bits of a complex march's parts."""
+    """A real drive marches in float64, and a complex one as two such marches, its parts."""
 
-    @pytest.mark.parametrize("real_b0, real_bound, dtype", [
-        (True, True, np.float64), (False, True, np.complex128),
-        (True, False, np.complex128), (False, False, np.complex128),
-    ])
-    def test_dtype_rule(self, real_b0, real_bound, dtype):
-        b0 = np.zeros(40, dtype=float if real_b0 else complex)
-        bound = np.ones(6, dtype=float if real_bound else complex)
-        assert [x.dtype for x in march(b0, bound)] == [dtype, dtype, np.float64]
-
-    @pytest.mark.parametrize("k", [None, 3], ids=["1-d", "columns"])
-    @pytest.mark.parametrize("driven", [True, False], ids=["driven", "dark"])
-    def test_complex_march_is_two_real_marches(self, driven, k):
-        # a complex march runs its real and imaginary parts as two float64
-        # marches, so its traces are theirs, bit for bit, and its |b|^2
-        # sums their sum
+    def test_complex_march_is_two_real_marches(self, monkeypatch):
+        # pde_write marches a complex drive's real and imaginary parts as two
+        # float64 marches, so its record's traces are theirs, bit for bit,
+        # and its |b|^2 sums their sum
         rng = np.random.default_rng(21)
-        shape = () if k is None else (k,)
-        n_z, n_t = 40, 120
+        p, n_z, n_t = params10(), 40, 120
+        drive = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
+        calls, original = [], dynamics._march
 
-        def draw(n):
-            return rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
+        def recorded(s, *args):
+            calls.append((s.copy(), original(s, *args)))
+            return calls[-1][1]
 
-        if driven:
-            b0, bound = np.zeros((n_z,) + shape), draw(n_t)
-        else:
-            b0, bound = draw(n_z), np.zeros((n_t,) + shape)
-        both = march(b0, bound)
-        x, y = (march(part(b0), part(bound)) for part in (np.real, np.imag))
-        for i in range(2):
-            assert both[i].dtype == np.complex128 and x[i].dtype == y[i].dtype == np.float64
-            assert np.array_equal(both[i].real, x[i]) and np.array_equal(both[i].imag, y[i])
-        assert np.array_equal(both[2], x[2] + y[2])
+        monkeypatch.setattr(dynamics, "_march", recorded)
+        run = pde_write(drive, p, n_z, n_t)
+        sg = np.sqrt(p.gamma_s)
+        (s_re, x), (s_im, y) = calls
+        assert np.array_equal(s_re, (drive / sg).real) and np.array_equal(s_im, (drive / sg).imag)
+        assert all(trace.dtype == np.float64 for trace in x + y)
+        a_1 = np.empty(n_t, dtype=complex)
+        a_1.real, a_1.imag = x[0], y[0]
+        assert np.array_equal(run.a_out, a_1 * sg)
+        assert np.array_equal(run.profile.b_T.real, x[1])
+        assert np.array_equal(run.profile.b_T.imag, y[1])
+        assert np.array_equal(run.b_sq_dt, x[2] + y[2])
 
     @pytest.mark.parametrize("d", [4.0, 0.0])
     def test_zero_imaginary_drive_gives_the_same_record(self, monkeypatch, d):
@@ -1339,13 +1301,12 @@ class TestRealMarch:
         n_z, n_t = 60, 200
         t = np.linspace(0.0, 1.0, n_t)
         drive = np.exp(-((t - 0.6) ** 2) / 0.05) - 0.3 * t
-        dtypes = []
+        calls = []
         original = dynamics._march
 
         def recorded(*args):
-            traces = original(*args)
-            dtypes.append(traces[0].dtype)
-            return traces
+            calls.append(len(calls))
+            return original(*args)
 
         def fields(run):
             return run.profile.b_T, run.t_points, run.a_in, run.a_out, run.b_sq_dt
@@ -1357,9 +1318,9 @@ class TestRealMarch:
             assert np.array_equal(got, want) and got.dtype == want.dtype
             assert not got.flags.writeable and not want.flags.writeable
         assert real.profile.b_T.dtype == real.a_in.dtype == real.a_out.dtype == np.complex128
-        # both drives march in float64; one with an imaginary part marches complex
+        # both drives march once; one with an imaginary part marches twice, its parts
         pde_write(drive + 1e-3j, p, n_z, n_t)
-        assert dtypes == ([np.float64] * 2 + [np.complex128] if d else [])
+        assert len(calls) == (4 if d else 0)
 
 
 class TestWriteBudget:
@@ -1404,6 +1365,26 @@ class TestWriteBudget:
         a_in[200] = np.nan
         with pytest.raises(PhysicsError, match="finite"):
             pde_write(a_in, p, 300, 400)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.nan, np.inf)],
+                             ids=["inf", "-inf", "nan", "nan+infj"])
+    @pytest.mark.parametrize("route", ["pde", "analytic"])
+    def test_non_finite_drive_is_named_first(self, monkeypatch, route, bad):
+        # a non-finite sample raises PhysicsError naming a_in before any
+        # quadrature or march, so no numpy warning (an error under CI's
+        # flags) comes first
+        for name in ("_march", "_checked_quadrature"):
+            def reached(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} ran on a non-finite drive")
+            monkeypatch.setattr(dynamics, name, reached)
+        a_in = np.ones(400, dtype=complex)
+        a_in[200] = bad
+        with pytest.raises(PhysicsError, match="a_in must be finite"):
+            if route == "pde":
+                pde_write(a_in, params10(), 300, 400)
+            else:
+                write_analytic(a_in, params10(), 300)
 
     def test_grid_size_checks(self):
         p = params10()
