@@ -118,15 +118,19 @@ def kernel(params: MemoryParams, omega):
     """Complex memory kernel K = 1 - exp(-d*gamma_s/(gamma_s + i*omega)).
 
     ``omega`` (rad/s) may be a scalar or an array; the return matches.  A
-    working point whose exponent cannot be formed raises ``PhysicsError``:
-    d * gamma_s overflows, or a subnormal gamma_s overflows the complex
-    division (its reciprocal is not finite).
+    non-finite omega raises ``PhysicsError`` naming it, and so does a working
+    point whose exponent cannot be formed: d * gamma_s overflows, or a
+    subnormal gamma_s overflows the complex division (its reciprocal is not
+    finite).
     """
+    w = np.asarray(omega, dtype=float)
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise PhysicsError(f"omega must be finite, got {float(w[~finite].flat[0])!r} rad/s")
     if not params.d * params.gamma_s < np.inf:
         raise PhysicsError(f"d * gamma_s = {params.d!r} * {params.gamma_s!r} overflows a float")
     if params.gamma_s < np.finfo(float).tiny:
         raise PhysicsError(f"gamma_s = {params.gamma_s!r} is subnormal; the kernel overflows")
-    w = np.asarray(omega, dtype=float)
     K = 1.0 - np.exp(-params.d * params.gamma_s / (params.gamma_s + 1j * w))
     return complex(K) if np.isscalar(omega) or w.ndim == 0 else K
 

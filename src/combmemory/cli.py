@@ -206,7 +206,7 @@ def _state_zetas_db(cfg: ExperimentConfig):
     """Per-supermode input squeezing in dB, extracting when not given directly."""
     if cfg.state_source == "spectrum":
         return list(cfg.spectrum_db)
-    _, spectrum, _ = supermode_extraction(_input_state(cfg))
+    _, spectrum = supermode_extraction(_input_state(cfg))
     return spectrum.db.tolist()
 
 

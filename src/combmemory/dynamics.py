@@ -224,15 +224,11 @@ def _richardson(simpson, n):
     return S, est
 
 
-def tukey_window(n: int, taper: float = 0.1) -> np.ndarray:
-    """Raised-cosine (Tukey) window; ``taper`` is the total cosine fraction."""
-    if not (0.0 <= taper <= 1.0):
-        raise PhysicsError("taper must lie in [0, 1]")
+def tukey_window(n: int) -> np.ndarray:
+    """Tukey window of n samples: flat, with raised-cosine tapers over the first and last 5%."""
     t = np.linspace(0.0, 1.0, int(n))
     w = np.ones(int(n))
-    if taper == 0.0:
-        return w
-    edge = taper / 2.0
+    edge = 0.1 / 2.0
     lo = t < edge
     hi = t > 1.0 - edge
     w[lo] = 0.5 * (1.0 + np.cos(np.pi * (t[lo] / edge - 1.0)))
@@ -941,11 +937,12 @@ def transfer_function_estimate(
     Frequencies are limited to |omega| <= 0.3 gamma_s.  The default probe
     width 0.002 |K_0| / (d gamma_s) keeps the capture-bias estimate
     d <gamma_s (T - t)> / |K_0| around 0.1%; probes whose estimate exceeds 1%
-    raise ProbeDesignError.  ``path`` selects the analytic quadrature route or
-    the PDE route, exact in time for the z-discretized equations.  The
-    analytic route checks its write and read quadratures as
-    ``write_analytic`` checks its own: an estimated relative error above
-    1e-6 raises ResolutionError.
+    raise ProbeDesignError, and so does a width too narrow for the probe
+    samples to have distinct times at the end of the window.  ``path``
+    selects the analytic quadrature route or the PDE route, exact in time for
+    the z-discretized equations.  The analytic route checks its write and
+    read quadratures as ``write_analytic`` checks its own: an estimated
+    relative error above 1e-6 raises ResolutionError.
 
     The grids default per path.  ``analytic``: n_z = 1200 ensemble positions
     and n_probe = 1601 probe samples; ``pde``: n_z = 300 and n_probe = 401,
@@ -1015,6 +1012,11 @@ def transfer_function_estimate(
             f"probe width {probe_width:g} s does not fit in the write window"
         )
     tau_p = np.linspace(Gamma - w_hat, Gamma, n_probe)
+    if not np.all(np.diff(tau_p) > 0.0):
+        raise ProbeDesignError(
+            f"probe width {probe_width:g} s is below the write window's resolution: "
+            f"its {n_probe} probe samples do not all have distinct times"
+        )
     env = tukey_window(n_probe)
     wts_p = simpson_weights(tau_p.size, tau_p[1] - tau_p[0])
     centroid = float(np.sum(wts_p * env * (Gamma - tau_p)) / np.sum(wts_p * env))

@@ -5,6 +5,16 @@ physics/precondition violations exit 3, resolution or convergence failures
 exit 4.
 """
 
+__all__ = [
+    "CombMemoryError",
+    "ConfigError",
+    "PhysicsError",
+    "DimensionError",
+    "ProbeDesignError",
+    "ResolutionError",
+    "ResolutionWarning",
+]
+
 
 class CombMemoryError(Exception):
     """Base class for all errors raised by this package."""

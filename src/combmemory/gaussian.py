@@ -3,10 +3,13 @@
 Conventions: vacuum covariance is the identity; quadratures are ordered in
 interleaved per-mode pairs (S+_1, S-_1, S+_2, S-_2, ...).  A pure M-mode
 Gaussian state always factorizes into M independent squeezed vacua on some
-orthonormal set of supermodes; ``supermode_extraction`` finds that set from the
-eigenstructure of C, using the fact that for pure states the symplectic form
-maps a squeezed eigenvector (eigenvalue zeta < 1) to its antisqueezed partner
-(eigenvalue 1/zeta).
+orthonormal set of supermodes; ``supermode_extraction`` finds that set and the
+squeezing spectrum from the eigenstructure of C, using the fact that for pure
+states the symplectic form maps a squeezed eigenvector (eigenvalue zeta < 1) to
+its antisqueezed partner (eigenvalue 1/zeta).
+
+Squeezing levels in dB and variances convert by ``db_to_zeta`` and
+``zeta_to_db``, the package's one conversion, defined and exported here.
 
 Physicality is the uncertainty relation C + i Omega >= 0 (Weedbrook et al.,
 RMP 84, 621 (2012)), i.e. every symplectic eigenvalue nu >= 1.  The
@@ -30,6 +33,8 @@ from .modes import ModeBasis, _check_unitary
 __all__ = [
     "CovarianceMatrix",
     "SqueezingSpectrum",
+    "db_to_zeta",
+    "zeta_to_db",
     "symplectic_form",
     "symplectic_embedding",
     "vacuum",
@@ -127,10 +132,6 @@ class CovarianceMatrix:
     @property
     def mode_count(self) -> int:
         return self.entries.shape[0] // 2
-
-    def block(self, m: int) -> np.ndarray:
-        """The 2x2 diagonal block of mode m."""
-        return self.entries[2 * m:2 * m + 2, 2 * m:2 * m + 2].copy()
 
     def to_json(self) -> dict:
         return {"mode_count": self.mode_count, "rows": self.entries.tolist()}
@@ -285,12 +286,11 @@ def _vacuum_pairs(E: np.ndarray, Om: np.ndarray) -> np.ndarray:
 def supermode_extraction(C: CovarianceMatrix):
     """Reduce a pure state to uncorrelated squeezed vacua on supermodes.
 
-    Returns ``(basis, spectrum, angles)`` where ``basis`` holds the rows of the
-    mode unitary V (over abstract mode slots) such that
-    ``apply_mode_unitary(C, V)`` is block-diagonal with blocks
-    diag(1/zeta_m, zeta_m); ``spectrum`` lists zeta ascending (most squeezed
-    first, vacuum modes as 1); ``angles`` are all zero, the rotations being
-    absorbed into V.
+    Returns ``(basis, spectrum)`` where ``basis`` holds the rows of the mode
+    unitary V (over abstract mode slots) such that ``apply_mode_unitary(C, V)``
+    is block-diagonal with blocks diag(1/zeta_m, zeta_m), every squeezing
+    rotation absorbed into V; ``spectrum`` lists zeta ascending (most squeezed
+    first, vacuum modes as 1).
 
     For pure C every eigenvector v with eigenvalue zeta < 1 has the symplectic
     partner Omega v with eigenvalue 1/zeta, so the rows (Omega v, v) assemble
@@ -334,7 +334,7 @@ def supermode_extraction(C: CovarianceMatrix):
         )
     basis = ModeBasis(P[:, 1::2] + 1j * P[:, 0::2])
     zetas = np.concatenate([ls, np.ones(M - ls.size)])
-    return basis, SqueezingSpectrum(zetas), np.zeros(M)
+    return basis, SqueezingSpectrum(zetas)
 
 
 def gaussian_fidelity(C1: CovarianceMatrix, C2: CovarianceMatrix) -> float:

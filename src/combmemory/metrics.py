@@ -20,7 +20,7 @@ mixed inputs, and the tests cross-check the closed forms against them.
 
 dB levels become variances by ``gaussian.db_to_zeta``, one level at a time
 (numpy's vectorized power rounds some levels differently), and variances
-become dB by ``gaussian.zeta_to_db``; this module re-exports both.
+become dB by ``gaussian.zeta_to_db``; ``gaussian`` defines and exports both.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .gaussian import CovarianceMatrix, db_to_zeta, zeta_to_db
 
 __all__ = [
     "SupermodeReport",
-    "db_to_zeta",
-    "zeta_to_db",
     "overall_fidelity",
     "retrieval_table",
     "report_from_block",

@@ -161,7 +161,7 @@ class TestAcceptance:
         for _ in range(50):
             M = int(rng.integers(1, 7))
             C = random_pure_state(M, rng)
-            basis, spectrum, _ = supermode_extraction(C)
+            basis, spectrum = supermode_extraction(C)
             V = basis.matrix
             target = np.zeros((2 * M, 2 * M))
             for m, z in enumerate(spectrum.values):

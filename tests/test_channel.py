@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ class TestKernel:
         K = kernel(params_for(4.0), w)
         assert K.shape == (3,)
         assert K[1] == np.conj(K[2])  # real impulse response
+
+    @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
+    def test_non_finite_omega_named(self, omega):
+        # named before the exponent is formed: no invalid-value warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for w in (omega, np.array([0.0, 0.05 * GAMMA_S, omega])):
+                with pytest.raises(PhysicsError, match=f"omega must be finite, got {omega!r}"):
+                    kernel(params_for(4.0), w)
 
     def test_gain_bounded_in_narrow_band(self):
         # |K| <= 1 holds across moderate depths as long as the band stays

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -286,18 +287,10 @@ class TestRichardson:
 
 class TestTukeyWindow:
     def test_matches_reference(self):
-        for n, taper in [(64, 0.1), (65, 0.25), (33, 1.0)]:
-            ref = scipy.signal.windows.tukey(n, alpha=taper, sym=True)
-            assert np.abs(tukey_window(n, taper) - ref).max() < 1e-12
-
-    def test_zero_taper_is_rectangular(self):
-        assert np.array_equal(tukey_window(17, 0.0), np.ones(17))
-
-    def test_taper_bounds(self):
-        with pytest.raises(PhysicsError, match="taper"):
-            tukey_window(16, 1.5)
-        with pytest.raises(PhysicsError, match="taper"):
-            tukey_window(16, -0.1)
+        # the probe envelope: raised-cosine tapers over the first and last 5%
+        for n in (64, 65, 33, 401, 1601):
+            ref = scipy.signal.windows.tukey(n, alpha=0.1, sym=True)
+            assert np.abs(tukey_window(n) - ref).max() < 1e-12
 
 
 class TestContainers:
@@ -597,6 +590,14 @@ class TestTransferFunction:
             assert g == pytest.approx(-kernel(p, w) * np.exp(1j * w * p.T), abs=1e-15)
         assert expected_gain(p, 0.0).imag == 0.0
 
+    @pytest.mark.parametrize("omega", [np.inf, np.nan])
+    def test_expected_gain_names_non_finite_omega(self, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for w in (omega, [0.0, omega]):
+                with pytest.raises(PhysicsError, match=f"omega must be finite, got {omega!r}"):
+                    expected_gain(params10(), w)
+
     def test_probe_band_limit(self):
         with pytest.raises(PhysicsError, match="0.3 gamma_s"):
             transfer_function_estimate(params10(), [0.5 * GAMMA_S])
@@ -608,6 +609,18 @@ class TestTransferFunction:
     def test_probe_must_fit_window(self):
         with pytest.raises(ProbeDesignError, match="does not fit"):
             transfer_function_estimate(params10(), [0.0], probe_width=2.0 * T10)
+
+    @pytest.mark.parametrize("path", ["analytic", "pde"])
+    @pytest.mark.parametrize("width", [1e-20, 1e-300])
+    def test_probe_below_window_resolution_rejected(self, path, width):
+        # at dynamics.ini's working point gamma_s T is 10, whose float spacing
+        # is 1.8e-15, far above gamma_s times these widths: the probe samples
+        # share one time, and the centroid would be 0/0 and the gain NaN
+        p = MemoryParams(d=4.0, gamma_s=GAMMA_S, T=88.42e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ProbeDesignError, match=f"probe width {width:g} s is below"):
+                transfer_function_estimate(p, [0.0, 0.1 * GAMMA_S], path=path, probe_width=width)
 
     def test_wide_probe_capture_bias_rejected(self):
         # a probe spanning 0.01 decay times at d = 4 biases the gain by

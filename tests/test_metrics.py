@@ -261,7 +261,7 @@ def oracle_fidelity(C_in, d):
 
 def extracted_fidelity(C_in, d):
     """The overall fidelity the metrics route reports for the extracted spectrum."""
-    _, spectrum, _ = supermode_extraction(C_in)
+    _, spectrum = supermode_extraction(C_in)
     return overall_fidelity(retrieval_table([zeta_to_db(z) for z in spectrum.values], d))[0]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 
 import combmemory
 
@@ -25,9 +26,11 @@ PUBLIC = {
     "epr", "cluster_linear4", "get_preset", "PRESET_NAMES",
 }
 
-MODULES = ["combmemory", "combmemory.modes", "combmemory.gaussian", "combmemory.channel",
-           "combmemory.dynamics", "combmemory.metrics", "combmemory.presets",
-           "combmemory.config"]
+MODULES = ["combmemory", "combmemory.errors", "combmemory.modes", "combmemory.gaussian",
+           "combmemory.channel", "combmemory.dynamics", "combmemory.metrics",
+           "combmemory.presets", "combmemory.config"]
+# the modules whose names the package re-exports, each listing its own
+EXPORTING = ["errors", "modes", "gaussian", "channel", "dynamics", "metrics", "presets"]
 
 
 def test_exports_resolve_and_none_is_stale():
@@ -58,8 +61,28 @@ def test_exports_resolve_and_none_is_stale():
     assert "oracle_fallback" not in fields
 
 
+def test_each_name_is_listed_once_by_its_module():
+    lists = [importlib.import_module("combmemory." + name).__all__ for name in EXPORTING]
+    names = [n for names in lists for n in names]
+    assert len(set(names)) == len(names)  # pairwise disjoint
+    assert combmemory.__all__ == ["__version__", *names]
+
+    # the dB conversions are listed by gaussian, which defines them
+    for name in ("db_to_zeta", "zeta_to_db"):
+        assert name in combmemory.gaussian.__all__ and name not in combmemory.metrics.__all__
+
+
+def test_results_and_parameters_only_their_tests_read_are_gone():
+    assert not hasattr(combmemory.CovarianceMatrix, "block")
+    result = combmemory.supermode_extraction(combmemory.epr())
+    assert len(result) == 2
+    assert isinstance(result[0], combmemory.ModeBasis)
+    assert isinstance(result[1], combmemory.SqueezingSpectrum)
+    assert list(inspect.signature(combmemory.dynamics.tukey_window).parameters) == ["n"]
+
+
 def test_package_exports_exactly_the_public_surface():
-    assert set(combmemory.__all__) == PUBLIC
+    assert set(combmemory.__all__) == PUBLIC and len(PUBLIC) == 51
 
     # models that only their own tests called are gone
     for module in (combmemory, combmemory.channel, combmemory.gaussian):
