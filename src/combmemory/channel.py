@@ -137,7 +137,7 @@ def kernel(params: MemoryParams, omega):
 
 def efficiency(d: float) -> float:
     """Retrieval efficiency eta = (1 - e^{-d})^2."""
-    if d < 0.0:
+    if not d >= 0.0:  # NaN fails too
         raise PhysicsError("optical depth d must be >= 0")
     return float((1.0 - np.exp(-d)) ** 2)
 

@@ -166,16 +166,16 @@ def _fork_beside(child_work, own_work) -> None:
 # ----------------------------------------------------------------------------
 # state and basis assembly
 
-def _fit_teeth(M: int, teeth) -> None:
-    if teeth is not None and teeth < M:
-        raise ConfigError(f"state has {M} modes but only {teeth} teeth configured")
+def _fit_teeth(M: int, cfg: ExperimentConfig) -> None:
+    if cfg.teeth < M:
+        raise ConfigError(f"state has {M} modes but only {cfg.teeth} teeth configured")
 
 
-def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
-    """The configured input state.  Given ``teeth``, a spectrum or state file
-    of more modes than teeth exits 2 before any covariance is built."""
+def _input_state(cfg: ExperimentConfig) -> CovarianceMatrix:
+    """The configured input state.  A spectrum, preset or state file of more
+    modes than ``[state] teeth`` exits 2 before any covariance is built."""
     if cfg.state_source == "spectrum":
-        _fit_teeth(len(cfg.spectrum_db), teeth)
+        _fit_teeth(len(cfg.spectrum_db), cfg)
         return squeezed_vacuum(SqueezingSpectrum.from_db(cfg.spectrum_db), angles=cfg.angles)
     if cfg.state_source == "file":
         with open(cfg.state_file) as fh:
@@ -189,7 +189,7 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
             raise ConfigError(f"[state] file {cfg.state_file} holds a {len(rows)}-row matrix; "
                               f"at most {MAX_MODE_COUNT} modes are supported")
         if isinstance(rows, list) and len(rows) % 2 == 0:  # odd sizes fail in from_json
-            _fit_teeth(len(rows) // 2, teeth)
+            _fit_teeth(len(rows) // 2, cfg)
         try:
             return CovarianceMatrix.from_json(obj)
         except DimensionError as exc:  # malformed: exit 2; unphysical: exit 3
@@ -198,13 +198,14 @@ def _input_state(cfg: ExperimentConfig, teeth=None) -> CovarianceMatrix:
             raise ConfigError(f"state file {cfg.state_file} holds a number beyond the float "
                               f"range: {exc}") from exc
     C = get_preset(cfg.preset)
-    _fit_teeth(C.mode_count, teeth)
+    _fit_teeth(C.mode_count, cfg)
     return C
 
 
 def _state_zetas_db(cfg: ExperimentConfig):
     """Per-supermode input squeezing in dB, extracting when not given directly."""
     if cfg.state_source == "spectrum":
+        _fit_teeth(len(cfg.spectrum_db), cfg)
         return list(cfg.spectrum_db)
     _, spectrum = supermode_extraction(_input_state(cfg))
     return spectrum.db.tolist()
@@ -267,7 +268,7 @@ def cmd_metrics(cfg: ExperimentConfig, seed: int) -> Outputs:
 
 def cmd_channel(cfg: ExperimentConfig, seed: int) -> Outputs:
     """stored/retrieved covariance matrices through the pump cascade"""
-    C_in = _input_state(cfg, teeth=cfg.teeth)
+    C_in = _input_state(cfg)
     M = C_in.mode_count
     k2 = efficiency(cfg.memory.d)
     supermodes = ModeBasis(np.eye(M))  # teeth past M would carry zero amplitude

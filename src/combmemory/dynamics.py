@@ -452,19 +452,13 @@ def write_analytic(a_in, params: MemoryParams, n_z: int) -> StoredProfile:
 
     The profile matches the PDE route: b = sqrt(d gamma_s) * int e^{-gamma_s u}
     J0(2 sqrt(d gamma_s z u)) a(T-u) du, evaluated in scaled time with the
-    input amplitude carried as a / sqrt(gamma_s).  A non-finite sample of
-    ``a_in``, or a scaled window gamma_s T or step gamma_s dt out of float
-    range, raises PhysicsError naming it before any quadrature.
+    input amplitude carried as a / sqrt(gamma_s).  ``_write_boundary`` checks
+    ``a_in`` and the grids before any quadrature, as for ``pde_write``.
     """
     a = np.asarray(a_in, dtype=complex)
     if a.ndim != 1 or a.size < 9:
         raise DimensionError("a_in must be a 1-d envelope with at least 9 samples")
-    if not np.isfinite(a).all():
-        raise PhysicsError("a_in must be finite at every sample")
-    if n_z < 4:
-        raise DimensionError("n_z must be at least 4")
-    Gamma = _scaled_span("gamma_s * T", params.gamma_s * params.T, params.d)
-    _scaled_span("gamma_s * dt", Gamma / (a.size - 1), params.d)
+    a, Gamma, _ = _write_boundary(a, params, n_z, a.size)
     tau = np.linspace(0.0, Gamma, a.size)
     z = np.linspace(0.0, 1.0, int(n_z))
     if params.d == 0.0:
@@ -823,16 +817,23 @@ def _exact_write(drive, h, d, n_z):
 
 
 def _write_boundary(a_in, params: MemoryParams, n_z: int, n_t: int):
-    """(t, a(0, t)) of a write stage: ``a_in`` as n_t finite samples on [0, T]."""
-    if n_z < 4 or n_t < 4:
-        raise DimensionError("n_z and n_t must be at least 4")
-    t = np.linspace(0.0, params.T, int(n_t))
+    """(a(0, t), gamma_s T, gamma_s dt) of a write stage: ``a_in`` as n_t samples on [0, T].
+
+    Both write routes check their input here, in this order: the grid floors
+    (DimensionError naming n_z or n_t below 4), the drive's shape
+    (DimensionError), its finiteness and the scaled window and step
+    (PhysicsError, from ``_scaled_span``), before anything is computed.
+    """
+    for name, n in (("n_z", n_z), ("n_t", n_t)):
+        if n < 4:
+            raise DimensionError(f"{name} must be at least 4")
     bound = np.asarray(a_in, dtype=complex)
-    if bound.shape != t.shape:
+    if bound.shape != (int(n_t),):
         raise DimensionError(f"a_in must provide exactly n_t = {n_t} samples")
     if not np.isfinite(bound).all():
         raise PhysicsError("a_in must be finite at every sample")
-    return t, bound
+    Gamma = _scaled_span("gamma_s * T", params.gamma_s * params.T, params.d)
+    return bound, Gamma, _scaled_span("gamma_s * dt", Gamma / (n_t - 1), params.d)
 
 
 def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
@@ -842,21 +843,19 @@ def pde_write(a_in, params: MemoryParams, n_z: int, n_t: int) -> WriteRecord:
     [0, T].  Warns when gamma_s * dt exceeds 0.1.  No (n_z, n_t) history is
     kept: ``_march`` returns a(1, .), b(., T) and the Simpson-weighted |b|^2
     sums, each taken once per ring of steps, so the write holds one ring
-    and O(n_z + n_t) values.  A non-finite sample of ``a_in`` raises
-    PhysicsError naming it before anything is marched.  A field that
-    overflows reaches a(1, .), that sum or b(., T), and raises PhysicsError,
-    as does a sum that overflows a float in SI units while every field is
-    finite.  A complex drive marches as its real and imaginary parts, two
-    float64 marches joined; one whose imaginary part is all zero marches as
-    its real part alone, with the same bits, and the record's fields are
-    complex either way.  Its scaled window and step are checked as
-    ``write_analytic`` does.
+    and O(n_z + n_t) values.  ``_write_boundary`` checks ``a_in`` and the
+    grids before anything is marched, as for ``write_analytic``.  A field
+    that overflows reaches a(1, .), that sum or b(., T), and raises
+    PhysicsError, as does a sum that overflows a float in SI units while
+    every field is finite.  A complex drive marches as its real and
+    imaginary parts, two float64 marches joined; one whose imaginary part is
+    all zero marches as its real part alone, with the same bits, and the
+    record's fields are complex either way.
     """
-    t, bound = _write_boundary(a_in, params, n_z, n_t)
+    bound, _, h = _write_boundary(a_in, params, n_z, n_t)
     if not bound.imag.any():
         bound = bound.real
-    Gamma = _scaled_span("gamma_s * T", params.gamma_s * params.T, params.d)
-    h = _scaled_span("gamma_s * dt", Gamma / (n_t - 1), params.d)
+    t = np.linspace(0.0, params.T, int(n_t))
     if h > CFL_WARN:
         warnings.warn(f"gamma_s * dt = {h:.3f} exceeds {CFL_WARN}; marching is under-resolved",
                       ResolutionWarning, stacklevel=2)

@@ -164,18 +164,6 @@ def symplectic_form(M: int) -> np.ndarray:
     return Om
 
 
-def blocked_indices(M: int) -> np.ndarray:
-    """Permutation taking interleaved ordering to blocked (all S+, then all S-).
-
-    ``C_blocked = C[np.ix_(ix, ix)]`` with ``ix = blocked_indices(M)``; the same
-    indices scatter a blocked matrix back via ``C[np.ix_(ix, ix)] = C_blocked``.
-    """
-    ix = np.empty(2 * M, dtype=int)
-    ix[:M] = 2 * np.arange(M)
-    ix[M:] = 2 * np.arange(M) + 1
-    return ix
-
-
 def symplectic_embedding(U) -> np.ndarray:
     """Real 2M x 2M orthogonal symplectic matrix realizing a mode unitary.
 

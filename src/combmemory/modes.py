@@ -104,7 +104,9 @@ def _check_unitary(U, M: int) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.shape != (M, M):
         raise DimensionError(f"expected a {M}x{M} unitary, got shape {U.shape}")
-    if np.abs(U @ U.conj().T - np.eye(M)).max() > ORTHO_TOL:
+    with np.errstate(invalid="ignore"):  # an infinite entry makes inf - inf
+        dev = np.abs(U @ U.conj().T - np.eye(M)).max()
+    if not dev <= ORTHO_TOL:  # NaN fails too
         raise PhysicsError(f"matrix is not unitary within {ORTHO_TOL:g}")
     return U
 

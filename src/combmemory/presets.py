@@ -18,7 +18,6 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezingSpectrum,
     apply_mode_unitary,
-    blocked_indices,
     db_to_zeta,
     squeezed_vacuum,
 )
@@ -41,10 +40,14 @@ def cluster_linear4() -> CovarianceMatrix:
         A[j, j + 1] = A[j + 1, j] = 1.0
     X = np.eye(n) / _DB6          # anti-squeezed x variances
     P = np.eye(n) * _DB6          # squeezed p variances
-    # controlled-Z chain: x' = x, p' = p + A x, in xxpp ordering
-    C_xxpp = np.block([[X, X @ A], [A @ X, A @ X @ A + P]])
-    ix = np.argsort(blocked_indices(n))  # xxpp -> interleaved
-    return CovarianceMatrix(C_xxpp[np.ix_(ix, ix)])
+    # controlled-Z chain: x' = x, p' = p + A x, each block into the
+    # interleaved slots (x_j at 2j, p_j at 2j + 1)
+    C = np.empty((2 * n, 2 * n))
+    C[0::2, 0::2] = X
+    C[0::2, 1::2] = X @ A
+    C[1::2, 0::2] = A @ X
+    C[1::2, 1::2] = A @ X @ A + P
+    return CovarianceMatrix(C)
 
 
 _PRESETS = {"epr": epr, "cluster-linear-4": cluster_linear4}

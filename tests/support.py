@@ -72,9 +72,9 @@ def oracle_traces(b0, boundary, h, d, n_z, weights):
 
 def oracle_write(a_in, params, n_z, n_t):
     """A ``WriteRecord`` of ``pde_write``'s inputs from the long-double oracle, rounded once."""
-    t, bound = dynamics._write_boundary(a_in, params, n_z, n_t)
+    bound, _, h = dynamics._write_boundary(a_in, params, n_z, n_t)
+    t = np.linspace(0.0, params.T, n_t)
     sg = np.sqrt(np.longdouble(params.gamma_s))
-    h = params.gamma_s * params.T / (n_t - 1)
     wt = dynamics.simpson_weights(n_t, t[1] - t[0])
     a_1, b_T, b_sq = oracle_traces(np.zeros(n_z), bound.astype(np.clongdouble) / sg, h, params.d,
                                    n_z, wt)
@@ -89,8 +89,8 @@ def grid_write(a_in, params, n_z, n_t):
     The march's scheme from ``oracle_march`` in long double, every sample
     rounded to complex128 into the history arrays.
     """
-    t, bound = dynamics._write_boundary(a_in, params, n_z, n_t)
-    h = params.gamma_s * params.T / (n_t - 1)
+    bound, _, h = dynamics._write_boundary(a_in, params, n_z, n_t)
+    t = np.linspace(0.0, params.T, n_t)
     z = np.linspace(0.0, 1.0, n_z)
     if params.d == 0.0:
         a = np.broadcast_to(bound, (n_z, n_t)).copy()

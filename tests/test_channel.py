@@ -112,6 +112,15 @@ class TestKernel:
         with pytest.raises(PhysicsError):
             efficiency(-1.0)
 
+    @pytest.mark.parametrize("d", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_non_finite_depth_rejected(self, d):
+        # NaN must fail the d >= 0 comparison, not slip past it
+        with pytest.raises(PhysicsError, match="optical depth d must be >= 0"):
+            efficiency(d)
+
+    def test_infinite_depth_retrieves_everything(self):
+        assert efficiency(np.inf) == 1.0
+
     def test_array_input(self):
         w = np.array([0.0, 0.05, -0.05]) * GAMMA_S
         K = kernel(params_for(4.0), w)

@@ -164,11 +164,13 @@ class TestChannelCommand:
         assert rows[0] == "index,zeta_in,zeta_out"
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("command", ["channel", "metrics", "sweep"])
     @pytest.mark.parametrize("source", ["spectrum", "file"])
     def test_more_modes_than_teeth_rejected_before_building(self, tmp_path, monkeypatch,
-                                                            capsys, source):
-        # three modes on two teeth: the check must come before any 2M x 2M
-        # covariance (and its eigenvalue check) exists, whose cost grows as M^3
+                                                            capsys, source, command):
+        # three modes on two teeth: every command that reads the state checks
+        # before any 2M x 2M covariance (and its eigenvalue check) exists,
+        # whose cost grows as M^3
         def unbuilt(*args, **kwargs):
             raise AssertionError("a covariance was built before the teeth check")
 
@@ -179,16 +181,19 @@ class TestChannelCommand:
             state = tmp_path / "state.json"
             state.write_text(json.dumps({"mode_count": 3, "rows": np.eye(6).tolist()}))
             text = text.replace("squeezing_db = -6, -3, -1", f"file = {state}")
-        rc, _ = run(tmp_path, "channel", text)
+        rc, out = run(tmp_path, command, text)
         assert rc == 2
         assert "state has 3 modes but only 2 teeth configured" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
-    def test_preset_with_more_modes_than_teeth_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["channel", "metrics", "sweep"])
+    def test_preset_with_more_modes_than_teeth_rejected(self, tmp_path, capsys, command):
         text = BASE.replace("squeezing_db = -6, -3, -1", "preset = epr").replace(
             "teeth = 32", "teeth = 1")
-        rc, _ = run(tmp_path, "channel", text)
+        rc, out = run(tmp_path, command, text)
         assert rc == 2
         assert "state has 2 modes but only 1 teeth configured" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_teeth_only_bound_the_mode_count(self, tmp_path, monkeypatch):
         # every tooth past M would be zero in both bases, so the cascade runs

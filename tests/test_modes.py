@@ -5,7 +5,10 @@ from combmemory import (
     DimensionError,
     ModeBasis,
     PhysicsError,
+    SqueezingSpectrum,
+    apply_mode_unitary,
     gram_schmidt,
+    squeezed_vacuum,
     unitary_mix,
 )
 from support import random_unitary
@@ -102,6 +105,20 @@ class TestUnitaryMix:
         basis = ModeBasis(np.array([[1.0, 0.0]]))
         with pytest.raises(PhysicsError, match="unitary"):
             unitary_mix(basis, np.array([[2.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, np.inf)],
+                             ids=["nan", "inf", "-inf", "nan+infj"])
+    @pytest.mark.parametrize("route", ["unitary_mix", "apply_mode_unitary"])
+    def test_non_finite_unitary_rejected(self, route, bad):
+        # a NaN deviation must fail the tolerance comparison, not pass it
+        U = np.eye(2, dtype=complex)
+        U[0, 1] = bad
+        with pytest.raises(PhysicsError, match="not unitary within"):
+            if route == "unitary_mix":
+                unitary_mix(ModeBasis(np.eye(2)), U)
+            else:
+                apply_mode_unitary(squeezed_vacuum(SqueezingSpectrum((0.5, 0.5))), U)
 
     def test_wrong_size_rejected(self):
         basis = ModeBasis(np.array([[1.0, 0.0]]))

@@ -92,8 +92,7 @@ def test_package_exports_exactly_the_public_surface():
 
     # used only inside the package: module names, not exports
     for module, name in ((combmemory.dynamics, "tukey_window"),
-                         (combmemory.modes, "DEFAULT_TOOTH_COUNT"),
-                         (combmemory.gaussian, "blocked_indices")):
+                         (combmemory.modes, "DEFAULT_TOOTH_COUNT")):
         assert hasattr(module, name), name
         assert name not in combmemory.__all__ and not hasattr(combmemory, name), name
         assert name not in module.__all__, name
